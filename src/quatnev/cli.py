@@ -4,7 +4,7 @@ Subcommands
 -----------
 verify-jensen   Close the sphere-corrected Jensen formula on one boundary
                 sphere and print the full readout table (both kernel
-                conventions, shared sample stream).
+                conventions, closed from one Monte-Carlo pass).
 profile         Tabulate the Nevanlinna functions N, m, H, T, A of one
                 (function, target) pair over a radius grid.
 fmt-check       Per-radius residuals of one First Main Theorem form plus
@@ -21,7 +21,9 @@ the matching config keys.  Quaternions are written as [w, x, y, z]
 arrays; the point at infinity as the string "inf".  Polynomials are
 coefficient lists [[w,x,y,z], ...] (degree-ascending); rationals are
 {"num": [...], "den": [...]}.  Every run is fully seeded — identical
-config and seed produce bitwise-identical artifacts.
+config and seed produce bitwise-identical artifacts.  With --out the
+artifact goes to that file and the human report to stdout; without it the
+artifact is alone on stdout and the report goes to stderr.
 
 Exit status: 0 all asserted gates pass; 1 a gate failed; 2 config error.
 """
@@ -29,6 +31,7 @@ Exit status: 0 all asserted gates pass; 1 a gate failed; 2 config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -56,12 +59,12 @@ from .divisor import (
 from .sph_integral import IntegratorConfig
 from .nevanlinna import (
     NevanlinnaProfile,
+    _jensen_closures,
     characteristic_algebra_suite,
     counting_arbiter,
     harmonic_remainder,
     mpb_defect,
     verify_fmt,
-    verify_jensen,
 )
 
 PASS = "✓ PASS"
@@ -339,7 +342,7 @@ def build_spec(command: str, args) -> ExperimentSpec:
 
 
 def _emit(spec: ExperimentSpec, csv_text: str, json_obj) -> None:
-    """Write the artifact to spec.out, or print it when no path is given."""
+    """Write the artifact to spec.out, or alone to stdout when no path is given."""
     if spec.format == "json":
         payload = json.dumps(json_obj, indent=2, sort_keys=True) + "\n"
     else:
@@ -374,14 +377,16 @@ def _csv_rows(header: str, rows) -> str:
 # ---------------------------------------------------------------------------
 # Subcommand runners
 # ---------------------------------------------------------------------------
+#
+# Each runner prints its human report and returns (exit status, artifact),
+# where the artifact is a (csv_text, json_obj) pair or None.
 
 
-def _run_verify_jensen(spec: ExperimentSpec) -> int:
+def _run_verify_jensen(spec: ExperimentSpec) -> tuple:
     f = spec.function
     r = spec.r
     cfg = spec.integrator
-    corrected = verify_jensen(f, r, cfg, "corrected")
-    factor2 = verify_jensen(f, r, cfg, "doubled")
+    corrected, factor2 = _jensen_closures(f, r, cfg, ("corrected", "doubled"))
     offset = factor2.divisor_sum - corrected.divisor_sum
 
     print(f"Jensen closure at r = {r:g}  "
@@ -419,15 +424,13 @@ def _run_verify_jensen(spec: ExperimentSpec) -> int:
         corrected.rhs, factor2.rhs, corrected.residual, factor2.residual,
         corrected.three_sigma,
     )
-    _emit(
-        spec,
+    return 0 if gate_ok else 1, (
         _csv_rows(_CSV_COLUMNS["verify-jensen"], [row]),
         {"corrected": corrected.to_json(), "factor2": factor2.to_json()},
     )
-    return 0 if gate_ok else 1
 
 
-def _run_profile(spec: ExperimentSpec) -> int:
+def _run_profile(spec: ExperimentSpec) -> tuple:
     profile = NevanlinnaProfile.compute(
         spec.function, spec.a, spec.radii, spec.integrator
     )
@@ -436,11 +439,10 @@ def _run_profile(spec: ExperimentSpec) -> int:
     print(f"  {'r':>10s} {'N':>14s} {'m':>14s} {'H':>14s} {'T':>14s} {'A':>14s}")
     for r, N, m, _me, H, T, A in profile.rows():
         print(f"  {r:10.4f} {N:14.8f} {m:14.8f} {H:14.8f} {T:14.8f} {A:14.8f}")
-    _emit(spec, profile.to_csv(), profile.to_json())
-    return 0
+    return 0, (profile.to_csv(), profile.to_json())
 
 
-def _run_fmt_check(spec: ExperimentSpec) -> int:
+def _run_fmt_check(spec: ExperimentSpec) -> tuple:
     form = spec.extras["form"]
     report = verify_fmt(spec.function, spec.a, spec.radii, spec.integrator, form)
     rows = report["rows"]
@@ -466,11 +468,12 @@ def _run_fmt_check(spec: ExperimentSpec) -> int:
     for line in verdicts:
         print("  " + line)
     header = ",".join(rows[0].keys())
-    _emit(spec, _csv_rows(header, [tuple(row.values()) for row in rows]), report)
-    return 0 if gate_ok else 1
+    return 0 if gate_ok else 1, (
+        _csv_rows(header, [tuple(row.values()) for row in rows]), report
+    )
 
 
-def _run_mpb_check(spec: ExperimentSpec) -> int:
+def _run_mpb_check(spec: ExperimentSpec) -> tuple:
     print(f"Mean-proximity-balance defect, a = "
           f"{'inf' if spec.a is None else spec.a}")
     rows = []
@@ -478,18 +481,16 @@ def _run_mpb_check(spec: ExperimentSpec) -> int:
         d = mpb_defect(spec.function, spec.a, r, spec.integrator)
         rows.append((r, d.value, d.std_error, d.three_sigma))
         print(f"  r = {r:10.4f}   defect = {d.value:+.6e} ± {d.std_error:.2e}")
-    _emit(
-        spec,
+    return 0, (
         _csv_rows(_CSV_COLUMNS["mpb-check"], rows),
         [
             {"r": r, "defect": v, "std_error": s, "three_sigma": t}
             for r, v, s, t in rows
         ],
     )
-    return 0
 
 
-def _run_arbiter(spec: ExperimentSpec) -> int:
+def _run_arbiter(spec: ExperimentSpec) -> tuple:
     report = counting_arbiter(
         spec.function, spec.r, spec.integrator, spec.extras["candidates"]
     )
@@ -504,15 +505,13 @@ def _run_arbiter(spec: ExperimentSpec) -> int:
     gate_ok = abs(report.residual(report.best_order)) <= report.three_sigma
     print(f"  {PASS if gate_ok else FAIL}: best order c = {report.best_order} "
           f"closes the formula within 3σ = {report.three_sigma:.2e}")
-    _emit(
-        spec,
+    return 0 if gate_ok else 1, (
         _csv_rows(_CSV_COLUMNS["arbiter"], list(report.residuals)),
         report.to_json(),
     )
-    return 0 if gate_ok else 1
 
 
-def _run_algebra_suite(spec: ExperimentSpec) -> int:
+def _run_algebra_suite(spec: ExperimentSpec) -> tuple:
     rows = characteristic_algebra_suite(
         spec.function,
         spec.extras["g"],
@@ -540,8 +539,9 @@ def _run_algebra_suite(spec: ExperimentSpec) -> int:
                   f"gate = {row['gate']:+.2e}   {PASS if ok else FAIL}")
             csv_rows.append((row["identity"], row["kind"], row["value"],
                              row["gate"], ok, "", ""))
-    _emit(spec, _csv_rows(_CSV_COLUMNS["algebra-suite"], csv_rows), rows)
-    return 0 if all_ok else 1
+    return 0 if all_ok else 1, (
+        _csv_rows(_CSV_COLUMNS["algebra-suite"], csv_rows), rows
+    )
 
 
 def _selftest_checks():
@@ -641,7 +641,7 @@ def _selftest_checks():
     return checks
 
 
-def _run_selftest(spec: ExperimentSpec) -> int:
+def _run_selftest(spec: ExperimentSpec) -> tuple:
     print("Exact identity selftest (Monte-Carlo-free)")
     rows = []
     all_ok = True
@@ -651,16 +651,15 @@ def _run_selftest(spec: ExperimentSpec) -> int:
         rows.append((name, residual, gate, ok))
         print(f"  {name:40s} residual = {residual:.3e}  gate = {gate:.0e}  "
               f"{PASS if ok else FAIL}")
-    if spec.out is not None:
-        _emit(
-            spec,
-            _csv_rows(_CSV_COLUMNS["selftest"], rows),
-            [
-                {"check": n, "residual": v, "gate": g, "passed": ok}
-                for n, v, g, ok in rows
-            ],
-        )
-    return 0 if all_ok else 1
+    if spec.out is None:
+        return 0 if all_ok else 1, None
+    return 0 if all_ok else 1, (
+        _csv_rows(_CSV_COLUMNS["selftest"], rows),
+        [
+            {"check": n, "residual": v, "gate": g, "passed": ok}
+            for n, v, g, ok in rows
+        ],
+    )
 
 
 _RUNNERS = {
@@ -712,7 +711,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = build_spec(args.command, args)
-        return _RUNNERS[spec.command](spec)
+        # with no --out the artifact is alone on stdout, so the human report
+        # goes to stderr (selftest writes no artifact without --out)
+        to_stdout = spec.out is None and spec.command != "selftest"
+        with contextlib.redirect_stdout(sys.stderr if to_stdout else sys.stdout):
+            code, artifact = _RUNNERS[spec.command](spec)
+        if artifact is not None:
+            _emit(spec, *artifact)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

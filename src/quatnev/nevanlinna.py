@@ -35,7 +35,13 @@ from .divisor import (
     signed_kernel_sum,
     total_order_divisor,
 )
-from .sph_integral import IntegratorConfig, SphericalMean, mean_columns, mean_weil
+from .sph_integral import (
+    IntegratorConfig,
+    SphericalMean,
+    _log_threshold,
+    mean_columns,
+    mean_weil,
+)
 
 __all__ = [
     "ArbiterReport",
@@ -100,11 +106,6 @@ def _twist_degree(f) -> int:
     return max(f.degree, 1)
 
 
-def _log_threshold(f, r: float, reject_tol: float) -> float:
-    """log of the near-zero rejection guard reject_tol·(1+r)^growth_degree."""
-    return math.log(reject_tol) + f.growth_degree * math.log1p(r)
-
-
 def _deflated_head(g):
     """Series head (g(0), g′(0), g″(0)) of q^{−m₀}·g, plus m₀."""
     if isinstance(g, SemiregularRational):
@@ -133,12 +134,6 @@ def _lambda_of_head(head, r: float) -> float:
     tmp = inv0 * g1
     quarter_r2 = 0.25 * r * r
     return quarter_r2 * ((inv0 * g2).re - (tmp * tmp).re)
-
-
-def _harmonic_deflated(g, r: float) -> float:
-    """Harmonic remainder of g with any origin zero/pole divided out."""
-    _, head = _deflated_head(g)
-    return _lambda_of_head(head, r)
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +292,52 @@ def characteristic(f, a, r: float, cfg: IntegratorConfig,
     return value
 
 
-def _characteristic_with_error(f, a, r, cfg, stream_index=0):
-    """(T, Monte-Carlo standard error of T)."""
+@dataclass(frozen=True)
+class _RadiusFree:
+    """The pieces of T(f, a, ·) that do not depend on the radius.
+
+    ``divisor`` and ``side`` give N; ``sym`` is (f − a)^s (f^s at
+    infinity), whose proximity to the singularity of ``weil`` is the ½·m
+    term; ``head`` is the deflated series head of f − a behind H (None at
+    infinity, where H ≡ 0).  Only the ½·m term needs a Monte-Carlo pass.
+    """
+
+    divisor: SphereDivisor
+    side: str
+    sym: object
+    weil: WeilFunction
+    head: tuple | None
+
+    def counting(self, r: float) -> float:
+        return N_integrated(self.divisor, self.side, r)
+
+    def remainder(self, r: float) -> float:
+        return 0.0 if self.head is None else _lambda_of_head(self.head, r)
+
+
+def _radius_free(f, a) -> _RadiusFree:
+    """Divisor, symmetrization and deflated head of f − a, computed once."""
     if _is_infinity(a):
-        d = total_order_divisor(f)
-        counting = N_integrated(d, "pole", r)
-        sym_mean = proximity(f.symmetrize(), WeilFunction.analytic(None),
-                             r, cfg, stream_index)
-        return counting + 0.5 * sym_mean.value, 0.5 * sym_mean.std_error
+        return _RadiusFree(total_order_divisor(f), "pole", f.symmetrize(),
+                           WeilFunction.analytic(None), None)
     g = _shifted(f, _as_quat(a))
     d = total_order_divisor(g)
-    counting = N_integrated(d, "zero", r)
-    sym_mean = _proximity_at(g.symmetrize(), Quaternion(0.0, 0.0, 0.0, 0.0),
-                             r, cfg, stream_index)
-    remainder = _harmonic_deflated(g, r)
-    return counting + 0.5 * sym_mean.value - remainder, 0.5 * sym_mean.std_error
+    _, head = _deflated_head(g)
+    return _RadiusFree(d, "zero", g.symmetrize(),
+                       WeilFunction.analytic(Quaternion(0.0, 0.0, 0.0, 0.0)), head)
+
+
+def _characteristic_at(parts: _RadiusFree, r, cfg, stream_index=0):
+    """(T, Monte-Carlo standard error of T) at radius r from its radius-free parts."""
+    counting = parts.counting(r)
+    sym_mean = proximity(parts.sym, parts.weil, r, cfg, stream_index)
+    return (counting + 0.5 * sym_mean.value - parts.remainder(r),
+            0.5 * sym_mean.std_error)
+
+
+def _characteristic_with_error(f, a, r, cfg, stream_index=0):
+    """(T, Monte-Carlo standard error of T)."""
+    return _characteristic_at(_radius_free(f, a), r, cfg, stream_index)
 
 
 # ---------------------------------------------------------------------------
@@ -398,27 +424,44 @@ def verify_jensen(f, r: float, cfg: IntegratorConfig,
     boundary term is the shared-stream combined mean ½(log|f| +
     log|f∘S_f|); residual = RHS − lhs with a 3σ gate from that column.
     """
-    if kernel_convention not in _CONVENTION_NAMES:
-        raise ValueError(f"unknown kernel convention {kernel_convention!r}")
-    short, long_name = _CONVENTION_NAMES[kernel_convention]
+    return _jensen_closures(f, r, cfg, (kernel_convention,), stream_index)[0]
+
+
+def _jensen_closures(f, r, cfg, conventions, stream_index=0) -> tuple:
+    """One JensenReport per kernel convention, all from one boundary pass.
+
+    The boundary mean does not depend on the convention; only the divisor
+    sum does, so the reports differ by exactly the closed-form offset of
+    their kernel sums.
+    """
+    for convention in conventions:
+        if convention not in _CONVENTION_NAMES:
+            raise ValueError(f"unknown kernel convention {convention!r}")
     d = total_order_divisor(f)
-    divisor_sum = signed_kernel_sum(d, r, short) + d.origin_order * math.log(r)
+    origin_term = d.origin_order * math.log(r)
+    sums = []
+    for convention in conventions:
+        short, long_name = _CONVENTION_NAMES[convention]
+        sums.append((long_name, signed_kernel_sum(d, r, short) + origin_term))
     m0, head = _deflated_head(f)
     lhs = math.log(head[0].norm())
     boundary_f, boundary_fSf, combined = _boundary_columns(f, r, cfg, stream_index)
     harmonic = _lambda_of_head(head, r)
-    rhs = combined.value + harmonic - divisor_sum
-    return JensenReport(
-        lhs=lhs,
-        boundary_f=boundary_f,
-        boundary_fSf=boundary_fSf,
-        harmonic=harmonic,
-        divisor_sum=divisor_sum,
-        residual=rhs - lhs,
-        kernel_convention=long_name,
-        three_sigma=combined.three_sigma,
-        radius=r,
-    )
+    reports = []
+    for long_name, divisor_sum in sums:
+        rhs = combined.value + harmonic - divisor_sum
+        reports.append(JensenReport(
+            lhs=lhs,
+            boundary_f=boundary_f,
+            boundary_fSf=boundary_fSf,
+            harmonic=harmonic,
+            divisor_sum=divisor_sum,
+            residual=rhs - lhs,
+            kernel_convention=long_name,
+            three_sigma=combined.three_sigma,
+            radius=r,
+        ))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -649,20 +692,14 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
     if infinite and form != 3:
         raise ValueError("forms 1 and 2 need a finite target a")
     rows = []
+    at_inf = _radius_free(f, None)
+    at_a = at_inf if infinite else _radius_free(f, a)
     if form == 3:
         for r in radii:
-            t_inf, t_err = _characteristic_with_error(f, None, r, cfg, stream_index)
-            if infinite:
-                d = total_order_divisor(f)
-                counting = N_integrated(d, "pole", r)
-                prox = _proximity_at(f, None, r, cfg, stream_index)
-                remainder = 0.0
-            else:
-                g = _shifted(f, _as_quat(a))
-                d = total_order_divisor(g)
-                counting = N_integrated(d, "zero", r)
-                prox = _proximity_at(f, a, r, cfg, stream_index)
-                remainder = _harmonic_deflated(g, r)
+            t_inf, t_err = _characteristic_at(at_inf, r, cfg, stream_index)
+            counting = at_a.counting(r)
+            prox = _proximity_at(f, a, r, cfg, stream_index)
+            remainder = at_a.remainder(r)
             residual = counting + prox.value - remainder - t_inf
             rows.append(
                 {
@@ -679,11 +716,10 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
     elif form == 2:
         aq = _as_quat(a)
         g = _shifted(f, aq)
-        d = total_order_divisor(g)
         for r in radii:
-            counting = N_integrated(d, "zero", r)
-            remainder = _harmonic_deflated(g, r)
-            t_inf, _ = _characteristic_with_error(f, None, r, cfg, stream_index)
+            counting = at_a.counting(r)
+            remainder = at_a.remainder(r)
+            t_inf, _ = _characteristic_at(at_inf, r, cfg, stream_index)
             columns = _fmt_proximity_columns(f, g, aq.to_array(), r, cfg)
             m_fa, m_fsa_a, m_fsf_inf, m_fsa_inf = mean_columns(
                 columns, r, cfg, stream_index
@@ -712,8 +748,8 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
             return lam[:, None], sef.ok & sec.ok
 
         for r in radii:
-            t_a, _ = _characteristic_with_error(f, a, r, cfg, stream_index)
-            t_inf, _ = _characteristic_with_error(f, None, r, cfg, stream_index)
+            t_a, _ = _characteristic_at(at_a, r, cfg, stream_index)
+            t_inf, _ = _characteristic_at(at_inf, r, cfg, stream_index)
             envelope = mean_columns(envelope_columns, r, cfg, stream_index)[0]
             rows.append(
                 {
@@ -814,17 +850,27 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
     bq = None if _is_infinity(b) else _as_quat(b)
     rows = []
 
-    t_f = [_characteristic_with_error(f, None, r, cfg, stream_index) for r in radii]
-    t_g = [_characteristic_with_error(g, None, r, cfg, stream_index) for r in radii]
+    # T(fn, target, r) recurs across rows; compute each once per call.  The
+    # class is part of the key because RealPoly and LeftPoly with equal
+    # coefficients take different stem routes.
+    fixed = {}
+    memo = {}
+
+    def T(fn, target, r):
+        key = (type(fn), json.dumps(fn.to_json()), _a_label(target))
+        if key not in fixed:
+            fixed[key] = _radius_free(fn, target)
+        if (key, r) not in memo:
+            memo[key, r] = _characteristic_at(fixed[key], r, cfg, stream_index)
+        return memo[key, r]
+
+    t_f = [T(f, None, r) for r in radii]
+    t_g = [T(g, None, r) for r in radii]
 
     # ---- exact star-power scaling at infinity --------------------------------
     for n in (2, 3):
         fn = _star_power_any(f, n)
-        diffs = [
-            abs(_characteristic_with_error(fn, None, r, cfg, stream_index)[0]
-                - n * tf[0])
-            for r, tf in zip(radii, t_f)
-        ]
+        diffs = [abs(T(fn, None, r)[0] - n * tf[0]) for r, tf in zip(radii, t_f)]
         value = max(diffs)
         rows.append(
             {
@@ -841,7 +887,7 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
     slacks = []
     gates = []
     for r, tf, tg in zip(radii, t_f, t_g):
-        t_fg, e_fg = _characteristic_with_error(fg, None, r, cfg, stream_index)
+        t_fg, e_fg = T(fg, None, r)
         slacks.append(tf[0] + tg[0] - t_fg)
         gates.append(3.0 * math.sqrt(tf[1] ** 2 + tg[1] ** 2 + e_fg**2))
     worst = min(s + g3 for s, g3 in zip(slacks, gates))
@@ -861,7 +907,7 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
     slacks = []
     gates = []
     for r, tf, tg in zip(radii, t_f, t_g):
-        t_sum, e_sum = _characteristic_with_error(fpg, None, r, cfg, stream_index)
+        t_sum, e_sum = T(fpg, None, r)
         m_mixed = proximity(mixed, WeilFunction.analytic(None), r, cfg, stream_index)
         slacks.append(
             tf[0] + tg[0] + math.log(3.0) + 0.5 * m_mixed.value - t_sum
@@ -886,13 +932,7 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
     # ---- conjugation sends the target to its conjugate (rounding-exact) ------
     fc = f.conjugate()
     a_conj = None if aq is None else aq.conj()
-    diffs = [
-        abs(
-            _characteristic_with_error(fc, aq, r, cfg, stream_index)[0]
-            - _characteristic_with_error(f, a_conj, r, cfg, stream_index)[0]
-        )
-        for r in radii
-    ]
+    diffs = [abs(T(fc, aq, r)[0] - T(f, a_conj, r)[0]) for r in radii]
     value = max(diffs)
     rows.append(
         {
@@ -909,8 +949,8 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
     diffs = []
     gates = []
     for r in radii:
-        t_a, e_a = _characteristic_with_error(fc, aq, r, cfg, stream_index)
-        t_s, e_s = _characteristic_with_error(fs, None, r, cfg, stream_index)
+        t_a, e_a = T(fc, aq, r)
+        t_s, e_s = T(fs, None, r)
         diffs.append(abs(t_a - 0.5 * t_s))
         gates.append(3.0 * math.sqrt(e_a**2 + (0.5 * e_s) ** 2))
     margin = max(dv - g3 for dv, g3 in zip(diffs, gates))
@@ -964,42 +1004,27 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
             "per_radius": list(values),
         }
 
-    gaps = [
-        _characteristic_with_error(f, aq, r, cfg, stream_index)[0]
-        - _characteristic_with_error(f, bq, r, cfg, stream_index)[0]
-        for r in radii
-    ]
+    gaps = [T(f, aq, r)[0] - T(f, bq, r)[0] for r in radii]
     rows.append(o1_row("target_shift", gaps))
 
     gaps = []
     for r in radii:
-        t_sum, _ = _characteristic_with_error(fpg, aq, r, cfg, stream_index)
-        t_fa, _ = _characteristic_with_error(f, aq, r, cfg, stream_index)
-        t_ga, _ = _characteristic_with_error(g, aq, r, cfg, stream_index)
+        t_sum, _ = T(fpg, aq, r)
+        t_fa, _ = T(f, aq, r)
+        t_ga, _ = T(g, aq, r)
         gaps.append(t_sum - t_fa - t_ga)
     rows.append(o1_row("plus_additivity", gaps))
 
     recip = as_rational(f).star_reciprocal()
-    gaps = [
-        _characteristic_with_error(recip, aq, r, cfg, stream_index)[0]
-        - _characteristic_with_error(f, aq, r, cfg, stream_index)[0]
-        for r in radii
-    ]
+    gaps = [T(recip, aq, r)[0] - T(f, aq, r)[0] for r in radii]
     rows.append(o1_row("star_reciprocal", gaps))
 
     if t is not None:
         phi = linear_fractional(t, f)
-        gaps = [
-            _characteristic_with_error(phi, aq, r, cfg, stream_index)[0]
-            - _characteristic_with_error(f, aq, r, cfg, stream_index)[0]
-            for r in radii
-        ]
+        gaps = [T(phi, aq, r)[0] - T(f, aq, r)[0] for r in radii]
         rows.append(o1_row("fractional_linear", gaps))
 
-    gaps = [
-        _characteristic_with_error(f, aq, r, cfg, stream_index)[0] - tf[0]
-        for r, tf in zip(radii, t_f)
-    ]
+    gaps = [T(f, aq, r)[0] - tf[0] for r, tf in zip(radii, t_f)]
     rows.append(o1_row("finite_target_gap", gaps))
 
     return rows
@@ -1017,19 +1042,13 @@ def n_bound_check(f, a, radii, cfg: IntegratorConfig, stream_index: int = 0):
     carries its supremum over the grid rather than asserting a constant.
     """
     radii = [float(r) for r in radii]
-    infinite = _is_infinity(a)
+    at_inf = _radius_free(f, None)
+    at_a = at_inf if _is_infinity(a) else _radius_free(f, a)
     rows = []
     for r in radii:
-        t_inf, _ = _characteristic_with_error(f, None, r, cfg, stream_index)
-        if infinite:
-            d = total_order_divisor(f)
-            counting = N_integrated(d, "pole", r)
-            remainder = 0.0
-        else:
-            g = _shifted(f, _as_quat(a))
-            d = total_order_divisor(g)
-            counting = N_integrated(d, "zero", r)
-            remainder = _harmonic_deflated(g, r)
+        t_inf, _ = _characteristic_at(at_inf, r, cfg, stream_index)
+        counting = at_a.counting(r)
+        remainder = at_a.remainder(r)
         rows.append(
             {
                 "r": r,
@@ -1094,23 +1113,16 @@ class NevanlinnaProfile:
                 stream_index: int = 0) -> "NevanlinnaProfile":
         """Evaluate the five Nevanlinna columns of (f, a) on a radius grid."""
         radii = tuple(float(r) for r in radii)
-        infinite = _is_infinity(a)
-        if infinite:
-            d = total_order_divisor(f)
-            side = "pole"
-        else:
-            g = _shifted(f, _as_quat(a))
-            d = total_order_divisor(g)
-            side = "zero"
+        parts = _radius_free(f, a)
         col_N, col_m, col_me, col_H, col_T, col_A = [], [], [], [], [], []
         for r in radii:
             prox = _proximity_at(f, a, r, cfg, stream_index)
-            col_N.append(N_integrated(d, side, r))
+            col_N.append(parts.counting(r))
             col_m.append(prox.value)
             col_me.append(prox.std_error)
-            col_H.append(0.0 if infinite else _harmonic_deflated(g, r))
-            col_T.append(characteristic(f, a, r, cfg, stream_index))
-            col_A.append(angular_term(d, side, r))
+            col_H.append(parts.remainder(r))
+            col_T.append(_characteristic_at(parts, r, cfg, stream_index)[0])
+            col_A.append(angular_term(parts.divisor, parts.side, r))
         return NevanlinnaProfile(
             function_id=json.dumps(f.to_json()),
             a_label=_a_label(a),

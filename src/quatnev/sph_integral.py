@@ -36,7 +36,11 @@ __all__ = [
 
 
 class TooManyRejections(ArithmeticError):
-    """More than 0.001·samples points fell inside the singularity guard."""
+    """More than 0.001·samples points were rejected.
+
+    A point is rejected when it falls inside the singularity guard or when
+    one of its integrand values is not finite.
+    """
 
 
 _SCHEMES = ("monte_carlo", "antithetic_pair")
@@ -87,11 +91,12 @@ def mean_columns(column_fn, r: float, cfg: IntegratorConfig, stream_index: int =
     """Estimate the surface means of k integrand columns on one stream.
 
     column_fn(pts: (n, 4) array of points on ∂B_r) must return
-    (vals: (n, k) array, ok: (n,) bool mask); rows with ok = False are
-    rejected and replaced by continuing the stream.  Under the
-    antithetic_pair scheme the columns are evaluated at the batch and at
-    its quaternion-conjugate batch, and each accepted unit is the pair
-    average ½(v(w) + v(w̄)) with both points required to be acceptable.
+    (vals: (n, k) array, ok: (n,) bool mask); rows with ok = False, and
+    rows with a non-finite value, are rejected and replaced by continuing
+    the stream.  Under the antithetic_pair scheme the columns are
+    evaluated at the batch and at its quaternion-conjugate batch, and each
+    accepted unit is the pair average ½(v(w) + v(w̄)) with both points
+    required to be acceptable.
 
     Returns a list of k SphericalMean sharing the accepted mask, so column
     differences are exact sample-by-sample statements.
@@ -130,6 +135,9 @@ def mean_columns(column_fn, r: float, cfg: IntegratorConfig, stream_index: int =
             with np.errstate(invalid="ignore"):
                 vals = 0.5 * (vals + vals2)
             ok = ok & np.asarray(ok2, dtype=bool)
+        # column by column: on a (65536, k) chunk a row-wise all() is ~15x slower
+        for column in vals.T:
+            ok = ok & np.isfinite(column)
         take_rows = vals[ok]
         n_ok = take_rows.shape[0]
         n_rej = pts.shape[0] - n_ok

@@ -113,9 +113,7 @@ class StemEval:
 
     P, Q are quaternion (n, 4) arrays with f(u + Iv) = P + I·Q and
     f(u − Iv) = P − I·Q; ``ok`` masks points where the evaluation is
-    defined (it excludes numerical pole hits for rationals).  ``log_den``
-    is the log of the real denominator modulus (0 for polynomials), kept
-    separate so log|f| can be assembled without forming the quotient.
+    defined (it excludes numerical pole hits for rationals).
     """
 
     u: np.ndarray
@@ -125,8 +123,7 @@ class StemEval:
     P: np.ndarray
     Q: np.ndarray
     ok: np.ndarray
-    log_den: np.ndarray
-    real_stems: tuple | None = None  # (P_real, Q_real, log_den) for slice-preserving f
+    real_stems: tuple | None = None  # (P_real, Q_real) for slice-preserving f
 
     def value(self) -> np.ndarray:
         """f(q) as an (n, 4) array."""
@@ -139,31 +136,26 @@ class StemEval:
     def log_abs(self) -> np.ndarray:
         """log|f(q)| (−inf where the numerator vanishes; mask with ok)."""
         if self.real_stems is not None:
-            pr, qr, ld = self.real_stems
-            num = np.hypot(pr, qr)
+            num = np.hypot(*self.real_stems)
         else:
             num = qnorm(self.value())
-            ld = self.log_den
         with np.errstate(divide="ignore"):
-            return np.log(num) - ld
+            return np.log(num)
 
     def log_abs_conj_point(self) -> np.ndarray:
         """log|f(q̄)|; bitwise equal to log_abs() for slice-preserving f."""
         if self.real_stems is not None:
-            pr, qr, ld = self.real_stems
-            num = np.hypot(pr, qr)
+            num = np.hypot(*self.real_stems)
         else:
             num = qnorm(self.value_conj_point())
-            ld = self.log_den
         with np.errstate(divide="ignore"):
-            return np.log(num) - ld
+            return np.log(num)
 
     def abs_value(self) -> np.ndarray:
         """|f(q)|."""
         if self.real_stems is not None:
-            pr, qr, ld = self.real_stems
-            return np.hypot(pr, qr) * np.exp(-ld)
-        return qnorm(self.value()) * np.exp(-self.log_den)
+            return np.hypot(*self.real_stems)
+        return qnorm(self.value())
 
     def twisted(self, shift, deg_tol_poly_degree: int):
         """Value f(S_{f−a}(q)) and a definedness mask.
@@ -217,12 +209,11 @@ class StemEval:
         from the shared stems directly and is bitwise equal to log|f(q)|.
         """
         if self.real_stems is not None:
-            pr, qr, ld = self.real_stems
             with np.errstate(divide="ignore"):
-                return np.log(np.hypot(pr, qr)) - ld, self.ok.copy()
+                return np.log(np.hypot(*self.real_stems)), self.ok.copy()
         tv, _, ok = self.twisted(shift, deg_tol_poly_degree)
         with np.errstate(divide="ignore"):
-            return np.log(qnorm(tv)) - self.log_den, ok
+            return np.log(qnorm(tv)), ok
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +410,7 @@ class LeftPoly:
             P = np.tensordot(c, self.coeffs, axes=(0, 0))
             Q = np.tensordot(s, self.coeffs, axes=(0, 0))
         ok = np.ones(u.shape[0], dtype=bool)
-        zeros = np.zeros(u.shape[0])
-        return StemEval(u, v, I, near_real, P, Q, ok, zeros, None)
+        return StemEval(u, v, I, near_real, P, Q, ok)
 
     def eval_batch(self, pts: np.ndarray) -> np.ndarray:
         return self.stems(pts).value()
@@ -535,8 +525,7 @@ class RealPoly(LeftPoly):
         Q = np.zeros((u.shape[0], 4))
         Q[:, 0] = B
         ok = np.ones(u.shape[0], dtype=bool)
-        zeros = np.zeros(u.shape[0])
-        return StemEval(u, v, I, near_real, P, Q, ok, zeros, (A, B, zeros))
+        return StemEval(u, v, I, near_real, P, Q, ok, (A, B))
 
     def eval_complex(self, z: np.ndarray) -> np.ndarray:
         """Evaluate as a complex polynomial (for root/divisor work)."""
@@ -815,24 +804,18 @@ class SemiregularRational:
         tol = reject_tol * (1.0 + radius) ** max(self.den_s.degree, 1)
         ok = mod2 >= tol * tol
         safe = np.where(ok, mod2, 1.0)
-        with np.errstate(divide="ignore"):
-            log_den = 0.5 * np.log(safe)
         if self.is_real:
-            An, Bn = base.real_stems[0], base.real_stems[1]
+            An, Bn = base.real_stems
             Pr = (A * An + B * Bn) / safe
             Qr = (A * Bn - B * An) / safe
             P = np.zeros((base.u.shape[0], 4))
             P[:, 0] = Pr
             Q = np.zeros((base.u.shape[0], 4))
             Q[:, 0] = Qr
-            return StemEval(
-                base.u, base.v, base.I, base.near_real, P, Q, ok,
-                np.zeros_like(log_den), (Pr, Qr, np.zeros_like(log_den)),
-            )
+            return StemEval(base.u, base.v, base.I, base.near_real, P, Q, ok, (Pr, Qr))
         P = (A[:, None] * base.P + B[:, None] * base.Q) / safe[:, None]
         Q = (A[:, None] * base.Q - B[:, None] * base.P) / safe[:, None]
-        return StemEval(base.u, base.v, base.I, base.near_real, P, Q, ok,
-                        np.zeros_like(log_den), None)
+        return StemEval(base.u, base.v, base.I, base.near_real, P, Q, ok)
 
     def eval_batch(self, pts: np.ndarray) -> np.ndarray:
         return self.stems(pts).value()

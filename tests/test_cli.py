@@ -9,10 +9,12 @@ import json
 
 import pytest
 
+from quatnev import nevanlinna, sph_integral
 from quatnev.cli import main
-from quatnev.divisor import jensen_kernel
+from quatnev.divisor import jensen_kernel, total_order_divisor
 from quatnev.quat_core import SliceComplex
-from quatnev.nevanlinna import NevanlinnaProfile
+from quatnev.nevanlinna import NevanlinnaProfile, _radius_free as radius_free
+from quatnev.sph_integral import mean_columns
 
 FAST = ["--samples", "2000", "--seed", "2026"]
 
@@ -80,6 +82,76 @@ def test_stdout_artifact_when_no_out(capsys):
     assert "candidate,residual" in out, "CSV artifact should land on stdout"
 
 
+def test_json_artifact_alone_on_stdout_when_no_out(capsys):
+    code = main(["verify-jensen", *FAST, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    blob = json.loads(captured.out)
+    assert set(blob) == {"corrected", "factor2"}
+    assert "Jensen closure" in captured.err, "the human report belongs on stderr"
+
+
+def test_report_stays_on_stdout_with_out(tmp_path, capsys):
+    code = main(["verify-jensen", *FAST, "--out", str(tmp_path / "j.csv")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Jensen closure" in captured.out and "wrote csv artifact" in captured.out
+    assert captured.err == ""
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo passes per command
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def counters(monkeypatch):
+    """Count Monte-Carlo passes, divisor extractions and radius-free parts of T."""
+    counts = {"passes": 0, "divisors": 0, "parts": []}
+
+    def counting_mean_columns(*args, **kwargs):
+        counts["passes"] += 1
+        return mean_columns(*args, **kwargs)
+
+    def counting_divisor(f):
+        counts["divisors"] += 1
+        return total_order_divisor(f)
+
+    def recording_radius_free(f, a):
+        counts["parts"].append((type(f), json.dumps(f.to_json()), repr(a)))
+        return radius_free(f, a)
+
+    monkeypatch.setattr(nevanlinna, "mean_columns", counting_mean_columns)
+    monkeypatch.setattr(sph_integral, "mean_columns", counting_mean_columns)
+    monkeypatch.setattr(nevanlinna, "total_order_divisor", counting_divisor)
+    monkeypatch.setattr(nevanlinna, "_radius_free", recording_radius_free)
+    return counts
+
+
+def test_verify_jensen_draws_one_pass_for_both_conventions(tmp_path, counters):
+    assert main(["verify-jensen", *FAST, "--out", str(tmp_path / "j.csv")]) == 0
+    assert counters["passes"] == 1
+    assert counters["divisors"] == 1
+
+
+def test_algebra_suite_draws_each_pass_once(tmp_path, counters):
+    assert main(["algebra-suite", *FAST, "--out", str(tmp_path / "s.csv")]) == 0
+    # 15 distinct means at each of the 4 default radii: 13 characteristics,
+    # the mixed proximity and the sandwich.  For the real default f,
+    # T(f^s, ∞) is T(f*f, ∞) and T(f^c, 0) is T(f, 0).
+    assert counters["passes"] == 60
+    # the divisor and the rest of T's radius-free part, once per distinct
+    # (function, target)
+    assert len(set(counters["parts"])) == len(counters["parts"])
+    assert counters["divisors"] == len(counters["parts"])
+
+
+@pytest.mark.parametrize("command, divisors", [("profile", 1), ("fmt-check", 2)])
+def test_radius_grids_extract_each_divisor_once(command, divisors, tmp_path, counters):
+    assert main([command, *FAST, "--out", str(tmp_path / "a.csv")]) == 0
+    assert counters["divisors"] == divisors
+
+
 # ---------------------------------------------------------------------------
 # Determinism and config precedence
 # ---------------------------------------------------------------------------
@@ -126,9 +198,10 @@ def test_config_supplies_the_function(tmp_path, capsys):
         "r": 2.0,
     }))
     code = main(["verify-jensen", "--config", str(cfg), *FAST])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert "✓ PASS" in out
+    # with no --out the report goes to stderr, next to the stdout artifact
+    report = capsys.readouterr().err
+    assert code == 0, report
+    assert "✓ PASS" in report
 
 
 def test_kernel_flag_selects_reported_convention(tmp_path):
@@ -201,6 +274,6 @@ def test_failed_gate_exits_1(tmp_path, capsys):
     # well beyond the 0.01 flatness gate
     cfg.write_text(json.dumps({"radii": [2.0, 3.5, 6.0, 10.0, 17.0, 29.0, 50.0]}))
     code = main(["fmt-check", "--config", str(cfg), *FAST])
-    out = capsys.readouterr().out
-    assert code == 1, f"expected gate failure, got {code}:\n{out}"
-    assert "✗" in out
+    report = capsys.readouterr().err
+    assert code == 1, f"expected gate failure, got {code}:\n{report}"
+    assert "✗" in report

@@ -36,6 +36,7 @@ from quatnev.nevanlinna import (
     proximity,
     verify_fmt,
     verify_jensen,
+    _characteristic_with_error,
 )
 
 CFG = IntegratorConfig(samples=20_000, seed=2026)
@@ -416,6 +417,26 @@ def row(rows, name):
     matches = [r for r in rows if r["identity"] == name]
     assert matches, f"suite is missing the {name} row"
     return matches[0]
+
+
+def test_suite_memo_matches_direct_characteristic():
+    """Memoized suite rows equal direct T evaluations, bit for bit."""
+    f = star_mul(linear(Quaternion(0, 1, 0, 0)), linear(Quaternion(0, 0, 1, 0)))
+    g = RealPoly([0.74, -1.0, 1.0])
+    radii = (2.0, 5.0)
+    rows = characteristic_algebra_suite(f, g, ZERO, ONE, None, radii, FAST)
+
+    def T(fn, a, r):
+        return _characteristic_with_error(fn, a, r, FAST)[0]
+
+    want = {
+        "target_shift": [T(f, ZERO, r) - T(f, ONE, r) for r in radii],
+        "plus_additivity": [T(f + g, ZERO, r) - T(f, ZERO, r) - T(g, ZERO, r)
+                            for r in radii],
+        "finite_target_gap": [T(f, ZERO, r) - T(f, None, r) for r in radii],
+    }
+    for name, values in want.items():
+        assert row(rows, name)["per_radius"] == values, name
 
 
 def test_suite_power_identities_are_exact(suite_rows):

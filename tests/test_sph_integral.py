@@ -166,6 +166,43 @@ def test_mass_rejection_raises():
         mean_columns(broken, 1.0, CFG)
 
 
+def _poisoned(rows, value):
+    """Columns (w, x) that hold ``value`` at the given rows, all marked ok."""
+
+    def columns(pts):
+        vals = pts[:, :2].copy()
+        vals[rows, 1] = value
+        return vals, np.ones(len(pts), dtype=bool)
+
+    return columns
+
+
+@pytest.mark.parametrize("scheme", ["monte_carlo", "antithetic_pair"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_rows_are_rejected_and_counted(scheme, value):
+    cfg = IntegratorConfig(samples=20_000, seed=2026, scheme=scheme)
+    bad = [3, 500, 7_000, 19_000]
+    means = mean_columns(_poisoned(bad, value), 1.0, cfg)
+    assert all(math.isfinite(m.value) and math.isfinite(m.std_error) for m in means)
+    assert all(m.rejected == len(bad) for m in means)
+
+    def masked(pts):
+        ok = np.ones(len(pts), dtype=bool)
+        ok[bad] = False
+        return pts[:, :2], ok
+
+    want = mean_columns(masked, 1.0, cfg)
+    assert [m.value for m in means] == [m.value for m in want], (
+        "a non-finite row must count exactly like a row marked not ok"
+    )
+
+
+def test_non_finite_rows_past_the_bound_raise():
+    bad = list(range(0, 20 * 1000, 1000)) + [1]   # 21 rows > 0.001·20 000
+    with pytest.raises(TooManyRejections):
+        mean_columns(_poisoned(bad, np.nan), 1.0, CFG)
+
+
 def test_weil_guard_rejects_near_singularity():
     # target on the integration sphere itself: the weight is singular there,
     # but only a vanishing fraction of draws lands inside the guard
