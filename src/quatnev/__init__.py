@@ -43,7 +43,6 @@ from .star_poly import (
 )
 from .divisor import (
     BoundaryDivisor,
-    CountingCurve,
     SphereDivisor,
     ZeroPolynomial,
     a_count,

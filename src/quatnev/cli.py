@@ -43,8 +43,8 @@ from .quat_core import Quaternion, SliceComplex
 from .star_poly import (
     GL2H,
     LeftPoly,
-    RealPoly,
     SemiregularRational,
+    _realized,
     corollary_decomposition_check,
     star_eval_identity_check,
     star_power,
@@ -131,17 +131,13 @@ def _parse_quat(v, where: str) -> Quaternion:
     return q
 
 
-def _realized_poly(p: LeftPoly):
-    if not isinstance(p, RealPoly) and p.is_real:
-        return RealPoly(p.coeffs)
-    return p
-
-
 def _parse_function(data, where: str = "function"):
     """Polynomial (coefficient rows) or rational ({num, den}) from JSON."""
     if isinstance(data, dict):
         if "num" not in data or "den" not in data:
             raise ConfigError(f"{where}: rational needs 'num' and 'den' keys")
+        if not (isinstance(data["num"], list) and isinstance(data["den"], list)):
+            raise ConfigError(f"{where}: 'num' and 'den' must be coefficient lists")
         try:
             return SemiregularRational(
                 _parse_function(data["num"], where + ".num"),
@@ -159,7 +155,7 @@ def _parse_function(data, where: str = "function"):
             raise ConfigError(f"{where}: bad coefficient row in {data!r}") from exc
         if any(len(row) != 4 for row in rows):
             raise ConfigError(f"{where}: coefficient rows must have 4 entries")
-        return _realized_poly(LeftPoly(rows))
+        return _realized(LeftPoly(rows))
     raise ConfigError(
         f"{where} must be a coefficient list or a num/den object, got {data!r}"
     )

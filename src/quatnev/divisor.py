@@ -19,11 +19,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .quat_core import SliceComplex
-from .star_poly import RealPoly, ZeroCenter, as_rational
+from .star_poly import RealPoly, ZeroCenter, _realized, as_rational
 
 __all__ = [
     "SphereDivisor",
-    "CountingCurve",
     "ZeroPolynomial",
     "BoundaryDivisor",
     "complex_roots",
@@ -38,7 +37,6 @@ __all__ = [
     "a_re_count",
     "angular_identity_check",
     "analytic_characterization_check",
-    "counting_curve",
 ]
 
 
@@ -160,10 +158,9 @@ def complex_roots(p) -> list[tuple[complex, int]]:
 
     Raises ZeroPolynomial for the identically-zero input.
     """
+    p = _realized(p)
     if not isinstance(p, RealPoly):
-        if not p.is_real:
-            raise ValueError("complex_roots needs a real-coefficient polynomial")
-        p = RealPoly(p.coeffs[:, 0] if p.coeffs.shape[0] else [])
+        raise ValueError("complex_roots needs a real-coefficient polynomial")
     if p.is_zero:
         raise ZeroPolynomial("the zero polynomial has no root set")
     coeff = p.real_coeffs.astype(complex)
@@ -281,29 +278,6 @@ class SphereDivisor:
             if order != 0
         )
         return SphereDivisor(entries, origin_order)
-
-    def negate(self) -> "SphereDivisor":
-        """Divisor of the *-reciprocal: all orders change sign."""
-        return SphereDivisor(
-            tuple((s, -k) for s, k in self.entries), -self.origin_order
-        )
-
-    def add(self, other: "SphereDivisor") -> "SphereDivisor":
-        """Entrywise sum (the divisor of a *-product)."""
-        merged: dict[tuple[float, float], int] = {}
-        for d in (self, other):
-            for s, k in d.entries:
-                key = (s.re, s.im)
-                merged[key] = merged.get(key, 0) + k
-        return SphereDivisor.build(
-            [(SliceComplex(re, im), k) for (re, im), k in merged.items()],
-            self.origin_order + other.origin_order,
-        )
-
-    def scale(self, c: int) -> "SphereDivisor":
-        return SphereDivisor(
-            tuple((s, c * k) for s, k in self.entries), c * self.origin_order
-        )
 
     def side_spheres(self, side: str):
         """[(modulus, sphere, order>0)] for the requested side, origin excluded,
@@ -623,46 +597,3 @@ def analytic_characterization_check(d: SphereDivisor, side: str, r: float):
     eq2 = base + mixed_int + angular_term(d, side, r)
     bound = base - mixed_int
     return abs(eq1 - N), abs(eq2 - N), N - bound
-
-
-# ---------------------------------------------------------------------------
-# CountingCurve
-# ---------------------------------------------------------------------------
-
-_CURVE_KINDS = ("n", "N", "A", "a_r", "a_re")
-
-
-@dataclass(frozen=True)
-class CountingCurve:
-    """A counting function sampled on a radius grid (n, N, A, a_r or a_re)."""
-
-    radii: tuple[float, ...]
-    values: tuple[float, ...]
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _CURVE_KINDS:
-            raise ValueError(f"kind must be one of {_CURVE_KINDS}")
-        if len(self.radii) != len(self.values):
-            raise ValueError("radii and values must have equal length")
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radii must be strictly increasing")
-
-    def to_json(self):
-        return {"kind": self.kind, "radii": list(self.radii), "values": list(self.values)}
-
-
-def counting_curve(d: SphereDivisor, side: str, radii, kind: str, t: float | None = None) -> CountingCurve:
-    """Evaluate one counting function over a radius grid."""
-    evals = {
-        "n": lambda r: float(n_count(d, side, r)),
-        "N": lambda r: N_integrated(d, side, r),
-        "A": lambda r: angular_term(d, side, r),
-        "a_r": lambda r: float(a_count(d, side, r, t if t is not None else r)),
-        "a_re": lambda r: a_re_count(d, side, r, t if t is not None else r),
-    }
-    if kind not in evals:
-        raise ValueError(f"kind must be one of {_CURVE_KINDS}")
-    fn = evals[kind]
-    radii = tuple(float(r) for r in radii)
-    return CountingCurve(radii, tuple(fn(r) for r in radii), kind)

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat_core import Quaternion, SliceComplex, qnorm
+from .quat_core import Quaternion, SliceComplex, _coerce, qnorm
 from .star_poly import (
     LeftPoly,
-    RealPoly,
     SemiregularRational,
+    _realized,
     as_rational,
-    _as_quat,
+    linear_fractional,
+    star_power,
 )
 from .divisor import (
     N_integrated,
@@ -167,7 +168,7 @@ class WeilFunction:
         """Canonical weight with singularity at ``a`` (finite or infinity)."""
         if _is_infinity(a):
             return WeilFunction("analytic", None)
-        return WeilFunction("analytic", _as_quat(a))
+        return WeilFunction("analytic", _coerce(a))
 
     @staticmethod
     def custom(a, weight_fn) -> "WeilFunction":
@@ -176,7 +177,7 @@ class WeilFunction:
         weight_fn maps an (n, 4) array of quaternion values to an (n,)
         array of weights; non-finite outputs are rejected samples.
         """
-        sing = None if _is_infinity(a) else _as_quat(a)
+        sing = None if _is_infinity(a) else _coerce(a)
         return WeilFunction("custom", sing, weight_fn)
 
     def batch(self, values, guard_scale: float):
@@ -268,7 +269,7 @@ def harmonic_remainder(f, a, r: float) -> float:
     """
     if _is_infinity(a):
         return 0.0
-    g = _shifted(f, _as_quat(a))
+    g = _shifted(f, _coerce(a))
     if getattr(g, "is_zero", False):
         raise CenterIsZeroOrPole("f is identically equal to a")
     m0, head = _deflated_head(g)
@@ -320,7 +321,7 @@ def _radius_free(f, a) -> _RadiusFree:
     if _is_infinity(a):
         return _RadiusFree(total_order_divisor(f), "pole", f.symmetrize(),
                            WeilFunction.analytic(None), None)
-    g = _shifted(f, _as_quat(a))
+    g = _shifted(f, _coerce(a))
     d = total_order_divisor(g)
     _, head = _deflated_head(g)
     return _RadiusFree(d, "zero", g.symmetrize(),
@@ -550,13 +551,6 @@ def counting_arbiter(f, r: float, cfg: IntegratorConfig,
 # ---------------------------------------------------------------------------
 
 
-def _realized(f):
-    """Route slice-preserving polynomials through their real-stem form."""
-    if isinstance(f, LeftPoly) and not isinstance(f, RealPoly) and f.is_real:
-        return RealPoly(f.coeffs)
-    return f
-
-
 def mpb_defect(f, a, r: float, cfg: IntegratorConfig,
                stream_index: int = 0) -> SphericalMean:
     """Surface mean of log|f(w)| − log|f(S_{f−a}(w))| on ∂B_r.
@@ -566,7 +560,7 @@ def mpb_defect(f, a, r: float, cfg: IntegratorConfig,
     sample, so the estimate (and its standard error) is exactly 0.
     """
     f = _realized(f)
-    shift = None if _is_infinity(a) else _as_quat(a)
+    shift = None if _is_infinity(a) else _coerce(a)
     thr = _log_threshold(f, r, cfg.reject_tol)
     tdeg = _twist_degree(f)
 
@@ -714,7 +708,7 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
                 }
             )
     elif form == 2:
-        aq = _as_quat(a)
+        aq = _coerce(a)
         g = _shifted(f, aq)
         for r in radii:
             counting = at_a.counting(r)
@@ -788,16 +782,6 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
 # ---------------------------------------------------------------------------
 
 
-def _star_power_any(f, n: int):
-    """n-fold *-power for polynomials or rationals."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    acc = f
-    for _ in range(n - 1):
-        acc = acc * f
-    return acc
-
-
 def _sandwich_slacks(f, r, cfg, stream_index=0):
     """Shared-stream mean slacks of the symmetrization proximity sandwich.
 
@@ -840,14 +824,12 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
 
     Returns a list of row dicts keyed by "identity".
     """
-    from .star_poly import linear_fractional  # local to avoid a wide import
-
     radii = [float(r) for r in radii]
     if isinstance(f, SemiregularRational) or isinstance(g, SemiregularRational):
         f = as_rational(f)
         g = as_rational(g)
-    aq = None if _is_infinity(a) else _as_quat(a)
-    bq = None if _is_infinity(b) else _as_quat(b)
+    aq = None if _is_infinity(a) else _coerce(a)
+    bq = None if _is_infinity(b) else _coerce(b)
     rows = []
 
     # T(fn, target, r) recurs across rows; compute each once per call.  The
@@ -869,7 +851,7 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
 
     # ---- exact star-power scaling at infinity --------------------------------
     for n in (2, 3):
-        fn = _star_power_any(f, n)
+        fn = star_power(f, n)
         diffs = [abs(T(fn, None, r)[0] - n * tf[0]) for r, tf in zip(radii, t_f)]
         value = max(diffs)
         rows.append(
@@ -1073,7 +1055,7 @@ def n_bound_check(f, a, radii, cfg: IntegratorConfig, stream_index: int = 0):
 def _a_label(a) -> str:
     if _is_infinity(a):
         return "inf"
-    aq = _as_quat(a)
+    aq = _coerce(a)
     return json.dumps([aq.w, aq.x, aq.y, aq.z])
 
 

@@ -204,9 +204,6 @@ class SliceComplex:
     def modulus(self) -> float:
         return math.hypot(self.re, self.im)
 
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
     @staticmethod
     def from_complex(z: complex) -> "SliceComplex":
         return SliceComplex(z.real, abs(z.imag))

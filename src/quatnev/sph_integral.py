@@ -107,7 +107,6 @@ def mean_columns(column_fn, r: float, cfg: IntegratorConfig, stream_index: int =
     needed = cfg.samples
     max_rejected = 0.001 * cfg.samples
     sums = None
-    sq_sums = None
     taken = 0
     rejected = 0
     chunk_index = 0
@@ -156,13 +155,23 @@ def mean_columns(column_fn, r: float, cfg: IntegratorConfig, stream_index: int =
             )
         if sums is None:
             sums = np.zeros(take_rows.shape[1])
-            sq_sums = np.zeros(take_rows.shape[1])
-        sums += take_rows.sum(axis=0)
-        sq_sums += (take_rows * take_rows).sum(axis=0)
+            run_mean = np.zeros(take_rows.shape[1])
+            run_m2 = np.zeros(take_rows.shape[1])
+        if n_ok:
+            # centered chunk sums merged pairwise (Chan, Golub & LeVeque), so
+            # the spread estimate does not depend on the offset of a column
+            chunk_sum = take_rows.sum(axis=0)
+            chunk_mean = chunk_sum / n_ok
+            # take_rows is a copy made by boolean indexing, so center it in place
+            dev = np.subtract(take_rows, chunk_mean, out=take_rows)
+            delta = chunk_mean - run_mean
+            merged = taken + n_ok
+            run_m2 += np.einsum("ij,ij->j", dev, dev) + delta * delta * (taken * n_ok / merged)
+            run_mean += delta * (n_ok / merged)
+            sums += chunk_sum
         taken += n_ok
     means = sums / needed
-    var = np.maximum(sq_sums - needed * means * means, 0.0) / (needed - 1)
-    std_err = np.sqrt(var / needed)
+    std_err = np.sqrt(run_m2 / (needed - 1) / needed)
     return [
         SphericalMean(float(m), float(s), needed, rejected)
         for m, s in zip(means, std_err)

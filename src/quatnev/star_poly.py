@@ -6,9 +6,11 @@ f^c, symmetrizations f^s, slice derivatives, spherical value/derivative,
 the spherical conjugate point map S_f, Blaschke factors, and linear
 fractional transforms; plus semiregular rationals f = g * h^{-*}.
 
-Batch evaluation runs through *stems*: at a point q = u + Iv the complex
-powers z^n = (u + iv)^n = c_n + i s_n are shared by every slice, so
-f(u + Iv) = P + I Q with P = Σ c_n a_n and Q = Σ s_n a_n.  All derived
+Batch evaluation runs through *stems*: f(u + Iv) = P + I Q, where each
+real component of P + iQ is the matching component polynomial of f at the
+complex point u + iv.  Quaternion coefficients share one table of complex
+powers z^n = (u + iv)^n = c_n + i s_n, with P = Σ c_n a_n and
+Q = Σ s_n a_n; real coefficients evaluate by complex Horner.  All derived
 quantities (value at q̄, value composed with S_f, norms of slice-preserving
 functions) reuse the same (P, Q), which is what makes reflection and
 spherical-conjugation identities exact at machine level instead of merely
@@ -21,10 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .quat_core import (
     Quaternion,
     SliceComplex,
+    _coerce,
     qconj,
     qinv,
     qmul,
@@ -151,12 +155,6 @@ class StemEval:
         with np.errstate(divide="ignore"):
             return np.log(num)
 
-    def abs_value(self) -> np.ndarray:
-        """|f(q)|."""
-        if self.real_stems is not None:
-            return np.hypot(*self.real_stems)
-        return qnorm(self.value())
-
     def twisted(self, shift, deg_tol_poly_degree: int):
         """Value f(S_{f−a}(q)) and a definedness mask.
 
@@ -241,7 +239,7 @@ class LeftPoly:
 
     @staticmethod
     def constant(a) -> "LeftPoly":
-        return LeftPoly([_as_quat(a).to_array()])
+        return LeftPoly([_coerce(a).to_array()])
 
     @staticmethod
     def identity() -> "LeftPoly":
@@ -299,12 +297,12 @@ class LeftPoly:
         out = np.zeros((n, 4))
         out[: self.coeffs.shape[0]] += self.coeffs
         out[: other.coeffs.shape[0]] += other.coeffs
-        return _poly_preserving_reality(out)
+        return _realized(LeftPoly(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly_preserving_reality(-self.coeffs)
+        return _realized(LeftPoly(-self.coeffs))
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -321,14 +319,14 @@ class LeftPoly:
 
     def scale_left(self, a) -> "LeftPoly":
         """Constant *-multiplication from the left: coefficients a·a_k."""
-        a = _as_quat(a)
+        a = _coerce(a)
         if self.is_zero:
             return LeftPoly([])
-        return _poly_preserving_reality(qmul(a.to_array(), self.coeffs))
+        return _realized(LeftPoly(qmul(a.to_array(), self.coeffs)))
 
     def conjugate(self) -> "LeftPoly":
         """f^c: coefficientwise quaternion conjugation."""
-        return _poly_preserving_reality(qconj(self.coeffs)) if not self.is_zero else LeftPoly([])
+        return _realized(LeftPoly(qconj(self.coeffs))) if not self.is_zero else LeftPoly([])
 
     def symmetrize(self) -> "RealPoly":
         """f^s = f * f^c, projected to its (provably real) coefficients.
@@ -358,7 +356,7 @@ class LeftPoly:
                 c = np.empty((0, 4))
                 break
             c = c[1:] * np.arange(1, c.shape[0])[:, None]
-        return _poly_preserving_reality(c)
+        return _realized(LeftPoly(c))
 
     def series_head(self):
         """(a0, a1, 2·a2) as Quaternions: f(0), f′(0), f″(0)."""
@@ -378,13 +376,13 @@ class LeftPoly:
     def deflate_origin(self) -> tuple["LeftPoly", int]:
         """Divide out q^m at the origin; returns (f / q^m, m)."""
         m = self.origin_order()
-        return (_poly_preserving_reality(self.coeffs[m:]), m) if m else (self, 0)
+        return (_realized(LeftPoly(self.coeffs[m:])), m) if m else (self, 0)
 
     # -- evaluation -------------------------------------------------------------
 
     def __call__(self, q) -> Quaternion:
         """Horner evaluation with powers on the left: a_0 + q(a_1 + q(a_2 + …))."""
-        q = _as_quat(q)
+        q = _coerce(q)
         if self.is_zero:
             return Quaternion()
         acc = Quaternion.from_array(self.coeffs[-1])
@@ -412,16 +410,6 @@ class LeftPoly:
         ok = np.ones(u.shape[0], dtype=bool)
         return StemEval(u, v, I, near_real, P, Q, ok)
 
-    def eval_batch(self, pts: np.ndarray) -> np.ndarray:
-        return self.stems(pts).value()
-
-    def pole_tol(self, q_norm: float) -> float:
-        return 0.0  # polynomials have no poles
-
-    @property
-    def den_s_degree(self) -> int:
-        return 0
-
     @property
     def growth_degree(self) -> int:
         """Net power growth of |f| at large |q| (degree for polynomials)."""
@@ -430,11 +418,14 @@ class LeftPoly:
 
 def _coeff_array(coeffs) -> np.ndarray:
     if isinstance(coeffs, LeftPoly):
-        return np.array(coeffs.coeffs, dtype=float)
-    arr = np.asarray(
-        [(_as_quat(c).to_array() if not np.shape(c) else np.asarray(c, dtype=float)) for c in coeffs],
-        dtype=float,
-    )
+        coeffs = coeffs.coeffs
+    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2:
+        arr = coeffs.astype(float)
+    else:
+        arr = np.asarray(
+            [(_coerce(c).to_array() if not np.shape(c) else np.asarray(c, dtype=float)) for c in coeffs],
+            dtype=float,
+        )
     if arr.size == 0:
         return np.empty((0, 4))
     if arr.ndim == 1:
@@ -442,16 +433,6 @@ def _coeff_array(coeffs) -> np.ndarray:
     if arr.shape[1] != 4:
         raise ValueError("coefficients must be scalars or [w,x,y,z] quadruples")
     return arr
-
-
-def _as_quat(v) -> Quaternion:
-    if isinstance(v, Quaternion):
-        return v
-    if isinstance(v, (int, float)):
-        return Quaternion(float(v))
-    if isinstance(v, complex):
-        return Quaternion.from_complex(v)
-    return Quaternion.from_array(v)
 
 
 def _as_poly(v) -> "LeftPoly":
@@ -462,12 +443,11 @@ def _as_poly(v) -> "LeftPoly":
     return LeftPoly(v)
 
 
-def _poly_preserving_reality(coeffs: np.ndarray) -> "LeftPoly":
-    """Build LeftPoly, downcasting to RealPoly when all coefficients are real."""
-    arr = np.asarray(coeffs, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 4 and (arr.size == 0 or not np.any(arr[:, 1:])):
-        return RealPoly(arr[:, 0])
-    return LeftPoly(arr)
+def _realized(f):
+    """f, as a RealPoly when it is a polynomial with real coefficients."""
+    if isinstance(f, LeftPoly) and not isinstance(f, RealPoly) and f.is_real:
+        return RealPoly(f.coeffs)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +487,12 @@ class RealPoly(LeftPoly):
         return RealPoly([sphere.re**2 + sphere.im**2, -2.0 * sphere.re, 1.0])
 
     def real_stems(self, u: np.ndarray, v: np.ndarray):
-        """Real stem pair (A, B) with f(u + Iv) = A + I B."""
-        deg = max(self.degree, 0)
-        c, s = _complex_powers(u, v, deg)
+        """Real stem pair (A, B) with f(u + Iv) = A + I B, by complex Horner."""
         if self.is_zero:
             return np.zeros_like(u), np.zeros_like(u)
-        A = np.tensordot(c, self.real_coeffs, axes=(0, 0))
-        B = np.tensordot(s, self.real_coeffs, axes=(0, 0))
-        return A, B
+        z = npoly.polyval(u + 1j * v, self.real_coeffs)
+        # contiguous copies: later passes over strided views cost more than the copy
+        return z.real.copy(), z.imag.copy()
 
     def stems(self, pts: np.ndarray, reject_tol: float = 0.0) -> StemEval:
         pts = np.asarray(pts, dtype=float)
@@ -527,32 +505,8 @@ class RealPoly(LeftPoly):
         ok = np.ones(u.shape[0], dtype=bool)
         return StemEval(u, v, I, near_real, P, Q, ok, (A, B))
 
-    def eval_complex(self, z: np.ndarray) -> np.ndarray:
-        """Evaluate as a complex polynomial (for root/divisor work)."""
-        z = np.asarray(z, dtype=complex)
-        if self.is_zero:
-            return np.zeros_like(z)
-        acc = np.full_like(z, complex(self.real_coeffs[-1]))
-        for k in range(self.real_coeffs.shape[0] - 2, -1, -1):
-            acc = acc * z + self.real_coeffs[k]
-        return acc
-
     def conjugate(self) -> "RealPoly":
         return self
-
-    def symmetrize(self) -> "RealPoly":
-        """f^s = f² for real coefficients."""
-        if self.is_zero:
-            return RealPoly([])
-        return RealPoly(np.convolve(self.real_coeffs, self.real_coeffs))
-
-    def __mul__(self, other):
-        other_p = _as_poly(other)
-        if isinstance(other_p, RealPoly):
-            if self.is_zero or other_p.is_zero:
-                return RealPoly([])
-            return RealPoly(np.convolve(self.real_coeffs, other_p.real_coeffs))
-        return star_mul(self, other_p)
 
 
 # ---------------------------------------------------------------------------
@@ -570,16 +524,16 @@ def star_mul(f: LeftPoly, g: LeftPoly) -> LeftPoly:
     out = np.zeros((a.shape[0] + b.shape[0] - 1, 4))
     for i in range(a.shape[0]):
         out[i : i + b.shape[0]] += qmul(a[i], b)
-    return _poly_preserving_reality(out)
+    return _realized(LeftPoly(out))
 
 
-def star_power(f: LeftPoly, n: int) -> LeftPoly:
-    """n-fold *-power f^{n*}."""
+def star_power(f, n: int):
+    """n-fold *-power f^{n*} of a polynomial or semiregular rational."""
     if n < 1:
         raise ValueError("n must be >= 1")
     out = f
     for _ in range(n - 1):
-        out = star_mul(out, f)
+        out = out * f
     return out
 
 
@@ -589,7 +543,7 @@ def star_eval_identity_check(f: LeftPoly, g: LeftPoly, q) -> float:
     When f(q) = 0 the *-product value must itself vanish, so the residual
     returned is |(f*g)(q)|.
     """
-    q = _as_quat(q)
+    q = _coerce(q)
     prod_val = star_mul(f, g)(q)
     fq = f(q)
     if fq.norm() == 0.0:
@@ -600,13 +554,13 @@ def star_eval_identity_check(f: LeftPoly, g: LeftPoly, q) -> float:
 
 def spherical_value(f, q) -> Quaternion:
     """f°_s(q) = ½(f(q) + f(q̄)); constant on the sphere S_q."""
-    q = _as_quat(q)
+    q = _coerce(q)
     return (f(q) + f(q.conj())) * 0.5
 
 
 def spherical_derivative(f, q) -> Quaternion:
     """f′_s(q) = ½·Im(q)^{-1}·(f(q) − f(q̄)); undefined on the real axis."""
-    q = _as_quat(q)
+    q = _coerce(q)
     if q.abs_im() == 0.0:
         raise RealPointDegenerate("spherical derivative needs a nonreal point")
     return q.im.inverse() * (f(q) - f(q.conj())) * 0.5
@@ -620,7 +574,7 @@ def spherical_conjugate(f, q) -> Quaternion:
     UndefinedAtZeroPole on the zero/pole set of f^s, where the map is not
     defined.
     """
-    q = _as_quat(q)
+    q = _coerce(q)
     fs = _function_symmetrization_abs(f, q)
     deg = _den_s_degree(f) + _num_s_degree(f)
     if fs < 1e-12 * (1.0 + q.norm()) ** max(deg, 1):
@@ -638,7 +592,7 @@ def spherical_conjugate(f, q) -> Quaternion:
 
 def corollary_decomposition_check(f, q) -> float:
     """Residual of log|f^s(q)| = log|f(q)| + log|f(S_f(q))|."""
-    q = _as_quat(q)
+    q = _coerce(q)
     fs_abs = _function_symmetrization_abs(f, q)
     s = spherical_conjugate(f, q)
     return abs(math.log(fs_abs) - math.log(f(q).norm()) - math.log(f(s).norm()))
@@ -701,16 +655,8 @@ class SemiregularRational:
         return self.num.is_zero
 
     @property
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    @property
     def is_real(self) -> bool:
         return self.num.is_real and self.den.is_real
-
-    @property
-    def den_s_degree(self) -> int:
-        return self.den_s.degree
 
     @property
     def growth_degree(self) -> int:
@@ -748,7 +694,7 @@ class SemiregularRational:
 
     def shift(self, a) -> "SemiregularRational":
         """f − a = (g − a*h) * h^{-*} for a constant a."""
-        a = _as_quat(a)
+        a = _coerce(a)
         return SemiregularRational(self.num - self.den.scale_left(a), self.den)
 
     def __add__(self, other):
@@ -776,10 +722,9 @@ class SemiregularRational:
         return 1e-12 * (1.0 + q_norm) ** max(self.den_s.degree, 1)
 
     def __call__(self, q) -> Quaternion:
-        q = _as_quat(q)
+        q = _coerce(q)
         u, vq = q.w, q.abs_im()
-        z = complex(u, vq)
-        hs = self.den_s.eval_complex(np.array([z]))[0]
+        hs = npoly.polyval(complex(u, vq), self.den_s.real_coeffs)
         if abs(hs) < self.pole_tol(q.norm()):
             raise EvalAtPole(f"|h^s({q})| = {abs(hs):.3e} below pole tolerance")
         if vq == 0.0:
@@ -816,9 +761,6 @@ class SemiregularRational:
         P = (A[:, None] * base.P + B[:, None] * base.Q) / safe[:, None]
         Q = (A[:, None] * base.Q - B[:, None] * base.P) / safe[:, None]
         return StemEval(base.u, base.v, base.I, base.near_real, P, Q, ok)
-
-    def eval_batch(self, pts: np.ndarray) -> np.ndarray:
-        return self.stems(pts).value()
 
     # -- series at the origin ---------------------------------------------------
 
@@ -875,7 +817,7 @@ def blaschke(sphere, rho: float, q) -> Quaternion:
         raise ZeroCenter("Blaschke factor needs a nonzero center sphere")
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    q = _as_quat(q)
+    q = _coerce(q)
     s1 = RealPoly.from_roots_conjugate_pair(sphere)
     # ρ²ζ^{-1} has real part ρ²·Re(ζ)/|ζ|² and modulus ρ²/|ζ|
     mirror = SliceComplex(rho**2 * sphere.re / zeta_mod2, rho**2 * sphere.im / zeta_mod2)

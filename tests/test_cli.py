@@ -260,6 +260,17 @@ def test_bad_function_literal_exits_2(tmp_path, capsys):
     assert "coefficient rows" in capsys.readouterr().err
 
 
+def test_nested_rational_literal_exits_2(tmp_path, capsys):
+    inner = {"num": [[1, 0, 0, 0]], "den": [[1, 0, 0, 0]]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"function": {"num": inner, "den": [[1, 0, 0, 0], [1, 0, 0, 0]]}, "r": 2}
+    ))
+    code = main(["verify-jensen", "--config", str(cfg)])
+    assert code == 2
+    assert "coefficient lists" in capsys.readouterr().err
+
+
 def test_bad_kernel_in_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kernel": "double"}))

@@ -135,6 +135,26 @@ def test_std_error_shrinks_like_root_n():
     assert 2.5 <= ratio <= 6.5, f"expected ≈4x shrink at 16x samples, got {ratio:.2f}"
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_std_error_does_not_depend_on_column_offset(offset):
+    """A large constant offset must not swamp the spread of a column.
+
+    On the unit 3-sphere E[w²] = 1/4, so the column offset + 5e-7·w has
+    standard error 5e-7·0.5/√n, about 5.6e-10 at n = 200 000.
+    """
+    samples = 200_000
+    cfg = IntegratorConfig(samples=samples, seed=2026)
+
+    def columns(pts):
+        return offset + 5e-7 * pts[:, :1], np.ones(len(pts), dtype=bool)
+
+    m = mean_columns(columns, 1.0, cfg)[0]
+    true = 5e-7 * 0.5 / math.sqrt(samples)
+    assert abs(m.std_error - true) <= 0.05 * true, (
+        f"offset {offset:g}: std_error {m.std_error:.3e}, expected {true:.3e}"
+    )
+
+
 def test_three_sigma_property():
     f = RealPoly([1.0, 0.0, 1.0])
     m = mean_log_abs(f, 2.0, CFG)

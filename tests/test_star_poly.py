@@ -51,6 +51,17 @@ def polys(max_degree: int = 3):
     ).map(lambda rows: LeftPoly([list(r) for r in rows]))
 
 
+def real_polys(max_degree: int = 12):
+    return st.lists(COMPONENT, min_size=1, max_size=max_degree + 1).map(RealPoly)
+
+
+def real_den_rationals():
+    """g * h^{-*}: quaternion numerator, real denominator of scale at least 0.1."""
+    return st.tuples(polys(), real_polys(3)).filter(
+        lambda nd: nd[1].coeff_scale() >= 0.1
+    ).map(lambda nd: SemiregularRational(*nd))
+
+
 ONE = Quaternion(1, 0, 0, 0)
 Q_IDENT = LeftPoly.identity()
 
@@ -160,11 +171,16 @@ def test_real_polynomial_is_sphere_symmetric_bitwise():
 # ---------------------------------------------------------------------------
 
 
-@given(polys())
+@given(st.one_of(polys(), real_polys(), real_den_rationals()))
 @settings(max_examples=100)
 def test_stem_values_match_horner(f):
     pts = SphereSampler(1.7, seed=21).sample(16)
     se = f.stems(pts, 0.0)
+    if isinstance(f, SemiregularRational):
+        # keep |h^s| well above its rounding scale so the quotient is well conditioned
+        c = f.den_s.real_coeffs
+        A, B = f.den_s.real_stems(se.u, se.v)
+        assume(np.all(np.hypot(A, B) > 1e-3 * (np.abs(c) @ 1.7 ** np.arange(c.size))))
     vals = se.value()
     for i, p in enumerate(pts):
         want = f(Quaternion.from_array(p))
