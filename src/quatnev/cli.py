@@ -60,10 +60,10 @@ from .sph_integral import IntegratorConfig
 from .nevanlinna import (
     NevanlinnaProfile,
     _jensen_closures,
+    _mpb_defects,
     characteristic_algebra_suite,
     counting_arbiter,
     harmonic_remainder,
-    mpb_defect,
     verify_fmt,
 )
 
@@ -286,10 +286,10 @@ def build_spec(command: str, args) -> ExperimentSpec:
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
     try:
         integrator = IntegratorConfig(
-            samples=int(cfg_map.get("samples", 300000)),
-            seed=int(cfg_map.get("seed", 2026)),
+            samples=cfg_map.get("samples", 300000),
+            seed=cfg_map.get("seed", 2026),
             scheme=cfg_map.get("scheme", "monte_carlo"),
-            reject_tol=float(cfg_map.get("reject_tol", 1e-12)),
+            reject_tol=cfg_map.get("reject_tol", 1e-12),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad integrator settings: {exc}") from exc
@@ -473,8 +473,8 @@ def _run_mpb_check(spec: ExperimentSpec) -> tuple:
     print(f"Mean-proximity-balance defect, a = "
           f"{'inf' if spec.a is None else spec.a}")
     rows = []
-    for r in spec.radii:
-        d = mpb_defect(spec.function, spec.a, r, spec.integrator)
+    defects = _mpb_defects(spec.function, spec.a, spec.radii, spec.integrator)
+    for r, d in zip(spec.radii, defects):
         rows.append((r, d.value, d.std_error, d.three_sigma))
         print(f"  r = {r:10.4f}   defect = {d.value:+.6e} ± {d.std_error:.2e}")
     return 0, (

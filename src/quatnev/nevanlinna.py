@@ -40,8 +40,9 @@ from .sph_integral import (
     IntegratorConfig,
     SphericalMean,
     _log_threshold,
+    _weil_columns,
+    mean_batch,
     mean_columns,
-    mean_weil,
 )
 
 __all__ = [
@@ -222,8 +223,13 @@ def proximity(f, weil: WeilFunction, r: float, cfg: IntegratorConfig,
     as mean_log_abs); custom weights evaluate on formed values through
     mean_weil.  The estimate is ≥ 0 because the weight is pointwise ≥ 0.
     """
+    return mean_columns(_proximity_columns(f, weil, r, cfg), r, cfg, stream_index)[0]
+
+
+def _proximity_columns(f, weil: WeilFunction, r: float, cfg: IntegratorConfig):
+    """Column function of the proximity pass of f to ``weil`` at radius r."""
     if weil.kind == "custom":
-        return mean_weil(f, weil, r, cfg, stream_index)
+        return _weil_columns(f, weil, r, cfg)
     if weil.singularity is None:
 
         def columns(pts):
@@ -231,7 +237,7 @@ def proximity(f, weil: WeilFunction, r: float, cfg: IntegratorConfig,
             lam = np.maximum(se.log_abs(), 0.0)
             return lam[:, None], se.ok
 
-        return mean_columns(columns, r, cfg, stream_index)[0]
+        return columns
 
     g = _shifted(f, weil.singularity)
     thr = _log_threshold(g, r, cfg.reject_tol)
@@ -243,12 +249,7 @@ def proximity(f, weil: WeilFunction, r: float, cfg: IntegratorConfig,
         lam = np.maximum(-la, 0.0)
         return lam[:, None], ok
 
-    return mean_columns(columns, r, cfg, stream_index)[0]
-
-
-def _proximity_at(f, a, r, cfg, stream_index=0) -> SphericalMean:
-    """m(f, a, r) with the canonical analytic weight at ``a``."""
-    return proximity(f, WeilFunction.analytic(a), r, cfg, stream_index)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +316,16 @@ class _RadiusFree:
     def remainder(self, r: float) -> float:
         return 0.0 if self.head is None else _lambda_of_head(self.head, r)
 
+    def request(self, r: float, cfg: IntegratorConfig):
+        """The (column_fn, r) request of the ½·m pass of T at r."""
+        return _proximity_columns(self.sym, self.weil, r, cfg), r
+
+    def at(self, r: float, sym_mean: SphericalMean):
+        """(T, Monte-Carlo standard error of T) at r from the mean of request(r)."""
+        counting = self.counting(r)
+        return (counting + 0.5 * sym_mean.value - self.remainder(r),
+                0.5 * sym_mean.std_error)
+
 
 def _radius_free(f, a) -> _RadiusFree:
     """Divisor, symmetrization and deflated head of f − a, computed once."""
@@ -328,17 +339,16 @@ def _radius_free(f, a) -> _RadiusFree:
                        WeilFunction.analytic(Quaternion(0.0, 0.0, 0.0, 0.0)), head)
 
 
-def _characteristic_at(parts: _RadiusFree, r, cfg, stream_index=0):
-    """(T, Monte-Carlo standard error of T) at radius r from its radius-free parts."""
-    counting = parts.counting(r)
-    sym_mean = proximity(parts.sym, parts.weil, r, cfg, stream_index)
-    return (counting + 0.5 * sym_mean.value - parts.remainder(r),
-            0.5 * sym_mean.std_error)
+def _mean_rows(rows, cfg, stream_index=0) -> list:
+    """mean_batch over rows of requests, its results grouped the same way."""
+    means = iter(mean_batch([req for row in rows for req in row], cfg, stream_index))
+    return [tuple(next(means) for _ in row) for row in rows]
 
 
 def _characteristic_with_error(f, a, r, cfg, stream_index=0):
     """(T, Monte-Carlo standard error of T)."""
-    return _characteristic_at(_radius_free(f, a), r, cfg, stream_index)
+    parts = _radius_free(f, a)
+    return parts.at(r, mean_columns(*parts.request(r, cfg), cfg, stream_index)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -559,19 +569,28 @@ def mpb_defect(f, a, r: float, cfg: IntegratorConfig,
     slice-preserving f the integrand is identically zero sample by
     sample, so the estimate (and its standard error) is exactly 0.
     """
+    return _mpb_defects(f, a, (r,), cfg, stream_index)[0]
+
+
+def _mpb_defects(f, a, radii, cfg: IntegratorConfig, stream_index: int = 0) -> list:
+    """mpb_defect at each radius, all from one walk of the stream."""
     f = _realized(f)
     shift = None if _is_infinity(a) else _coerce(a)
-    thr = _log_threshold(f, r, cfg.reject_tol)
     tdeg = _twist_degree(f)
 
-    def columns(pts):
-        se = f.stems(pts, cfg.reject_tol)
-        la = se.log_abs()
-        lat, ok_t = se.log_abs_twisted(shift, tdeg)
-        ok = se.ok & ok_t & (la >= thr) & (lat >= thr)
-        return (la - lat)[:, None], ok
+    def request(r):
+        thr = _log_threshold(f, r, cfg.reject_tol)
 
-    return mean_columns(columns, r, cfg, stream_index)[0]
+        def columns(pts):
+            se = f.stems(pts, cfg.reject_tol)
+            la = se.log_abs()
+            lat, ok_t = se.log_abs_twisted(shift, tdeg)
+            ok = se.ok & ok_t & (la >= thr) & (lat >= thr)
+            return (la - lat)[:, None], ok
+
+        return columns, r
+
+    return [means[0] for means in mean_batch([request(r) for r in radii], cfg, stream_index)]
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +708,15 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
     at_inf = _radius_free(f, None)
     at_a = at_inf if infinite else _radius_free(f, a)
     if form == 3:
-        for r in radii:
-            t_inf, t_err = _characteristic_at(at_inf, r, cfg, stream_index)
+        weil = WeilFunction.analytic(a)
+        means = _mean_rows(
+            [(at_inf.request(r, cfg), (_proximity_columns(f, weil, r, cfg), r))
+             for r in radii],
+            cfg, stream_index,
+        )
+        for r, ((sym_mean,), (prox,)) in zip(radii, means):
+            t_inf, t_err = at_inf.at(r, sym_mean)
             counting = at_a.counting(r)
-            prox = _proximity_at(f, a, r, cfg, stream_index)
             remainder = at_a.remainder(r)
             residual = counting + prox.value - remainder - t_inf
             rows.append(
@@ -710,14 +734,16 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
     elif form == 2:
         aq = _coerce(a)
         g = _shifted(f, aq)
-        for r in radii:
+        means = _mean_rows(
+            [(at_inf.request(r, cfg), (_fmt_proximity_columns(f, g, aq.to_array(), r, cfg), r))
+             for r in radii],
+            cfg, stream_index,
+        )
+        for r, ((sym_mean,), fmt_means) in zip(radii, means):
             counting = at_a.counting(r)
             remainder = at_a.remainder(r)
-            t_inf, _ = _characteristic_at(at_inf, r, cfg, stream_index)
-            columns = _fmt_proximity_columns(f, g, aq.to_array(), r, cfg)
-            m_fa, m_fsa_a, m_fsf_inf, m_fsa_inf = mean_columns(
-                columns, r, cfg, stream_index
-            )
+            t_inf, _ = at_inf.at(r, sym_mean)
+            m_fa, m_fsa_a, m_fsf_inf, m_fsa_inf = fmt_means
             left = counting + 0.5 * m_fa.value + 0.5 * m_fsa_a.value - remainder
             right = t_inf - 0.5 * m_fsf_inf.value + 0.5 * m_fsa_inf.value
             rows.append(
@@ -741,10 +767,14 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
             lam = np.maximum(sef.log_abs() + sec.log_abs(), 0.0)
             return lam[:, None], sef.ok & sec.ok
 
-        for r in radii:
-            t_a, _ = _characteristic_at(at_a, r, cfg, stream_index)
-            t_inf, _ = _characteristic_at(at_inf, r, cfg, stream_index)
-            envelope = mean_columns(envelope_columns, r, cfg, stream_index)[0]
+        means = _mean_rows(
+            [(at_a.request(r, cfg), at_inf.request(r, cfg), (envelope_columns, r))
+             for r in radii],
+            cfg, stream_index,
+        )
+        for r, ((sym_a,), (sym_inf,), (envelope,)) in zip(radii, means):
+            t_a, _ = at_a.at(r, sym_a)
+            t_inf, _ = at_inf.at(r, sym_inf)
             rows.append(
                 {
                     "r": r,
@@ -782,16 +812,16 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
 # ---------------------------------------------------------------------------
 
 
-def _sandwich_slacks(f, r, cfg, stream_index=0):
-    """Shared-stream mean slacks of the symmetrization proximity sandwich.
+def _sandwich_columns(f, fs, r, cfg):
+    """Column function of the mean slacks of the symmetrization proximity sandwich.
 
     lower = mean(log⁺|f| + log⁺|f∘S_f| − log⁺|f^s|): the integrand is
     pointwise nonnegative, so the mean can dip below zero only by
     rounding.  upper = mean(log⁺|f^s| + log 2 − log⁺|f| − log⁺|f∘S_f|):
     nonnegative at the level of means (the pointwise excess concentrates
     near conjugate points of zeros), so it carries Monte-Carlo noise.
+    ``fs`` is f.symmetrize().
     """
-    fs = f.symmetrize()
     tdeg = _twist_degree(f)
 
     def columns(pts):
@@ -806,8 +836,7 @@ def _sandwich_slacks(f, r, cfg, stream_index=0):
         ok = sef.ok & ses.ok & ok_t
         return np.stack([lower, upper], axis=1), ok
 
-    low, high = mean_columns(columns, r, cfg, stream_index)
-    return low, high
+    return columns
 
 
 def characteristic_algebra_suite(f, g, a, b, t, radii,
@@ -830,28 +859,69 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
         g = as_rational(g)
     aq = None if _is_infinity(a) else _coerce(a)
     bq = None if _is_infinity(b) else _coerce(b)
-    rows = []
+    powers = {n: star_power(f, n) for n in (2, 3)}
+    fg = f * g
+    fpg = f + g
+    mixed = f * g.conjugate() + g * f.conjugate()
+    fc = f.conjugate()
+    a_conj = None if aq is None else aq.conj()
+    fs = f.symmetrize()
+    recip = as_rational(f).star_reciprocal()
+    phi = None if t is None else linear_fractional(t, f)
 
-    # T(fn, target, r) recurs across rows; compute each once per call.  The
-    # class is part of the key because RealPoly and LeftPoly with equal
+    # ---- phase 1: every Monte-Carlo pass the rows read, in reading order ------
+    # T(fn, target, r) recurs across rows: each distinct (class, function,
+    # target) gets one radius-free part and one pass per radius.  The class
+    # is part of the key because RealPoly and LeftPoly with equal
     # coefficients take different stem routes.
-    fixed = {}
-    memo = {}
+    parts = {}
+    requests = {}
+
+    def t_key(fn, target):
+        return type(fn), json.dumps(fn.to_json()), _a_label(target)
+
+    def t_use(fn, target):
+        key = t_key(fn, target)
+        if key not in parts:
+            parts[key] = _radius_free(fn, target)
+        return key, lambda r: parts[key].request(r, cfg)
+
+    def read(*uses):
+        for r in radii:
+            for name, request in uses:
+                if (name, r) not in requests:
+                    requests[name, r] = request(r)
+
+    read(t_use(f, None))
+    read(t_use(g, None))
+    for fn in powers.values():
+        read(t_use(fn, None))
+    read(t_use(fg, None))
+    read(t_use(fpg, None), ("mixed", lambda r: (
+        _proximity_columns(mixed, WeilFunction.analytic(None), r, cfg), r)))
+    read(t_use(fc, aq), t_use(f, a_conj))
+    read(t_use(fc, aq), t_use(fs, None))
+    read(("sandwich", lambda r: (_sandwich_columns(f, fs, r, cfg), r)))
+    read(t_use(f, aq), t_use(f, bq))
+    read(t_use(fpg, aq), t_use(f, aq), t_use(g, aq))
+    read(t_use(recip, aq), t_use(f, aq))
+    if phi is not None:
+        read(t_use(phi, aq), t_use(f, aq))
+    read(t_use(f, aq))
+
+    # ---- phase 2: one walk of the stream serves every pass --------------------
+    means = dict(zip(requests, mean_batch(list(requests.values()), cfg, stream_index)))
 
     def T(fn, target, r):
-        key = (type(fn), json.dumps(fn.to_json()), _a_label(target))
-        if key not in fixed:
-            fixed[key] = _radius_free(fn, target)
-        if (key, r) not in memo:
-            memo[key, r] = _characteristic_at(fixed[key], r, cfg, stream_index)
-        return memo[key, r]
+        key = t_key(fn, target)
+        return parts[key].at(r, means[key, r][0])
 
+    rows = []
     t_f = [T(f, None, r) for r in radii]
     t_g = [T(g, None, r) for r in radii]
 
     # ---- exact star-power scaling at infinity --------------------------------
-    for n in (2, 3):
-        fn = star_power(f, n)
+    for n, fn in powers.items():
         diffs = [abs(T(fn, None, r)[0] - n * tf[0]) for r, tf in zip(radii, t_f)]
         value = max(diffs)
         rows.append(
@@ -865,7 +935,6 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
         )
 
     # ---- subadditivity under the *-product -----------------------------------
-    fg = f * g
     slacks = []
     gates = []
     for r, tf, tg in zip(radii, t_f, t_g):
@@ -884,13 +953,11 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
     )
 
     # ---- subadditivity under + with the mixed proximity term -----------------
-    fpg = f + g
-    mixed = f * g.conjugate() + g * f.conjugate()
     slacks = []
     gates = []
     for r, tf, tg in zip(radii, t_f, t_g):
         t_sum, e_sum = T(fpg, None, r)
-        m_mixed = proximity(mixed, WeilFunction.analytic(None), r, cfg, stream_index)
+        (m_mixed,) = means["mixed", r]
         slacks.append(
             tf[0] + tg[0] + math.log(3.0) + 0.5 * m_mixed.value - t_sum
         )
@@ -912,8 +979,6 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
     )
 
     # ---- conjugation sends the target to its conjugate (rounding-exact) ------
-    fc = f.conjugate()
-    a_conj = None if aq is None else aq.conj()
     diffs = [abs(T(fc, aq, r)[0] - T(f, a_conj, r)[0]) for r in radii]
     value = max(diffs)
     rows.append(
@@ -927,7 +992,6 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
     )
 
     # ---- T(f^c, a, r) vs ½T(f^s, ∞, r) (exact when a = 0 and |f(0)| = 1) -----
-    fs = f.symmetrize()
     diffs = []
     gates = []
     for r in radii:
@@ -951,7 +1015,7 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
     highs = []
     high_gates = []
     for r in radii:
-        low, high = _sandwich_slacks(f, r, cfg, stream_index)
+        low, high = means["sandwich", r]
         lows.append(low.value)
         highs.append(high.value)
         high_gates.append(high.three_sigma)
@@ -997,12 +1061,10 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
         gaps.append(t_sum - t_fa - t_ga)
     rows.append(o1_row("plus_additivity", gaps))
 
-    recip = as_rational(f).star_reciprocal()
     gaps = [T(recip, aq, r)[0] - T(f, aq, r)[0] for r in radii]
     rows.append(o1_row("star_reciprocal", gaps))
 
-    if t is not None:
-        phi = linear_fractional(t, f)
+    if phi is not None:
         gaps = [T(phi, aq, r)[0] - T(f, aq, r)[0] for r in radii]
         rows.append(o1_row("fractional_linear", gaps))
 
@@ -1026,9 +1088,10 @@ def n_bound_check(f, a, radii, cfg: IntegratorConfig, stream_index: int = 0):
     radii = [float(r) for r in radii]
     at_inf = _radius_free(f, None)
     at_a = at_inf if _is_infinity(a) else _radius_free(f, a)
+    means = mean_batch([at_inf.request(r, cfg) for r in radii], cfg, stream_index)
     rows = []
-    for r in radii:
-        t_inf, _ = _characteristic_at(at_inf, r, cfg, stream_index)
+    for r, (sym_mean,) in zip(radii, means):
+        t_inf, _ = at_inf.at(r, sym_mean)
         counting = at_a.counting(r)
         remainder = at_a.remainder(r)
         rows.append(
@@ -1096,14 +1159,19 @@ class NevanlinnaProfile:
         """Evaluate the five Nevanlinna columns of (f, a) on a radius grid."""
         radii = tuple(float(r) for r in radii)
         parts = _radius_free(f, a)
+        weil = WeilFunction.analytic(a)
+        means = _mean_rows(
+            [((_proximity_columns(f, weil, r, cfg), r), parts.request(r, cfg))
+             for r in radii],
+            cfg, stream_index,
+        )
         col_N, col_m, col_me, col_H, col_T, col_A = [], [], [], [], [], []
-        for r in radii:
-            prox = _proximity_at(f, a, r, cfg, stream_index)
+        for r, ((prox,), (sym_mean,)) in zip(radii, means):
             col_N.append(parts.counting(r))
             col_m.append(prox.value)
             col_me.append(prox.std_error)
             col_H.append(parts.remainder(r))
-            col_T.append(_characteristic_at(parts, r, cfg, stream_index)[0])
+            col_T.append(parts.at(r, sym_mean)[0])
             col_A.append(angular_term(parts.divisor, parts.side, r))
         return NevanlinnaProfile(
             function_id=json.dumps(f.to_json()),

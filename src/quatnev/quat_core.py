@@ -24,6 +24,7 @@ __all__ = [
     "SliceComplex",
     "SphereSampler",
     "CHUNK",
+    "gaussian_chunk",
     "mul",
     "conj",
     "norm",
@@ -307,6 +308,26 @@ def slice_coords(pts: np.ndarray, v_floor: float = 0.0):
 # ---------------------------------------------------------------------------
 
 
+def gaussian_chunk(seed: int, stream_index: int, chunk_index: int):
+    """Philox Gaussians of one chunk and their row norms.
+
+    Returns (g, n): g is a (CHUNK, 4) array of standard normals keyed by
+    (seed, stream_index, chunk_index) and n its row norms, with an exact
+    zero row's norm set to 1.  The points of the chunk on ∂B_r are
+    g * (r / n)[:, None] for every radius r.
+    """
+    key = np.array(
+        [seed & _MASK64, ((stream_index << 32) ^ chunk_index) & _MASK64],
+        dtype=np.uint64,
+    )
+    rng = np.random.Generator(np.random.Philox(key=key))
+    g = rng.standard_normal((CHUNK, 4))
+    n = np.sqrt(np.einsum("ij,ij->i", g, g))
+    # a 4-vector of exact zeros has probability 0; guard anyway
+    n[n == 0.0] = 1.0
+    return g, n
+
+
 @dataclass(frozen=True)
 class SphereSampler:
     """Deterministic uniform sampler on the 3-sphere of the given radius.
@@ -330,15 +351,7 @@ class SphereSampler:
             raise ValueError("stream_index must be >= 0")
 
     def _chunk(self, chunk_index: int) -> np.ndarray:
-        key = np.array(
-            [self.seed & _MASK64, ((self.stream_index << 32) ^ chunk_index) & _MASK64],
-            dtype=np.uint64,
-        )
-        rng = np.random.Generator(np.random.Philox(key=key))
-        g = rng.standard_normal((CHUNK, 4))
-        n = np.sqrt(np.einsum("ij,ij->i", g, g))
-        # a 4-vector of exact zeros has probability 0; guard anyway
-        n[n == 0.0] = 1.0
+        g, n = gaussian_chunk(self.seed, self.stream_index, chunk_index)
         return g * (self.radius / n)[:, None]
 
     def sample(self, n: int) -> np.ndarray:

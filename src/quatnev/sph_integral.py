@@ -1,18 +1,26 @@
 """Monte-Carlo surface means over ∂B_r with uncertainty and determinism.
 
 The estimation engine draws uniform points on the 3-sphere of radius r from
-a counter-based chunked stream (quat_core.SphereSampler), evaluates one or
+a counter-based chunked stream (quat_core.gaussian_chunk), evaluates one or
 more integrand columns per point, rejects samples that land inside the
 singularity guard (continuing the same stream until the requested count of
 accepted samples is reached), and accumulates partial sums in chunk order —
 so results are bitwise-reproducible for a given configuration regardless of
 how the work would be scheduled.
 
-Integrand columns are produced by a single callable per batch; callers that
-need several quantities on the *same* stream (both Jensen boundary means,
-characteristic comparisons, proximity defects) emit them as columns of one
-evaluation so the Monte-Carlo noise is shared and identities hold sample by
-sample.
+Integrand columns are produced by a single callable per request; callers
+that need several quantities on the *same* stream (both Jensen boundary
+means, characteristic comparisons, proximity defects) emit them as columns
+of one evaluation so the Monte-Carlo noise is shared and identities hold
+sample by sample.
+
+A caller that needs many means on one stream — a radius profile, or T at
+many (f, a, r) — passes them to mean_batch together.  Its walk is
+chunk-outer: the Gaussians of chunk k are drawn once per call, scaled to
+each radius that is still needed, and fed to every unfinished request,
+which keeps its own mask, rejection count and sums.  Only the current
+chunk is held, and every mean equals the one mean_columns gives for its
+request alone.
 """
 
 from __future__ import annotations
@@ -22,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat_core import CHUNK, SphereSampler, qconj
+from .quat_core import CHUNK, SphereSampler, gaussian_chunk, qconj
 
 __all__ = [
     "IntegratorConfig",
     "SphericalMean",
     "TooManyRejections",
+    "mean_batch",
     "mean_columns",
     "mean_log_abs",
     "mean_weil",
@@ -61,10 +70,17 @@ class IntegratorConfig:
     reject_tol: float = 1e-12
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.samples < 1000:
             raise ValueError("samples must be at least 1000")
-        if self.reject_tol <= 0.0:
-            raise ValueError("reject_tol must be positive")
+        tol = self.reject_tol
+        if not isinstance(tol, (int, float)) or isinstance(tol, bool):
+            raise TypeError(f"reject_tol must be a number, got {tol!r}")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"reject_tol must be finite and positive, got {tol!r}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
 
@@ -96,38 +112,42 @@ def mean_columns(column_fn, r: float, cfg: IntegratorConfig, stream_index: int =
     the stream.  Under the antithetic_pair scheme the columns are
     evaluated at the batch and at its quaternion-conjugate batch, and each
     accepted unit is the pair average ½(v(w) + v(w̄)) with both points
-    required to be acceptable.
+    required to be acceptable.  The point arrays are read-only.
 
     Returns a list of k SphericalMean sharing the accepted mask, so column
-    differences are exact sample-by-sample statements.
+    differences are exact sample-by-sample statements.  This is the
+    one-request case of mean_batch.
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    sampler = SphereSampler(radius=r, seed=cfg.seed, stream_index=stream_index)
-    needed = cfg.samples
-    max_rejected = 0.001 * cfg.samples
-    sums = None
-    taken = 0
-    rejected = 0
-    chunk_index = 0
-    # the rejection invariant (0.1%) trips long before this budget
-    max_chunks = 2 * (needed // CHUNK + 2) + 8
-    while taken < needed:
-        if chunk_index >= max_chunks:
-            raise TooManyRejections(
-                f"stream exhausted after {chunk_index} chunks with {rejected} rejections"
-            )
-        pts = sampler.chunk(chunk_index)
-        chunk_index += 1
-        vals, ok = column_fn(pts)
+    return mean_batch([(column_fn, r)], cfg, stream_index)[0]
+
+
+class _Pass:
+    """Running state of one request of a batch: its rejection count and sums."""
+
+    def __init__(self, column_fn, r, cfg: IntegratorConfig, stream_index: int):
+        if r <= 0.0:
+            raise ValueError("r must be positive")
+        # validates the radius and the stream index
+        SphereSampler(radius=r, seed=cfg.seed, stream_index=stream_index)
+        self.column_fn = column_fn
+        self.r = r
+        self.needed = cfg.samples
+        self.max_rejected = 0.001 * cfg.samples
+        self.sums = self.run_mean = self.run_m2 = None
+        self.taken = 0
+        self.rejected = 0
+
+    def feed(self, pts, conj_pts):
+        """Accumulate the next chunk; conj_pts is its conjugate under antithetic_pair."""
+        vals, ok = self.column_fn(pts)
         vals = np.asarray(vals, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.shape[0] != pts.shape[0]:
             raise ValueError("column_fn must return one row per point")
         ok = np.asarray(ok, dtype=bool)
-        if cfg.scheme == "antithetic_pair":
-            vals2, ok2 = column_fn(qconj(pts))
+        if conj_pts is not None:
+            vals2, ok2 = self.column_fn(conj_pts)
             vals2 = np.asarray(vals2, dtype=float)
             if vals2.ndim == 1:
                 vals2 = vals2[:, None]
@@ -140,23 +160,23 @@ def mean_columns(column_fn, r: float, cfg: IntegratorConfig, stream_index: int =
         take_rows = vals[ok]
         n_ok = take_rows.shape[0]
         n_rej = pts.shape[0] - n_ok
-        remaining = needed - taken
+        remaining = self.needed - self.taken
         if n_ok > remaining:
             # count rejections only along the stream prefix actually used
             used = np.nonzero(ok)[0][remaining - 1] + 1
             n_rej = int(used - remaining)
             take_rows = take_rows[:remaining]
             n_ok = remaining
-        rejected += n_rej
-        if rejected > max_rejected:
+        self.rejected += n_rej
+        if self.rejected > self.max_rejected:
             raise TooManyRejections(
-                f"{rejected} rejected samples exceed the 0.001·samples bound "
-                f"({max_rejected:.0f}) at r = {r}"
+                f"{self.rejected} rejected samples exceed the 0.001·samples bound "
+                f"({self.max_rejected:.0f}) at r = {self.r}"
             )
-        if sums is None:
-            sums = np.zeros(take_rows.shape[1])
-            run_mean = np.zeros(take_rows.shape[1])
-            run_m2 = np.zeros(take_rows.shape[1])
+        if self.sums is None:
+            self.sums = np.zeros(take_rows.shape[1])
+            self.run_mean = np.zeros(take_rows.shape[1])
+            self.run_m2 = np.zeros(take_rows.shape[1])
         if n_ok:
             # centered chunk sums merged pairwise (Chan, Golub & LeVeque), so
             # the spread estimate does not depend on the offset of a column
@@ -164,18 +184,85 @@ def mean_columns(column_fn, r: float, cfg: IntegratorConfig, stream_index: int =
             chunk_mean = chunk_sum / n_ok
             # take_rows is a copy made by boolean indexing, so center it in place
             dev = np.subtract(take_rows, chunk_mean, out=take_rows)
-            delta = chunk_mean - run_mean
-            merged = taken + n_ok
-            run_m2 += np.einsum("ij,ij->j", dev, dev) + delta * delta * (taken * n_ok / merged)
-            run_mean += delta * (n_ok / merged)
-            sums += chunk_sum
-        taken += n_ok
-    means = sums / needed
-    std_err = np.sqrt(run_m2 / (needed - 1) / needed)
-    return [
-        SphericalMean(float(m), float(s), needed, rejected)
-        for m, s in zip(means, std_err)
-    ]
+            delta = chunk_mean - self.run_mean
+            merged = self.taken + n_ok
+            self.run_m2 += (np.einsum("ij,ij->j", dev, dev)
+                            + delta * delta * (self.taken * n_ok / merged))
+            self.run_mean += delta * (n_ok / merged)
+            self.sums += chunk_sum
+        self.taken += n_ok
+
+    def means(self):
+        means = self.sums / self.needed
+        std_err = np.sqrt(self.run_m2 / (self.needed - 1) / self.needed)
+        return [
+            SphericalMean(float(m), float(s), self.needed, self.rejected)
+            for m, s in zip(means, std_err)
+        ]
+
+
+def mean_batch(requests, cfg: IntegratorConfig, stream_index: int = 0):
+    """mean_columns for many (column_fn, r) requests from one walk of the stream.
+
+    Chunks are the outer loop: the Gaussians of chunk k are drawn once and
+    scaled to each radius still needed, and every unfinished request reads
+    them.  A request keeps its own mask, rejection count and sums, so one
+    with rejections reads further chunks alone.  Requests at the same r
+    share one read-only point array per chunk.
+
+    Returns one list of SphericalMean per request, each bitwise equal to
+    mean_columns(column_fn, r, cfg, stream_index).  When requests fail, the
+    exception of the first failing request in request order is raised,
+    which is the one calling mean_columns on each request in turn raises.
+    """
+    passes = []
+    failure = None
+    for column_fn, r in requests:
+        try:
+            passes.append(_Pass(column_fn, r, cfg, stream_index))
+        except ValueError as exc:
+            failure = exc
+            break
+    antithetic = cfg.scheme == "antithetic_pair"
+    # the rejection invariant (0.1%) trips long before this budget
+    max_chunks = 2 * (cfg.samples // CHUNK + 2) + 8
+    chunk_index = 0
+    while True:
+        live = [p for p in passes if p.taken < p.needed]
+        if not live:
+            break
+        if chunk_index >= max_chunks:
+            failure = TooManyRejections(
+                f"stream exhausted after {chunk_index} chunks with "
+                f"{live[0].rejected} rejections"
+            )
+            break
+        g, n = gaussian_chunk(cfg.seed, stream_index, chunk_index)
+        for r in dict.fromkeys(p.r for p in live):
+            group = [p for p in passes if p.r == r and p.taken < p.needed]
+            if not group:
+                continue
+            pts = g * (r / n)[:, None]
+            pts.setflags(write=False)
+            conj_pts = None
+            if antithetic:
+                conj_pts = qconj(pts)
+                conj_pts.setflags(write=False)
+            for p in group:
+                try:
+                    p.feed(pts, conj_pts)
+                except Exception as exc:
+                    # held, not raised: an earlier request may still fail on
+                    # a later chunk, and its exception is the one to raise
+                    failure = exc
+                    del passes[passes.index(p):]
+                    break
+            del pts, conj_pts
+        del g, n
+        chunk_index += 1
+    if failure is not None:
+        raise failure
+    return [p.means() for p in passes]
 
 
 def _log_threshold(f, r: float, reject_tol: float) -> float:
@@ -208,6 +295,11 @@ def mean_weil(f, weil, r: float, cfg: IntegratorConfig, stream_index: int = 0) -
     ok (n,)); the guard scale passed is reject_tol·(1+r)^deg so the weight
     can reject samples inside its own singularity.
     """
+    return mean_columns(_weil_columns(f, weil, r, cfg), r, cfg, stream_index)[0]
+
+
+def _weil_columns(f, weil, r: float, cfg: IntegratorConfig):
+    """Column function of mean_weil at radius r."""
     guard = cfg.reject_tol * (1.0 + r) ** f.growth_degree
 
     def columns(pts):
@@ -215,7 +307,7 @@ def mean_weil(f, weil, r: float, cfg: IntegratorConfig, stream_index: int = 0) -
         lam, wok = weil.batch(se.value(), guard)
         return np.asarray(lam, dtype=float)[:, None], se.ok & np.asarray(wok, dtype=bool)
 
-    return mean_columns(columns, r, cfg, stream_index)[0]
+    return columns
 
 
 def paired_reflection_mean(f, r: float, cfg: IntegratorConfig, stream_index: int = 0):

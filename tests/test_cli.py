@@ -6,17 +6,22 @@ subprocesses.
 """
 
 import json
+import math
 
 import pytest
 
-from quatnev import nevanlinna, sph_integral
+from quatnev import nevanlinna, quat_core, sph_integral
 from quatnev.cli import main
 from quatnev.divisor import jensen_kernel, total_order_divisor
-from quatnev.quat_core import SliceComplex
+from quatnev.quat_core import SliceComplex, gaussian_chunk
 from quatnev.nevanlinna import NevanlinnaProfile, _radius_free as radius_free
-from quatnev.sph_integral import mean_columns
+from quatnev.sph_integral import mean_batch
 
 FAST = ["--samples", "2000", "--seed", "2026"]
+# a non-slice-preserving left polynomial and a semiregular rational
+LEFT = [[0.3, 0.2, -0.1, 0.4], [1.0, 0.5, 0.0, -0.3], [1.0, 0, 0, 0]]
+RATIONAL = {"num": [[1, 0, 0, 0], [0.2, 0.1, 0, 0], [1, 0, 0, 0]],
+            "den": [[0.25, 0, 0.1, 0], [-1, 0, 0, 0], [1, 0, 0, 0]]}
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +111,18 @@ def test_report_stays_on_stdout_with_out(tmp_path, capsys):
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Count Monte-Carlo passes, divisor extractions and radius-free parts of T."""
-    counts = {"passes": 0, "divisors": 0, "parts": []}
+    """Count Monte-Carlo passes (requests to mean_batch), chunk draws,
+    divisor extractions and radius-free parts of T."""
+    counts = {"passes": 0, "draws": [], "divisors": 0, "parts": []}
 
-    def counting_mean_columns(*args, **kwargs):
-        counts["passes"] += 1
-        return mean_columns(*args, **kwargs)
+    def counting_mean_batch(requests, *args, **kwargs):
+        requests = list(requests)
+        counts["passes"] += len(requests)
+        return mean_batch(requests, *args, **kwargs)
+
+    def recording_draw(seed, stream_index, chunk_index):
+        counts["draws"].append((seed, stream_index, chunk_index))
+        return gaussian_chunk(seed, stream_index, chunk_index)
 
     def counting_divisor(f):
         counts["divisors"] += 1
@@ -121,8 +132,10 @@ def counters(monkeypatch):
         counts["parts"].append((type(f), json.dumps(f.to_json()), repr(a)))
         return radius_free(f, a)
 
-    monkeypatch.setattr(nevanlinna, "mean_columns", counting_mean_columns)
-    monkeypatch.setattr(sph_integral, "mean_columns", counting_mean_columns)
+    monkeypatch.setattr(nevanlinna, "mean_batch", counting_mean_batch)
+    monkeypatch.setattr(sph_integral, "mean_batch", counting_mean_batch)
+    monkeypatch.setattr(sph_integral, "gaussian_chunk", recording_draw)
+    monkeypatch.setattr(quat_core, "gaussian_chunk", recording_draw)
     monkeypatch.setattr(nevanlinna, "total_order_divisor", counting_divisor)
     monkeypatch.setattr(nevanlinna, "_radius_free", recording_radius_free)
     return counts
@@ -144,6 +157,52 @@ def test_algebra_suite_draws_each_pass_once(tmp_path, counters):
     # (function, target)
     assert len(set(counters["parts"])) == len(counters["parts"])
     assert counters["divisors"] == len(counters["parts"])
+
+
+@pytest.mark.parametrize("command, passes", [
+    ("verify-jensen", 1), ("profile", 24), ("fmt-check", 24), ("mpb-check", 10),
+    ("algebra-suite", 60),
+])
+def test_each_command_draws_each_chunk_once(command, passes, tmp_path, counters):
+    assert main([command, *FAST, "--out", str(tmp_path / "a.csv")]) == 0
+    assert counters["passes"] == passes
+    # at FAST every pass reads chunk 0 only, and all passes read it together
+    assert counters["draws"] == [(2026, 0, 0)]
+
+
+@pytest.mark.parametrize("function", [None, LEFT, RATIONAL],
+                         ids=["default", "leftpoly", "rational"])
+@pytest.mark.parametrize("command, form", [
+    ("profile", None), ("fmt-check", 1), ("fmt-check", 2), ("fmt-check", 3),
+    ("mpb-check", None), ("algebra-suite", None),
+])
+def test_batched_artifacts_equal_one_pass_at_a_time(command, form, function,
+                                                    tmp_path, monkeypatch, capsys):
+    cfg = {} if function is None else {
+        "function": function, "a": [0.5, 0.1, 0.0, 0.0], "radii": [1.5, 4.0],
+    }
+    if form is not None:
+        cfg["form"] = form
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "artifact.json"
+
+    def run():
+        out.unlink(missing_ok=True)
+        code = main([command, "--config", str(path), *FAST, "--format", "json",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+    batched = run()
+    original = sph_integral.mean_batch
+
+    def one_at_a_time(requests, cfg, stream_index=0):
+        return [original([request], cfg, stream_index)[0] for request in requests]
+
+    monkeypatch.setattr(sph_integral, "mean_batch", one_at_a_time)
+    monkeypatch.setattr(nevanlinna, "mean_batch", one_at_a_time)
+    assert run() == batched
 
 
 @pytest.mark.parametrize("command, divisors", [("profile", 1), ("fmt-check", 2)])
@@ -258,6 +317,20 @@ def test_bad_function_literal_exits_2(tmp_path, capsys):
     code = main(["verify-jensen", "--config", str(cfg)])
     assert code == 2
     assert "coefficient rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings", [
+    {"reject_tol": math.nan}, {"reject_tol": math.inf}, {"reject_tol": 0},
+    {"samples": 2500.5}, {"samples": True}, {"seed": 1.5}, {"seed": True},
+])
+def test_unusable_integrator_settings_exit_2_before_sampling(settings, tmp_path,
+                                                             capsys, counters):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    code = main(["verify-jensen", "--config", str(cfg)])
+    assert code == 2
+    assert "config error: bad integrator settings" in capsys.readouterr().err
+    assert counters["draws"] == []
 
 
 def test_nested_rational_literal_exits_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ when the rejection budget is exhausted.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from quatnev.sph_integral import (
     IntegratorConfig,
     SphericalMean,
     TooManyRejections,
+    mean_batch,
     mean_columns,
     mean_log_abs,
     mean_weil,
     paired_reflection_mean,
 )
-from quatnev.nevanlinna import WeilFunction
+from quatnev.nevanlinna import NevanlinnaProfile, WeilFunction
 
 CFG = IntegratorConfig(samples=20_000, seed=2026)
 
@@ -250,3 +252,128 @@ def test_paired_reflection_differs_for_generic_coefficients():
     f = LeftPoly([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 0, 0]])
     first, second = paired_reflection_mean(f, 1.5, CFG)
     assert first.value != second.value
+
+
+# ---------------------------------------------------------------------------
+# Batches: one walk of the stream, each request as if alone
+# ---------------------------------------------------------------------------
+
+# just under one chunk, so a request with a few rejections reads a second one
+NEAR_CHUNK = IntegratorConfig(samples=65_530, seed=2026)
+
+
+def _bits(means):
+    return [(m.value.hex(), m.std_error.hex(), m.rejected) for m in means]
+
+
+def _cap_rejecting(side, cap, counts=None):
+    """Columns (w, x²) that reject rows with side·w/|q| above cap."""
+
+    def columns(pts):
+        if counts is not None:
+            counts.append(len(pts))
+        w = pts[:, 0] / np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        return np.stack([pts[:, 0], pts[:, 1] ** 2], axis=1), side * w <= cap
+
+    return columns
+
+
+def _assert_batch_is_sequential(requests, cfg):
+    batch = mean_batch(requests, cfg)
+    alone = [mean_columns(column_fn, r, cfg) for column_fn, r in requests]
+    assert [_bits(m) for m in batch] == [_bits(m) for m in alone]
+    return batch
+
+
+def test_batch_walks_the_stream_in_chunk_order():
+    """Three chunks of one stream, checked against the sampler's own points."""
+    cfg = IntegratorConfig(samples=150_000, seed=5)
+    batch = mean_batch([(identity_columns, 0.8), (identity_columns, 2.5)], cfg, stream_index=3)
+    for r, means in zip((0.8, 2.5), batch):
+        want = SphereSampler(radius=r, seed=5, stream_index=3).sample(cfg.samples).mean(axis=0)
+        assert [m.value for m in means] == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_batch_equals_single_requests_at_mixed_radii():
+    requests = [(identity_columns, 1.7), (_cap_rejecting(1, 1.0), 0.4),
+                (identity_columns, 1.7), (identity_columns, 3.0)]
+    _assert_batch_is_sequential(requests, CFG)
+
+
+def test_batch_requests_read_different_numbers_of_chunks():
+    reads = [[], [], []]
+    requests = [
+        (_cap_rejecting(1, 0.995, reads[0]), 1.0),   # ~14 rejections per chunk
+        (_cap_rejecting(-1, 0.99, reads[1]), 2.5),   # ~40 per chunk
+        (_cap_rejecting(1, 1.0, reads[2]), 1.0),     # none
+    ]
+    batch = _assert_batch_is_sequential(requests, NEAR_CHUNK)
+    # each request was read once by the batch and once alone
+    assert [len(r) // 2 for r in reads] == [2, 2, 1]
+    assert [m[0].rejected > 0 for m in batch] == [True, True, False]
+
+
+def test_batch_equals_single_requests_under_antithetic_pairs():
+    cfg = IntegratorConfig(samples=20_000, seed=11, scheme="antithetic_pair")
+    f = LeftPoly([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 0, 0]])
+
+    def log_abs(pts):
+        se = f.stems(pts, cfg.reject_tol)
+        return se.log_abs()[:, None], se.ok
+
+    requests = [(log_abs, 1.5), (identity_columns, 1.5), (_cap_rejecting(1, 0.999), 2.0)]
+    _assert_batch_is_sequential(requests, cfg)
+
+
+def _late_failure():
+    """Columns that reject ten rows of chunk 0, then every row of chunk 1."""
+    calls = []
+
+    def columns(pts):
+        ok = np.ones(len(pts), dtype=bool)
+        ok[: 10 if not calls else len(pts)] = False
+        calls.append(None)
+        return pts[:, :1], ok
+
+    return columns
+
+
+def test_batch_raises_the_first_failing_request():
+    def early(pts):
+        return pts[:, :1], np.zeros(len(pts), dtype=bool)
+
+    with pytest.raises(TooManyRejections) as alone:
+        mean_columns(_late_failure(), 1.0, NEAR_CHUNK)
+    # the second request fails on chunk 0, before the first one fails
+    with pytest.raises(TooManyRejections) as batch:
+        mean_batch([(_late_failure(), 1.0), (early, 2.0)], NEAR_CHUNK)
+    assert str(batch.value) == str(alone.value)
+    assert "at r = 1.0" in str(batch.value)
+
+
+def test_shared_points_are_read_only():
+    def writer(pts):
+        pts[0, 0] = 0.0
+        return pts[:, :1], np.ones(len(pts), dtype=bool)
+
+    with pytest.raises(ValueError, match="read-only"):
+        mean_batch([(identity_columns, 1.0), (writer, 1.0)], CFG)
+
+
+def test_profile_memory_does_not_grow_with_radii():
+    """A batch holds one chunk, however many radii it serves."""
+    cfg = IntegratorConfig(samples=150_000, seed=2026)
+    f = RealPoly([1.0, 0.0, 1.0])
+
+    def peak(radii):
+        tracemalloc.start()
+        try:
+            NevanlinnaProfile.compute(f, None, radii, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak([2.0])  # first-call allocations
+    one = peak([2.0])
+    twelve = peak(np.geomspace(0.5, 40.0, 12))
+    assert twelve - one <= 1_000_000, f"peak grew by {(twelve - one) / 1e6:.2f} MB"
