@@ -9,6 +9,8 @@ Quaternions q = w + xi + yj + zk are represented two ways:
 Every point q = u + I v (u real, v = |Im q| >= 0, I a unit imaginary) lies on
 the 2-sphere S_{u+Iv}; :class:`SliceComplex` is the canonical (u, v) key of
 that sphere, and :func:`slice_coords` extracts (u, v, I) for sample batches.
+A :class:`SlicePoints` batch computes its (u, v) and u + iv on first read
+and keeps them for as long as the batch lives.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "DivisionByZero",
     "Quaternion",
     "SliceComplex",
+    "SlicePoints",
     "SphereSampler",
     "CHUNK",
     "gaussian_chunk",
@@ -37,6 +40,9 @@ __all__ = [
     "qinv",
     "qnormalize",
     "slice_coords",
+    "slice_points",
+    "slice_units",
+    "slice_uv",
 ]
 
 #: samples per RNG chunk; the sample stream is a pure function of
@@ -274,6 +280,30 @@ def qnormalize(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float) / n[..., None]
 
 
+def slice_uv(pts: np.ndarray):
+    """Slice coordinates (u, v) of a batch: u = Re q and v = |Im q| >= 0."""
+    pts = np.asarray(pts, dtype=float)
+    im = pts[..., 1:]
+    return pts[..., 0].copy(), np.sqrt(np.einsum("...i,...i->...", im, im))
+
+
+def slice_units(pts: np.ndarray, v: np.ndarray, v_floor: float = 0.0):
+    """Unit imaginaries I of a batch whose imaginary moduli are v.
+
+    Returns (I, near_real); near_real marks v <= v_floor, where I is the
+    fixed fallback i.
+    """
+    pts = np.asarray(pts, dtype=float)
+    near_real = v <= v_floor
+    safe = np.where(near_real, 1.0, v)
+    I = np.zeros_like(pts)
+    I[..., 1:] = pts[..., 1:] / safe[..., None]
+    I[near_real, 1] = 1.0
+    I[near_real, 2] = 0.0
+    I[near_real, 3] = 0.0
+    return I, near_real
+
+
 def slice_coords(pts: np.ndarray, v_floor: float = 0.0):
     """Slice coordinates (u, v, I) of a batch of points.
 
@@ -289,18 +319,68 @@ def slice_coords(pts: np.ndarray, v_floor: float = 0.0):
     I : (n, 4) unit imaginary directions (w-column all zero)
     near_real : (n,) bool mask of points that received the fallback I
     """
-    pts = np.asarray(pts, dtype=float)
-    u = pts[..., 0].copy()
-    im = pts[..., 1:]
-    v = np.sqrt(np.einsum("...i,...i->...", im, im))
-    near_real = v <= v_floor
-    safe = np.where(near_real, 1.0, v)
-    I = np.zeros_like(pts)
-    I[..., 1:] = im / safe[..., None]
-    I[near_real, 1] = 1.0
-    I[near_real, 2] = 0.0
-    I[near_real, 3] = 0.0
+    u, v = slice_uv(pts)
+    I, near_real = slice_units(pts, v, v_floor)
     return u, v, I, near_real
+
+
+class SlicePoints(np.ndarray):
+    """A read-only (n, 4) point batch that carries its slice moduli.
+
+    (u, v) and z = u + iv are each computed on first read, by slice_uv, and
+    kept read-only on the batch, so every stem evaluation of one batch
+    shares them and they die with it.  A batch made by ``conjugate_of``
+    reads them from its source, which it shares bit for bit: negating Im q
+    leaves Re q and |Im q| unchanged.  Arrays derived from a batch (slices,
+    arithmetic) start with nothing computed.
+    """
+
+    def __array_finalize__(self, obj):
+        self._uv = self._z = self._source = None
+
+    @property
+    def uv(self):
+        """(u, v), computed once."""
+        if self._uv is None:
+            if self._source is not None:
+                self._uv = self._source.uv
+            else:
+                self._uv = _read_only(*slice_uv(self))
+        return self._uv
+
+    @property
+    def z(self) -> np.ndarray:
+        """u + iv as one complex array, computed once."""
+        if self._z is None:
+            if self._source is not None:
+                self._z = self._source.z
+            else:
+                u, v = self.uv
+                (self._z,) = _read_only(u + 1j * v)
+        return self._z
+
+    @staticmethod
+    def conjugate_of(pts: "SlicePoints") -> "SlicePoints":
+        """The read-only batch of conjugate points, sharing (u, v) and z with pts."""
+        out = qconj(pts).view(SlicePoints)
+        out.setflags(write=False)
+        out._source = pts
+        return out
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def slice_points(pts) -> SlicePoints:
+    """pts itself when it is a read-only SlicePoints, else a read-only copy as one."""
+    if isinstance(pts, SlicePoints) and not pts.flags.writeable:
+        return pts
+    out = np.array(pts, dtype=float).view(SlicePoints)
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ each radius that is still needed, and fed to every unfinished request,
 which keeps its own mask, rejection count and sums.  Only the current
 chunk is held, and every mean equals the one mean_columns gives for its
 request alone.
+
+The requests at one radius read one point array per chunk, a SlicePoints
+batch, so its slice frame (u, v) and z = u + iv is computed once per
+(chunk, radius) and dropped with its points when the walk moves on.
+Under antithetic_pair the conjugate batch reuses the same (u, v, z).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat_core import CHUNK, SphereSampler, gaussian_chunk, qconj
+from .quat_core import CHUNK, SlicePoints, SphereSampler, gaussian_chunk
 
 __all__ = [
     "IntegratorConfig",
@@ -208,7 +213,8 @@ def mean_batch(requests, cfg: IntegratorConfig, stream_index: int = 0):
     scaled to each radius still needed, and every unfinished request reads
     them.  A request keeps its own mask, rejection count and sums, so one
     with rejections reads further chunks alone.  Requests at the same r
-    share one read-only point array per chunk.
+    share one read-only point array per chunk, which carries the slice
+    frame they all read.
 
     Returns one list of SphericalMean per request, each bitwise equal to
     mean_columns(column_fn, r, cfg, stream_index).  When requests fail, the
@@ -242,12 +248,9 @@ def mean_batch(requests, cfg: IntegratorConfig, stream_index: int = 0):
             group = [p for p in passes if p.r == r and p.taken < p.needed]
             if not group:
                 continue
-            pts = g * (r / n)[:, None]
+            pts = (g * (r / n)[:, None]).view(SlicePoints)
             pts.setflags(write=False)
-            conj_pts = None
-            if antithetic:
-                conj_pts = qconj(pts)
-                conj_pts.setflags(write=False)
+            conj_pts = SlicePoints.conjugate_of(pts) if antithetic else None
             for p in group:
                 try:
                     p.feed(pts, conj_pts)

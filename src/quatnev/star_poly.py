@@ -15,6 +15,14 @@ quantities (value at q̄, value composed with S_f, norms of slice-preserving
 functions) reuse the same (P, Q), which is what makes reflection and
 spherical-conjugation identities exact at machine level instead of merely
 approximate.
+
+Stem evaluation computes only what its consumer reads.  The slice moduli
+(u, v) and z = u + iv belong to the points, a SlicePoints batch that
+computes them on first read, so every function evaluated on one batch
+shares them; the unit imaginaries I are formed only when read.  A
+slice-preserving f needs only z: its stems are the real pair (A, B), P
+and Q are formed from them on first read, and log|f| = log hypot(A, B) is
+computed once per evaluation.
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ from .quat_core import (
     qinv,
     qmul,
     qnorm,
-    slice_coords,
+    slice_points,
+    slice_units,
 )
 
 __all__ = [
@@ -111,23 +120,72 @@ def _complex_powers(u: np.ndarray, v: np.ndarray, degree: int):
     return c, s
 
 
-@dataclass(frozen=True)
 class StemEval:
     """Stem data of one function on one batch of points.
 
     P, Q are quaternion (n, 4) arrays with f(u + Iv) = P + I·Q and
     f(u − Iv) = P − I·Q; ``ok`` masks points where the evaluation is
     defined (it excludes numerical pole hits for rationals).
+
+    u and v are read from ``pts``, a SlicePoints batch that computes them
+    once for every evaluation on it; I and near_real are formed on first
+    read.  For slice-preserving f, ``real_stems`` is the real pair (A, B)
+    with f(u + Iv) = A + I·B; P and Q are then formed from it on first
+    read, and log|f| is computed once and returned read-only by log_abs,
+    log_abs_conj_point and log_abs_twisted.
     """
 
-    u: np.ndarray
-    v: np.ndarray
-    I: np.ndarray
-    near_real: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
-    ok: np.ndarray
-    real_stems: tuple | None = None  # (P_real, Q_real) for slice-preserving f
+    __slots__ = ("pts", "ok", "real_stems", "_P", "_Q", "_units", "_real_log_abs")
+
+    def __init__(self, pts, ok, P=None, Q=None, real_stems=None):
+        self.pts = pts
+        self.ok = ok
+        self.real_stems = real_stems  # (P_real, Q_real) for slice-preserving f
+        self._P = P
+        self._Q = Q
+        self._units = self._real_log_abs = None
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.pts.uv[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.pts.uv[1]
+
+    @property
+    def I(self) -> np.ndarray:
+        return self._slice_units()[0]
+
+    @property
+    def near_real(self) -> np.ndarray:
+        return self._slice_units()[1]
+
+    def _slice_units(self):
+        if self._units is None:
+            self._units = slice_units(self.pts, self.v)
+        return self._units
+
+    @property
+    def P(self) -> np.ndarray:
+        if self._P is None:
+            self._P = _real_part_quat(self.real_stems[0])
+        return self._P
+
+    @property
+    def Q(self) -> np.ndarray:
+        if self._Q is None:
+            self._Q = _real_part_quat(self.real_stems[1])
+        return self._Q
+
+    def _real_log_modulus(self) -> np.ndarray:
+        """log hypot(A, B) of the real stems, computed once, read-only."""
+        if self._real_log_abs is None:
+            with np.errstate(divide="ignore"):
+                la = np.log(np.hypot(*self.real_stems))
+            la.setflags(write=False)
+            self._real_log_abs = la
+        return self._real_log_abs
 
     def value(self) -> np.ndarray:
         """f(q) as an (n, 4) array."""
@@ -140,20 +198,16 @@ class StemEval:
     def log_abs(self) -> np.ndarray:
         """log|f(q)| (−inf where the numerator vanishes; mask with ok)."""
         if self.real_stems is not None:
-            num = np.hypot(*self.real_stems)
-        else:
-            num = qnorm(self.value())
+            return self._real_log_modulus()
         with np.errstate(divide="ignore"):
-            return np.log(num)
+            return np.log(qnorm(self.value()))
 
     def log_abs_conj_point(self) -> np.ndarray:
-        """log|f(q̄)|; bitwise equal to log_abs() for slice-preserving f."""
+        """log|f(q̄)|; the same array as log_abs() for slice-preserving f."""
         if self.real_stems is not None:
-            num = np.hypot(*self.real_stems)
-        else:
-            num = qnorm(self.value_conj_point())
+            return self._real_log_modulus()
         with np.errstate(divide="ignore"):
-            return np.log(num)
+            return np.log(qnorm(self.value_conj_point()))
 
     def twisted(self, shift, deg_tol_poly_degree: int):
         """Value f(S_{f−a}(q)) and a definedness mask.
@@ -204,14 +258,20 @@ class StemEval:
         For slice-preserving f the value at any point of the sphere S_q has
         norm hypot(P, Q) independent of the slice direction — the exact
         slice-coordinate formula — so the twisted log-modulus is computed
-        from the shared stems directly and is bitwise equal to log|f(q)|.
+        from the shared stems directly and is the same array as log_abs().
         """
         if self.real_stems is not None:
-            with np.errstate(divide="ignore"):
-                return np.log(np.hypot(*self.real_stems)), self.ok.copy()
+            return self._real_log_modulus(), self.ok.copy()
         tv, _, ok = self.twisted(shift, deg_tol_poly_degree)
         with np.errstate(divide="ignore"):
             return np.log(qnorm(tv)), ok
+
+
+def _real_part_quat(a: np.ndarray) -> np.ndarray:
+    """The (n, 4) quaternion array with real parts a and zero imaginary parts."""
+    out = np.zeros((a.shape[0], 4))
+    out[:, 0] = a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +457,8 @@ class LeftPoly:
         reject_tol parameter is accepted for interface uniformity and
         ignored here.
         """
-        pts = np.asarray(pts, dtype=float)
-        u, v, I, near_real = slice_coords(pts)
+        pts = slice_points(pts)
+        u, v = pts.uv
         deg = max(self.degree, 0)
         c, s = _complex_powers(u, v, deg)
         if self.is_zero:
@@ -407,8 +467,7 @@ class LeftPoly:
         else:
             P = np.tensordot(c, self.coeffs, axes=(0, 0))
             Q = np.tensordot(s, self.coeffs, axes=(0, 0))
-        ok = np.ones(u.shape[0], dtype=bool)
-        return StemEval(u, v, I, near_real, P, Q, ok)
+        return StemEval(pts, np.ones(u.shape[0], dtype=bool), P, Q)
 
     @property
     def growth_degree(self) -> int:
@@ -486,24 +545,19 @@ class RealPoly(LeftPoly):
         """(q − ζ)^s = q² − 2·Re(ζ)·q + |ζ|² for the sphere key ζ = (re, im)."""
         return RealPoly([sphere.re**2 + sphere.im**2, -2.0 * sphere.re, 1.0])
 
-    def real_stems(self, u: np.ndarray, v: np.ndarray):
-        """Real stem pair (A, B) with f(u + Iv) = A + I B, by complex Horner."""
+    def real_stems(self, z: np.ndarray):
+        """Real stem pair (A, B) with f(u + Iv) = A + I B, by complex Horner at z = u + iv."""
         if self.is_zero:
-            return np.zeros_like(u), np.zeros_like(u)
-        z = npoly.polyval(u + 1j * v, self.real_coeffs)
+            return np.zeros(z.shape), np.zeros(z.shape)
+        w = npoly.polyval(z, self.real_coeffs)
         # contiguous copies: later passes over strided views cost more than the copy
-        return z.real.copy(), z.imag.copy()
+        return w.real.copy(), w.imag.copy()
 
     def stems(self, pts: np.ndarray, reject_tol: float = 0.0) -> StemEval:
-        pts = np.asarray(pts, dtype=float)
-        u, v, I, near_real = slice_coords(pts)
-        A, B = self.real_stems(u, v)
-        P = np.zeros((u.shape[0], 4))
-        P[:, 0] = A
-        Q = np.zeros((u.shape[0], 4))
-        Q[:, 0] = B
-        ok = np.ones(u.shape[0], dtype=bool)
-        return StemEval(u, v, I, near_real, P, Q, ok, (A, B))
+        """Stem evaluation that reads only z = u + iv of the points' frame."""
+        pts = slice_points(pts)
+        A, B = self.real_stems(pts.z)
+        return StemEval(pts, np.ones(A.shape[0], dtype=bool), real_stems=(A, B))
 
     def conjugate(self) -> "RealPoly":
         return self
@@ -741,11 +795,11 @@ class SemiregularRational:
         P = (A·P_n + B·Q_n)/(A²+B²), Q = (A·Q_n − B·P_n)/(A²+B²); points
         with |h^s| below the scale-aware tolerance are masked out.
         """
-        pts = np.asarray(pts, dtype=float)
+        pts = slice_points(pts)
         base = self.num_eff.stems(pts)
-        A, B = self.den_s.real_stems(base.u, base.v)
+        A, B = self.den_s.real_stems(pts.z)
         mod2 = A * A + B * B
-        radius = np.hypot(base.u, base.v)
+        radius = np.hypot(*pts.uv)
         tol = reject_tol * (1.0 + radius) ** max(self.den_s.degree, 1)
         ok = mod2 >= tol * tol
         safe = np.where(ok, mod2, 1.0)
@@ -753,14 +807,10 @@ class SemiregularRational:
             An, Bn = base.real_stems
             Pr = (A * An + B * Bn) / safe
             Qr = (A * Bn - B * An) / safe
-            P = np.zeros((base.u.shape[0], 4))
-            P[:, 0] = Pr
-            Q = np.zeros((base.u.shape[0], 4))
-            Q[:, 0] = Qr
-            return StemEval(base.u, base.v, base.I, base.near_real, P, Q, ok, (Pr, Qr))
+            return StemEval(pts, ok, real_stems=(Pr, Qr))
         P = (A[:, None] * base.P + B[:, None] * base.Q) / safe[:, None]
         Q = (A[:, None] * base.Q - B[:, None] * base.P) / safe[:, None]
-        return StemEval(base.u, base.v, base.I, base.near_real, P, Q, ok)
+        return StemEval(pts, ok, P, Q)
 
     # -- series at the origin ---------------------------------------------------
 

@@ -5,15 +5,17 @@ tests exercise exactly what the console script runs without spawning
 subprocesses.
 """
 
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from quatnev import nevanlinna, quat_core, sph_integral
+from quatnev import nevanlinna, quat_core, sph_integral, star_poly
 from quatnev.cli import main
 from quatnev.divisor import jensen_kernel, total_order_divisor
-from quatnev.quat_core import SliceComplex, gaussian_chunk
+from quatnev.quat_core import SliceComplex, gaussian_chunk, slice_units, slice_uv
 from quatnev.nevanlinna import NevanlinnaProfile, _radius_free as radius_free
 from quatnev.sph_integral import mean_batch
 
@@ -168,6 +170,40 @@ def test_each_command_draws_each_chunk_once(command, passes, tmp_path, counters)
     assert counters["passes"] == passes
     # at FAST every pass reads chunk 0 only, and all passes read it together
     assert counters["draws"] == [(2026, 0, 0)]
+
+
+@pytest.fixture
+def frames(monkeypatch):
+    """Record the radii of every Monte-Carlo request and the points of
+    every (u, v) and I computation."""
+    seen = {"radii": set(), "uv": [], "units": 0}
+
+    def recording_mean_batch(requests, *args, **kwargs):
+        requests = list(requests)
+        seen["radii"].update(r for _fn, r in requests)
+        return mean_batch(requests, *args, **kwargs)
+
+    def recording_uv(pts):
+        seen["uv"].append(hashlib.sha1(np.asarray(pts).tobytes()).hexdigest())
+        return slice_uv(pts)
+
+    def counting_units(*args):
+        seen["units"] += 1
+        return slice_units(*args)
+
+    monkeypatch.setattr(nevanlinna, "mean_batch", recording_mean_batch)
+    monkeypatch.setattr(sph_integral, "mean_batch", recording_mean_batch)
+    monkeypatch.setattr(quat_core, "slice_uv", recording_uv)
+    monkeypatch.setattr(star_poly, "slice_units", counting_units)
+    return seen
+
+
+@pytest.mark.parametrize("command", ["profile", "algebra-suite"])
+def test_slice_coordinates_once_per_chunk_and_radius(command, tmp_path, frames):
+    assert main([command, *FAST, "--out", str(tmp_path / "a.csv")]) == 0
+    # at FAST every pass reads chunk 0 only, so each radius is one group
+    assert len(frames["uv"]) == len(set(frames["uv"])) == len(frames["radii"])
+    assert frames["units"] == 0, "slice-preserving stems formed unit imaginaries"
 
 
 @pytest.mark.parametrize("function", [None, LEFT, RATIONAL],

@@ -16,6 +16,7 @@ from quatnev.quat_core import (
     DivisionByZero,
     Quaternion,
     SliceComplex,
+    SlicePoints,
     SphereSampler,
     conj,
     embed,
@@ -28,6 +29,7 @@ from quatnev.quat_core import (
     qnorm,
     qnormalize,
     slice_coords,
+    slice_points,
     sphere_of,
 )
 
@@ -164,6 +166,30 @@ def test_slice_coords_reconstructs_points():
     rebuilt[:, 1:] = units[:, 1:] * v[:, None]
     mask = ~near_real
     assert np.allclose(rebuilt[mask], pts[mask], atol=ATOL), "u + I v must rebuild q"
+
+
+def test_slice_points_share_one_frame_equal_to_slice_coords():
+    raw = np.random.default_rng(5).standard_normal((64, 4))
+    raw[7, 1:] = 0.0
+    pts = slice_points(raw)
+    assert not pts.flags.writeable and slice_points(pts) is pts
+    u, v, _, _ = slice_coords(raw)
+    assert pts.uv is pts.uv and pts.z is pts.z
+    for got, want in zip((*pts.uv, pts.z), (u, v, u + 1j * v)):
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
+    # a derived array computes its own frame
+    head = pts[:5]
+    assert head.uv is not pts.uv and head.uv[0].tobytes() == u[:5].tobytes()
+
+
+def test_conjugate_batch_shares_moduli_bitwise():
+    pts = slice_points(np.random.default_rng(6).standard_normal((64, 4)))
+    conj_pts = SlicePoints.conjugate_of(pts)
+    assert not conj_pts.flags.writeable
+    assert conj_pts.tobytes() == qconj(pts).tobytes()
+    assert conj_pts.uv is pts.uv and conj_pts.z is pts.z
+    u, v, _, _ = slice_coords(qconj(pts))
+    assert (u.tobytes(), v.tobytes()) == tuple(a.tobytes() for a in conj_pts.uv)
 
 
 # ---------------------------------------------------------------------------

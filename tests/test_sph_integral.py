@@ -8,6 +8,7 @@ when the rejection budget is exhausted.
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -377,3 +378,25 @@ def test_profile_memory_does_not_grow_with_radii():
     one = peak([2.0])
     twelve = peak(np.geomspace(0.5, 40.0, 12))
     assert twelve - one <= 1_000_000, f"peak grew by {(twelve - one) / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("scheme", ["monte_carlo", "antithetic_pair"])
+def test_slice_frame_dies_with_its_points(scheme):
+    """Nothing a (chunk, radius) group computed outlives the batch."""
+    cfg = IntegratorConfig(samples=20_000, seed=2026, scheme=scheme)
+    g = LeftPoly([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 0, 0]])
+    f = RealPoly([1.0, 0.0, 1.0])
+    refs = []
+
+    def columns(pts):
+        se = g.stems(pts, cfg.reject_tol)
+        la = se.log_abs()
+        refs[:] = [weakref.ref(x) for x in (pts, se.v, se.I, pts.z, la)]
+        return la[:, None], se.ok
+
+    def real_columns(pts):
+        se = f.stems(pts, cfg.reject_tol)
+        return se.log_abs()[:, None], se.ok
+
+    mean_batch([(columns, 1.5), (real_columns, 1.5), (columns, 2.5)], cfg)
+    assert refs and all(ref() is None for ref in refs), "a slice frame outlived its group"
