@@ -101,13 +101,6 @@ def _shifted(f, a: Quaternion):
     return f - LeftPoly.constant(a)
 
 
-def _twist_degree(f) -> int:
-    """Degree scale used by the spherical-derivative degeneracy tolerance."""
-    if isinstance(f, SemiregularRational):
-        return max(f.num_eff.degree, 1)
-    return max(f.degree, 1)
-
-
 def _deflated_head(g):
     """Series head (g(0), g′(0), g″(0)) of q^{−m₀}·g, plus m₀."""
     if isinstance(g, SemiregularRational):
@@ -411,12 +404,11 @@ def _mean_json(m: SphericalMean):
 def _boundary_columns(f, r, cfg, stream_index):
     """Shared-stream means of log|f|, log|f∘S_f| and their ½-combination."""
     thr = _log_threshold(f, r, cfg.reject_tol)
-    tdeg = _twist_degree(f)
 
     def columns(pts):
         se = f.stems(pts, cfg.reject_tol)
         la = se.log_abs()
-        lat, ok_t = se.log_abs_twisted(None, tdeg)
+        lat, ok_t = se.log_abs_twisted(None)
         ok = se.ok & ok_t & (la >= thr) & (lat >= thr)
         cols = np.stack([la, lat, 0.5 * (la + lat)], axis=1)
         return cols, ok
@@ -576,7 +568,6 @@ def _mpb_defects(f, a, radii, cfg: IntegratorConfig, stream_index: int = 0) -> l
     """mpb_defect at each radius, all from one walk of the stream."""
     f = _realized(f)
     shift = None if _is_infinity(a) else _coerce(a)
-    tdeg = _twist_degree(f)
 
     def request(r):
         thr = _log_threshold(f, r, cfg.reject_tol)
@@ -584,7 +575,7 @@ def _mpb_defects(f, a, radii, cfg: IntegratorConfig, stream_index: int = 0) -> l
         def columns(pts):
             se = f.stems(pts, cfg.reject_tol)
             la = se.log_abs()
-            lat, ok_t = se.log_abs_twisted(shift, tdeg)
+            lat, ok_t = se.log_abs_twisted(shift)
             ok = se.ok & ok_t & (la >= thr) & (lat >= thr)
             return (la - lat)[:, None], ok
 
@@ -650,19 +641,15 @@ def _fmt_proximity_columns(f, g, a_row, r, cfg):
     m(f∘S_{f−a},∞,·)] where g = f − a and a_row is a as a length-4 array.
     """
     thr_g = _log_threshold(g, r, cfg.reject_tol)
-    dg = _twist_degree(g)
-    df = _twist_degree(f)
 
     def columns(pts):
         sef = f.stems(pts, cfg.reject_tol)
         seg = g.stems(pts, cfg.reject_tol)
         la_g = seg.log_abs()
-        lat_g, ok_tg = seg.log_abs_twisted(None, dg)
-        lat_f, ok_tf = sef.log_abs_twisted(None, df)
-        twisted_val, _, ok_tv = seg.twisted(None, dg)
-        shifted_back = twisted_val + a_row
+        lat_g, ok_tg = seg.log_abs_twisted(None)
+        lat_f, ok_tf = sef.log_abs_twisted(None)
         with np.errstate(divide="ignore"):
-            la_fsa = np.log(qnorm(shifted_back))
+            la_fsa = np.log(qnorm(seg.twisted(None)[0] + a_row))
         cols = np.stack(
             [
                 np.maximum(-la_g, 0.0),
@@ -672,10 +659,7 @@ def _fmt_proximity_columns(f, g, a_row, r, cfg):
             ],
             axis=1,
         )
-        ok = (
-            sef.ok & seg.ok & ok_tg & ok_tf & ok_tv
-            & (la_g >= thr_g) & (lat_g >= thr_g)
-        )
+        ok = sef.ok & seg.ok & ok_tg & ok_tf & (la_g >= thr_g) & (lat_g >= thr_g)
         return cols, ok
 
     return columns
@@ -822,13 +806,11 @@ def _sandwich_columns(f, fs, r, cfg):
     near conjugate points of zeros), so it carries Monte-Carlo noise.
     ``fs`` is f.symmetrize().
     """
-    tdeg = _twist_degree(f)
-
     def columns(pts):
         sef = f.stems(pts, cfg.reject_tol)
         ses = fs.stems(pts, cfg.reject_tol)
         la = np.maximum(sef.log_abs(), 0.0)
-        lat_raw, ok_t = sef.log_abs_twisted(None, tdeg)
+        lat_raw, ok_t = sef.log_abs_twisted(None)
         lat = np.maximum(lat_raw, 0.0)
         ls = np.maximum(ses.log_abs(), 0.0)
         lower = la + lat - ls

@@ -8,21 +8,12 @@ fractional transforms; plus semiregular rationals f = g * h^{-*}.
 
 Batch evaluation runs through *stems*: f(u + Iv) = P + I Q, where each
 real component of P + iQ is the matching component polynomial of f at the
-complex point u + iv.  Quaternion coefficients share one table of complex
-powers z^n = (u + iv)^n = c_n + i s_n, with P = Σ c_n a_n and
-Q = Σ s_n a_n; real coefficients evaluate by complex Horner.  All derived
-quantities (value at q̄, value composed with S_f, norms of slice-preserving
-functions) reuse the same (P, Q), which is what makes reflection and
+complex point u + iv (one table of complex powers for quaternion
+coefficients, complex Horner for real ones).  Every derived quantity (the
+value at q̄, the value composed with S_{f−a}, norms of slice-preserving
+functions) is read off the same (P, Q), which is what makes reflection and
 spherical-conjugation identities exact at machine level instead of merely
-approximate.
-
-Stem evaluation computes only what its consumer reads.  The slice moduli
-(u, v) and z = u + iv belong to the points, a SlicePoints batch that
-computes them on first read, so every function evaluated on one batch
-shares them; the unit imaginaries I are formed only when read.  A
-slice-preserving f needs only z: its stems are the real pair (A, B), P
-and Q are formed from them on first read, and log|f| = log hypot(A, B) is
-computed once per evaluation.
+approximate.  A StemEval forms each of them only when read, and once.
 """
 
 from __future__ import annotations
@@ -37,8 +28,8 @@ from .quat_core import (
     Quaternion,
     SliceComplex,
     _coerce,
+    _read_only,
     qconj,
-    qinv,
     qmul,
     qnorm,
     slice_points,
@@ -123,27 +114,31 @@ def _complex_powers(u: np.ndarray, v: np.ndarray, degree: int):
 class StemEval:
     """Stem data of one function on one batch of points.
 
-    P, Q are quaternion (n, 4) arrays with f(u + Iv) = P + I·Q and
-    f(u − Iv) = P − I·Q; ``ok`` masks points where the evaluation is
-    defined (it excludes numerical pole hits for rationals).
+    P, Q are (n, 4) quaternion arrays with f(u ± Iv) = P ± I·Q; u, v come
+    from ``pts`` (a SlicePoints batch) and I is formed on first read.  ``ok``
+    masks points where f is defined (it excludes rational pole hits).  For
+    slice-preserving f, ``real_stems`` is the real pair (A, B) with
+    f(u + Iv) = A + I·B, and P, Q are formed from it only when read.
 
-    u and v are read from ``pts``, a SlicePoints batch that computes them
-    once for every evaluation on it; I and near_real are formed on first
-    read.  For slice-preserving f, ``real_stems`` is the real pair (A, B)
-    with f(u + Iv) = A + I·B; P and Q are then formed from it on first
-    read, and log|f| is computed once and returned read-only by log_abs,
-    log_abs_conj_point and log_abs_twisted.
+    Twists use the stem of g^s for g = f − a.  The stem of g at u + iv is
+    P_g + iQ in H⊗C with P_g = P − a, so that of g^s = g * g^c is
+    (P_g + iQ)(P̄_g + iQ̄) = A + iB, A = |P_g|² − |Q|², B = 2⟨P_g, Q⟩, and
+    f(S_{f−a}(q)) = a + conj(g(q)⁻¹·g^s(q)) = a + (A − B·I)·g(q) / |g(q)|².
+    The value and log|f| are formed once and kept read-only, (g, A, B)
+    once per shift; log-moduli do not depend on the scale of f (see
+    _rescaled).
     """
 
-    __slots__ = ("pts", "ok", "real_stems", "_P", "_Q", "_units", "_real_log_abs")
+    __slots__ = ("pts", "ok", "real_stems", "_P", "_Q", "_I", "_value", "_log_abs",
+                 "_parts_at")
 
     def __init__(self, pts, ok, P=None, Q=None, real_stems=None):
         self.pts = pts
         self.ok = ok
         self.real_stems = real_stems  # (P_real, Q_real) for slice-preserving f
-        self._P = P
-        self._Q = Q
-        self._units = self._real_log_abs = None
+        self._P, self._Q = P, Q
+        self._I = self._value = self._log_abs = None
+        self._parts_at = {}
 
     @property
     def u(self) -> np.ndarray:
@@ -155,16 +150,9 @@ class StemEval:
 
     @property
     def I(self) -> np.ndarray:
-        return self._slice_units()[0]
-
-    @property
-    def near_real(self) -> np.ndarray:
-        return self._slice_units()[1]
-
-    def _slice_units(self):
-        if self._units is None:
-            self._units = slice_units(self.pts, self.v)
-        return self._units
+        if self._I is None:
+            self._I = slice_units(self.pts, self.v)[0]
+        return self._I
 
     @property
     def P(self) -> np.ndarray:
@@ -178,93 +166,120 @@ class StemEval:
             self._Q = _real_part_quat(self.real_stems[1])
         return self._Q
 
-    def _real_log_modulus(self) -> np.ndarray:
-        """log hypot(A, B) of the real stems, computed once, read-only."""
-        if self._real_log_abs is None:
-            with np.errstate(divide="ignore"):
-                la = np.log(np.hypot(*self.real_stems))
-            la.setflags(write=False)
-            self._real_log_abs = la
-        return self._real_log_abs
-
     def value(self) -> np.ndarray:
-        """f(q) as an (n, 4) array."""
-        return self.P + qmul(self.I, self.Q)
+        """f(q) as a read-only (n, 4) array."""
+        if self._value is None:
+            (self._value,) = _read_only(self.P + qmul(self.I, self.Q))
+        return self._value
 
     def value_conj_point(self) -> np.ndarray:
         """f(q̄) as an (n, 4) array (same stems, I → −I)."""
         return self.P - qmul(self.I, self.Q)
 
     def log_abs(self) -> np.ndarray:
-        """log|f(q)| (−inf where the numerator vanishes; mask with ok)."""
-        if self.real_stems is not None:
-            return self._real_log_modulus()
-        with np.errstate(divide="ignore"):
-            return np.log(qnorm(self.value()))
+        """log|f(q)|, read-only (−inf where f vanishes; mask with ok).
+
+        For slice-preserving f it is log hypot(A, B) of the real stems, and
+        log_abs_conj_point and log_abs_twisted return this same array.
+        """
+        if self._log_abs is None:
+            if self.real_stems is None:
+                la = _log_norm(self.value())
+            else:
+                la = _log_hypot(*self.real_stems)
+            (self._log_abs,) = _read_only(la)
+        return self._log_abs
 
     def log_abs_conj_point(self) -> np.ndarray:
         """log|f(q̄)|; the same array as log_abs() for slice-preserving f."""
         if self.real_stems is not None:
-            return self._real_log_modulus()
-        with np.errstate(divide="ignore"):
-            return np.log(qnorm(self.value_conj_point()))
+            return self.log_abs()
+        return _log_norm(self.value_conj_point())
 
-    def twisted(self, shift, deg_tol_poly_degree: int):
-        """Value f(S_{f−a}(q)) and a definedness mask.
+    def _parts(self, shift):
+        """(g(q), A, B, e, |g|², self.ok & (g(q) ≠ 0)) for g = f − a; e as in _rescaled."""
+        if shift not in self._parts_at:
+            P, Q, g = self.P, self.Q, self.value()
+            if shift is not None:
+                P, g = P - shift.to_array(), g - shift.to_array()
+            pp, qq = _dot(P, P), _dot(Q, Q)
+            (P, Q, g), e = _rescaled(pp + qq, P, Q, g)
+            if e is not None:
+                pp, qq = _dot(P, P), _dot(Q, Q)
+            g2 = _dot(g, g)
+            (ok,) = _read_only(self.ok & (g2 > 0.0))
+            self._parts_at[shift] = (g, pp - qq, 2.0 * _dot(P, Q), e, g2, ok)
+        return self._parts_at[shift]
 
-        shift is the constant a (Quaternion or None for a = 0): the twist
-        point map is S_{f−a}(q) = d q̄ d^{-1} with d = (f−a)'_s(q)·(f(q)−a)^{-1};
-        since (f−a)'_s = f'_s ∝ Q, the direction of d is Q·(f(q)−a)^{-1},
-        and f(S(q)) = P + J·Q with J = −unit(Im(d I d^{-1})) on the *same*
-        slice coordinates (u, v).  Degenerate points (spherical derivative
-        below tolerance, or numerically real q) take the reflection branch
-        J = −I, i.e. S(q) = q̄.
+    def twisted(self, shift):
+        """(f(S_{f−a}(q)), ok) for the constant a = shift (a Quaternion, or None for 0).
 
-        Returns (value (n,4), J (n,4), ok (n,)).
+        The value a + (A − B·I)·g / |g|² is continuous where q is real or the
+        spherical derivative vanishes, and equals f(q̄) there.  Rows where
+        g(q) = 0, on which S_{f−a} is undefined, hold a and are masked out.
         """
-        val = self.value()
+        g, A, B, e, g2, ok = self._parts(shift)
+        c = self.I * -B[:, None]
+        c[:, 0] = A
+        val = qmul(c, g) / np.where(g2 > 0.0, g2, 1.0)[:, None]
+        if e is not None:
+            val = np.ldexp(val, e[:, None])
         if shift is not None:
-            val = val.copy()
-            val[:, 0] -= shift.w
-            val[:, 1] -= shift.x
-            val[:, 2] -= shift.y
-            val[:, 3] -= shift.z
-        ok = self.ok.copy()
-        scale = (1.0 + np.hypot(self.u, self.v)) ** max(deg_tol_poly_degree, 1)
-        vmag = qnorm(val)
-        qmag = qnorm(self.Q)
-        degenerate = self.near_real | (qmag < 1e-10 * (scale / (1.0 + np.hypot(self.u, self.v))) * self.v)
-        usable = vmag > 0.0
-        ok &= usable
-        safe_val = np.where(usable[:, None], val, np.array([1.0, 0.0, 0.0, 0.0]))
-        d = qmul(self.Q, qinv(safe_val))
-        dmag = qnorm(d)
-        degenerate |= dmag < 1e-300
-        safe_d = np.where(degenerate[:, None], np.array([1.0, 0.0, 0.0, 0.0]), d)
-        rot = qmul(qmul(safe_d, self.I), qinv(safe_d))
-        rot[:, 0] = 0.0
-        rmag = qnorm(rot)
-        degenerate |= rmag < 1e-300
-        J = np.where(
-            degenerate[:, None],
-            -self.I,
-            -rot / np.where(degenerate, 1.0, rmag)[:, None],
-        )
-        return self.P + qmul(J, self.Q), J, ok
+            val += shift.to_array()
+        return val, ok
 
-    def log_abs_twisted(self, shift, deg_tol_poly_degree: int):
-        """log|f(S_{f−a}(q))| and mask; exact hypot route for slice-preserving f.
+    def log_abs_twisted(self, shift):
+        """log|f(S_{f−a}(q))| and the mask of twisted().
 
-        For slice-preserving f the value at any point of the sphere S_q has
-        norm hypot(P, Q) independent of the slice direction — the exact
-        slice-coordinate formula — so the twisted log-modulus is computed
-        from the shared stems directly and is the same array as log_abs().
+        For slice-preserving f, |f| is constant on each sphere S_q and this
+        is log_abs().  At a = 0 it is log hypot(A, B) − log|f(q)|, with no
+        quaternion product, and −inf where f(q) = 0.
         """
         if self.real_stems is not None:
-            return self._real_log_modulus(), self.ok.copy()
-        tv, _, ok = self.twisted(shift, deg_tol_poly_degree)
-        with np.errstate(divide="ignore"):
-            return np.log(qnorm(tv)), ok
+            return self.log_abs(), self.ok.copy()
+        if shift is not None:
+            val, ok = self.twisted(shift)
+            return _log_norm(val), ok
+        _g, A, B, e, g2, ok = self._parts(None)
+        log_s = _log_hypot(A, B) if e is None else _log_hypot(A, B) + (2.0 * _LN2) * e
+        out = np.full(g2.shape, -np.inf)
+        np.subtract(log_s, self.log_abs(), out=out, where=g2 > 0.0)
+        return out, ok
+
+
+_LN2 = math.log(2.0)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (n, 4) arrays, summed as qnorm sums them."""
+    return np.einsum("...i,...i->...", x, y)
+
+
+def _log_hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(np.hypot(a, b))
+
+
+def _rescaled(sq: np.ndarray, *arrays):
+    """The (n, 4) arrays with each row scaled by 2^{−e}, and e.
+
+    e is the binary exponent of the row's largest entry where the squared
+    norm sq is zero, subnormal, infinite or NaN, and 0 elsewhere.  When no
+    row is, the arrays come back unchanged with e = None.
+    """
+    bad = ~((sq >= np.finfo(float).tiny) & (sq < np.inf))
+    if not bad.any():
+        return arrays, None
+    e = np.where(bad, np.frexp(np.max([np.abs(x).max(axis=1) for x in arrays], axis=0))[1], 0)
+    return tuple(np.ldexp(x, -e[:, None]) for x in arrays), e
+
+
+def _log_norm(x: np.ndarray) -> np.ndarray:
+    """log|x| of each (n, 4) row at any scale; log(qnorm(x)) bit for bit on normal rows."""
+    sq = _dot(x, x)
+    (xs,), e = _rescaled(sq, x)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sqrt(sq)) if e is None else np.log(np.sqrt(_dot(xs, xs))) + _LN2 * e
 
 
 def _real_part_quat(a: np.ndarray) -> np.ndarray:

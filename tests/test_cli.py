@@ -241,6 +241,45 @@ def test_batched_artifacts_equal_one_pass_at_a_time(command, form, function,
     assert run() == batched
 
 
+@pytest.fixture
+def formed(monkeypatch):
+    """Every result of StemEval.value and StemEval.twisted, keyed by evaluation and shift."""
+    seen = {"value": {}, "twisted": {}}
+
+    def record(name):
+        original = getattr(star_poly.StemEval, name)
+
+        def recording(self, *args):
+            out = original(self, *args)
+            # the key holds the evaluation, so its id is never reused
+            seen[name].setdefault((self, *args), []).append(out)
+            return out
+
+        monkeypatch.setattr(star_poly.StemEval, name, recording)
+
+    record("value")
+    record("twisted")
+    return seen
+
+
+@pytest.mark.parametrize("command, form, twists", [
+    ("verify-jensen", None, False), ("mpb-check", None, True), ("fmt-check", 2, True),
+])
+def test_each_evaluation_forms_value_and_twist_once(command, form, twists, tmp_path, formed):
+    cfg = {"function": LEFT, "a": [0.5, 0.1, 0.0, 0.0], "radii": [1.5, 4.0]}
+    if form is not None:
+        cfg["form"] = form
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    # form 2 fails its slope gate on this f; the run still completes
+    assert main([command, "--config", str(path), *FAST, "--out", str(tmp_path / "a.csv")]) in (0, 1)
+    assert formed["value"] and bool(formed["twisted"]) == twists
+    for results in formed["value"].values():
+        assert all(r is results[0] for r in results), "value formed twice on one evaluation"
+    for results in formed["twisted"].values():
+        assert all(r[0] is results[0][0] for r in results), "twist formed twice at one shift"
+
+
 @pytest.mark.parametrize("command, divisors", [("profile", 1), ("fmt-check", 2)])
 def test_radius_grids_extract_each_divisor_once(command, divisors, tmp_path, counters):
     assert main([command, *FAST, "--out", str(tmp_path / "a.csv")]) == 0

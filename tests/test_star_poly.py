@@ -18,6 +18,7 @@ from quatnev.quat_core import (
     SliceComplex,
     SphereSampler,
     qmul,
+    qnorm,
     slice_coords,
     slice_points,
     sphere_of,
@@ -155,21 +156,107 @@ def test_star_power_matches_repeated_product():
 # ---------------------------------------------------------------------------
 
 
-@given(polys())
-@settings(max_examples=100)
-def test_symmetrization_modulus_splits(f):
-    rng = np.random.default_rng(17)
+SHIFT = Quaternion(0.4, -0.3, 0.2, 0.5)
+
+
+def _minus(f, a):
+    """f − a as an evaluable polynomial or rational (f itself for a = None)."""
+    if a is None:
+        return f
+    return f.shift(a) if isinstance(f, SemiregularRational) else f - LeftPoly.constant(a)
+
+
+def _well_conditioned(f, se):
+    """Rows where a rational's |h^s| is well above its rounding scale; all rows of a polynomial."""
+    if not isinstance(f, SemiregularRational):
+        return np.ones(se.u.shape[0], dtype=bool)
+    c = f.den_s.real_coeffs
+    A, B = f.den_s.real_stems(se.u + 1j * se.v)
+    radius = np.hypot(se.u, se.v)
+    return np.hypot(A, B) > 1e-3 * (np.abs(c) @ radius[None, :] ** np.arange(c.size)[:, None])
+
+
+@given(st.one_of(polys(), quat_den_rationals()), st.sampled_from([None, SHIFT]))
+@settings(max_examples=100, deadline=None)
+def test_symmetrization_modulus_splits(f, shift):
+    """|g^s| = |g|·|g∘S_g| pointwise for g = f − a, from the batch twisted value."""
     pts = SphereSampler(1.3, seed=9).sample(32)
     se = f.stems(pts, 1e-12)
-    fs = f.symmetrize()
-    vals_s = np.array([abs(fs(Quaternion.from_array(p))) for p in pts])
-    twisted, _, ok = se.twisted(None, max(f.degree, 1))
-    lhs = np.abs(se_norm(se.value())) * np.abs(se_norm(twisted))
-    mask = ok & se.ok
+    gs = _minus(f, shift).symmetrize()
+    mask = _well_conditioned(f, se)
+    vals_s = np.array([abs(gs(Quaternion.from_array(p))) if keep else 0.0
+                       for p, keep in zip(pts, mask)])
+    twisted, ok = se.twisted(shift)
+    a = np.zeros(4) if shift is None else shift.to_array()
+    lhs = se_norm(se.value() - a) * se_norm(twisted - a)
+    mask &= ok & se.ok
     scale = 1.0 + vals_s[mask]
     assert np.all(np.abs(lhs[mask] - vals_s[mask]) <= 1e-8 * scale), (
-        "|f|·|f∘S_f| must equal |f^s| pointwise"
+        "|g|·|g∘S_g| must equal |g^s| pointwise"
     )
+
+
+@given(st.one_of(polys(5).filter(lambda f: f.degree >= 2), quat_den_rationals()),
+       st.sampled_from([None, SHIFT]))
+@settings(max_examples=100, deadline=None)
+def test_twisted_value_matches_scalar_spherical_conjugate(f, shift):
+    """Batch f(S_{f−a}(q)) against the scalar f(spherical_conjugate(f − a, q))."""
+    pts = SphereSampler(1.3, seed=9).sample(32)
+    se = f.stems(pts, 1e-12)
+    val, ok = se.twisted(shift)
+    lat, ok_log = se.log_abs_twisted(shift)
+    assert np.array_equal(ok, ok_log)
+    g = _minus(f, shift)
+    deg = star_poly._value_degree(g)
+    for i in np.nonzero(ok & se.ok & _well_conditioned(f, se))[0]:
+        q = Quaternion.from_array(pts[i])
+        scale = g.coeff_scale() * (1.0 + abs(q)) ** deg
+        # off the scalar route's reflection branch S(q) = q̄, and off zeros of g
+        if abs(g(q)) < 1e-4 * scale or abs(spherical_derivative(g, q)) < 1e-4 * scale:
+            continue
+        try:
+            want = f(spherical_conjugate(g, q))
+        except UndefinedAtZeroPole:
+            continue
+        got = Quaternion.from_array(val[i])
+        assert abs(got - want) <= 1e-9 * (abs(want) + scale), f"row {i}: {got} ≠ {want}"
+        if abs(want) > 1e-4 * scale:
+            assert abs(lat[i] - math.log(abs(want))) <= 1e-9, f"row {i}: log-modulus"
+
+
+@pytest.mark.parametrize("s", [1e160, 1e-160, 1e200, 1e-200])
+@pytest.mark.parametrize("kind", ["leftpoly", "rational"])
+def test_log_moduli_do_not_depend_on_scale(kind, s):
+    """The log-moduli of s·f are those of f plus log s, with the same masks.
+
+    Squaring |f| overflows at s = 1e160 and underflows at s = 1e-160; rows
+    in the normal range keep log(qnorm(value)) bit for bit.
+    """
+    rng = np.random.default_rng(5)
+    num, den = rng.normal(size=(4, 4)), rng.normal(size=(3, 4))
+
+    def build(scale):
+        if kind == "leftpoly":
+            return LeftPoly(num * scale)
+        return SemiregularRational(LeftPoly(num * scale), LeftPoly(den))
+
+    pts = slice_points(SphereSampler(1.6, seed=7).sample(4096))
+    se, ses = build(1.0).stems(pts), build(s).stems(pts)
+    assert _same_bits(se.log_abs(), np.log(qnorm(se.value())))
+    a = Quaternion(0.3, -0.2, 0.5, 0.1)
+    pairs = [
+        ((se.log_abs(), se.ok), (ses.log_abs(), ses.ok)),
+        ((se.log_abs_conj_point(), se.ok), (ses.log_abs_conj_point(), ses.ok)),
+        (se.log_abs_twisted(None), ses.log_abs_twisted(None)),
+        (se.log_abs_twisted(a), ses.log_abs_twisted(a * s)),
+    ]
+    for (la, ok), (la_s, ok_s) in pairs:
+        assert ok.all() and np.array_equal(ok, ok_s)
+        assert np.all(np.abs(la_s - (la + math.log(s))) <= 1e-12)
+    for shift, shift_s in ((None, None), (a, a * s)):
+        val, _ = se.twisted(shift)
+        val_s, _ = ses.twisted(shift_s)
+        assert np.all(se_norm(val_s / s - val) <= 1e-12 * se_norm(val))
 
 
 def se_norm(arr):
@@ -181,7 +268,7 @@ def test_real_polynomial_is_sphere_symmetric_bitwise():
     pts = SphereSampler(2.0, seed=4).sample(512)
     se = f.stems(pts, 0.0)
     la = se.log_abs()
-    lat, ok = se.log_abs_twisted(None, f.degree)
+    lat, ok = se.log_abs_twisted(None)
     assert np.array_equal(la, lat), "slice-preserving twist must be bitwise exact"
 
 
@@ -210,8 +297,8 @@ def test_stem_values_match_horner(f):
 
 def _eager_stems(f, pts, reject_tol):
     """Every stem field built eagerly from slice_coords, as one dict."""
-    u, v, I, near_real = slice_coords(pts)
-    fields = {"u": u, "v": v, "I": I, "near_real": near_real, "real_stems": None}
+    u, v, I, _near_real = slice_coords(pts)
+    fields = {"u": u, "v": v, "I": I, "real_stems": None}
     if isinstance(f, SemiregularRational):
         base = _eager_stems(f.num_eff, pts, 0.0)
         A, B = _eager_real_stems(f.den_s, u, v)
@@ -266,7 +353,7 @@ def test_lazy_stem_fields_equal_eager_construction_bitwise(f):
     for pts in (raw, shared, shared):  # a plain array, then a batch read twice
         se = f.stems(pts, 1e-12)
         want = _eager_stems(f, raw, 1e-12)
-        for name in ("u", "v", "I", "near_real", "P", "Q", "ok"):
+        for name in ("u", "v", "I", "P", "Q", "ok"):
             assert _same_bits(getattr(se, name), want[name]), f"field {name} differs"
             assert getattr(se, name) is getattr(se, name), f"field {name} formed twice"
         if want["real_stems"] is None:
@@ -277,7 +364,7 @@ def test_lazy_stem_fields_equal_eager_construction_bitwise(f):
         assert _same_bits(se.value_conj_point(), want["P"] - qmul(want["I"], want["Q"]))
         # twisted on a StemEval whose P and Q were given eagerly
         eager = StemEval(slice_points(raw), want["ok"], want["P"], want["Q"])
-        for got, ref in zip(se.twisted(None, 3), eager.twisted(None, 3)):
+        for got, ref in zip(se.twisted(None), eager.twisted(None)):
             assert _same_bits(got, ref), "twisted evaluation differs"
 
 
@@ -292,7 +379,7 @@ def test_real_stems_read_only_z(monkeypatch):
         m.setattr(star_poly, "_real_part_quat", unread)
         se = RealPoly([1.0, 0.0, 1.0]).stems(pts)
         la = se.log_abs()
-        assert la is se.log_abs_conj_point() is se.log_abs_twisted(None, 2)[0]
+        assert la is se.log_abs_conj_point() is se.log_abs_twisted(None)[0]
     assert not la.flags.writeable, "the shared log-modulus must be read-only"
 
 
