@@ -13,6 +13,7 @@ radii, so the dual-route identity checks carry no quadrature error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,18 +54,30 @@ class BoundaryDivisor(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 _ABERTH_MAX_ITER = 400
+_POLISH_MAX_ITER = 60
+_BACKWARD_EPS = 16.0 * np.finfo(float).eps
 _CLUSTER_BASE = 1e-6
 _CLUSTER_CAP = 1e-2
 _DOMINANCE_TOL = 5e-6
 _REAL_SNAP = 1e-8
 
 
+def _backward_ok(pz: np.ndarray, z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|p(z)| ≤ 16ε·Σ|c_i||z|^i: z is an exact root of a polynomial whose
+    coefficients differ from c by rounding."""
+    return np.abs(pz) <= _BACKWARD_EPS * npoly.polyval(np.abs(z), np.abs(c))
+
+
 def _aberth_iterate(c: np.ndarray) -> np.ndarray:
-    """Simultaneous root iteration (Aberth–Ehrlich) for a monic-normalized
-    coefficient array (lowest degree first, complex, c[-1] ≠ 0, c[0] ≠ 0)."""
+    """Simultaneous root iteration (Aberth–Ehrlich) for a coefficient array
+    (lowest degree first, complex, c[-1] ≠ 0, c[0] ≠ 0).
+
+    Starts on the circle |z| = |c₀/c_n|^{1/n}, the geometric mean of the
+    root moduli, and stops once every approximant meets the backward-error
+    test; _ABERTH_MAX_ITER is only a safety cap."""
     c = c / c[-1]
     deg = c.shape[0] - 1
-    radius = 1.0 + np.abs(c[:-1]).max()  # Cauchy bound for the monic polynomial
+    radius = abs(c[0]) ** (1.0 / deg)
     k = np.arange(deg)
     # start on a slightly spiralled circle; the angular offset breaks the
     # conjugation symmetry that can stall simultaneous iterations on real
@@ -75,6 +88,8 @@ def _aberth_iterate(c: np.ndarray) -> np.ndarray:
     dc = npoly.polyder(c)
     for _ in range(_ABERTH_MAX_ITER):
         pz = npoly.polyval(z, c)
+        if _backward_ok(pz, z, c).all():
+            break
         dpz = npoly.polyval(z, dc)
         dpz = np.where(np.abs(dpz) < 1e-300, 1e-300, dpz)
         w = pz / dpz
@@ -83,78 +98,95 @@ def _aberth_iterate(c: np.ndarray) -> np.ndarray:
         srecip = (1.0 / diff).sum(axis=1)
         denom = 1.0 - w * srecip
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        corr = w / denom
-        z = z - corr
-        if np.max(np.abs(corr) / (1.0 + np.abs(z))) < 1e-14:
+        z = z - w / denom
+    return z
+
+
+def _polish(chain: list[np.ndarray], z: np.ndarray, mult: int) -> np.ndarray:
+    """Newton on p^{(m−1)} from every candidate m-fold root in z at once.
+
+    A candidate stops once p^{(m−1)} has met the backward-error test at two
+    successive iterates; the step computed at each is still taken, as it
+    costs no further evaluation.  The second step takes a representable
+    root, such as ±i of q²+1, from within rounding of it onto it exactly."""
+    f, df = chain[mult - 1], chain[mult]
+    z = z.copy()
+    todo = np.arange(z.shape[0])
+    passed = np.zeros(z.shape[0], dtype=bool)
+    for _ in range(_POLISH_MAX_ITER):
+        w = z[todo]
+        fw = npoly.polyval(w, f)
+        dw = npoly.polyval(w, df)
+        movable = np.abs(dw) >= 1e-300
+        step = np.divide(fw, dw, out=np.zeros_like(fw), where=movable)
+        z[todo] = w - step
+        ok = _backward_ok(fw, w, f)
+        keep = movable & ~(ok & passed[todo])
+        passed[todo] = ok
+        todo = todo[keep]
+        if not todo.size:
             break
     return z
 
 
-def _derivative_chain(c: np.ndarray, up_to: int) -> list[np.ndarray]:
-    """[p, p', …, p^(up_to)] as coefficient arrays."""
-    chain = [c]
-    for _ in range(up_to):
-        chain.append(npoly.polyder(chain[-1]))
-    return chain
+def _validate(chain: list[np.ndarray], z: np.ndarray, mult: int) -> np.ndarray:
+    """Per candidate: derivatives 0..m−1 vanish at z while p^{(m)} dominates,
+    each measured against Σ|c_i|·max(1,|z|)^i of its own coefficients."""
+    zs = np.maximum(1.0, np.abs(z))
 
+    def rel(j):
+        return np.abs(npoly.polyval(z, chain[j])), npoly.polyval(zs, np.abs(chain[j]))
 
-def _poly_scale(c: np.ndarray, z: complex) -> float:
-    """Σ|c_i|·max(1,|z|)^i — the natural evaluation scale at z."""
-    m = max(1.0, abs(z))
-    return float(np.abs(c) @ (m ** np.arange(c.shape[0])))
-
-
-def _polish_and_validate(chain: list[np.ndarray], center: complex, mult: int):
-    """Newton-polish an m-fold root candidate on p^{(m−1)} and check that
-    derivatives 0..m−1 vanish while p^{(m)} dominates.  Returns
-    (polished_root, valid)."""
-    if mult >= len(chain):
-        return center, False
-    pm1, pm = chain[mult - 1], chain[mult]
-    z = center
-    for _ in range(60):
-        fz = npoly.polyval(z, pm1)
-        dz = npoly.polyval(z, pm)
-        if abs(dz) < 1e-300:
-            break
-        step = fz / dz
-        z = z - step
-        if abs(step) <= 1e-15 * (1.0 + abs(z)):
-            break
+    val, scale = rel(mult)
+    valid = val >= 1e-6 * scale
     for j in range(mult):
-        if abs(npoly.polyval(z, chain[j])) > _DOMINANCE_TOL * _poly_scale(chain[j], z):
-            return z, False
-    if abs(npoly.polyval(z, pm)) < 1e-6 * _poly_scale(pm, z):
-        return z, False
-    return z, True
+        if not valid.any():
+            break
+        val, scale = rel(j)
+        valid &= val <= _DOMINANCE_TOL * scale
+    return valid
 
 
 def _cluster_once(z: np.ndarray, radius: float):
-    """Greedy proximity clustering at the given relative radius."""
+    """Greedy proximity clustering at the given relative radius.
+
+    Returns (centroids, sizes), one entry per cluster.  Each centroid is
+    the running sum of its members over their count, summed in the order
+    sum() would use, so that it is bitwise the mean of the members."""
     order = np.argsort(np.abs(z), kind="stable")
-    clusters: list[list[complex]] = []
+    sums: list = []
+    sizes: list[int] = []
+    centroids: list = []
     for idx in order:
         pt = z[idx]
-        for cl in clusters:
-            centroid = sum(cl) / len(cl)
+        for i, centroid in enumerate(centroids):
             if abs(pt - centroid) <= radius * (1.0 + abs(centroid)):
-                cl.append(pt)
+                sums[i] += pt
+                sizes[i] += 1
+                centroids[i] = sums[i] / sizes[i]
                 break
         else:
-            clusters.append([pt])
-    return clusters
+            sums.append(0 + pt)
+            sizes.append(1)
+            centroids.append(sums[-1])
+    return np.array(centroids), np.array(sizes)
 
 
 def complex_roots(p) -> list[tuple[complex, int]]:
     """Roots of a real-coefficient polynomial with multiplicities.
 
     Returns a conjugate-closed list of (root, multiplicity) pairs whose
-    multiplicities sum to the degree.  Numerically coincident approximants
-    are grouped by a clustering radius that starts at 1e-6·(1+|z|) and
-    grows tenfold (up to 1e-2) until every cluster passes a
-    derivative-dominance validation of its candidate multiplicity; roots
-    within 1e-8·(1+|z|) of the real axis snap onto it, and nonreal roots
-    are emitted in exact conjugate pairs.
+    multiplicities sum to the degree.  After the origin is divided out,
+    Aberth–Ehrlich iteration starts on the circle |z| = |c₀/c_n|^{1/n}
+    (the geometric mean of the root moduli) and stops once every
+    approximant z has backward error |p(z)| ≤ 16ε·Σ|c_i||z|^i.
+    Numerically coincident approximants are grouped by a clustering radius
+    that starts at 1e-6·(1+|z|) and grows tenfold (up to 1e-2) until every
+    cluster passes a derivative-dominance validation of its candidate
+    multiplicity m; all clusters of one size are Newton-polished together
+    on p^{(m−1)} to the same backward-error test.  Roots within
+    1e-8·(1+|z|) of the real axis snap onto it, and nonreal roots are
+    emitted in exact conjugate pairs.
 
     Raises ZeroPolynomial for the identically-zero input.
     """
@@ -170,27 +202,30 @@ def complex_roots(p) -> list[tuple[complex, int]]:
     roots: list[tuple[complex, int]] = []
     if origin_mult:
         roots.append((0j, origin_mult))
-    deg = coeff.shape[0] - 1
-    if deg == 0:
+    if coeff.shape[0] == 1:
         return roots
     raw = _aberth_iterate(coeff)
-    chain = _derivative_chain(coeff / coeff[-1], deg)
+    chain = [coeff / coeff[-1]]  # p, p', … as far as the largest cluster needs
     radius = _CLUSTER_BASE
-    best = None
     while True:
-        clusters = _cluster_once(raw, radius)
-        polished = []
+        centroids, sizes = _cluster_once(raw, radius)
+        final = radius >= _CLUSTER_CAP
+        best = centroids.copy()
         all_valid = True
-        for cl in clusters:
-            centroid = sum(cl) / len(cl)
-            root, valid = _polish_and_validate(chain, centroid, len(cl))
-            polished.append((root if valid else centroid, len(cl)))
-            all_valid &= valid
-        best = polished
-        if all_valid or radius >= _CLUSTER_CAP:
+        for mult in np.unique(sizes):
+            while len(chain) <= mult:
+                chain.append(npoly.polyder(chain[-1]))
+            at = np.nonzero(sizes == mult)[0]
+            polished = _polish(chain, centroids[at], mult)
+            valid = _validate(chain, polished, mult)
+            best[at] = np.where(valid, polished, centroids[at])
+            all_valid = all_valid and bool(valid.all())
+            if not (all_valid or final):
+                break  # only the last radius's roots are kept
+        if all_valid or final:
             break
         radius *= 10.0
-    roots.extend(_canonicalize_conjugate_pairs(best))
+    roots.extend(_canonicalize_conjugate_pairs(list(zip(best, sizes.tolist()))))
     roots.sort(key=lambda rm: (round(abs(rm[0]), 10), rm[0].real, rm[0].imag))
     return roots
 
@@ -322,19 +357,22 @@ def total_order_divisor(f) -> SphereDivisor:
     The total order at S_ζ is the multiplicity of the canonical complex
     representative ζ (Im ζ ≥ 0) in g^s minus its multiplicity in h^s; real
     roots carry half their symmetrization multiplicity (which is always
-    even), and the order at the origin is tracked separately.
+    even), and the order at the origin is tracked separately.  A
+    slice-preserving g has g^s = g², so its own roots are found instead,
+    at twice their multiplicity.
     """
     f = as_rational(f)
     if f.num.is_zero:
         raise ZeroPolynomial("the zero function has no divisor")
-    num_s = f.num.symmetrize()
-    den_s = f.den_s
+    num = _realized(f.num)
+    zeros = (num, 1, 2) if isinstance(num, RealPoly) else (num.symmetrize(), 1, 1)
     origin = f.num.origin_order() - f.den.origin_order()
     acc: list[tuple[SliceComplex, int]] = []
-    for poly, sign in ((num_s, 1), (den_s, -1)):
+    for poly, sign, power in (zeros, (f.den_s, -1, 1)):
         if poly.degree <= 0:
             continue
         for z, mult in complex_roots(poly):
+            mult *= power
             if z == 0:
                 continue
             if z.imag < 0.0:
@@ -359,7 +397,7 @@ def _merge_nearby_spheres(pairs, tol: float = 1e-8):
     for sphere, order in pairs:
         for slot in out:
             ref = slot[0]
-            dist = float(np.hypot(ref.re - sphere.re, ref.im - sphere.im))
+            dist = math.hypot(ref.re - sphere.re, ref.im - sphere.im)
             if dist <= tol * (1.0 + ref.modulus()):
                 slot[1] += order
                 break

@@ -7,13 +7,22 @@ tests drive all routes through the same gate.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quatnev import divisor
 from quatnev.quat_core import Quaternion, SliceComplex
-from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational, as_rational, star_mul
+from quatnev.star_poly import (
+    LeftPoly,
+    RealPoly,
+    SemiregularRational,
+    as_rational,
+    star_mul,
+    star_power,
+)
 from quatnev.divisor import (
     BoundaryDivisor,
     SphereDivisor,
@@ -24,6 +33,7 @@ from quatnev.divisor import (
     analytic_characterization_check,
     angular_identity_check,
     angular_term,
+    complex_roots,
     jensen_kernel,
     n_count,
     signed_kernel_sum,
@@ -93,6 +103,118 @@ def test_sphere_divisor_json_roundtrip():
         (0.5, 0.7, 1),
         (1.0, 0.0, -2),
     }
+
+
+def test_slice_preserving_star_cube_keeps_an_exact_sphere_key():
+    spheres, m0 = entries_of(star_power(RealPoly([1.0, 0.0, 1.0]), 3))
+    assert spheres == {(0.0, 1.0): 6}, f"(q²+1)^{{*3}} has total order 6 on S_i: {spheres}"
+    assert m0 == 0
+
+
+# ---------------------------------------------------------------------------
+# Complex root extraction
+# ---------------------------------------------------------------------------
+
+ROOT_EVAL_BUDGET = 300  # polynomial evaluations per complex_roots call
+
+
+def test_complex_roots_returns_exact_keys():
+    assert complex_roots(RealPoly([1.0, 0.0, 1.0])) == [(-1j, 1), (1j, 1)]
+    assert complex_roots(RealPoly([0.25, -1.0, 1.0])) == [(0.5 + 0j, 2)]
+
+
+def _assert_closed_and_complete(roots, degree):
+    assert sum(m for _z, m in roots) == degree
+    for z, m in roots:
+        if z.imag != 0.0:
+            assert (z.conjugate(), m) in roots, f"{z} has no exact conjugate partner"
+
+
+def _planted_symmetrization(rng, count):
+    """(q − α₁) * … * (q − α_count) with α_k on well-separated nonreal
+    spheres; returns its symmetrization and the spheres as (re, im)."""
+    spheres = []
+    while len(spheres) < count:
+        re, im = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.3, 2.0))
+        if all(math.hypot(re - a, im - b) >= 0.25 for a, b in spheres):
+            spheres.append((re, im))
+    f = RealPoly([1.0])
+    for re, im in spheres:
+        direction = rng.standard_normal(3)
+        direction *= im / np.linalg.norm(direction)
+        f = star_mul(f, LeftPoly([[-re, *(-direction)], [1.0, 0.0, 0.0, 0.0]]))
+    return f.symmetrize(), spheres
+
+
+@pytest.fixture
+def polyval_count(monkeypatch):
+    """Counts the polynomial evaluations the root layer makes."""
+    calls = [0]
+
+    def counting_polyval(x, c, tensor=True):
+        calls[0] += 1
+        return np.polynomial.polynomial.polyval(x, c, tensor)
+
+    counted = SimpleNamespace(polyder=np.polynomial.polynomial.polyder, polyval=counting_polyval)
+    monkeypatch.setattr(divisor, "npoly", counted)
+    return calls
+
+
+def _roots_within_budget(calls, p):
+    calls[0] = 0
+    roots = complex_roots(p)
+    assert calls[0] <= ROOT_EVAL_BUDGET, (
+        f"{calls[0]} polynomial evaluations for degree {p.degree}"
+    )
+    _assert_closed_and_complete(roots, p.degree)
+    return roots
+
+
+@pytest.mark.parametrize("power", [4, 6])
+def test_multiple_roots_stay_within_the_evaluation_budget(polyval_count, power):
+    p = RealPoly(np.polynomial.polynomial.polypow([1.0, 0.0, 1.0], power))
+    roots = _roots_within_budget(polyval_count, p)
+    assert [m for _z, m in roots] == [power, power]
+    for z, _m in roots:
+        assert abs(abs(z.imag) - 1.0) <= 1e-8 and abs(z.real) <= 1e-8
+
+
+def _six_decades():
+    """Roots of modulus 1e-3 to 1e3 and the real polynomial they span."""
+    planted = [10.0**k * np.exp(1j * (0.4 + 0.3 * k)) for k in range(-3, 4)]
+    planted += [z.conjugate() for z in planted] + [-5e-3, 700.0]
+    return planted, RealPoly(np.polynomial.polynomial.polyfromroots(planted).real)
+
+
+def test_root_moduli_over_six_decades_stay_within_the_evaluation_budget(polyval_count):
+    _planted, p = _six_decades()
+    _roots_within_budget(polyval_count, p)
+
+
+@pytest.mark.xfail(
+    reason="cluster validation measures |p^(j)(z)| against Σ|c_i|·max(1,|z|)^i, "
+    "which does not shrink with |z| below 1, so roots near 1e-3 fail it until "
+    "the clustering radius reaches 1e-2 and merges them",
+)
+def test_root_moduli_over_six_decades_are_all_recovered():
+    planted, p = _six_decades()
+    roots = complex_roots(p)
+    for z in planted:
+        assert min(abs(r - z) for r, _m in roots) <= 1e-8 * abs(z), f"lost the root {z}"
+
+
+def test_planted_symmetrizations_stay_within_the_evaluation_budget(polyval_count):
+    rng = np.random.default_rng(5)
+    for case in range(50):
+        count = 2 + case % 11  # symmetrization degree 4–24
+        p, spheres = _planted_symmetrization(rng, count)
+        roots = _roots_within_budget(polyval_count, p)
+        got = sorted((z.real, z.imag) for z, m in roots if z.imag > 0.0 and m == 1)
+        assert len(got) == count and len(roots) == 2 * count, f"case {case}: {roots}"
+        for (gre, gim), (wre, wim) in zip(got, sorted(spheres)):
+            assert math.hypot(gre - wre, gim - wim) <= 1e-8 * (1.0 + math.hypot(wre, wim)), (
+                f"case {case}: recovered ({gre}, {gim}) for planted ({wre}, {wim})"
+            )
 
 
 # ---------------------------------------------------------------------------
