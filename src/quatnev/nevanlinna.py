@@ -634,17 +634,19 @@ def o1_summary(radii, residuals):
 # ---------------------------------------------------------------------------
 
 
-def _fmt_proximity_columns(f, g, a_row, r, cfg):
+def _fmt_proximity_columns(f, g, a, r, cfg):
     """Shared-stream column function for the form-2 assembly.
 
     Yields columns [m(f,a,·), m(f∘S_{f−a},a,·), m(f∘S_f,∞,·),
-    m(f∘S_{f−a},∞,·)] where g = f − a and a_row is a as a length-4 array.
+    m(f∘S_{f−a},∞,·)] where g = f − a for the Quaternion a.  The stems of
+    g are read off those of f, so each chunk is evaluated once.
     """
     thr_g = _log_threshold(g, r, cfg.reject_tol)
+    a_row = a.to_array()
 
     def columns(pts):
         sef = f.stems(pts, cfg.reject_tol)
-        seg = g.stems(pts, cfg.reject_tol)
+        seg = sef.minus(a)
         la_g = seg.log_abs()
         lat_g, ok_tg = seg.log_abs_twisted(None)
         lat_f, ok_tf = sef.log_abs_twisted(None)
@@ -659,7 +661,7 @@ def _fmt_proximity_columns(f, g, a_row, r, cfg):
             ],
             axis=1,
         )
-        ok = sef.ok & seg.ok & ok_tg & ok_tf & (la_g >= thr_g) & (lat_g >= thr_g)
+        ok = ok_tg & ok_tf & (la_g >= thr_g) & (lat_g >= thr_g)
         return cols, ok
 
     return columns
@@ -719,7 +721,7 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
         aq = _coerce(a)
         g = _shifted(f, aq)
         means = _mean_rows(
-            [(at_inf.request(r, cfg), (_fmt_proximity_columns(f, g, aq.to_array(), r, cfg), r))
+            [(at_inf.request(r, cfg), (_fmt_proximity_columns(f, g, aq, r, cfg), r))
              for r in radii],
             cfg, stream_index,
         )

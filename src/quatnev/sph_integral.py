@@ -162,7 +162,8 @@ class _Pass:
         # column by column: on a (65536, k) chunk a row-wise all() is ~15x slower
         for column in vals.T:
             ok = ok & np.isfinite(column)
-        take_rows = vals[ok]
+        # a C-order copy costs a fraction of the boolean gather it equals
+        take_rows = np.array(vals, order="C") if ok.all() else vals[ok]
         n_ok = take_rows.shape[0]
         n_rej = pts.shape[0] - n_ok
         remaining = self.needed - self.taken
@@ -187,7 +188,7 @@ class _Pass:
             # the spread estimate does not depend on the offset of a column
             chunk_sum = take_rows.sum(axis=0)
             chunk_mean = chunk_sum / n_ok
-            # take_rows is a copy made by boolean indexing, so center it in place
+            # take_rows is a fresh copy (gathered or C-order), so center it in place
             dev = np.subtract(take_rows, chunk_mean, out=take_rows)
             delta = chunk_mean - self.run_mean
             merged = self.taken + n_ok

@@ -9,11 +9,14 @@ fractional transforms; plus semiregular rationals f = g * h^{-*}.
 Batch evaluation runs through *stems*: f(u + Iv) = P + I Q, where each
 real component of P + iQ is the matching component polynomial of f at the
 complex point u + iv (one table of complex powers for quaternion
-coefficients, complex Horner for real ones).  Every derived quantity (the
-value at q̄, the value composed with S_{f−a}, norms of slice-preserving
-functions) is read off the same (P, Q), which is what makes reflection and
-spherical-conjugation identities exact at machine level instead of merely
-approximate.  A StemEval forms each of them only when read, and once.
+coefficients).  A slice-preserving f has real P, Q, so its stem is the one
+complex number w = f(u + iv) = P + iQ, formed by an in-place complex
+Horner pass, and log|f| is log|w|, the complex modulus.  Every derived
+quantity (the value at q̄, the value composed with S_{f−a}, norms of
+slice-preserving functions) is read off the same stems, which is what
+makes reflection and spherical-conjugation identities exact at machine
+level instead of merely approximate.  A StemEval forms each of them only
+when read, and once.
 """
 
 from __future__ import annotations
@@ -117,25 +120,24 @@ class StemEval:
     P, Q are (n, 4) quaternion arrays with f(u ± Iv) = P ± I·Q; u, v come
     from ``pts`` (a SlicePoints batch) and I is formed on first read.  ``ok``
     masks points where f is defined (it excludes rational pole hits).  For
-    slice-preserving f, ``real_stems`` is the real pair (A, B) with
-    f(u + Iv) = A + I·B, and P, Q are formed from it only when read.
+    slice-preserving f, ``w`` is the complex array with f(u + Iv) = A + I·B
+    for w = A + iB, and P, Q are formed from views of it only when read.
 
     Twists use the stem of g^s for g = f − a.  The stem of g at u + iv is
-    P_g + iQ in H⊗C with P_g = P − a, so that of g^s = g * g^c is
-    (P_g + iQ)(P̄_g + iQ̄) = A + iB, A = |P_g|² − |Q|², B = 2⟨P_g, Q⟩, and
-    f(S_{f−a}(q)) = a + conj(g(q)⁻¹·g^s(q)) = a + (A − B·I)·g(q) / |g(q)|².
-    The value and log|f| are formed once and kept read-only, (g, A, B)
+    P_g + iQ in H⊗C with P_g = P − a, so that of g^s = g * g^c is the
+    complex (P_g + iQ)(P̄_g + iQ̄) = A + iB, A = |P_g|² − |Q|², B = 2⟨P_g, Q⟩,
+    and f(S_{f−a}(q)) = a + conj(g(q)⁻¹·g^s(q)) = a + (A − B·I)·g(q) / |g(q)|².
+    The value and log|f| are formed once and kept read-only, (g, A + iB)
     once per shift; log-moduli do not depend on the scale of f (see
     _rescaled).
     """
 
-    __slots__ = ("pts", "ok", "real_stems", "_P", "_Q", "_I", "_value", "_log_abs",
-                 "_parts_at")
+    __slots__ = ("pts", "ok", "w", "_P", "_Q", "_I", "_value", "_log_abs", "_parts_at")
 
-    def __init__(self, pts, ok, P=None, Q=None, real_stems=None):
+    def __init__(self, pts, ok, P=None, Q=None, w=None):
         self.pts = pts
         self.ok = ok
-        self.real_stems = real_stems  # (P_real, Q_real) for slice-preserving f
+        self.w = w  # complex f(u + iv) for slice-preserving f
         self._P, self._Q = P, Q
         self._I = self._value = self._log_abs = None
         self._parts_at = {}
@@ -157,14 +159,20 @@ class StemEval:
     @property
     def P(self) -> np.ndarray:
         if self._P is None:
-            self._P = _real_part_quat(self.real_stems[0])
+            self._P = _real_part_quat(self.w.real)
         return self._P
 
     @property
     def Q(self) -> np.ndarray:
         if self._Q is None:
-            self._Q = _real_part_quat(self.real_stems[1])
+            self._Q = _real_part_quat(self.w.imag)
         return self._Q
+
+    def minus(self, a: Quaternion) -> "StemEval":
+        """The stems of f − a for a constant a: P − a, the same Q and ok (w − a for real a)."""
+        if self.w is not None and a.is_real():
+            return StemEval(self.pts, self.ok, w=self.w - a.re)
+        return StemEval(self.pts, self.ok, self.P - a.to_array(), self.Q)
 
     def value(self) -> np.ndarray:
         """f(q) as a read-only (n, 4) array."""
@@ -179,25 +187,23 @@ class StemEval:
     def log_abs(self) -> np.ndarray:
         """log|f(q)|, read-only (−inf where f vanishes; mask with ok).
 
-        For slice-preserving f it is log hypot(A, B) of the real stems, and
-        log_abs_conj_point and log_abs_twisted return this same array.
+        For slice-preserving f it is log|w|, the complex modulus of the
+        stem, and log_abs_conj_point and log_abs_twisted return this same
+        array.
         """
         if self._log_abs is None:
-            if self.real_stems is None:
-                la = _log_norm(self.value())
-            else:
-                la = _log_hypot(*self.real_stems)
+            la = _log_norm(self.value()) if self.w is None else _log_modulus(self.w)
             (self._log_abs,) = _read_only(la)
         return self._log_abs
 
     def log_abs_conj_point(self) -> np.ndarray:
         """log|f(q̄)|; the same array as log_abs() for slice-preserving f."""
-        if self.real_stems is not None:
+        if self.w is not None:
             return self.log_abs()
         return _log_norm(self.value_conj_point())
 
     def _parts(self, shift):
-        """(g(q), A, B, e, |g|², self.ok & (g(q) ≠ 0)) for g = f − a; e as in _rescaled."""
+        """(g(q), A + iB, e, |g|², self.ok & (g(q) ≠ 0)) for g = f − a; e as in _rescaled."""
         if shift not in self._parts_at:
             P, Q, g = self.P, self.Q, self.value()
             if shift is not None:
@@ -206,9 +212,11 @@ class StemEval:
             (P, Q, g), e = _rescaled(pp + qq, P, Q, g)
             if e is not None:
                 pp, qq = _dot(P, P), _dot(Q, Q)
+            gs = (pp - qq).astype(complex)
+            gs.imag = 2.0 * _dot(P, Q)
             g2 = _dot(g, g)
             (ok,) = _read_only(self.ok & (g2 > 0.0))
-            self._parts_at[shift] = (g, pp - qq, 2.0 * _dot(P, Q), e, g2, ok)
+            self._parts_at[shift] = (g, gs, e, g2, ok)
         return self._parts_at[shift]
 
     def twisted(self, shift):
@@ -218,9 +226,9 @@ class StemEval:
         spherical derivative vanishes, and equals f(q̄) there.  Rows where
         g(q) = 0, on which S_{f−a} is undefined, hold a and are masked out.
         """
-        g, A, B, e, g2, ok = self._parts(shift)
-        c = self.I * -B[:, None]
-        c[:, 0] = A
+        g, gs, e, g2, ok = self._parts(shift)
+        c = self.I * -gs.imag[:, None]
+        c[:, 0] = gs.real
         val = qmul(c, g) / np.where(g2 > 0.0, g2, 1.0)[:, None]
         if e is not None:
             val = np.ldexp(val, e[:, None])
@@ -232,16 +240,17 @@ class StemEval:
         """log|f(S_{f−a}(q))| and the mask of twisted().
 
         For slice-preserving f, |f| is constant on each sphere S_q and this
-        is log_abs().  At a = 0 it is log hypot(A, B) − log|f(q)|, with no
-        quaternion product, and −inf where f(q) = 0.
+        is log_abs().  At a = 0 it is log|A + iB| − log|f(q)|, the complex
+        modulus of the g^s stem, with no quaternion product, and −inf where
+        f(q) = 0.
         """
-        if self.real_stems is not None:
+        if self.w is not None:
             return self.log_abs(), self.ok.copy()
         if shift is not None:
             val, ok = self.twisted(shift)
             return _log_norm(val), ok
-        _g, A, B, e, g2, ok = self._parts(None)
-        log_s = _log_hypot(A, B) if e is None else _log_hypot(A, B) + (2.0 * _LN2) * e
+        _g, gs, e, g2, ok = self._parts(None)
+        log_s = _log_modulus(gs) if e is None else _log_modulus(gs) + (2.0 * _LN2) * e
         out = np.full(g2.shape, -np.inf)
         np.subtract(log_s, self.log_abs(), out=out, where=g2 > 0.0)
         return out, ok
@@ -255,9 +264,10 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", x, y)
 
 
-def _log_hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _log_modulus(w: np.ndarray) -> np.ndarray:
+    """log|w| of a complex array, −inf where w = 0; |w| does not overflow or underflow."""
     with np.errstate(divide="ignore"):
-        return np.log(np.hypot(a, b))
+        return np.log(np.abs(w))
 
 
 def _rescaled(sq: np.ndarray, *arrays):
@@ -535,7 +545,7 @@ class RealPoly(LeftPoly):
     Values lie in the slice of the argument: f(u + Iv) = A + I B with real
     A, B, so f(q̄) = conj(f(q)) and |f| is constant on every sphere S_q;
     the *-product with any slice function coincides with the pointwise
-    product.  Stem evaluation carries the real pair (A, B) explicitly,
+    product.  Stem evaluation carries w = A + iB as one complex array,
     making sphere-symmetric quantities exact at machine level.
     """
 
@@ -560,19 +570,23 @@ class RealPoly(LeftPoly):
         """(q − ζ)^s = q² − 2·Re(ζ)·q + |ζ|² for the sphere key ζ = (re, im)."""
         return RealPoly([sphere.re**2 + sphere.im**2, -2.0 * sphere.re, 1.0])
 
-    def real_stems(self, z: np.ndarray):
-        """Real stem pair (A, B) with f(u + Iv) = A + I B, by complex Horner at z = u + iv."""
+    def real_stems(self, z: np.ndarray) -> np.ndarray:
+        """The complex stem w = A + iB with f(u + Iv) = A + I B, by Horner at z = u + iv."""
         if self.is_zero:
-            return np.zeros(z.shape), np.zeros(z.shape)
-        w = npoly.polyval(z, self.real_coeffs)
-        # contiguous copies: later passes over strided views cost more than the copy
-        return w.real.copy(), w.imag.copy()
+            return np.zeros(z.shape, dtype=complex)
+        c = self.real_coeffs
+        # polyval's ufunc sequence, in place: bit for bit its result, no temporaries
+        w = np.full(z.shape, complex(c[-1]))
+        for ck in c[-2::-1]:
+            np.multiply(w, z, out=w)
+            w += ck
+        return w
 
     def stems(self, pts: np.ndarray, reject_tol: float = 0.0) -> StemEval:
         """Stem evaluation that reads only z = u + iv of the points' frame."""
         pts = slice_points(pts)
-        A, B = self.real_stems(pts.z)
-        return StemEval(pts, np.ones(A.shape[0], dtype=bool), real_stems=(A, B))
+        w = self.real_stems(pts.z)
+        return StemEval(pts, np.ones(w.shape[0], dtype=bool), w=w)
 
     def conjugate(self) -> "RealPoly":
         return self
@@ -806,23 +820,27 @@ class SemiregularRational:
     def stems(self, pts: np.ndarray, reject_tol: float = 1e-12) -> StemEval:
         """Stem evaluation of the quotient.
 
-        With real denominator stems (A, B) and numerator stems (P_n, Q_n):
-        P = (A·P_n + B·Q_n)/(A²+B²), Q = (A·Q_n − B·P_n)/(A²+B²); points
-        with |h^s| below the scale-aware tolerance are masked out.
+        With the denominator stem A + iB of h^s and numerator stems
+        (P_n, Q_n): P = (A·P_n + B·Q_n)/(A²+B²), Q = (A·Q_n − B·P_n)/(A²+B²);
+        for a slice-preserving quotient this is the complex w_n·(A − iB)/(A²+B²).
+        Points with |h^s| below the scale-aware tolerance are masked out.
         """
         pts = slice_points(pts)
         base = self.num_eff.stems(pts)
-        A, B = self.den_s.real_stems(pts.z)
+        hs = self.den_s.real_stems(pts.z)
+        A, B = hs.real, hs.imag
         mod2 = A * A + B * B
         radius = np.hypot(*pts.uv)
         tol = reject_tol * (1.0 + radius) ** max(self.den_s.degree, 1)
         ok = mod2 >= tol * tol
         safe = np.where(ok, mod2, 1.0)
         if self.is_real:
-            An, Bn = base.real_stems
-            Pr = (A * An + B * Bn) / safe
-            Qr = (A * Bn - B * An) / safe
-            return StemEval(pts, ok, real_stems=(Pr, Qr))
+            # in real arithmetic, as P and Q below: NumPy's complex product may fuse
+            An, Bn = base.w.real, base.w.imag
+            w = np.empty(hs.shape, dtype=complex)
+            w.real = (A * An + B * Bn) / safe
+            w.imag = (A * Bn - B * An) / safe
+            return StemEval(pts, ok, w=w)
         P = (A[:, None] * base.P + B[:, None] * base.Q) / safe[:, None]
         Q = (A[:, None] * base.Q - B[:, None] * base.P) / safe[:, None]
         return StemEval(pts, ok, P, Q)

@@ -280,6 +280,26 @@ def test_each_evaluation_forms_value_and_twist_once(command, form, twists, tmp_p
         assert all(r[0] is results[0][0] for r in results), "twist formed twice at one shift"
 
 
+def test_fmt_form2_evaluates_each_chunk_once(tmp_path, monkeypatch):
+    """Form 2 reads the stems of f − a off those of f: one evaluation per (chunk, radius)."""
+    calls = []
+    original = star_poly.LeftPoly.stems
+
+    def counting(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(star_poly.LeftPoly, "stems", counting)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"function": LEFT, "a": [0.5, 0.1, 0.0, 0.0],
+                                "radii": [1.5, 4.0], "form": 2}))
+    # form 2 fails its slope gate on this f; the run still completes
+    assert main(["fmt-check", "--config", str(path), *FAST,
+                 "--out", str(tmp_path / "a.csv")]) in (0, 1)
+    # at FAST each radius reads chunk 0 only; RealPoly (the T passes) has its own stems
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("command, divisors", [("profile", 1), ("fmt-check", 2)])
 def test_radius_grids_extract_each_divisor_once(command, divisors, tmp_path, counters):
     assert main([command, *FAST, "--out", str(tmp_path / "a.csv")]) == 0

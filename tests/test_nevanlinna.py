@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatnev.quat_core import Quaternion, SliceComplex
+from quatnev import nevanlinna
+from quatnev.quat_core import Quaternion, SliceComplex, SphereSampler, qnorm
 from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational, as_rational, star_mul, star_power
 from quatnev.divisor import jensen_kernel, total_order_divisor, N_integrated
-from quatnev.sph_integral import IntegratorConfig
+from quatnev.sph_integral import IntegratorConfig, _log_threshold
 from quatnev.nevanlinna import (
     CenterIsZeroOrPole,
     JensenReport,
@@ -390,6 +391,53 @@ def test_fmt_form2_rows_are_finite_and_bounded():
     vals = [row["residual"] for row in rep["rows"]]
     assert all(math.isfinite(v) for v in vals)
     assert max(vals) - min(vals) <= 1.0, f"form-2 residual drifting: {vals}"
+
+
+def _fmt_columns_from_two_evaluations(f, g, a, r, cfg):
+    """Form-2 columns with g = f − a evaluated on its own, as a reference."""
+    thr_g = _log_threshold(g, r, cfg.reject_tol)
+
+    def columns(pts):
+        sef, seg = f.stems(pts, cfg.reject_tol), g.stems(pts, cfg.reject_tol)
+        la_g = seg.log_abs()
+        lat_g, ok_tg = seg.log_abs_twisted(None)
+        lat_f, ok_tf = sef.log_abs_twisted(None)
+        with np.errstate(divide="ignore"):
+            la_fsa = np.log(qnorm(seg.twisted(None)[0] + a.to_array()))
+        cols = np.stack([np.maximum(-la_g, 0.0), np.maximum(-lat_g, 0.0),
+                         np.maximum(lat_f, 0.0), np.maximum(la_fsa, 0.0)], axis=1)
+        ok = sef.ok & seg.ok & ok_tg & ok_tf & (la_g >= thr_g) & (lat_g >= thr_g)
+        return cols, ok
+
+    return columns
+
+
+@pytest.mark.parametrize("f, a", [
+    (LeftPoly([[0.3, 0.2, -0.1, 0.4], [1.0, 0.5, 0.0, -0.3], [1.0, 0, 0, 0]]),
+     Quaternion(0.5, 0.1, 0.0, 0.0)),
+    (SemiregularRational(LeftPoly([[1, 0, 0, 0], [0.2, 0.1, 0, 0], [1, 0, 0, 0]]),
+                         LeftPoly([[0.25, 0, 0.1, 0], [-1, 0, 0, 0], [1, 0, 0, 0]])),
+     Quaternion(0.5, 0.1, 0.0, 0.0)),
+    (RealPoly([1.0, 0.0, 1.0]), ONE),
+    (RealPoly([1.0, 0.0, 1.0]), Quaternion(0.5, 0.1, 0.0, 0.0)),
+    (SemiregularRational(RealPoly([1.0, 0.0, 1.0]), RealPoly([0.3, -0.2, 1.0])), ONE),
+])
+def test_fmt_form2_columns_match_two_evaluations(f, a, monkeypatch):
+    """Form 2 reads the stems of f − a off those of f; the means match evaluating f − a."""
+    radii = (1.5, 4.0)
+    got = verify_fmt(f, a, radii, FAST, form=2)
+    pts = SphereSampler(radii[0], seed=3).sample(4096)
+    g = nevanlinna._shifted(f, a)
+    (_, ok), (_, ok_ref) = (
+        build(f, g, a, radii[0], FAST)(pts)
+        for build in (nevanlinna._fmt_proximity_columns, _fmt_columns_from_two_evaluations)
+    )
+    assert np.array_equal(ok, ok_ref)
+    monkeypatch.setattr(nevanlinna, "_fmt_proximity_columns", _fmt_columns_from_two_evaluations)
+    want = verify_fmt(f, a, radii, FAST, form=2)
+    for row, ref in zip(got["rows"], want["rows"]):
+        for key in ("m_fa", "m_fSa_at_a", "m_fSf_inf", "m_fSa_inf"):
+            assert row[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0), key
 
 
 def test_fmt_form1_envelope_coefficient_is_admissible():

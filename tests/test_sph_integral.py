@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from quatnev.quat_core import Quaternion, SphereSampler
+from quatnev.quat_core import CHUNK, Quaternion, SphereSampler
 from quatnev.star_poly import LeftPoly, RealPoly
 from quatnev.sph_integral import (
     IntegratorConfig,
@@ -187,6 +187,42 @@ def test_mass_rejection_raises():
 
     with pytest.raises(TooManyRejections):
         mean_columns(broken, 1.0, CFG)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_strided_columns_give_the_bits_of_contiguous_ones(k):
+    """A fully accepted chunk is copied, not gathered; the layout of the columns must not matter."""
+    cfg = IntegratorConfig(samples=CHUNK + 5_000, seed=2026)  # one whole chunk, then a prefix
+
+    def strided(pts):
+        vals = pts[:, 1:1 + k]
+        assert not vals.flags.c_contiguous
+        return vals, np.ones(len(pts), dtype=bool)
+
+    def contiguous(pts):
+        vals, ok = strided(pts)
+        return np.ascontiguousarray(vals), ok
+
+    assert _bits(mean_columns(strided, 1.3, cfg)) == _bits(mean_columns(contiguous, 1.3, cfg))
+
+
+@pytest.mark.parametrize("rows_by_chunk, rejected", [
+    ({0: [5, 17, 900]}, 3),             # a rejecting chunk, then a clean one
+    ({1: [10, 50_000]}, 1),             # row 50 000 lies past the prefix the second chunk gives
+])
+def test_rejections_are_counted_across_clean_and_rejecting_chunks(rows_by_chunk, rejected):
+    cfg = IntegratorConfig(samples=CHUNK + 4_000, seed=2026)
+    calls = []
+
+    def columns(pts):
+        ok = np.ones(len(pts), dtype=bool)
+        ok[rows_by_chunk.get(len(calls), [])] = False
+        calls.append(len(pts))
+        return pts[:, :2], ok
+
+    means = mean_columns(columns, 1.0, cfg)
+    assert len(calls) == 2
+    assert all(m.rejected == rejected and m.effective_samples == cfg.samples for m in means)
 
 
 def _poisoned(rows, value):

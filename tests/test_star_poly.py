@@ -7,6 +7,7 @@ decomposition, Blaschke modulus, and the 2x2 transform group.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ def real_polys(max_degree: int = 12):
 def real_den_rationals():
     """g * h^{-*}: quaternion numerator, real denominator of scale at least 0.1."""
     return st.tuples(polys(), real_polys(3)).filter(
+        lambda nd: nd[1].coeff_scale() >= 0.1
+    ).map(lambda nd: SemiregularRational(*nd))
+
+
+def real_rationals():
+    """Slice-preserving g * h^{-*}: real numerator and denominator, the latter of scale at least 0.1."""
+    return st.tuples(real_polys(3), real_polys(3)).filter(
         lambda nd: nd[1].coeff_scale() >= 0.1
     ).map(lambda nd: SemiregularRational(*nd))
 
@@ -171,9 +179,9 @@ def _well_conditioned(f, se):
     if not isinstance(f, SemiregularRational):
         return np.ones(se.u.shape[0], dtype=bool)
     c = f.den_s.real_coeffs
-    A, B = f.den_s.real_stems(se.u + 1j * se.v)
+    hs = f.den_s.real_stems(se.u + 1j * se.v)
     radius = np.hypot(se.u, se.v)
-    return np.hypot(A, B) > 1e-3 * (np.abs(c) @ radius[None, :] ** np.arange(c.size)[:, None])
+    return np.abs(hs) > 1e-3 * (np.abs(c) @ radius[None, :] ** np.arange(c.size)[:, None])
 
 
 @given(st.one_of(polys(), quat_den_rationals()), st.sampled_from([None, SHIFT]))
@@ -285,8 +293,8 @@ def test_stem_values_match_horner(f):
     if isinstance(f, SemiregularRational):
         # keep |h^s| well above its rounding scale so the quotient is well conditioned
         c = f.den_s.real_coeffs
-        A, B = f.den_s.real_stems(se.u + 1j * se.v)
-        assume(np.all(np.hypot(A, B) > 1e-3 * (np.abs(c) @ 1.7 ** np.arange(c.size))))
+        hs = f.den_s.real_stems(se.u + 1j * se.v)
+        assume(np.all(np.abs(hs) > 1e-3 * (np.abs(c) @ 1.7 ** np.arange(c.size))))
     vals = se.value()
     for i, p in enumerate(pts):
         want = f(Quaternion.from_array(p))
@@ -298,25 +306,27 @@ def test_stem_values_match_horner(f):
 def _eager_stems(f, pts, reject_tol):
     """Every stem field built eagerly from slice_coords, as one dict."""
     u, v, I, _near_real = slice_coords(pts)
-    fields = {"u": u, "v": v, "I": I, "real_stems": None}
+    fields = {"u": u, "v": v, "I": I, "w": None}
     if isinstance(f, SemiregularRational):
         base = _eager_stems(f.num_eff, pts, 0.0)
-        A, B = _eager_real_stems(f.den_s, u, v)
+        hs = _eager_real_stems(f.den_s, u, v)
+        A, B = hs.real, hs.imag
         mod2 = A * A + B * B
         tol = reject_tol * (1.0 + np.hypot(u, v)) ** max(f.den_s.degree, 1)
         ok = mod2 >= tol * tol
         safe = np.where(ok, mod2, 1.0)
         if f.is_real:
-            An, Bn = base["real_stems"]
-            real = ((A * An + B * Bn) / safe, (A * Bn - B * An) / safe)
-            return {**fields, **_embedded(real), "ok": ok, "real_stems": real}
+            An, Bn = base["w"].real, base["w"].imag
+            w = np.empty(u.shape, dtype=complex)
+            w.real, w.imag = (A * An + B * Bn) / safe, (A * Bn - B * An) / safe
+            return {**fields, **_embedded(w), "ok": ok, "w": w}
         P = (A[:, None] * base["P"] + B[:, None] * base["Q"]) / safe[:, None]
         Q = (A[:, None] * base["Q"] - B[:, None] * base["P"]) / safe[:, None]
         return {**fields, "P": P, "Q": Q, "ok": ok}
     ok = np.ones(u.shape[0], dtype=bool)
     if isinstance(f, RealPoly):
-        real = _eager_real_stems(f, u, v)
-        return {**fields, **_embedded(real), "ok": ok, "real_stems": real}
+        w = _eager_real_stems(f, u, v)
+        return {**fields, **_embedded(w), "ok": ok, "w": w}
     c, s = _complex_powers(u, v, max(f.degree, 0))
     if f.is_zero:
         P, Q = np.zeros((u.shape[0], 4)), np.zeros((u.shape[0], 4))
@@ -327,15 +337,15 @@ def _eager_stems(f, pts, reject_tol):
 
 
 def _eager_real_stems(f, u, v):
+    """The complex stem w = f(u + iv) of a RealPoly, by NumPy's polyval."""
     if f.is_zero:
-        return np.zeros_like(u), np.zeros_like(u)
-    z = np.polynomial.polynomial.polyval(u + 1j * v, f.real_coeffs)
-    return z.real.copy(), z.imag.copy()
+        return np.zeros_like(u, dtype=complex)
+    return np.polynomial.polynomial.polyval(u + 1j * v, f.real_coeffs)
 
 
-def _embedded(real):
-    P, Q = np.zeros((real[0].shape[0], 4)), np.zeros((real[0].shape[0], 4))
-    P[:, 0], Q[:, 0] = real
+def _embedded(w):
+    P, Q = np.zeros((w.shape[0], 4)), np.zeros((w.shape[0], 4))
+    P[:, 0], Q[:, 0] = w.real, w.imag
     return {"P": P, "Q": Q}
 
 
@@ -344,7 +354,8 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@given(st.one_of(polys(), real_polys(), real_den_rationals(), quat_den_rationals()))
+@given(st.one_of(polys(), real_polys(), real_den_rationals(), quat_den_rationals(),
+                 real_rationals()))
 @settings(max_examples=100, deadline=None)
 def test_lazy_stem_fields_equal_eager_construction_bitwise(f):
     raw = SphereSampler(1.7, seed=21).sample(16)
@@ -356,10 +367,10 @@ def test_lazy_stem_fields_equal_eager_construction_bitwise(f):
         for name in ("u", "v", "I", "P", "Q", "ok"):
             assert _same_bits(getattr(se, name), want[name]), f"field {name} differs"
             assert getattr(se, name) is getattr(se, name), f"field {name} formed twice"
-        if want["real_stems"] is None:
-            assert se.real_stems is None
+        if want["w"] is None:
+            assert se.w is None
         else:
-            assert all(map(_same_bits, se.real_stems, want["real_stems"]))
+            assert _same_bits(se.w, want["w"])
         assert _same_bits(se.value(), want["P"] + qmul(want["I"], want["Q"]))
         assert _same_bits(se.value_conj_point(), want["P"] - qmul(want["I"], want["Q"]))
         # twisted on a StemEval whose P and Q were given eagerly
@@ -381,6 +392,64 @@ def test_real_stems_read_only_z(monkeypatch):
         la = se.log_abs()
         assert la is se.log_abs_conj_point() is se.log_abs_twisted(None)[0]
     assert not la.flags.writeable, "the shared log-modulus must be read-only"
+
+
+def test_in_place_horner_keeps_polyval_bits():
+    """RealPoly stems run polyval's ufunc sequence in place, so they keep its bits."""
+    pts = slice_points(SphereSampler(1.7, seed=3).chunk(0))
+    z = pts.z
+    rng = np.random.default_rng(11)
+    cases = [[0.0], [2.5], [0.0, 0.0, 0.0, 1.0]]
+    cases += [rng.normal(size=degree + 1) for degree in range(13)]
+    for c in cases:
+        w = RealPoly(c).stems(pts).w
+        want = np.zeros_like(z) if not np.any(c) else np.polynomial.polynomial.polyval(z, c)
+        assert _same_bits(w, want), f"coefficients {c}"
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+@pytest.mark.parametrize("kind", ["poly", "rational"])
+def test_complex_modulus_is_scale_free(kind, c):
+    """log|w| of c·(q²+1), or of c·(q²+1)/h with h real, is that at c = 1 plus log c."""
+    def build(scale):
+        num = RealPoly([scale, 0.0, scale])
+        return num if kind == "poly" else SemiregularRational(num, RealPoly([0.3, -0.2, 1.0]))
+
+    pts = slice_points(SphereSampler(1.6, seed=7).sample(4096))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        se, ses = build(1.0).stems(pts, 1e-12), build(c).stems(pts, 1e-12)
+        la, la_s = se.log_abs(), ses.log_abs()
+        assert ses.w is not None and se.ok.all() and ses.ok.all()
+        assert np.all(np.abs(la_s - (la + math.log(c))) <= 1e-12)
+        # the same array, so the mpb-check defect of a slice-preserving f is exactly 0
+        assert ses.log_abs_conj_point() is la_s
+        assert ses.log_abs_twisted(None)[0] is la_s
+        assert ses.log_abs_twisted(SHIFT)[0] is la_s
+
+
+@pytest.mark.parametrize("f, a", [
+    (LeftPoly([[0.3, 0.2, -0.1, 0.4], [1.0, 0.5, 0.0, -0.3], [1.0, 0, 0, 0]]), SHIFT),
+    (SemiregularRational(LeftPoly([[1, 0.2, 0, 0], [0, 0, 1, 0]]), RealPoly([0.5, 0.0, 1.0])),
+     SHIFT),
+    (SemiregularRational(LeftPoly([[1, 0, 0, 0], [0.2, 0.1, 0, 0], [1, 0, 0, 0]]),
+                         LeftPoly([[0.25, 0, 0.1, 0], [-1, 0, 0, 0], [1, 0, 0, 0]])), SHIFT),
+    (RealPoly([1.0, 0.0, 1.0]), Quaternion(0.5)),
+    (RealPoly([1.0, 0.0, 1.0]), SHIFT),
+    (SemiregularRational(RealPoly([1.0, 0.0, 1.0]), RealPoly([0.3, -0.2, 1.0])), Quaternion(0.5)),
+])
+def test_shifted_stems_match_stems_of_the_shifted_function(f, a):
+    """StemEval.minus(a) gives the stems of f − a: the same Q and ok, P − a to rounding."""
+    pts = slice_points(SphereSampler(1.6, seed=7).sample(4096))
+    se = f.stems(pts, 1e-12)
+    got = se.minus(a)
+    want = _minus(f, a).stems(pts, 1e-12)
+    assert got.ok is se.ok and np.array_equal(got.ok, want.ok)
+    # a real shift of a slice-preserving f stays on the complex path
+    assert (got.w is not None) == (se.w is not None and a.is_real())
+    scale = 1.0 + se_norm(want.value())
+    assert np.all(se_norm(got.value() - want.value()) <= 1e-12 * scale)
+    assert np.all(se_norm(got.Q - want.Q) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
