@@ -56,26 +56,29 @@ class BoundaryDivisor(ArithmeticError):
 _ABERTH_MAX_ITER = 400
 _POLISH_MAX_ITER = 60
 _BACKWARD_EPS = 16.0 * np.finfo(float).eps
-_CLUSTER_BASE = 1e-6
-_CLUSTER_CAP = 1e-2
-_DOMINANCE_TOL = 5e-6
 _REAL_SNAP = 1e-8
+_SPHERE_MERGE_TOL = 1e-8
+
+
+def _rounding_bound(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """16ε·Σ|c_i||z|^i, the error bound of evaluating p at z."""
+    return _BACKWARD_EPS * npoly.polyval(np.abs(z), np.abs(c))
 
 
 def _backward_ok(pz: np.ndarray, z: np.ndarray, c: np.ndarray) -> np.ndarray:
     """|p(z)| ≤ 16ε·Σ|c_i||z|^i: z is an exact root of a polynomial whose
     coefficients differ from c by rounding."""
-    return np.abs(pz) <= _BACKWARD_EPS * npoly.polyval(np.abs(z), np.abs(c))
+    return np.abs(pz) <= _rounding_bound(z, c)
 
 
-def _aberth_iterate(c: np.ndarray) -> np.ndarray:
-    """Simultaneous root iteration (Aberth–Ehrlich) for a coefficient array
-    (lowest degree first, complex, c[-1] ≠ 0, c[0] ≠ 0).
+def _aberth_iterate(c: np.ndarray):
+    """Simultaneous root iteration (Aberth–Ehrlich) for a monic coefficient
+    array (lowest degree first, complex, c[0] ≠ 0).
 
-    Starts on the circle |z| = |c₀/c_n|^{1/n}, the geometric mean of the
-    root moduli, and stops once every approximant meets the backward-error
-    test; _ABERTH_MAX_ITER is only a safety cap."""
-    c = c / c[-1]
+    Starts on the circle |z| = |c₀|^{1/n}, the geometric mean of the root
+    moduli, and stops once every approximant meets the backward-error
+    test; _ABERTH_MAX_ITER is only a safety cap.  Returns the approximants
+    z and ρ = |p(z)| + 16ε·Σ|c_i||z|^i at them."""
     deg = c.shape[0] - 1
     radius = abs(c[0]) ** (1.0 / deg)
     k = np.arange(deg)
@@ -87,8 +90,8 @@ def _aberth_iterate(c: np.ndarray) -> np.ndarray:
     )
     dc = npoly.polyder(c)
     for _ in range(_ABERTH_MAX_ITER):
-        pz = npoly.polyval(z, c)
-        if _backward_ok(pz, z, c).all():
+        pz, bound = npoly.polyval(z, c), _rounding_bound(z, c)
+        if (np.abs(pz) <= bound).all():
             break
         dpz = npoly.polyval(z, dc)
         dpz = np.where(np.abs(dpz) < 1e-300, 1e-300, dpz)
@@ -99,7 +102,31 @@ def _aberth_iterate(c: np.ndarray) -> np.ndarray:
         denom = 1.0 - w * srecip
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
         z = z - w / denom
-    return z
+    else:
+        pz, bound = npoly.polyval(z, c), _rounding_bound(z, c)
+    return z, np.abs(pz) + bound
+
+
+def _inclusion_components(z: np.ndarray, rho: np.ndarray):
+    """Inclusion discs of the approximants z of a monic degree-n polynomial,
+    and per approximant the smallest index in its connected component of
+    overlapping discs.
+
+    Disc k has radius n·ρ_k / |∏_{j≠k}(z_k − z_j)|.  A component of m discs
+    holds exactly m roots of p, and of every perturbation of p within the
+    evaluation bound in ρ (Bini & Fiorentino, Numer. Algorithms 23, 2000).
+    Coincident approximants leave each other out of the product and share
+    a component."""
+    dist = np.abs(z[:, None] - z[None, :])
+    prod = np.where(dist > 0.0, dist, 1.0).prod(axis=1)
+    radii = np.divide(z.shape[0] * rho, prod, out=np.full(z.shape, np.inf), where=prod > 0.0)
+    touch = dist <= radii[:, None] + radii[None, :]
+    labels = np.arange(z.shape[0])
+    while True:
+        nxt = np.where(touch, labels[None, :], labels.shape[0]).min(axis=1)
+        if (nxt == labels).all():
+            return radii, labels
+        labels = nxt
 
 
 def _polish(chain: list[np.ndarray], z: np.ndarray, mult: int) -> np.ndarray:
@@ -129,49 +156,6 @@ def _polish(chain: list[np.ndarray], z: np.ndarray, mult: int) -> np.ndarray:
     return z
 
 
-def _validate(chain: list[np.ndarray], z: np.ndarray, mult: int) -> np.ndarray:
-    """Per candidate: derivatives 0..m−1 vanish at z while p^{(m)} dominates,
-    each measured against Σ|c_i|·max(1,|z|)^i of its own coefficients."""
-    zs = np.maximum(1.0, np.abs(z))
-
-    def rel(j):
-        return np.abs(npoly.polyval(z, chain[j])), npoly.polyval(zs, np.abs(chain[j]))
-
-    val, scale = rel(mult)
-    valid = val >= 1e-6 * scale
-    for j in range(mult):
-        if not valid.any():
-            break
-        val, scale = rel(j)
-        valid &= val <= _DOMINANCE_TOL * scale
-    return valid
-
-
-def _cluster_once(z: np.ndarray, radius: float):
-    """Greedy proximity clustering at the given relative radius.
-
-    Returns (centroids, sizes), one entry per cluster.  Each centroid is
-    the running sum of its members over their count, summed in the order
-    sum() would use, so that it is bitwise the mean of the members."""
-    order = np.argsort(np.abs(z), kind="stable")
-    sums: list = []
-    sizes: list[int] = []
-    centroids: list = []
-    for idx in order:
-        pt = z[idx]
-        for i, centroid in enumerate(centroids):
-            if abs(pt - centroid) <= radius * (1.0 + abs(centroid)):
-                sums[i] += pt
-                sizes[i] += 1
-                centroids[i] = sums[i] / sizes[i]
-                break
-        else:
-            sums.append(0 + pt)
-            sizes.append(1)
-            centroids.append(sums[-1])
-    return np.array(centroids), np.array(sizes)
-
-
 def complex_roots(p) -> list[tuple[complex, int]]:
     """Roots of a real-coefficient polynomial with multiplicities.
 
@@ -179,12 +163,14 @@ def complex_roots(p) -> list[tuple[complex, int]]:
     multiplicities sum to the degree.  After the origin is divided out,
     Aberth–Ehrlich iteration starts on the circle |z| = |c₀/c_n|^{1/n}
     (the geometric mean of the root moduli) and stops once every
-    approximant z has backward error |p(z)| ≤ 16ε·Σ|c_i||z|^i.
-    Numerically coincident approximants are grouped by a clustering radius
-    that starts at 1e-6·(1+|z|) and grows tenfold (up to 1e-2) until every
-    cluster passes a derivative-dominance validation of its candidate
-    multiplicity m; all clusters of one size are Newton-polished together
-    on p^{(m−1)} to the same backward-error test.  Roots within
+    approximant z_k has backward error |p(z_k)| ≤ 16ε·Σ|c_i||z_k|^i.
+    The approximants are then clustered once: each gets the inclusion disc
+    of radius n·ρ_k/|c_n·∏_{j≠k}(z_k − z_j)|, with ρ_k = |p(z_k)| plus
+    that evaluation bound, and a connected component of m discs is one
+    m-fold root.  All components of one size m are Newton-polished
+    together on p^{(m−1)} to the same backward-error test from the
+    centroids of their members; a polished point that leaves its
+    component's discs falls back to the centroid.  Roots within
     1e-8·(1+|z|) of the real axis snap onto it, and nonreal roots are
     emitted in exact conjugate pairs.
 
@@ -204,27 +190,21 @@ def complex_roots(p) -> list[tuple[complex, int]]:
         roots.append((0j, origin_mult))
     if coeff.shape[0] == 1:
         return roots
-    raw = _aberth_iterate(coeff)
     chain = [coeff / coeff[-1]]  # p, p', … as far as the largest cluster needs
-    radius = _CLUSTER_BASE
-    while True:
-        centroids, sizes = _cluster_once(raw, radius)
-        final = radius >= _CLUSTER_CAP
-        best = centroids.copy()
-        all_valid = True
-        for mult in np.unique(sizes):
-            while len(chain) <= mult:
-                chain.append(npoly.polyder(chain[-1]))
-            at = np.nonzero(sizes == mult)[0]
-            polished = _polish(chain, centroids[at], mult)
-            valid = _validate(chain, polished, mult)
-            best[at] = np.where(valid, polished, centroids[at])
-            all_valid = all_valid and bool(valid.all())
-            if not (all_valid or final):
-                break  # only the last radius's roots are kept
-        if all_valid or final:
-            break
-        radius *= 10.0
+    raw, rho = _aberth_iterate(chain[0])
+    radii, labels = _inclusion_components(raw, rho)
+    _heads, member_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    centroids = np.array([raw[member_of == k].mean() for k in range(sizes.shape[0])])
+    best = centroids.copy()
+    for mult in np.unique(sizes):
+        while len(chain) <= mult:
+            chain.append(npoly.polyder(chain[-1]))
+        at = np.nonzero(sizes == mult)[0]
+        polished = _polish(chain, centroids[at], mult)
+        inside = (np.abs(polished[:, None] - raw[None, :]) <= radii[None, :]) & (
+            member_of[None, :] == at[:, None]
+        )
+        best[at] = np.where(inside.any(axis=1), polished, centroids[at])
     roots.extend(_canonicalize_conjugate_pairs(list(zip(best, sizes.tolist()))))
     roots.sort(key=lambda rm: (round(abs(rm[0]), 10), rm[0].real, rm[0].imag))
     return roots
@@ -390,15 +370,16 @@ def total_order_divisor(f) -> SphereDivisor:
     return SphereDivisor.build(merged, origin)
 
 
-def _merge_nearby_spheres(pairs, tol: float = 1e-8):
-    """Combine spheres that agree within a relative tolerance (so zero and
-    pole spheres extracted from two separate root finds cancel exactly)."""
+def _merge_nearby_spheres(pairs):
+    """Combine spheres that agree within the relative _SPHERE_MERGE_TOL (so
+    zero and pole spheres extracted from two separate root finds cancel
+    exactly)."""
     out: list[list] = []
     for sphere, order in pairs:
         for slot in out:
             ref = slot[0]
             dist = math.hypot(ref.re - sphere.re, ref.im - sphere.im)
-            if dist <= tol * (1.0 + ref.modulus()):
+            if dist <= _SPHERE_MERGE_TOL * (1.0 + ref.modulus()):
                 slot[1] += order
                 break
         else:

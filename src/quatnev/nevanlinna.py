@@ -650,8 +650,11 @@ def _fmt_proximity_columns(f, g, a, r, cfg):
         la_g = seg.log_abs()
         lat_g, ok_tg = seg.log_abs_twisted(None)
         lat_f, ok_tf = sef.log_abs_twisted(None)
-        with np.errstate(divide="ignore"):
-            la_fsa = np.log(qnorm(seg.twisted(None)[0] + a_row))
+        if sef.w is not None:
+            la_fsa = sef.log_abs()  # S_{f−a}(q) lies on S_q, where |f| is constant
+        else:
+            with np.errstate(divide="ignore"):
+                la_fsa = np.log(qnorm(seg.twisted(None)[0] + a_row))
         cols = np.stack(
             [
                 np.maximum(-la_g, 0.0),
@@ -690,6 +693,8 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
     infinite = _is_infinity(a)
     if infinite and form != 3:
         raise ValueError("forms 1 and 2 need a finite target a")
+    if form == 1 and len(radii) < 2:
+        raise ValueError("form 1 fits its envelope over at least two radii")
     rows = []
     at_inf = _radius_free(f, None)
     at_a = at_inf if infinite else _radius_free(f, a)
@@ -779,7 +784,7 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
         "slope_ok": abs(slope) <= _SLOPE_GATE,
         "max_abs_residual": max(abs(x) for x in residuals),
     }
-    if form == 1 and len(rows) >= 2:
+    if form == 1:
         env = np.asarray([row["envelope"] for row in rows])
         res = np.asarray(residuals)
         if float(env.max() - env.min()) > 1e-12:

@@ -287,14 +287,17 @@ def slice_uv(pts: np.ndarray):
     return pts[..., 0].copy(), np.sqrt(np.einsum("...i,...i->...", im, im))
 
 
-def slice_units(pts: np.ndarray, v: np.ndarray, v_floor: float = 0.0):
+_REAL_V = 0.0  # imaginary modulus at or below which a point is treated as real
+
+
+def slice_units(pts: np.ndarray, v: np.ndarray):
     """Unit imaginaries I of a batch whose imaginary moduli are v.
 
-    Returns (I, near_real); near_real marks v <= v_floor, where I is the
+    Returns (I, near_real); near_real marks v <= _REAL_V, where I is the
     fixed fallback i.
     """
     pts = np.asarray(pts, dtype=float)
-    near_real = v <= v_floor
+    near_real = v <= _REAL_V
     safe = np.where(near_real, 1.0, v)
     I = np.zeros_like(pts)
     I[..., 1:] = pts[..., 1:] / safe[..., None]
@@ -304,11 +307,11 @@ def slice_units(pts: np.ndarray, v: np.ndarray, v_floor: float = 0.0):
     return I, near_real
 
 
-def slice_coords(pts: np.ndarray, v_floor: float = 0.0):
+def slice_coords(pts: np.ndarray):
     """Slice coordinates (u, v, I) of a batch of points.
 
     Each point q = u + I v with u = Re q, v = |Im q| >= 0 and I the unit
-    imaginary direction of Im q.  Where v <= v_floor (numerically real
+    imaginary direction of Im q.  Where v <= _REAL_V (numerically real
     points) I is set to the fixed unit imaginary i — any choice is valid
     there since the sphere S_q degenerates to the point u.
 
@@ -320,7 +323,7 @@ def slice_coords(pts: np.ndarray, v_floor: float = 0.0):
     near_real : (n,) bool mask of points that received the fallback I
     """
     u, v = slice_uv(pts)
-    I, near_real = slice_units(pts, v, v_floor)
+    I, near_real = slice_units(pts, v)
     return u, v, I, near_real
 
 

@@ -446,6 +446,15 @@ def test_bad_kernel_in_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_fmt_form1_with_one_radius_exits_2(tmp_path, capsys):
+    """Form 1 fits its envelope over the radii, so one radius is a usage error, not a failed gate."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"form": 1, "radii": [2.0]}))
+    code = main(["fmt-check", "--config", str(cfg), *FAST])
+    assert code == 2
+    assert "two radii" in capsys.readouterr().err
+
+
 def test_failed_gate_exits_1(tmp_path, capsys):
     """A slope gate that genuinely fails reports ✗ and exits 1, not 2."""
     cfg = tmp_path / "cfg.json"

@@ -115,7 +115,10 @@ def test_slice_preserving_star_cube_keeps_an_exact_sphere_key():
 # Complex root extraction
 # ---------------------------------------------------------------------------
 
-ROOT_EVAL_BUDGET = 300  # polynomial evaluations per complex_roots call
+ROOT_EVAL_BUDGET = 150  # polynomial evaluations per complex_roots call
+REPEATED_SPHERE_SEED = 5
+REPEATED_SPHERE_CASES = 300
+OVER_MERGED_SEED = 596
 
 
 def test_complex_roots_returns_exact_keys():
@@ -191,11 +194,6 @@ def test_root_moduli_over_six_decades_stay_within_the_evaluation_budget(polyval_
     _roots_within_budget(polyval_count, p)
 
 
-@pytest.mark.xfail(
-    reason="cluster validation measures |p^(j)(z)| against Σ|c_i|·max(1,|z|)^i, "
-    "which does not shrink with |z| below 1, so roots near 1e-3 fail it until "
-    "the clustering radius reaches 1e-2 and merges them",
-)
 def test_root_moduli_over_six_decades_are_all_recovered():
     planted, p = _six_decades()
     roots = complex_roots(p)
@@ -215,6 +213,105 @@ def test_planted_symmetrizations_stay_within_the_evaluation_budget(polyval_count
             assert math.hypot(gre - wre, gim - wim) <= 1e-8 * (1.0 + math.hypot(wre, wim)), (
                 f"case {case}: recovered ({gre}, {gim}) for planted ({wre}, {wim})"
             )
+
+
+def test_polish_runs_once_per_distinct_cluster_size(monkeypatch):
+    sizes = []
+    polish = divisor._polish
+
+    def counting_polish(chain, z, mult):
+        sizes.append(mult)
+        return polish(chain, z, mult)
+
+    monkeypatch.setattr(divisor, "_polish", counting_polish)
+    # (q²+1)²·(q²+4)·(q−3)³: clusters of sizes 2, 2, 1, 1 and 3
+    c = np.polynomial.polynomial.polymul(
+        np.polynomial.polynomial.polypow([1.0, 0.0, 1.0], 2), [4.0, 0.0, 1.0]
+    )
+    c = np.polynomial.polynomial.polymul(c, np.polynomial.polynomial.polypow([-3.0, 1.0], 3))
+    roots = complex_roots(RealPoly(c))
+    assert sorted(sizes) == [1, 2, 3]
+    assert sorted(m for _z, m in roots) == [1, 1, 2, 2, 3]
+
+
+def test_a_polish_that_leaves_its_discs_falls_back_to_the_centroid(monkeypatch):
+    monkeypatch.setattr(divisor, "_polish", lambda chain, z, mult: z + 1.0)
+    roots = complex_roots(RealPoly([1.0, 0.0, 1.0]))
+    assert [m for _z, m in roots] == [1, 1]
+    for (z, _m), want in zip(roots, (-1j, 1j)):
+        assert abs(z - want) <= 1e-12, roots
+
+
+def test_coincident_approximants_share_one_component():
+    z = np.array([0.5, 0.5, 2.0 + 1.0j, 2.0 - 1.0j])
+    radii, labels = divisor._inclusion_components(z, np.full(4, 1e-15))
+    assert np.isfinite(radii).all()
+    assert labels.tolist() == [0, 0, 2, 3]
+
+
+def _planted_repeated_spheres(rng, max_degree):
+    """A star product of linear factors on 2–6 well-separated nonreal
+    spheres, each taken once or twice at independent points of the sphere,
+    times a real linear factor half the time, redrawn until its degree is
+    at most max_degree.  Returns f and the planted orders {(re, im): k}."""
+    while True:
+        count = int(rng.integers(2, 7))
+        reps = [int(k) for k in rng.integers(1, 3, size=count)]
+        real = bool(rng.random() < 0.5)
+        if sum(reps) + real <= max_degree:
+            break
+    spheres = []
+    while len(spheres) < count:
+        re, im = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.3, 2.0))
+        if all(math.hypot(re - a, im - b) >= 0.25 for a, b in spheres):
+            spheres.append((re, im))
+    roots = []
+    for (re, im), k in zip(spheres, reps):
+        for _ in range(k):
+            direction = rng.standard_normal(3)
+            roots.append([re, *(im * direction / np.linalg.norm(direction))])
+    planted = dict(zip(spheres, reps))
+    if real:
+        x = float(rng.uniform(-2.0, 2.0))
+        roots.append([x, 0.0, 0.0, 0.0])
+        planted[(x, 0.0)] = 1
+    f = RealPoly([1.0])
+    for i in rng.permutation(len(roots)):
+        f = star_mul(f, LeftPoly([[-c for c in roots[i]], [1.0, 0.0, 0.0, 0.0]]))
+    return f, planted
+
+
+def _recovered_orders_match(f, planted):
+    spheres, m0 = entries_of(f)
+    got, want = sorted(spheres.items()), sorted(planted.items())
+    if m0 or len(got) != len(want) or sum(spheres.values()) != f.degree:
+        return False
+    return all(
+        gk == wk and math.hypot(gre - wre, gim - wim) <= 1e-6 * (1.0 + math.hypot(wre, wim))
+        for ((gre, gim), gk), ((wre, wim), wk) in zip(got, want)
+    )
+
+
+def test_repeated_sphere_orders_are_recovered():
+    rng = np.random.default_rng(REPEATED_SPHERE_SEED)
+    wrong = []
+    for case in range(REPEATED_SPHERE_CASES):
+        f, planted = _planted_repeated_spheres(rng, max_degree=9)
+        if not _recovered_orders_match(f, planted):
+            wrong.append((case, f.degree, entries_of(f)[0], planted))
+    assert not wrong, f"{len(wrong)} of {REPEATED_SPHERE_CASES} divisors wrong: {wrong[:3]}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the inclusion discs of a double sphere and a nearby root can overlap, "
+    "and their component then comes back as one root of the summed order; this "
+    "hits about 1 input in 300 of f-degree 10–13",
+)
+def test_a_double_sphere_beside_a_real_root_at_degree_ten_stays_apart():
+    f, planted = _planted_repeated_spheres(np.random.default_rng(OVER_MERGED_SEED), max_degree=13)
+    assert f.degree >= 10
+    assert _recovered_orders_match(f, planted), entries_of(f)[0]
 
 
 # ---------------------------------------------------------------------------

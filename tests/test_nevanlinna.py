@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatnev import nevanlinna
+from quatnev import nevanlinna, star_poly
 from quatnev.quat_core import Quaternion, SliceComplex, SphereSampler, qnorm
 from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational, as_rational, star_mul, star_power
 from quatnev.divisor import jensen_kernel, total_order_divisor, N_integrated
@@ -446,6 +446,26 @@ def test_fmt_form1_envelope_coefficient_is_admissible():
     s = rep["summary"]
     assert s["coefficient_ok"], f"envelope coefficient {s['coefficient']} out of [−1, 1]"
     assert abs(s["coefficient"]) <= 1.0 + 1e-9
+
+
+def test_fmt_form1_needs_two_radii():
+    with pytest.raises(ValueError, match="two radii"):
+        verify_fmt(RealPoly([1.0, 0.0, 1.0]), ONE, (2.0,), FAST, form=1)
+
+
+def test_fmt_form2_forms_no_twist_of_a_slice_preserving_f(monkeypatch):
+    """S_{f−a}(q) lies on S_q, where |f| is constant: m(f∘S_{f−a}, ∞) reads log|f|."""
+    calls = []
+    twisted = star_poly.StemEval.twisted
+
+    def counting(self, shift):
+        calls.append(shift)
+        return twisted(self, shift)
+
+    monkeypatch.setattr(star_poly.StemEval, "twisted", counting)
+    rep = verify_fmt(RealPoly([1.0, 0.0, 1.0]), ONE, (1.5, 4.0), FAST, form=2)
+    assert calls == []
+    assert all(math.isfinite(row["m_fSa_inf"]) for row in rep["rows"])
 
 
 # ---------------------------------------------------------------------------
