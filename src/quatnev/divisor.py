@@ -338,19 +338,18 @@ def total_order_divisor(f) -> SphereDivisor:
     representative ζ (Im ζ ≥ 0) in g^s minus its multiplicity in h^s; real
     roots carry half their symmetrization multiplicity (which is always
     even), and the order at the origin is tracked separately.  A
-    slice-preserving g has g^s = g², so its own roots are found instead,
-    at twice their multiplicity.
+    slice-preserving g or h has g^s = g², so its own roots are found
+    instead, at twice their multiplicity.
     """
     f = as_rational(f)
     if f.num.is_zero:
         raise ZeroPolynomial("the zero function has no divisor")
-    num = _realized(f.num)
-    zeros = (num, 1, 2) if isinstance(num, RealPoly) else (num.symmetrize(), 1, 1)
     origin = f.num.origin_order() - f.den.origin_order()
     acc: list[tuple[SliceComplex, int]] = []
-    for poly, sign, power in (zeros, (f.den_s, -1, 1)):
+    for poly, sign in ((_realized(f.num), 1), (_realized(f.den), -1)):
         if poly.degree <= 0:
             continue
+        poly, power = (poly, 2) if isinstance(poly, RealPoly) else (poly.symmetrize(), 1)
         for z, mult in complex_roots(poly):
             mult *= power
             if z == 0:

@@ -8,9 +8,9 @@ Quaternions q = w + xi + yj + zk are represented two ways:
 
 Every point q = u + I v (u real, v = |Im q| >= 0, I a unit imaginary) lies on
 the 2-sphere S_{u+Iv}; :class:`SliceComplex` is the canonical (u, v) key of
-that sphere, and :func:`slice_coords` extracts (u, v, I) for sample batches.
-A :class:`SlicePoints` batch computes its (u, v) and u + iv on first read
-and keeps them for as long as the batch lives.
+that sphere, and :func:`slice_uv` and :func:`slice_units` extract (u, v) and
+I for sample batches.  A :class:`SlicePoints` batch computes its (u, v) and
+u + iv on first read and keeps them for as long as the batch lives.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "qnorm",
     "qinv",
     "qnormalize",
-    "slice_coords",
     "slice_points",
     "slice_units",
     "slice_uv",
@@ -287,44 +286,18 @@ def slice_uv(pts: np.ndarray):
     return pts[..., 0].copy(), np.sqrt(np.einsum("...i,...i->...", im, im))
 
 
-_REAL_V = 0.0  # imaginary modulus at or below which a point is treated as real
-
-
-def slice_units(pts: np.ndarray, v: np.ndarray):
+def slice_units(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Unit imaginaries I of a batch whose imaginary moduli are v.
 
-    Returns (I, near_real); near_real marks v <= _REAL_V, where I is the
-    fixed fallback i.
+    Each point is q = u + I v.  Where v = 0 the sphere S_q is the point u
+    and any I is valid; there I is the fixed fallback i.
     """
     pts = np.asarray(pts, dtype=float)
-    near_real = v <= _REAL_V
-    safe = np.where(near_real, 1.0, v)
+    real = v <= 0.0
     I = np.zeros_like(pts)
-    I[..., 1:] = pts[..., 1:] / safe[..., None]
-    I[near_real, 1] = 1.0
-    I[near_real, 2] = 0.0
-    I[near_real, 3] = 0.0
-    return I, near_real
-
-
-def slice_coords(pts: np.ndarray):
-    """Slice coordinates (u, v, I) of a batch of points.
-
-    Each point q = u + I v with u = Re q, v = |Im q| >= 0 and I the unit
-    imaginary direction of Im q.  Where v <= _REAL_V (numerically real
-    points) I is set to the fixed unit imaginary i — any choice is valid
-    there since the sphere S_q degenerates to the point u.
-
-    Returns
-    -------
-    u : (n,) real parts
-    v : (n,) imaginary moduli
-    I : (n, 4) unit imaginary directions (w-column all zero)
-    near_real : (n,) bool mask of points that received the fallback I
-    """
-    u, v = slice_uv(pts)
-    I, near_real = slice_units(pts, v)
-    return u, v, I, near_real
+    I[..., 1:] = pts[..., 1:] / np.where(real, 1.0, v)[..., None]
+    I[real, 1:] = (1.0, 0.0, 0.0)
+    return I
 
 
 class SlicePoints(np.ndarray):

@@ -270,16 +270,21 @@ def mean_batch(requests, cfg: IntegratorConfig, stream_index: int = 0):
 
 
 def _log_threshold(f, r: float, reject_tol: float) -> float:
-    """log of the singularity guard reject_tol·(1+r)^growth_degree."""
-    return math.log(reject_tol) + f.growth_degree * math.log1p(r)
+    """log of the near-zero guard reject_tol·(1+r)^growth_degree·coeff_scale.
+
+    The guard scales with f, so it rejects the same points of c·f for every
+    c > 0; f ≡ 0 gets a finite guard, so its samples are all rejected.
+    """
+    scale = math.log(max(f.coeff_scale(), 1e-300))
+    return math.log(reject_tol) + f.growth_degree * math.log1p(r) + scale
 
 
 def mean_log_abs(f, r: float, cfg: IntegratorConfig, stream_index: int = 0) -> SphericalMean:
     """Surface mean of log|f| over ∂B_r.
 
-    Samples with |f(w)| below reject_tol·(1+r)^deg — or on a numerical
-    pole — are rejected and resampled from the same stream; the count is
-    reported and bounded by 0.001·samples.
+    Samples with |f(w)| below reject_tol·(1+r)^deg·coeff_scale — or on a
+    numerical pole — are rejected and resampled from the same stream; the
+    count is reported and bounded by 0.001·samples.
     """
     thr = _log_threshold(f, r, cfg.reject_tol)
 

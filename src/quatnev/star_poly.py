@@ -66,7 +66,7 @@ __all__ = [
 
 
 class EvalAtPole(ArithmeticError):
-    """Evaluation point is numerically on a pole sphere (|h^s(q)| below pole_tol)."""
+    """Evaluation point is numerically on a pole sphere (|den_s(q)| below pole_tol)."""
 
 
 class SymmetrizationNotReal(ArithmeticError):
@@ -153,7 +153,7 @@ class StemEval:
     @property
     def I(self) -> np.ndarray:
         if self._I is None:
-            self._I = slice_units(self.pts, self.v)[0]
+            self._I = slice_units(self.pts, self.v)
         return self._I
 
     @property
@@ -359,8 +359,15 @@ class LeftPoly:
         return Quaternion()
 
     def coeff_scale(self) -> float:
-        """max |a_k|, a natural scale for relative tolerances (0 for the zero poly)."""
-        return float(qnorm(self.coeffs).max()) if self.coeffs.shape[0] else 0.0
+        """max |a_k|, a natural scale for relative tolerances (0 for the zero poly).
+
+        The coefficients are scaled by a power of two first, so |a_k| neither
+        overflows nor underflows where |a_k|² would.
+        """
+        if self.is_zero:
+            return 0.0
+        e = math.frexp(np.abs(self.coeffs).max())[1]
+        return math.ldexp(float(qnorm(np.ldexp(self.coeffs, -e)).max()), e)
 
     def equals(self, other: "LeftPoly", tol: float = 0.0) -> bool:
         a, b = self.coeffs, other.coeffs
@@ -658,9 +665,8 @@ def spherical_conjugate(f, q) -> Quaternion:
     defined.
     """
     q = _coerce(q)
-    fs = _function_symmetrization_abs(f, q)
-    deg = _den_s_degree(f) + _num_s_degree(f)
-    if fs < 1e-12 * (1.0 + q.norm()) ** max(deg, 1):
+    fs = f.symmetrize()(q).norm()
+    if fs < 1e-12 * (1.0 + q.norm()) ** max(2 * _degree_sum(f), 1):
         raise UndefinedAtZeroPole(f"S_f undefined at {q}: |f^s(q)| = {fs:.3e}")
     if q.abs_im() == 0.0:
         return q
@@ -676,29 +682,16 @@ def spherical_conjugate(f, q) -> Quaternion:
 def corollary_decomposition_check(f, q) -> float:
     """Residual of log|f^s(q)| = log|f(q)| + log|f(S_f(q))|."""
     q = _coerce(q)
-    fs_abs = _function_symmetrization_abs(f, q)
+    fs_abs = f.symmetrize()(q).norm()
     s = spherical_conjugate(f, q)
     return abs(math.log(fs_abs) - math.log(f(q).norm()) - math.log(f(s).norm()))
 
 
-def _function_symmetrization_abs(f, q: Quaternion) -> float:
+def _degree_sum(f) -> int:
+    """deg g + deg h for f = g * h^{-*}; deg f for a polynomial (0 for f ≡ 0)."""
     if isinstance(f, SemiregularRational):
-        num = f.num.symmetrize()(q).norm()
-        den = f.den.symmetrize()(q).norm()
-        if den == 0.0:
-            raise EvalAtPole(f"f^s has a pole at {q}")
-        return num / den
-    return f.symmetrize()(q).norm()
-
-
-def _den_s_degree(f) -> int:
-    return f.den_s.degree if isinstance(f, SemiregularRational) else 0
-
-
-def _num_s_degree(f) -> int:
-    if isinstance(f, SemiregularRational):
-        return 2 * max(f.num.degree, 0)
-    return 2 * max(f.degree, 0)
+        return max(f.num.degree, 0) + f.den.degree
+    return max(f.degree, 0)
 
 
 def _value_degree(f) -> int:
@@ -715,10 +708,15 @@ def _value_degree(f) -> int:
 class SemiregularRational:
     """Semiregular rational f = g * h^{-*} (left polynomials g, h, h ≢ 0).
 
-    Since h^{-*} = (1/h^s)·h^c with slice-preserving 1/h^s, evaluation uses
-    the real-denominator form f(q) = h^s(q)^{-1}·(g*h^c)(q): the
-    slice-preserving factor acts from the left, which is the order forced
-    by the stem algebra.  Poles live on the zero set of h^s.
+    Evaluation uses a real-denominator form f(q) = den_s(q)^{-1}·num_eff(q):
+    the slice-preserving factor acts from the left, which is the order
+    forced by the stem algebra.  The constructor alone decides the form.
+    g and h are first scaled by the power of two that brings the largest
+    coefficient component of h into [1, 2), which is exact and keeps
+    den_s clear of underflow and overflow.  A real h is its own least real
+    denominator, h^{-*} = h⁻¹, so (num_eff, den_s) = (g, h); otherwise
+    h^{-*} = (1/h^s)·h^c gives (g*h^c, h^s).  num and den keep g and h as
+    given.
     """
 
     __slots__ = ("num", "den", "num_eff", "den_s")
@@ -728,8 +726,12 @@ class SemiregularRational:
         self.den = _as_poly(den)
         if self.den.is_zero:
             raise ZeroDivisionError("denominator polynomial must be nonzero")
-        self.num_eff = star_mul(self.num, self.den.conjugate())
-        self.den_s = self.den.symmetrize()
+        e = math.frexp(np.abs(self.den.coeffs).max())[1] - 1
+        g, h = (_realized(LeftPoly(np.ldexp(p.coeffs, -e))) for p in (self.num, self.den))
+        if isinstance(h, RealPoly):
+            self.num_eff, self.den_s = g, h
+        else:
+            self.num_eff, self.den_s = star_mul(g, h.conjugate()), h.symmetrize()
 
     # -- structure ---------------------------------------------------------
 
@@ -743,7 +745,7 @@ class SemiregularRational:
 
     @property
     def growth_degree(self) -> int:
-        """Net power growth of |f| = |g*h^c|/|h^s| at large |q|."""
+        """Net power growth of |f| = |num_eff|/|den_s| at large |q|."""
         return max(self.num_eff.degree, 0) - max(self.den_s.degree, 0)
 
     def coeff_scale(self) -> float:
@@ -762,12 +764,12 @@ class SemiregularRational:
     # -- algebra -------------------------------------------------------------
 
     def conjugate(self) -> "SemiregularRational":
-        """f^c = (h*g^c)·(1/h^s); satisfies (f^c)^s = f^s."""
-        return SemiregularRational(star_mul(self.den, self.num.conjugate()), self.den_s)
+        """f^c = num_eff^c·(1/den_s); satisfies (f^c)^s = f^s."""
+        return SemiregularRational(self.num_eff.conjugate(), self.den_s)
 
     def symmetrize(self) -> "SemiregularRational":
         """f^s = g^s * (h^s)^{-*} as a ratio of real polynomials."""
-        return SemiregularRational(self.num.symmetrize(), self.den_s)
+        return SemiregularRational(self.num.symmetrize(), self.den.symmetrize())
 
     def star_reciprocal(self) -> "SemiregularRational":
         """f^{-*} = h * g^{-*}: swap numerator and denominator."""
@@ -792,7 +794,7 @@ class SemiregularRational:
         return SemiregularRational(-self.num, self.den)
 
     def __mul__(self, other):
-        """*-product; real denominators h₁^s h₂^s commute past everything."""
+        """*-product; the real denominators den_s commute past everything."""
         other = as_rational(other)
         return SemiregularRational(
             star_mul(self.num_eff, other.num_eff), self.den_s * other.den_s
@@ -801,7 +803,7 @@ class SemiregularRational:
     # -- evaluation ------------------------------------------------------------
 
     def pole_tol(self, q_norm: float) -> float:
-        """EvalAtPole threshold 1e-12·(1+|q|)^{deg h^s}."""
+        """EvalAtPole threshold 1e-12·(1+|q|)^{deg den_s}."""
         return 1e-12 * (1.0 + q_norm) ** max(self.den_s.degree, 1)
 
     def __call__(self, q) -> Quaternion:
@@ -809,7 +811,7 @@ class SemiregularRational:
         u, vq = q.w, q.abs_im()
         hs = npoly.polyval(complex(u, vq), self.den_s.real_coeffs)
         if abs(hs) < self.pole_tol(q.norm()):
-            raise EvalAtPole(f"|h^s({q})| = {abs(hs):.3e} below pole tolerance")
+            raise EvalAtPole(f"|den_s({q})| = {abs(hs):.3e} below pole tolerance")
         if vq == 0.0:
             hs_q = Quaternion(hs.real)
         else:
@@ -820,10 +822,10 @@ class SemiregularRational:
     def stems(self, pts: np.ndarray, reject_tol: float = 1e-12) -> StemEval:
         """Stem evaluation of the quotient.
 
-        With the denominator stem A + iB of h^s and numerator stems
+        With the denominator stem A + iB of den_s and numerator stems
         (P_n, Q_n): P = (A·P_n + B·Q_n)/(A²+B²), Q = (A·Q_n − B·P_n)/(A²+B²);
         for a slice-preserving quotient this is the complex w_n·(A − iB)/(A²+B²).
-        Points with |h^s| below the scale-aware tolerance are masked out.
+        Points with |den_s| below the scale-aware tolerance are masked out.
         """
         pts = slice_points(pts)
         base = self.num_eff.stems(pts)

@@ -45,6 +45,22 @@ def test_command_smoke_exit_zero(command, tmp_path, capsys):
     assert "✗" not in captured.out, f"{command} printed a FAIL line:\n{captured.out}"
 
 
+@pytest.mark.parametrize("command, function, extra", [
+    # star powers of a real rational keep their denominator degree
+    ("algebra-suite", {"num": [0.3, 0, 1], "den": [0.3, -0.2, 1]}, ["--samples", "20000"]),
+    # the near-zero guard of log|f| scales with f
+    ("verify-jensen", [[-0.5e-20, -0.7e-20, 0, 0], [1e-20, 0, 0, 0]], FAST),
+    ("mpb-check", [[1e-20, 0, 0, 0], [1e-20, 0, 0, 0]], FAST),
+], ids=["real-rational-star-powers", "tiny-linear", "tiny-mpb"])
+def test_hard_inputs_exit_zero(command, function, extra, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": function}))
+    code = main([command, "--config", str(cfg), *extra, "--out", str(tmp_path / "a.csv")])
+    captured = capsys.readouterr()
+    assert code == 0, f"{command} exited {code}:\n{captured.out}\n{captured.err}"
+    assert "✗" not in captured.out, f"{command} printed a FAIL line:\n{captured.out}"
+
+
 def test_selftest_prints_all_pass(capsys):
     code = main(["selftest"])
     out = capsys.readouterr().out

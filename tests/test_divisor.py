@@ -82,6 +82,14 @@ def test_divisor_of_rational_with_poles():
     assert m0 == 0
 
 
+def test_real_denominator_counts_its_own_roots_twice():
+    """A real h has h^s = h², so 1/(q²+1)² has total order −4 on S_i."""
+    f = SemiregularRational(RealPoly([1.0]), RealPoly([1.0, 0.0, 2.0, 0.0, 1.0]))
+    spheres, m0 = entries_of(f)
+    assert spheres == {(0.0, 1.0): -4}, f"unexpected divisor: {spheres}"
+    assert m0 == 0
+
+
 def test_origin_order_enters_divisor():
     f = LeftPoly([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
     _, m0 = entries_of(f)

@@ -1,0 +1,34 @@
+"""The README's list of expected failures matches the xfail markers in the tests."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_tests_section() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("\n## Tests\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end != -1 else len(text)]
+
+
+def _is_xfail(decorator: ast.expr) -> bool:
+    return any(isinstance(node, ast.Attribute) and node.attr == "xfail"
+               for node in ast.walk(decorator))
+
+
+def _xfail_tests() -> set[str]:
+    names = set()
+    for path in (ROOT / "tests").glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+                    and any(_is_xfail(d) for d in node.decorator_list)):
+                names.add(node.name)
+    return names
+
+
+def test_readme_names_exactly_the_xfail_tests():
+    documented = set(re.findall(r"`(test_\w+)`", _readme_tests_section()))
+    assert documented == _xfail_tests()

@@ -28,8 +28,9 @@ from quatnev.quat_core import (
     qmul,
     qnorm,
     qnormalize,
-    slice_coords,
     slice_points,
+    slice_units,
+    slice_uv,
     sphere_of,
 )
 
@@ -159,13 +160,16 @@ def test_sphere_embed_roundtrip(q):
 def test_slice_coords_reconstructs_points():
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((64, 4))
-    u, v, units, near_real = slice_coords(pts)
+    pts[5, 1:] = 0.0  # a real point takes the fallback I = i
+    u, v = slice_uv(pts)
+    units = slice_units(pts, v)
     assert np.all(v >= 0.0)
+    assert np.array_equal(units[5], [0.0, 1.0, 0.0, 0.0])
+    assert np.allclose(qnorm(units), 1.0, atol=ATOL) and np.all(units[:, 0] == 0.0)
     rebuilt = np.empty_like(pts)
     rebuilt[:, 0] = u
     rebuilt[:, 1:] = units[:, 1:] * v[:, None]
-    mask = ~near_real
-    assert np.allclose(rebuilt[mask], pts[mask], atol=ATOL), "u + I v must rebuild q"
+    assert np.allclose(rebuilt, pts, atol=ATOL), "u + I v must rebuild q"
 
 
 def test_slice_points_share_one_frame_equal_to_slice_coords():
@@ -173,7 +177,7 @@ def test_slice_points_share_one_frame_equal_to_slice_coords():
     raw[7, 1:] = 0.0
     pts = slice_points(raw)
     assert not pts.flags.writeable and slice_points(pts) is pts
-    u, v, _, _ = slice_coords(raw)
+    u, v = slice_uv(raw)
     assert pts.uv is pts.uv and pts.z is pts.z
     for got, want in zip((*pts.uv, pts.z), (u, v, u + 1j * v)):
         assert got.tobytes() == want.tobytes() and not got.flags.writeable
@@ -188,7 +192,7 @@ def test_conjugate_batch_shares_moduli_bitwise():
     assert not conj_pts.flags.writeable
     assert conj_pts.tobytes() == qconj(pts).tobytes()
     assert conj_pts.uv is pts.uv and conj_pts.z is pts.z
-    u, v, _, _ = slice_coords(qconj(pts))
+    u, v = slice_uv(qconj(pts))
     assert (u.tobytes(), v.tobytes()) == tuple(a.tobytes() for a in conj_pts.uv)
 
 

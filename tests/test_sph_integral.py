@@ -91,6 +91,21 @@ def test_log_abs_of_identity_is_log_radius():
     assert m.std_error <= 1e-12
 
 
+@pytest.mark.parametrize("c", [1e-160, 1e-20, 1e20, 1e160])
+def test_near_zero_guard_scales_with_the_function(c):
+    """c·f rejects the points f rejects, so its mean log-modulus is log c above f's."""
+    f = LeftPoly([[-0.5, -0.7, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    m = mean_log_abs(f, 2.0, CFG)
+    m_c = mean_log_abs(LeftPoly(f.coeffs * c), 2.0, CFG)
+    assert m_c.rejected == m.rejected
+    assert abs(m_c.value - (m.value + math.log(c))) <= 1e-9
+
+
+def test_zero_function_rejects_every_sample():
+    with pytest.raises(TooManyRejections):
+        mean_log_abs(RealPoly([]), 2.0, CFG)
+
+
 def test_antithetic_pairs_cancel_odd_columns_exactly():
     cfg = IntegratorConfig(samples=10_000, seed=3, scheme="antithetic_pair")
 
