@@ -44,6 +44,7 @@ from .star_poly import (
 from .divisor import (
     BoundaryDivisor,
     SphereDivisor,
+    UnbalancedDivisor,
     ZeroPolynomial,
     a_count,
     a_re_count,

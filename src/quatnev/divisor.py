@@ -26,6 +26,7 @@ __all__ = [
     "SphereDivisor",
     "ZeroPolynomial",
     "BoundaryDivisor",
+    "UnbalancedDivisor",
     "complex_roots",
     "total_order_divisor",
     "jensen_kernel",
@@ -47,6 +48,15 @@ class ZeroPolynomial(ValueError):
 
 class BoundaryDivisor(ArithmeticError):
     """A divisor sphere sits on the integration boundary |ζ| = r (within 1e-12·r)."""
+
+
+class UnbalancedDivisor(ArithmeticError):
+    """The orders found for g or h do not sum to its degree.
+
+    The root finder merged or lost roots: a cluster came back with no
+    conjugate partner, or a real root with odd multiplicity in a
+    symmetrization.  The divisor would be wrong, so none is returned.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +169,10 @@ def _polish(chain: list[np.ndarray], z: np.ndarray, mult: int) -> np.ndarray:
 def complex_roots(p) -> list[tuple[complex, int]]:
     """Roots of a real-coefficient polynomial with multiplicities.
 
-    Returns a conjugate-closed list of (root, multiplicity) pairs whose
-    multiplicities sum to the degree.  After the origin is divided out,
-    Aberth–Ehrlich iteration starts on the circle |z| = |c₀/c_n|^{1/n}
+    Returns a list of (root, multiplicity) pairs whose multiplicities sum
+    to the degree; it is conjugate-closed unless a nonreal cluster has no
+    conjugate partner, which is kept once, as found.  After the origin is
+    divided out, Aberth–Ehrlich iteration starts on the circle |z| = |c₀/c_n|^{1/n}
     (the geometric mean of the root moduli) and stops once every
     approximant z_k has backward error |p(z_k)| ≤ 16ε·Σ|c_i||z_k|^i.
     The approximants are then clustered once: each gets the inclusion disc
@@ -171,8 +182,8 @@ def complex_roots(p) -> list[tuple[complex, int]]:
     together on p^{(m−1)} to the same backward-error test from the
     centroids of their members; a polished point that leaves its
     component's discs falls back to the centroid.  Roots within
-    1e-8·(1+|z|) of the real axis snap onto it, and nonreal roots are
-    emitted in exact conjugate pairs.
+    1e-8·(1+|z|) of the real axis snap onto it, and nonreal roots with a
+    conjugate partner are emitted in exact conjugate pairs.
 
     Raises ZeroPolynomial for the identically-zero input.
     """
@@ -211,7 +222,12 @@ def complex_roots(p) -> list[tuple[complex, int]]:
 
 
 def _canonicalize_conjugate_pairs(clusters: list[tuple[complex, int]]):
-    """Snap near-real roots, average conjugate partners, emit closed pairs."""
+    """Snap near-real roots, average conjugate partners, emit closed pairs.
+
+    A nonreal cluster without a partner of the same multiplicity is emitted
+    once, unchanged: inventing its conjugate would count its m roots 2m
+    times.  total_order_divisor then finds the orders unbalanced.
+    """
     snapped = []
     for z, m in clusters:
         if abs(z.imag) <= _REAL_SNAP * (1.0 + abs(z)):
@@ -236,11 +252,7 @@ def _canonicalize_conjugate_pairs(clusters: list[tuple[complex, int]]):
                 partner = j
                 break
         if partner is None:
-            # unpaired nonreal root of a real polynomial: numerical artifact;
-            # keep it alongside its exact conjugate to preserve closure
-            half = complex((z.real + z.real) / 2, abs(z.imag))
-            out.append((half, m))
-            out.append((half.conjugate(), m))
+            out.append((z, m))
             used[i] = True
             continue
         zj = snapped[partner][0]
@@ -340,16 +352,20 @@ def total_order_divisor(f) -> SphereDivisor:
     even), and the order at the origin is tracked separately.  A
     slice-preserving g or h has g^s = g², so its own roots are found
     instead, at twice their multiplicity.
+
+    Raises UnbalancedDivisor when the orders found for g, with its order at
+    the origin, do not sum to deg g, or likewise for h.
     """
     f = as_rational(f)
     if f.num.is_zero:
         raise ZeroPolynomial("the zero function has no divisor")
     origin = f.num.origin_order() - f.den.origin_order()
     acc: list[tuple[SliceComplex, int]] = []
-    for poly, sign in ((_realized(f.num), 1), (_realized(f.den), -1)):
-        if poly.degree <= 0:
+    for side, sign in ((_realized(f.num), 1), (_realized(f.den), -1)):
+        if side.degree <= 0:
             continue
-        poly, power = (poly, 2) if isinstance(poly, RealPoly) else (poly.symmetrize(), 1)
+        poly, power = (side, 2) if isinstance(side, RealPoly) else (side.symmetrize(), 1)
+        total = side.origin_order()
         for z, mult in complex_roots(poly):
             mult *= power
             if z == 0:
@@ -358,13 +374,18 @@ def total_order_divisor(f) -> SphereDivisor:
                 continue  # canonical representative has Im ≥ 0
             if z.imag == 0.0:
                 if mult % 2:
-                    raise ArithmeticError(
+                    raise UnbalancedDivisor(
                         f"real root {z.real} of a symmetrization has odd multiplicity {mult}"
                     )
                 order = mult // 2
             else:
                 order = mult
+            total += order
             acc.append((SliceComplex(z.real, z.imag), sign * order))
+        if total != side.degree:
+            raise UnbalancedDivisor(
+                f"orders sum to {total} on a polynomial of degree {side.degree}"
+            )
     merged = _merge_nearby_spheres(acc)
     return SphereDivisor.build(merged, origin)
 

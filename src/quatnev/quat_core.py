@@ -6,6 +6,14 @@ Quaternions q = w + xi + yj + zk are represented two ways:
 * as ``(n, 4)`` float64 arrays (columns w, x, y, z) for vectorized batch work;
   the ``q*``-prefixed module functions operate on the array form.
 
+Point batches have ``(4, n)`` storage and an ``(n, 4)`` view: each batch is a
+C-order ``(4, n)`` array handed out as its transpose, so the (n, 4) shape
+callers see is kept while every component w, x, y, z is one contiguous row.
+The kernels write their results in that layout, row by row.  :func:`qdot`
+sums its rows in the order NumPy 2.4's einsum sums a short row in its two
+SIMD lanes, (x₀y₀ + x₂y₂) + (x₁y₁ + x₃y₃), and |Im q|² as (x² + z²) + y², so
+every norm has the bits that einsum gives on a C-order (n, 4) array.
+
 Every point q = u + I v (u real, v = |Im q| >= 0, I a unit imaginary) lies on
 the 2-sphere S_{u+Iv}; :class:`SliceComplex` is the canonical (u, v) key of
 that sphere, and :func:`slice_uv` and :func:`slice_units` extract (u, v) and
@@ -36,9 +44,8 @@ __all__ = [
     "embed",
     "qmul",
     "qconj",
+    "qdot",
     "qnorm",
-    "qinv",
-    "qnormalize",
     "slice_points",
     "slice_units",
     "slice_uv",
@@ -49,6 +56,7 @@ __all__ = [
 CHUNK = 65536
 
 _MASK64 = (1 << 64) - 1
+_DRAW_ROWS = 8192  # rows of Gaussians drawn at a time; divides CHUNK
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -135,13 +143,28 @@ class Quaternion:
     def conj(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
+    def _norm2(self) -> float:
+        """w² + x² + y² + z², or inf where it overflows."""
+        try:
+            return self.w**2 + self.x**2 + self.y**2 + self.z**2
+        except OverflowError:
+            return math.inf
+
     def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+        n2 = self._norm2()
+        if n2 == math.inf:
+            return math.hypot(self.w, self.x, self.y, self.z)
+        return math.sqrt(n2)
 
     def inverse(self) -> "Quaternion":
-        n2 = self.w**2 + self.x**2 + self.y**2 + self.z**2
+        n2 = self._norm2()
         if n2 == 0.0:
             raise DivisionByZero("inverse of zero quaternion")
+        if n2 == math.inf:
+            # q⁻¹ = 2^−e·(2^−e·q)⁻¹, and 2^−e·q has no component above 1
+            e = math.frexp(max(map(abs, (self.w, self.x, self.y, self.z))))[1]
+            s = Quaternion(*(math.ldexp(c, -e) for c in (self.w, self.x, self.y, self.z)))
+            return Quaternion(*(math.ldexp(c, -e) for c in s.inverse().to_array()))
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
     def __abs__(self) -> float:
@@ -232,25 +255,27 @@ def embed(s: SliceComplex, I: Quaternion) -> Quaternion:
 
 
 # ---------------------------------------------------------------------------
-# vectorized (n, 4) kernels
+# vectorized (n, 4) kernels on (4, n) storage
 # ---------------------------------------------------------------------------
 
 
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of (n,4) arrays (broadcasting over leading dims)."""
+    """Hamilton product of (n, 4) arrays, or of a (4,) quaternion and an (n, 4) array.
+
+    Each of the four rows of the (4, n)-stored result is the scalar
+    formula, its products summed left to right.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    aw, ax, ay, az = (a[..., i] for i in range(4))
+    bw, bx, by, bz = (b[..., i] for i in range(4))
+    w = aw * bw - ax * bx - ay * by - az * bz
+    out = np.empty((4, *w.shape))
+    out[0] = w
+    out[1] = aw * bx + ax * bw + ay * bz - az * by
+    out[2] = aw * by - ax * bz + ay * bw + az * bx
+    out[3] = aw * bz + ax * by - ay * bx + az * bw
+    return out.T
 
 
 def qconj(a: np.ndarray) -> np.ndarray:
@@ -259,50 +284,60 @@ def qconj(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def qdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row dots Σ x_i·y_i of (..., 4) or (..., 3) arrays, with einsum's bits.
+
+    NumPy's einsum("...i,...i->...") sums a short row in two SIMD lanes,
+    the even-indexed products in one and the odd-indexed in the other, then
+    adds the lanes into a zero output.  This sums the rows of (4, n)
+    storage in that order: (x₀y₀ + x₂y₂) + (x₁y₁ + x₃y₃) for quaternions and
+    (x₀y₀ + x₂y₂) + x₁y₁ for imaginary parts; the closing + 0.0 turns a −0
+    into einsum's +0.  Products that overflow or underflow do so silently,
+    as inside einsum.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        out = x[..., 0] * y[..., 0] + x[..., 2] * y[..., 2]
+        odd = x[..., 1] * y[..., 1]
+        if x.shape[-1] == 4:
+            odd += x[..., 3] * y[..., 3]
+        out += odd
+        out += 0.0
+    return out
+
+
 def qnorm(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    return np.sqrt(np.einsum("...i,...i->...", a, a))
-
-
-def qinv(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    n2 = np.einsum("...i,...i->...", a, a)
-    if np.any(n2 == 0.0):
-        raise DivisionByZero("inverse of zero quaternion in batch")
-    return qconj(a) / n2[..., None]
-
-
-def qnormalize(a: np.ndarray) -> np.ndarray:
-    n = qnorm(a)
-    if np.any(n == 0.0):
-        raise DivisionByZero("normalize of zero quaternion in batch")
-    return np.asarray(a, dtype=float) / n[..., None]
+    return np.sqrt(qdot(a, a))
 
 
 def slice_uv(pts: np.ndarray):
     """Slice coordinates (u, v) of a batch: u = Re q and v = |Im q| >= 0."""
     pts = np.asarray(pts, dtype=float)
     im = pts[..., 1:]
-    return pts[..., 0].copy(), np.sqrt(np.einsum("...i,...i->...", im, im))
+    return pts[..., 0].copy(), np.sqrt(qdot(im, im))
 
 
 def slice_units(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Unit imaginaries I of a batch whose imaginary moduli are v.
+    """Unit imaginaries I of an (n, 4) batch whose imaginary moduli are v.
 
     Each point is q = u + I v.  Where v = 0 the sphere S_q is the point u
-    and any I is valid; there I is the fixed fallback i.
+    and any I is valid; there I is the fixed fallback i.  I has (4, n)
+    storage, and its three imaginary rows are divided by v at once.
     """
-    pts = np.asarray(pts, dtype=float)
+    rows = np.asarray(pts, dtype=float).T
     real = v <= 0.0
-    I = np.zeros_like(pts)
-    I[..., 1:] = pts[..., 1:] / np.where(real, 1.0, v)[..., None]
-    I[real, 1:] = (1.0, 0.0, 0.0)
-    return I
+    I = np.zeros(rows.shape)
+    np.divide(rows[1:], np.where(real, 1.0, v), out=I[1:])
+    I[1:, real] = ((1.0,), (0.0,), (0.0,))
+    return I.T
 
 
 class SlicePoints(np.ndarray):
     """A read-only (n, 4) point batch that carries its slice moduli.
 
+    The batch is the (n, 4) view of C-order (4, n) storage, so pts[:, i]
+    and pts.T[i] are contiguous rows; slice_points makes that layout.
     (u, v) and z = u + iv are each computed on first read, by slice_uv, and
     kept read-only on the batch, so every stem evaluation of one batch
     shares them and they die with it.  A batch made by ``conjugate_of``
@@ -351,10 +386,13 @@ def _read_only(*arrays) -> tuple:
 
 
 def slice_points(pts) -> SlicePoints:
-    """pts itself when it is a read-only SlicePoints, else a read-only copy as one."""
+    """pts itself when it is a read-only SlicePoints, else a read-only copy as one.
+
+    The copy has (4, n) storage: it is F-order in its (n, 4) shape.
+    """
     if isinstance(pts, SlicePoints) and not pts.flags.writeable:
         return pts
-    out = np.array(pts, dtype=float).view(SlicePoints)
+    out = np.array(pts, dtype=float, order="F").view(SlicePoints)
     out.setflags(write=False)
     return out
 
@@ -369,16 +407,23 @@ def gaussian_chunk(seed: int, stream_index: int, chunk_index: int):
 
     Returns (g, n): g is a (CHUNK, 4) array of standard normals keyed by
     (seed, stream_index, chunk_index) and n its row norms, with an exact
-    zero row's norm set to 1.  The points of the chunk on ∂B_r are
-    g * (r / n)[:, None] for every radius r.
+    zero row's norm set to 1.  g is the Philox (CHUNK, 4) draw itself,
+    stored transposed as (4, CHUNK) rows and handed out as the (CHUNK, 4)
+    view.  The points of the chunk on ∂B_r are (g.T * (r / n)).T, in the
+    same layout, for every radius r.
     """
     key = np.array(
         [seed & _MASK64, ((stream_index << 32) ^ chunk_index) & _MASK64],
         dtype=np.uint64,
     )
     rng = np.random.Generator(np.random.Philox(key=key))
-    g = rng.standard_normal((CHUNK, 4))
-    n = np.sqrt(np.einsum("ij,ij->i", g, g))
+    # the stream is sequential, so drawing (CHUNK, 4) in blocks of rows gives
+    # the same bits, and each block is written transposed with no full copy
+    g = np.empty((4, CHUNK))
+    for start in range(0, CHUNK, _DRAW_ROWS):
+        g[:, start:start + _DRAW_ROWS] = rng.standard_normal((_DRAW_ROWS, 4)).T
+    g = g.T
+    n = qnorm(g)
     # a 4-vector of exact zeros has probability 0; guard anyway
     n[n == 0.0] = 1.0
     return g, n
@@ -408,7 +453,7 @@ class SphereSampler:
 
     def _chunk(self, chunk_index: int) -> np.ndarray:
         g, n = gaussian_chunk(self.seed, self.stream_index, chunk_index)
-        return g * (self.radius / n)[:, None]
+        return (g.T * (self.radius / n)).T
 
     def sample(self, n: int) -> np.ndarray:
         """First n points of the stream as an (n, 4) array."""

@@ -23,8 +23,9 @@ chunk is held, and every mean equals the one mean_columns gives for its
 request alone.
 
 The requests at one radius read one point array per chunk, a SlicePoints
-batch, so its slice frame (u, v) and z = u + iv is computed once per
-(chunk, radius) and dropped with its points when the walk moves on.
+batch with (4, n) storage behind its (n, 4) view, so its slice frame (u, v)
+and z = u + iv is computed once per (chunk, radius) and dropped with its
+points when the walk moves on.
 Under antithetic_pair the conjugate batch reuses the same (u, v, z).
 """
 
@@ -249,7 +250,7 @@ def mean_batch(requests, cfg: IntegratorConfig, stream_index: int = 0):
             group = [p for p in passes if p.r == r and p.taken < p.needed]
             if not group:
                 continue
-            pts = (g * (r / n)[:, None]).view(SlicePoints)
+            pts = (g.T * (r / n)).T.view(SlicePoints)
             pts.setflags(write=False)
             conj_pts = SlicePoints.conjugate_of(pts) if antithetic else None
             for p in group:

@@ -33,6 +33,7 @@ from .quat_core import (
     _coerce,
     _read_only,
     qconj,
+    qdot,
     qmul,
     qnorm,
     slice_points,
@@ -118,7 +119,9 @@ class StemEval:
     """Stem data of one function on one batch of points.
 
     P, Q are (n, 4) quaternion arrays with f(u ± Iv) = P ± I·Q; u, v come
-    from ``pts`` (a SlicePoints batch) and I is formed on first read.  ``ok``
+    from ``pts`` (a SlicePoints batch) and I is formed on first read.  P, Q,
+    I, value() and the twisted values have (4, n) storage and an (n, 4)
+    view, like the points, so each component is a contiguous row.  ``ok``
     masks points where f is defined (it excludes rational pole hits).  For
     slice-preserving f, ``w`` is the complex array with f(u + Iv) = A + I·B
     for w = A + iB, and P, Q are formed from views of it only when read.
@@ -172,17 +175,20 @@ class StemEval:
         """The stems of f − a for a constant a: P − a, the same Q and ok (w − a for real a)."""
         if self.w is not None and a.is_real():
             return StemEval(self.pts, self.ok, w=self.w - a.re)
-        return StemEval(self.pts, self.ok, self.P - a.to_array(), self.Q)
+        return StemEval(self.pts, self.ok, _shifted(self.P, a), self.Q)
 
     def value(self) -> np.ndarray:
         """f(q) as a read-only (n, 4) array."""
         if self._value is None:
-            (self._value,) = _read_only(self.P + qmul(self.I, self.Q))
+            value = qmul(self.I, self.Q)
+            value += self.P  # P + I·Q: the same bits, IEEE addition commutes
+            (self._value,) = _read_only(value)
         return self._value
 
     def value_conj_point(self) -> np.ndarray:
         """f(q̄) as an (n, 4) array (same stems, I → −I)."""
-        return self.P - qmul(self.I, self.Q)
+        value = qmul(self.I, self.Q)
+        return np.subtract(self.P, value, out=value)
 
     def log_abs(self) -> np.ndarray:
         """log|f(q)|, read-only (−inf where f vanishes; mask with ok).
@@ -207,14 +213,14 @@ class StemEval:
         if shift not in self._parts_at:
             P, Q, g = self.P, self.Q, self.value()
             if shift is not None:
-                P, g = P - shift.to_array(), g - shift.to_array()
-            pp, qq = _dot(P, P), _dot(Q, Q)
+                P, g = _shifted(P, shift), _shifted(g, shift)
+            pp, qq = qdot(P, P), qdot(Q, Q)
             (P, Q, g), e = _rescaled(pp + qq, P, Q, g)
             if e is not None:
-                pp, qq = _dot(P, P), _dot(Q, Q)
+                pp, qq = qdot(P, P), qdot(Q, Q)
             gs = (pp - qq).astype(complex)
-            gs.imag = 2.0 * _dot(P, Q)
-            g2 = _dot(g, g)
+            gs.imag = 2.0 * qdot(P, Q)
+            g2 = qdot(g, g)
             (ok,) = _read_only(self.ok & (g2 > 0.0))
             self._parts_at[shift] = (g, gs, e, g2, ok)
         return self._parts_at[shift]
@@ -227,14 +233,15 @@ class StemEval:
         g(q) = 0, on which S_{f−a} is undefined, hold a and are masked out.
         """
         g, gs, e, g2, ok = self._parts(shift)
-        c = self.I * -gs.imag[:, None]
-        c[:, 0] = gs.real
-        val = qmul(c, g) / np.where(g2 > 0.0, g2, 1.0)[:, None]
+        c = self.I.T * -gs.imag
+        c[0] = gs.real
+        val = qmul(c.T, g).T
+        val /= np.where(g2 > 0.0, g2, 1.0)
         if e is not None:
-            val = np.ldexp(val, e[:, None])
+            np.ldexp(val, e, out=val)
         if shift is not None:
-            val += shift.to_array()
-        return val, ok
+            val += shift.to_array()[:, None]
+        return val.T, ok
 
     def log_abs_twisted(self, shift):
         """log|f(S_{f−a}(q))| and the mask of twisted().
@@ -259,9 +266,9 @@ class StemEval:
 _LN2 = math.log(2.0)
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (n, 4) arrays, summed as qnorm sums them."""
-    return np.einsum("...i,...i->...", x, y)
+def _shifted(x: np.ndarray, a: Quaternion) -> np.ndarray:
+    """x − a for an (n, 4) array over (4, n) storage, in the same layout."""
+    return (x.T - a.to_array()[:, None]).T
 
 
 def _log_modulus(w: np.ndarray) -> np.ndarray:
@@ -271,32 +278,35 @@ def _log_modulus(w: np.ndarray) -> np.ndarray:
 
 
 def _rescaled(sq: np.ndarray, *arrays):
-    """The (n, 4) arrays with each row scaled by 2^{−e}, and e.
+    """The (n, 4) arrays with each point scaled by 2^{−e}, and e.
 
-    e is the binary exponent of the row's largest entry where the squared
+    e is the binary exponent of the point's largest entry where the squared
     norm sq is zero, subnormal, infinite or NaN, and 0 elsewhere.  When no
     row is, the arrays come back unchanged with e = None.
     """
     bad = ~((sq >= np.finfo(float).tiny) & (sq < np.inf))
     if not bad.any():
         return arrays, None
-    e = np.where(bad, np.frexp(np.max([np.abs(x).max(axis=1) for x in arrays], axis=0))[1], 0)
-    return tuple(np.ldexp(x, -e[:, None]) for x in arrays), e
+    e = np.where(bad, np.frexp(np.max([np.abs(x.T).max(axis=0) for x in arrays], axis=0))[1], 0)
+    return tuple(np.ldexp(x.T, -e).T for x in arrays), e
 
 
 def _log_norm(x: np.ndarray) -> np.ndarray:
-    """log|x| of each (n, 4) row at any scale; log(qnorm(x)) bit for bit on normal rows."""
-    sq = _dot(x, x)
+    """log|x| of each point of an (n, 4) array at any scale.
+
+    On points whose squared norm is normal it is log(qnorm(x)) bit for bit.
+    """
+    sq = qdot(x, x)
     (xs,), e = _rescaled(sq, x)
     with np.errstate(divide="ignore"):
-        return np.log(np.sqrt(sq)) if e is None else np.log(np.sqrt(_dot(xs, xs))) + _LN2 * e
+        return np.log(np.sqrt(sq)) if e is None else np.log(np.sqrt(qdot(xs, xs))) + _LN2 * e
 
 
 def _real_part_quat(a: np.ndarray) -> np.ndarray:
-    """The (n, 4) quaternion array with real parts a and zero imaginary parts."""
-    out = np.zeros((a.shape[0], 4))
-    out[:, 0] = a
-    return out
+    """The (n, 4) array, over (4, n) storage, with real parts a and zero imaginary parts."""
+    out = np.zeros((4, a.shape[0]))
+    out[0] = a
+    return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +504,10 @@ class LeftPoly:
         deg = max(self.degree, 0)
         c, s = _complex_powers(u, v, deg)
         if self.is_zero:
-            P = np.zeros((u.shape[0], 4))
-            Q = np.zeros((u.shape[0], 4))
+            P, Q = np.zeros((2, 4, u.shape[0]))
         else:
-            P = np.tensordot(c, self.coeffs, axes=(0, 0))
-            Q = np.tensordot(s, self.coeffs, axes=(0, 0))
-        return StemEval(pts, np.ones(u.shape[0], dtype=bool), P, Q)
+            P, Q = self.coeffs.T @ c, self.coeffs.T @ s
+        return StemEval(pts, np.ones(u.shape[0], dtype=bool), P.T, Q.T)
 
     @property
     def growth_degree(self) -> int:
@@ -520,7 +528,7 @@ def _coeff_array(coeffs) -> np.ndarray:
     if arr.size == 0:
         return np.empty((0, 4))
     if arr.ndim == 1:
-        arr = np.stack([arr, np.zeros_like(arr), np.zeros_like(arr), np.zeros_like(arr)], axis=1)
+        arr = np.pad(arr[:, None], ((0, 0), (0, 3)))
     if arr.shape[1] != 4:
         raise ValueError("coefficients must be scalars or [w,x,y,z] quadruples")
     return arr
@@ -843,9 +851,10 @@ class SemiregularRational:
             w.real = (A * An + B * Bn) / safe
             w.imag = (A * Bn - B * An) / safe
             return StemEval(pts, ok, w=w)
-        P = (A[:, None] * base.P + B[:, None] * base.Q) / safe[:, None]
-        Q = (A[:, None] * base.Q - B[:, None] * base.P) / safe[:, None]
-        return StemEval(pts, ok, P, Q)
+        Pn, Qn = base.P.T, base.Q.T
+        P = (A * Pn + B * Qn) / safe
+        Q = (A * Qn - B * Pn) / safe
+        return StemEval(pts, ok, P.T, Q.T)
 
     # -- series at the origin ---------------------------------------------------
 

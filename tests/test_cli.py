@@ -51,7 +51,9 @@ def test_command_smoke_exit_zero(command, tmp_path, capsys):
     # the near-zero guard of log|f| scales with f
     ("verify-jensen", [[-0.5e-20, -0.7e-20, 0, 0], [1e-20, 0, 0, 0]], FAST),
     ("mpb-check", [[1e-20, 0, 0, 0], [1e-20, 0, 0, 0]], FAST),
-], ids=["real-rational-star-powers", "tiny-linear", "tiny-mpb"])
+    # Quaternion.norm of f(0) = −1e160 does not overflow
+    ("verify-jensen", [[-1e160, 0, 0, 0], [1e160, 0, 0, 0]], FAST),
+], ids=["real-rational-star-powers", "tiny-linear", "tiny-mpb", "huge-linear"])
 def test_hard_inputs_exit_zero(command, function, extra, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"function": function}))

@@ -26,6 +26,7 @@ from quatnev.star_poly import (
 from quatnev.divisor import (
     BoundaryDivisor,
     SphereDivisor,
+    UnbalancedDivisor,
     N_integrated,
     N_via_unintegrated,
     a_count,
@@ -320,6 +321,38 @@ def test_a_double_sphere_beside_a_real_root_at_degree_ten_stays_apart():
     f, planted = _planted_repeated_spheres(np.random.default_rng(OVER_MERGED_SEED), max_degree=13)
     assert f.degree >= 10
     assert _recovered_orders_match(f, planted), entries_of(f)[0]
+
+
+# Case 1758 of _planted_repeated_spheres(np.random.default_rng(2), max_degree=13):
+# spheres of order 2 at (0.862, 1.654), (1.172, 1.480), (1.773, 1.466),
+# (1.821, 0.999) and (1.906, 0.719), and one of order 1 at (0.703, 0.726).  The
+# inclusion discs of three double spheres, their conjugates and the conjugate of
+# a fourth merge into one component of 14 roots below the real axis, so that
+# component and the fourth sphere above it have no conjugate partner.
+UNPAIRED_CLUSTER_INPUT = [
+    [344.8914846433013, 608.3023346375942, -490.698162806103, -826.5412764429905],
+    [-1637.1304543950673, -2503.127186107522, 2590.1265912142453, 3243.288646078808],
+    [3052.4063837867475, 4931.496946627747, -6373.368990108413, -6543.190752347919],
+    [-2960.884991009719, -5808.612216537961, 10117.205126205776, 8718.73825217109],
+    [1337.0670497980095, 4177.835854548413, -11274.076533582818, -8108.385355012164],
+    [374.603242557165, -1589.9470907583336, 8937.582435989734, 5260.200421737988],
+    [-1079.5332127580862, 14.046451833443598, -4993.98382876207, -2340.888762067668],
+    [855.6650284160111, 295.0357508181165, 1922.2025486900623, 694.827596546544],
+    [-386.75433548498427, -141.4135937221724, -486.48468033092627, -131.44657176628237],
+    [104.90631961883884, 29.78782158053844, 73.22313761758227, 14.665861133173156],
+    [-15.773538114774695, -2.484120941420783, -4.996355916195327, -0.8040820045728421],
+    [1.0, 0.0, 0.0, 0.0],
+]
+
+
+def test_an_unpaired_root_cluster_is_counted_once_and_the_divisor_refused():
+    f = LeftPoly(UNPAIRED_CLUSTER_INPUT)
+    roots = complex_roots(f.symmetrize())
+    assert sum(m for _z, m in roots) == 2 * f.degree, roots
+    unpaired = [(z, m) for z, m in roots if (z.conjugate(), m) not in roots]
+    assert sorted(m for _z, m in unpaired) == [2, 14], unpaired
+    with pytest.raises(UnbalancedDivisor, match="orders sum to 5 on a polynomial of degree 11"):
+        total_order_divisor(f)
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,8 @@ def test_strided_columns_give_the_bits_of_contiguous_ones(k):
     cfg = IntegratorConfig(samples=CHUNK + 5_000, seed=2026)  # one whole chunk, then a prefix
 
     def strided(pts):
-        vals = pts[:, 1:1 + k]
+        # the points view (4, n) rows, so pts[:, 1:2] is contiguous; a C-order copy is not
+        vals = np.ascontiguousarray(pts)[:, 1:1 + k]
         assert not vals.flags.c_contiguous
         return vals, np.ones(len(pts), dtype=bool)
 

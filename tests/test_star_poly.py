@@ -385,6 +385,23 @@ def test_lazy_stem_fields_equal_eager_construction_bitwise(f):
             assert _same_bits(got, ref), "twisted evaluation differs"
 
 
+@pytest.mark.parametrize("f", [
+    LeftPoly([[0.3, 0.2, -0.1, 0.4], [1.0, 0.5, 0.0, -0.3], [1.0, 0, 0, 0]]),
+    SemiregularRational(LeftPoly([[1, 0, 0, 0], [0.2, 0.1, 0, 0]]),
+                        LeftPoly([[0.25, 0, 0.1, 0], [-1, 0, 0, 0], [1, 0, 0, 0]])),
+    RealPoly([1.0, 0.0, 1.0]),
+], ids=["leftpoly", "quaternion-rational", "realpoly"])
+def test_stem_quaternion_arrays_keep_contiguous_rows(f):
+    """P, Q, I, value() and the twisted values are (n, 4) views of C-order (4, n) rows."""
+    raw = SphereSampler(1.7, seed=21).sample(64)
+    for pts in (raw, slice_points(raw)):
+        se = f.stems(pts, 1e-12)
+        twisted = se.twisted(Quaternion(0.1, 0.2, 0.0, 0.0))[0]
+        for name, x in [("P", se.P), ("Q", se.Q), ("I", se.I), ("value", se.value()),
+                        ("twisted", twisted), ("pts", se.pts)]:
+            assert x.shape == (64, 4) and x.T.flags.c_contiguous, f"{name} lost its rows"
+
+
 def test_real_stems_read_only_z(monkeypatch):
     """A slice-preserving evaluation forms neither I nor P, Q unless read."""
     def unread(*args):
