@@ -272,6 +272,10 @@ def build_spec(command: str, args) -> ExperimentSpec:
             raise ConfigError(
                 f"config is for command {loaded['command']!r}, not {command!r}"
             )
+        if "r" in loaded or "radii" in loaded:
+            # a default grid would otherwise win over the config's own radius
+            cfg_map.pop("r", None)
+            cfg_map.pop("radii", None)
         cfg_map.update(loaded)
     for flag in ("seed", "samples", "out", "format", "kernel"):
         value = getattr(args, flag.replace("-", "_"), None)

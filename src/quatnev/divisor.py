@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .quat_core import SliceComplex
-from .star_poly import RealPoly, ZeroCenter, _realized, as_rational
+from .star_poly import LeftPoly, RealPoly, ZeroCenter, _realized, as_rational
 
 __all__ = [
     "SphereDivisor",
@@ -364,7 +364,13 @@ def total_order_divisor(f) -> SphereDivisor:
     for side, sign in ((_realized(f.num), 1), (_realized(f.den), -1)):
         if side.degree <= 0:
             continue
-        poly, power = (side, 2) if isinstance(side, RealPoly) else (side.symmetrize(), 1)
+        if isinstance(side, RealPoly):
+            poly, power = side, 2
+        else:
+            # a copy scaled by 2^−e has the same roots, and its f^s neither
+            # overflows nor underflows where that of the side would
+            e = math.frexp(np.abs(side.coeffs).max())[1]
+            poly, power = LeftPoly(np.ldexp(side.coeffs, -e)).symmetrize(), 1
         total = side.origin_order()
         for z, mult in complex_roots(poly):
             mult *= power

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -379,26 +379,7 @@ class JensenReport:
         return abs(self.residual) <= self.three_sigma
 
     def to_json(self):
-        return {
-            "lhs": self.lhs,
-            "boundary_f": _mean_json(self.boundary_f),
-            "boundary_fSf": _mean_json(self.boundary_fSf),
-            "harmonic": self.harmonic,
-            "divisor_sum": self.divisor_sum,
-            "residual": self.residual,
-            "kernel_convention": self.kernel_convention,
-            "three_sigma": self.three_sigma,
-            "radius": self.radius,
-        }
-
-
-def _mean_json(m: SphericalMean):
-    return {
-        "value": m.value,
-        "std_error": m.std_error,
-        "effective_samples": m.effective_samples,
-        "rejected": m.rejected,
-    }
+        return asdict(self)
 
 
 def _boundary_columns(f, r, cfg, stream_index):
@@ -492,17 +473,7 @@ class ArbiterReport:
         raise KeyError(f"candidate {candidate} was not examined")
 
     def to_json(self):
-        return {
-            "best_order": self.best_order,
-            "residuals": {str(c): res for c, res in self.residuals},
-            "sphere": {"re": self.sphere.re, "im": self.sphere.im},
-            "kernel": self.kernel,
-            "lhs": self.lhs,
-            "boundary": _mean_json(self.boundary),
-            "harmonic": self.harmonic,
-            "three_sigma": self.three_sigma,
-            "radius": self.radius,
-        }
+        return {**asdict(self), "residuals": {str(c): res for c, res in self.residuals}}
 
 
 def counting_arbiter(f, r: float, cfg: IntegratorConfig,
@@ -627,6 +598,12 @@ def o1_summary(radii, residuals):
         return spread, 0.0
     slope = float(np.polyfit(np.log(radii), res, 1)[0])
     return spread, slope
+
+
+def _o1_fields(radii, values) -> dict:
+    """spread, slope and slope_ok of a bounded-gap claim over a radius grid."""
+    spread, slope = o1_summary(radii, values)
+    return {"spread": spread, "slope": slope, "slope_ok": abs(slope) <= _SLOPE_GATE}
 
 
 # ---------------------------------------------------------------------------
@@ -777,11 +754,8 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
                 }
             )
     residuals = [row["residual"] for row in rows]
-    spread, slope = o1_summary(radii, residuals)
     summary = {
-        "spread": spread,
-        "slope": slope,
-        "slope_ok": abs(slope) <= _SLOPE_GATE,
+        **_o1_fields(radii, residuals),
         "max_abs_residual": max(abs(x) for x in residuals),
     }
     if form == 1:
@@ -826,6 +800,26 @@ def _sandwich_columns(f, fs, r, cfg):
         return np.stack([lower, upper], axis=1), ok
 
     return columns
+
+
+def _equality_row(name, diffs, gates=None) -> dict:
+    """Equality row: passes when every per-radius |difference| is within its gate.
+
+    ``gates`` defaults to the rounding gate _EQUALITY_TOL at every radius.
+    """
+    gates = [_EQUALITY_TOL] * len(diffs) if gates is None else gates
+    return {"identity": name, "kind": "equality", "value": max(diffs),
+            "gate": max(gates), "pass": all(d <= g for d, g in zip(diffs, gates))}
+
+
+def _inequality_row(name, slacks, gates=None) -> dict:
+    """Inequality row: passes when no per-radius slack dips below −gate.
+
+    The reported gate is −max(gates); ``gates`` defaults to _EQUALITY_TOL.
+    """
+    gates = [_EQUALITY_TOL] * len(slacks) if gates is None else gates
+    return {"identity": name, "kind": "inequality", "value": min(slacks),
+            "gate": -max(gates), "pass": all(s + g >= 0.0 for s, g in zip(slacks, gates))}
 
 
 def characteristic_algebra_suite(f, g, a, b, t, radii,
@@ -905,161 +899,64 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
         key = t_key(fn, target)
         return parts[key].at(r, means[key, r][0])
 
-    rows = []
+    # ---- gated rows: one helper call each, (T, std error) pairs per radius ----
     t_f = [T(f, None, r) for r in radii]
     t_g = [T(g, None, r) for r in radii]
-
-    # ---- exact star-power scaling at infinity --------------------------------
-    for n, fn in powers.items():
-        diffs = [abs(T(fn, None, r)[0] - n * tf[0]) for r, tf in zip(radii, t_f)]
-        value = max(diffs)
-        rows.append(
-            {
-                "identity": f"star_power_{n}",
-                "kind": "equality",
-                "value": value,
-                "gate": _EQUALITY_TOL,
-                "pass": value <= _EQUALITY_TOL,
-            }
-        )
-
-    # ---- subadditivity under the *-product -----------------------------------
-    slacks = []
-    gates = []
-    for r, tf, tg in zip(radii, t_f, t_g):
-        t_fg, e_fg = T(fg, None, r)
-        slacks.append(tf[0] + tg[0] - t_fg)
-        gates.append(3.0 * math.sqrt(tf[1] ** 2 + tg[1] ** 2 + e_fg**2))
-    worst = min(s + g3 for s, g3 in zip(slacks, gates))
-    rows.append(
-        {
-            "identity": "star_subadditivity",
-            "kind": "inequality",
-            "value": min(slacks),
-            "gate": -max(gates),
-            "pass": worst >= 0.0,
-        }
-    )
-
-    # ---- subadditivity under + with the mixed proximity term -----------------
-    slacks = []
-    gates = []
-    for r, tf, tg in zip(radii, t_f, t_g):
-        t_sum, e_sum = T(fpg, None, r)
-        (m_mixed,) = means["mixed", r]
-        slacks.append(
-            tf[0] + tg[0] + math.log(3.0) + 0.5 * m_mixed.value - t_sum
-        )
-        gates.append(
-            3.0
-            * math.sqrt(
-                tf[1] ** 2 + tg[1] ** 2 + e_sum**2 + (0.5 * m_mixed.std_error) ** 2
-            )
-        )
-    worst = min(s + g3 for s, g3 in zip(slacks, gates))
-    rows.append(
-        {
-            "identity": "plus_subadditivity",
-            "kind": "inequality",
-            "value": min(slacks),
-            "gate": -max(gates),
-            "pass": worst >= 0.0,
-        }
-    )
-
-    # ---- conjugation sends the target to its conjugate (rounding-exact) ------
-    diffs = [abs(T(fc, aq, r)[0] - T(f, a_conj, r)[0]) for r in radii]
-    value = max(diffs)
-    rows.append(
-        {
-            "identity": "conjugate_invariance",
-            "kind": "equality",
-            "value": value,
-            "gate": _EQUALITY_TOL,
-            "pass": value <= _EQUALITY_TOL,
-        }
-    )
-
-    # ---- T(f^c, a, r) vs ½T(f^s, ∞, r) (exact when a = 0 and |f(0)| = 1) -----
-    diffs = []
-    gates = []
-    for r in radii:
-        t_a, e_a = T(fc, aq, r)
-        t_s, e_s = T(fs, None, r)
-        diffs.append(abs(t_a - 0.5 * t_s))
-        gates.append(3.0 * math.sqrt(e_a**2 + (0.5 * e_s) ** 2))
-    margin = max(dv - g3 for dv, g3 in zip(diffs, gates))
-    rows.append(
-        {
-            "identity": "half_symmetrization_chain",
-            "kind": "equality",
-            "value": max(diffs),
-            "gate": max(gates),
-            "pass": margin <= 0.0,
-        }
-    )
-
-    # ---- proximity sandwich around the symmetrization ------------------------
-    lows = []
-    highs = []
-    high_gates = []
-    for r in radii:
-        low, high = means["sandwich", r]
-        lows.append(low.value)
-        highs.append(high.value)
-        high_gates.append(high.three_sigma)
-    rows.append(
-        {
-            "identity": "sandwich_lower",
-            "kind": "inequality",
-            "value": min(lows),
-            "gate": -_EQUALITY_TOL,
-            "pass": min(lows) >= -_EQUALITY_TOL,
-        }
-    )
-    rows.append(
-        {
-            "identity": "sandwich_upper",
-            "kind": "inequality",
-            "value": min(highs),
-            "gate": -max(high_gates),
-            "pass": min(h + g3 for h, g3 in zip(highs, high_gates)) >= 0.0,
-        }
-    )
+    t_fg = [T(fg, None, r) for r in radii]
+    t_fpg = [T(fpg, None, r) for r in radii]
+    mixed_means = [means["mixed", r][0] for r in radii]
+    t_ca = [T(fc, aq, r) for r in radii]
+    t_s = [T(fs, None, r) for r in radii]
+    lows, highs = zip(*(means["sandwich", r] for r in radii))
+    rows = [
+        # exact star-power scaling at infinity
+        *(_equality_row(f"star_power_{n}",
+                        [abs(T(fn, None, r)[0] - n * tf[0]) for r, tf in zip(radii, t_f)])
+          for n, fn in powers.items()),
+        # subadditivity under the *-product
+        _inequality_row(
+            "star_subadditivity",
+            [tf[0] + tg[0] - p[0] for tf, tg, p in zip(t_f, t_g, t_fg)],
+            [3.0 * math.sqrt(tf[1] ** 2 + tg[1] ** 2 + p[1]**2)
+             for tf, tg, p in zip(t_f, t_g, t_fg)],
+        ),
+        # subadditivity under + with the mixed proximity term
+        _inequality_row(
+            "plus_subadditivity",
+            [tf[0] + tg[0] + math.log(3.0) + 0.5 * m.value - p[0]
+             for tf, tg, p, m in zip(t_f, t_g, t_fpg, mixed_means)],
+            [3.0 * math.sqrt(tf[1] ** 2 + tg[1] ** 2 + p[1]**2 + (0.5 * m.std_error) ** 2)
+             for tf, tg, p, m in zip(t_f, t_g, t_fpg, mixed_means)],
+        ),
+        # conjugation sends the target to its conjugate (rounding-exact)
+        _equality_row("conjugate_invariance",
+                      [abs(ca[0] - T(f, a_conj, r)[0]) for r, ca in zip(radii, t_ca)]),
+        # T(f^c, a, r) vs ½T(f^s, ∞, r) (exact when a = 0 and |f(0)| = 1)
+        _equality_row(
+            "half_symmetrization_chain",
+            [abs(ca[0] - 0.5 * s[0]) for ca, s in zip(t_ca, t_s)],
+            [3.0 * math.sqrt(ca[1]**2 + (0.5 * s[1]) ** 2) for ca, s in zip(t_ca, t_s)],
+        ),
+        # proximity sandwich around the symmetrization
+        _inequality_row("sandwich_lower", [m.value for m in lows]),
+        _inequality_row("sandwich_upper", [m.value for m in highs],
+                        [m.three_sigma for m in highs]),
+    ]
 
     # ---- bounded-gap reports (never asserted) ---------------------------------
-    def o1_row(name, values):
-        spread, slope = o1_summary(radii, values)
-        return {
-            "identity": name,
-            "kind": "o1",
-            "spread": spread,
-            "slope": slope,
-            "slope_ok": abs(slope) <= _SLOPE_GATE,
-            "per_radius": list(values),
-        }
-
-    gaps = [T(f, aq, r)[0] - T(f, bq, r)[0] for r in radii]
-    rows.append(o1_row("target_shift", gaps))
-
-    gaps = []
-    for r in radii:
-        t_sum, _ = T(fpg, aq, r)
-        t_fa, _ = T(f, aq, r)
-        t_ga, _ = T(g, aq, r)
-        gaps.append(t_sum - t_fa - t_ga)
-    rows.append(o1_row("plus_additivity", gaps))
-
-    gaps = [T(recip, aq, r)[0] - T(f, aq, r)[0] for r in radii]
-    rows.append(o1_row("star_reciprocal", gaps))
-
-    if phi is not None:
-        gaps = [T(phi, aq, r)[0] - T(f, aq, r)[0] for r in radii]
-        rows.append(o1_row("fractional_linear", gaps))
-
-    gaps = [T(f, aq, r)[0] - tf[0] for r, tf in zip(radii, t_f)]
-    rows.append(o1_row("finite_target_gap", gaps))
-
+    gaps = {
+        "target_shift": [T(f, aq, r)[0] - T(f, bq, r)[0] for r in radii],
+        "plus_additivity": [T(fpg, aq, r)[0] - T(f, aq, r)[0] - T(g, aq, r)[0]
+                            for r in radii],
+        "star_reciprocal": [T(recip, aq, r)[0] - T(f, aq, r)[0] for r in radii],
+        "fractional_linear": None if phi is None
+        else [T(phi, aq, r)[0] - T(f, aq, r)[0] for r in radii],
+        "finite_target_gap": [T(f, aq, r)[0] - tf[0] for r, tf in zip(radii, t_f)],
+    }
+    for name, values in gaps.items():
+        if values is not None:
+            rows.append({"identity": name, "kind": "o1", **_o1_fields(radii, values),
+                         "per_radius": values})
     return rows
 
 
@@ -1198,10 +1095,5 @@ class NevanlinnaProfile:
             "H": list(self.H),
             "T": list(self.T),
             "A": list(self.A),
-            "config": {
-                "samples": self.config.samples,
-                "seed": self.config.seed,
-                "scheme": self.config.scheme,
-                "reject_tol": self.config.reject_tol,
-            },
+            "config": asdict(self.config),
         }

@@ -24,6 +24,7 @@ u + iv on first read and keeps them for as long as the batch lives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,17 +153,18 @@ class Quaternion:
 
     def norm(self) -> float:
         n2 = self._norm2()
-        if n2 == math.inf:
+        if n2 == math.inf or n2 < sys.float_info.min:
             return math.hypot(self.w, self.x, self.y, self.z)
         return math.sqrt(n2)
 
     def inverse(self) -> "Quaternion":
         n2 = self._norm2()
-        if n2 == 0.0:
-            raise DivisionByZero("inverse of zero quaternion")
-        if n2 == math.inf:
-            # q⁻¹ = 2^−e·(2^−e·q)⁻¹, and 2^−e·q has no component above 1
-            e = math.frexp(max(map(abs, (self.w, self.x, self.y, self.z))))[1]
+        if n2 == math.inf or n2 < sys.float_info.min:
+            big = max(map(abs, (self.w, self.x, self.y, self.z)))
+            if big == 0.0:
+                raise DivisionByZero("inverse of zero quaternion")
+            # q⁻¹ = 2^−e·(2^−e·q)⁻¹, and 2^−e·q has its largest component in [½, 1)
+            e = math.frexp(big)[1]
             s = Quaternion(*(math.ldexp(c, -e) for c in (self.w, self.x, self.y, self.z)))
             return Quaternion(*(math.ldexp(c, -e) for c in s.inverse().to_array()))
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)

@@ -53,7 +53,12 @@ def test_command_smoke_exit_zero(command, tmp_path, capsys):
     ("mpb-check", [[1e-20, 0, 0, 0], [1e-20, 0, 0, 0]], FAST),
     # Quaternion.norm of f(0) = −1e160 does not overflow
     ("verify-jensen", [[-1e160, 0, 0, 0], [1e160, 0, 0, 0]], FAST),
-], ids=["real-rational-star-powers", "tiny-linear", "tiny-mpb", "huge-linear"])
+    # the divisor symmetrizes a unit-scale copy, and |f(0)| does not underflow
+    ("verify-jensen", [[-0.5e-170, -0.7e-170, 0, 0], [1e-170, 0, 0, 0]], FAST),
+    ("verify-jensen", [[-0.5e160, -0.7e160, 0, 0], [1e160, 0, 0, 0]], FAST),
+    ("verify-jensen", [[-1e-170, 0, 0, 0], [1e-170, 0, 0, 0]], FAST),
+], ids=["real-rational-star-powers", "tiny-linear", "tiny-mpb", "huge-linear",
+        "tiny-quaternion", "huge-quaternion", "tiny-real"])
 def test_hard_inputs_exit_zero(command, function, extra, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"function": function}))
@@ -422,6 +427,15 @@ def test_unsorted_radii_exit_2(tmp_path, capsys):
     code = main(["profile", "--config", str(cfg), *FAST])
     assert code == 2
     assert "sorted" in capsys.readouterr().err
+
+
+def test_a_config_radius_replaces_the_default_grid(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r": 3.0}))
+    out = tmp_path / "mpb.json"
+    assert main(["mpb-check", "--config", str(cfg), *FAST, "--format", "json",
+                 "--out", str(out)]) == 0
+    assert [row["r"] for row in json.loads(out.read_text())] == [3.0]
 
 
 def test_bad_function_literal_exits_2(tmp_path, capsys):

@@ -104,6 +104,21 @@ def test_star_product_divisors_add():
     assert spheres == {(0.0, 1.0): 2}, f"(q−i)*(q−j) has total order 2 on S_i: {spheres}"
 
 
+@pytest.mark.parametrize("k", [-565, -40, 40, 531])
+def test_a_power_of_two_scale_leaves_the_divisor_unchanged(k):
+    """2^k·g has the roots of g; at k = −565 and 531 (about 1e-170 and
+    1e160) the symmetrization of a non-real side under- or overflows."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        c = rng.standard_normal((int(rng.integers(2, 7)), 4))
+        d = rng.standard_normal((int(rng.integers(1, 4)), 4))
+        g, h, gk, hk = LeftPoly(c), LeftPoly(d), LeftPoly(np.ldexp(c, k)), LeftPoly(np.ldexp(d, k))
+        assert total_order_divisor(gk) == total_order_divisor(g)
+        ref = total_order_divisor(SemiregularRational(g, h))
+        for num, den in ((gk, h), (g, hk), (gk, hk)):
+            assert total_order_divisor(SemiregularRational(num, den)) == ref
+
+
 def test_sphere_divisor_json_roundtrip():
     d = SphereDivisor.build([(SliceComplex(0.5, 0.7), 1), (SliceComplex(1.0, 0.0), -2)], 3)
     back = SphereDivisor.from_json(d.to_json())

@@ -298,6 +298,33 @@ def test_jensen_report_json_is_complete():
         assert key in blob, f"missing {key}"
 
 
+MEAN_KEYS = {"value", "std_error", "effective_samples", "rejected"}
+
+
+def test_report_json_keeps_its_keys():
+    blob = json.loads(json.dumps(verify_jensen(RealPoly([1.0, 0.0, 1.0]), 2.0, FAST).to_json()))
+    assert set(blob) == {"lhs", "boundary_f", "boundary_fSf", "harmonic", "divisor_sum",
+                         "residual", "kernel_convention", "three_sigma", "radius"}
+    assert set(blob["boundary_f"]) == set(blob["boundary_fSf"]) == MEAN_KEYS
+    rep = counting_arbiter(RealPoly([1.0, 0.0, 1.0]), 2.0, FAST)
+    blob = json.loads(json.dumps(rep.to_json()))
+    assert set(blob) == {"best_order", "residuals", "sphere", "kernel", "lhs", "boundary",
+                         "harmonic", "three_sigma", "radius"}
+    assert set(blob["boundary"]) == MEAN_KEYS
+    assert blob["sphere"] == {"re": rep.sphere.re, "im": rep.sphere.im}
+    assert blob["residuals"] == {str(c): res for c, res in rep.residuals}
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e160])
+@pytest.mark.parametrize("root", [Quaternion(0.5, 0.7, 0, 0), ONE], ids=["quaternion", "real"])
+def test_jensen_at_extreme_scale_keeps_the_unit_scale_closed_forms(c, root):
+    unit = verify_jensen(linear(root), 2.0, FAST)
+    rep = verify_jensen(LeftPoly(linear(root).coeffs * c), 2.0, FAST)
+    assert rep.harmonic == pytest.approx(unit.harmonic, rel=1e-12)
+    assert rep.divisor_sum == pytest.approx(unit.divisor_sum, rel=1e-12)
+    assert rep.gate_ok, f"residual {rep.residual} beyond 3σ = {rep.three_sigma}"
+
+
 def test_jensen_origin_zero_uses_deflated_center():
     f = RealPoly([0.0, 0.0, 1.0])                # q²: lhs = log|1| of the deflated head
     rep = verify_jensen(f, 2.0, CFG)
@@ -380,6 +407,34 @@ def test_o1_summary_recovers_slope():
     spread, slope = o1_summary(tuple(radii), tuple(values))
     assert abs(slope - 0.75) <= 1e-12
     assert abs(spread - (values.max() - values.min())) <= 1e-12
+
+
+def test_equality_row_gate_is_inclusive_and_per_radius():
+    tol = nevanlinna._EQUALITY_TOL
+    assert nevanlinna._equality_row("e", [0.0, tol])["pass"]
+    assert not nevanlinna._equality_row("e", [0.0, math.nextafter(tol, math.inf)])["pass"]
+    assert nevanlinna._equality_row("e", [0.5, 2.0], [1.0, 3.0]) == {
+        "identity": "e", "kind": "equality", "value": 2.0, "gate": 3.0, "pass": True}
+    # the largest gate belongs to the other radius
+    row = nevanlinna._equality_row("e", [2.0, 0.5], [1.0, 3.0])
+    assert (row["value"], row["gate"], row["pass"]) == (2.0, 3.0, False)
+
+
+def test_inequality_row_gate_is_inclusive_and_per_radius():
+    tol = nevanlinna._EQUALITY_TOL
+    assert nevanlinna._inequality_row("i", [1.0, -tol])["pass"]
+    assert not nevanlinna._inequality_row("i", [1.0, math.nextafter(-tol, -math.inf)])["pass"]
+    assert nevanlinna._inequality_row("i", [0.0, -3.0], [1.0, 3.0]) == {
+        "identity": "i", "kind": "inequality", "value": -3.0, "gate": -3.0, "pass": True}
+    row = nevanlinna._inequality_row("i", [-2.0, 0.0], [1.0, 3.0])
+    assert (row["value"], row["gate"], row["pass"]) == (-2.0, -3.0, False)
+
+
+def test_o1_fields_gate_the_slope():
+    radii = np.geomspace(10.0, 1000.0, 5)
+    flat = nevanlinna._o1_fields(radii, 0.005 * np.log(radii))
+    assert list(flat) == ["spread", "slope", "slope_ok"] and flat["slope_ok"]
+    assert not nevanlinna._o1_fields(radii, 0.02 * np.log(radii))["slope_ok"]
 
 
 # ---------------------------------------------------------------------------

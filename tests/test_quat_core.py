@@ -136,9 +136,10 @@ def test_zero_inverse_raises():
         inverse(Quaternion(0, 0, 0, 0))
 
 
-@pytest.mark.parametrize("s", [1e160, 1e300])
+@pytest.mark.parametrize("s", [1e-170, 1e160, 1e300])
 def test_norm_and_inverse_do_not_overflow_where_the_squares_do(s):
-    q = Quaternion(0.6 * s, -0.8 * s, 0.0, 0.0)
+    """The squares overflow at 1e160 and 1e300, and underflow at 1e-170."""
+    q =Quaternion(0.6 * s, -0.8 * s, 0.0, 0.0)
     assert math.isclose(q.norm(), s, rel_tol=1e-15)
     assert math.isclose((q.inverse() * q).w, 1.0, rel_tol=1e-15)
     assert q.inverse().isclose(Quaternion(0.6, 0.8, 0.0, 0.0) * (1.0 / s), 1e-15 / s)
