@@ -64,7 +64,6 @@ from .sph_integral import (
     TooManyRejections,
     mean_columns,
     mean_log_abs,
-    mean_weil,
     paired_reflection_mean,
 )
 from .nevanlinna import (

@@ -16,9 +16,10 @@ algebra-suite   Battery of characteristic-function identities.
 selftest        Monte-Carlo-free exact identity suite (gate 1e-9).
 
 All experiment inputs come from a JSON config file (--config); the
-command-line flags --seed, --samples, --out, --format, --kernel override
-the matching config keys.  Quaternions are written as [w, x, y, z]
-arrays; the point at infinity as the string "inf".  Polynomials are
+command-line flags --seed, --samples, --out, --format override the
+matching config keys, and a key the runner does not know is a config
+error.  Quaternions are written as [w, x, y, z] arrays; the point at
+infinity as the string "inf".  Polynomials are
 coefficient lists [[w,x,y,z], ...] (degree-ascending); rationals are
 {"num": [...], "den": [...]}.  Every run is fully seeded — identical
 config and seed produce bitwise-identical artifacts.  With --out the
@@ -155,6 +156,8 @@ def _parse_function(data, where: str = "function"):
             raise ConfigError(f"{where}: bad coefficient row in {data!r}") from exc
         if any(len(row) != 4 for row in rows):
             raise ConfigError(f"{where}: coefficient rows must have 4 entries")
+        if not all(math.isfinite(c) for row in rows for c in row):
+            raise ConfigError(f"{where}: coefficients must be finite in {data!r}")
         return _realized(LeftPoly(rows))
     raise ConfigError(
         f"{where} must be a coefficient list or a num/den object, got {data!r}"
@@ -183,8 +186,8 @@ def _parse_radii(cfg_map) -> tuple:
             raise ConfigError(f"bad radius {cfg_map['r']!r}") from exc
     else:
         raise ConfigError("config needs 'r' or 'radii'")
-    if any(r <= 0 for r in radii):
-        raise ConfigError("radii must be positive")
+    if not all(math.isfinite(r) and r > 0 for r in radii):
+        raise ConfigError(f"radii must be positive and finite, got {list(radii)!r}")
     if list(radii) != sorted(radii):
         raise ConfigError("radii must be sorted ascending")
     return radii
@@ -199,7 +202,6 @@ class ExperimentSpec:
     a: Quaternion | None
     radii: tuple
     integrator: IntegratorConfig
-    kernel_convention: str = "corrected"
     out: str | None = None
     format: str = "csv"
     extras: dict = field(default_factory=dict)
@@ -255,6 +257,13 @@ _DEFAULT_CONFIGS = {
 }
 
 
+# every key build_spec reads; any other key in a config file is an error
+_CONFIG_KEYS = frozenset({
+    "command", "function", "a", "r", "radii", "seed", "samples", "scheme",
+    "out", "format", "form", "candidates", "g", "b", "transform",
+})
+
+
 def build_spec(command: str, args) -> ExperimentSpec:
     """Merge defaults ← config file ← flags into one ExperimentSpec."""
     cfg_map = dict(_DEFAULT_CONFIGS[command])
@@ -268,6 +277,9 @@ def build_spec(command: str, args) -> ExperimentSpec:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(loaded) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if "command" in loaded and loaded["command"] != command:
             raise ConfigError(
                 f"config is for command {loaded['command']!r}, not {command!r}"
@@ -277,14 +289,11 @@ def build_spec(command: str, args) -> ExperimentSpec:
             cfg_map.pop("r", None)
             cfg_map.pop("radii", None)
         cfg_map.update(loaded)
-    for flag in ("seed", "samples", "out", "format", "kernel"):
-        value = getattr(args, flag.replace("-", "_"), None)
+    for flag in ("seed", "samples", "out", "format"):
+        value = getattr(args, flag, None)
         if value is not None:
             cfg_map[flag] = value
 
-    kernel = cfg_map.get("kernel", "corrected")
-    if kernel not in ("corrected", "doubled"):
-        raise ConfigError(f"kernel must be 'corrected' or 'doubled', got {kernel!r}")
     fmt = cfg_map.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -293,7 +302,6 @@ def build_spec(command: str, args) -> ExperimentSpec:
             samples=cfg_map.get("samples", 300000),
             seed=cfg_map.get("seed", 2026),
             scheme=cfg_map.get("scheme", "monte_carlo"),
-            reject_tol=cfg_map.get("reject_tol", 1e-12),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad integrator settings: {exc}") from exc
@@ -329,7 +337,6 @@ def build_spec(command: str, args) -> ExperimentSpec:
         a=a,
         radii=radii,
         integrator=integrator,
-        kernel_convention=kernel,
         out=cfg_map.get("out"),
         format=fmt,
         extras=extras,
@@ -407,14 +414,10 @@ def _run_verify_jensen(spec: ExperimentSpec) -> tuple:
 
     # the two conventions share one stream, so their residuals differ by
     # exactly the closed-form kernel-sum offset; the asserted gate is the
-    # corrected-convention closure, the selected convention only picks
-    # which residual the summary line reports
-    report = corrected if spec.kernel_convention == "corrected" else factor2
-    expected = 0.0 if spec.kernel_convention == "corrected" else -offset
-    gate_ok = abs(report.residual - expected) <= report.three_sigma
+    # corrected-convention closure
+    gate_ok = corrected.gate_ok
     verdict = PASS if gate_ok else FAIL
-    print(f"  {verdict}: {spec.kernel_convention} residual within 3σ of "
-          f"{expected:+.6e}")
+    print(f"  {verdict}: corrected residual within 3σ of +0.000000e+00")
 
     row = (
         r, corrected.lhs,
@@ -699,11 +702,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, help="accepted Monte-Carlo samples")
         p.add_argument("--out", help="artifact path (default: print to stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="artifact format")
-        p.add_argument(
-            "--kernel",
-            choices=("corrected", "doubled"),
-            help="divisor kernel convention (factor 1 vs factor 2 on nonreal spheres)",
-        )
     return parser
 
 

@@ -40,7 +40,6 @@ from .sph_integral import (
     IntegratorConfig,
     SphericalMean,
     _log_threshold,
-    _weil_columns,
     mean_batch,
     mean_columns,
 )
@@ -174,69 +173,69 @@ class WeilFunction:
         sing = None if _is_infinity(a) else _coerce(a)
         return WeilFunction("custom", sing, weight_fn)
 
-    def batch(self, values, guard_scale: float):
+    def batch(self, values):
         """Weights and acceptance mask for (n, 4) quaternion value rows.
 
-        Rows closer to a finite singularity than ``guard_scale`` are
-        rejected (the weight would be unboundedly large there).
+        Rows whose weight is not finite, such as rows on a finite
+        singularity, are rejected.
         """
         vals = np.asarray(values, dtype=float)
         if self.kind == "custom":
             lam = np.asarray(self.weight_fn(vals), dtype=float)
-            return lam, np.isfinite(lam)
-        if self.singularity is None:
-            mag = qnorm(vals)
+        elif self.singularity is None:
             with np.errstate(divide="ignore"):
-                lam = np.maximum(np.log(mag), 0.0)
-            return lam, np.isfinite(mag)
-        w = vals - self.singularity.to_array()
-        mag = qnorm(w)
-        ok = mag >= guard_scale
-        safe = np.where(ok, mag, 1.0)
-        lam = np.maximum(-np.log(safe), 0.0)
-        return lam, ok
+                lam = np.maximum(np.log(qnorm(vals)), 0.0)
+        else:
+            with np.errstate(divide="ignore"):
+                lam = np.maximum(-np.log(qnorm(vals - self.singularity.to_array())), 0.0)
+        return lam, np.isfinite(lam)
 
     def max_offset_vs_analytic(self, probe_values) -> float:
         """sup |λ − λ_analytic| over (n, 4) probe value rows off-singularity."""
         ref = WeilFunction("analytic", self.singularity)
-        lam, ok = self.batch(probe_values, 0.0)
-        lam_ref, ok_ref = ref.batch(probe_values, 0.0)
+        lam, ok = self.batch(probe_values)
+        lam_ref, ok_ref = ref.batch(probe_values)
         keep = ok & ok_ref
         if not np.any(keep):
             return 0.0
         return float(np.max(np.abs(lam[keep] - lam_ref[keep])))
 
 
-def proximity(f, weil: WeilFunction, r: float, cfg: IntegratorConfig,
-              stream_index: int = 0) -> SphericalMean:
+def proximity(f, weil: WeilFunction, r: float, cfg: IntegratorConfig) -> SphericalMean:
     """Mean proximity m(f, λ_a, r): surface mean of the weight of f on ∂B_r.
 
     Analytic weights are evaluated in log space on the stem data of the
     shifted function (so near-singularity samples reject by the same rule
-    as mean_log_abs); custom weights evaluate on formed values through
-    mean_weil.  The estimate is ≥ 0 because the weight is pointwise ≥ 0.
+    as mean_log_abs); custom weights evaluate on the formed values of f.
+    The estimate is ≥ 0 because the weight is pointwise ≥ 0.
     """
-    return mean_columns(_proximity_columns(f, weil, r, cfg), r, cfg, stream_index)[0]
+    return mean_columns(_proximity_columns(f, weil, r), r, cfg)[0]
 
 
-def _proximity_columns(f, weil: WeilFunction, r: float, cfg: IntegratorConfig):
+def _proximity_columns(f, weil: WeilFunction, r: float):
     """Column function of the proximity pass of f to ``weil`` at radius r."""
     if weil.kind == "custom":
-        return _weil_columns(f, weil, r, cfg)
+
+        def columns(pts):
+            se = f.stems(pts)
+            lam, ok = weil.batch(se.value())
+            return lam[:, None], se.ok & ok
+
+        return columns
     if weil.singularity is None:
 
         def columns(pts):
-            se = f.stems(pts, cfg.reject_tol)
+            se = f.stems(pts)
             lam = np.maximum(se.log_abs(), 0.0)
             return lam[:, None], se.ok
 
         return columns
 
     g = _shifted(f, weil.singularity)
-    thr = _log_threshold(g, r, cfg.reject_tol)
+    thr = _log_threshold(g, r)
 
     def columns(pts):
-        se = g.stems(pts, cfg.reject_tol)
+        se = g.stems(pts)
         la = se.log_abs()
         ok = se.ok & (la >= thr)
         lam = np.maximum(-la, 0.0)
@@ -274,8 +273,7 @@ def harmonic_remainder(f, a, r: float) -> float:
     return _lambda_of_head(head, r)
 
 
-def characteristic(f, a, r: float, cfg: IntegratorConfig,
-                   stream_index: int = 0) -> float:
+def characteristic(f, a, r: float, cfg: IntegratorConfig) -> float:
     """Nevanlinna characteristic T(f, a, r).
 
     T(f, a, r) = N(f, a, r) + ½·m((f−a)^s, 0, r) − H(f, a, r) for finite
@@ -283,7 +281,7 @@ def characteristic(f, a, r: float, cfg: IntegratorConfig,
     zeros/poles of f − a enter N through their log r term and H through
     the deflated series head.
     """
-    value, _ = _characteristic_with_error(f, a, r, cfg, stream_index)
+    value, _ = _characteristic_with_error(f, a, r, cfg)
     return value
 
 
@@ -309,9 +307,9 @@ class _RadiusFree:
     def remainder(self, r: float) -> float:
         return 0.0 if self.head is None else _lambda_of_head(self.head, r)
 
-    def request(self, r: float, cfg: IntegratorConfig):
+    def request(self, r: float):
         """The (column_fn, r) request of the ½·m pass of T at r."""
-        return _proximity_columns(self.sym, self.weil, r, cfg), r
+        return _proximity_columns(self.sym, self.weil, r), r
 
     def at(self, r: float, sym_mean: SphericalMean):
         """(T, Monte-Carlo standard error of T) at r from the mean of request(r)."""
@@ -332,16 +330,16 @@ def _radius_free(f, a) -> _RadiusFree:
                        WeilFunction.analytic(Quaternion(0.0, 0.0, 0.0, 0.0)), head)
 
 
-def _mean_rows(rows, cfg, stream_index=0) -> list:
+def _mean_rows(rows, cfg) -> list:
     """mean_batch over rows of requests, its results grouped the same way."""
-    means = iter(mean_batch([req for row in rows for req in row], cfg, stream_index))
+    means = iter(mean_batch([req for row in rows for req in row], cfg))
     return [tuple(next(means) for _ in row) for row in rows]
 
 
-def _characteristic_with_error(f, a, r, cfg, stream_index=0):
+def _characteristic_with_error(f, a, r, cfg):
     """(T, Monte-Carlo standard error of T)."""
     parts = _radius_free(f, a)
-    return parts.at(r, mean_columns(*parts.request(r, cfg), cfg, stream_index)[0])
+    return parts.at(r, mean_columns(*parts.request(r), cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +380,23 @@ class JensenReport:
         return asdict(self)
 
 
-def _boundary_columns(f, r, cfg, stream_index):
+def _boundary_columns(f, r, cfg):
     """Shared-stream means of log|f|, log|f∘S_f| and their ½-combination."""
-    thr = _log_threshold(f, r, cfg.reject_tol)
+    thr = _log_threshold(f, r)
 
     def columns(pts):
-        se = f.stems(pts, cfg.reject_tol)
+        se = f.stems(pts)
         la = se.log_abs()
         lat, ok_t = se.log_abs_twisted(None)
         ok = se.ok & ok_t & (la >= thr) & (lat >= thr)
         cols = np.stack([la, lat, 0.5 * (la + lat)], axis=1)
         return cols, ok
 
-    return mean_columns(columns, r, cfg, stream_index)
+    return mean_columns(columns, r, cfg)
 
 
 def verify_jensen(f, r: float, cfg: IntegratorConfig,
-                  kernel_convention: str = "corrected",
-                  stream_index: int = 0) -> JensenReport:
+                  kernel_convention: str = "corrected") -> JensenReport:
     """Close the Jensen formula for f on ∂B_r and report the residual.
 
     lhs = log|g(0)| for g the origin-deflated f; the divisor side carries
@@ -408,10 +405,10 @@ def verify_jensen(f, r: float, cfg: IntegratorConfig,
     boundary term is the shared-stream combined mean ½(log|f| +
     log|f∘S_f|); residual = RHS − lhs with a 3σ gate from that column.
     """
-    return _jensen_closures(f, r, cfg, (kernel_convention,), stream_index)[0]
+    return _jensen_closures(f, r, cfg, (kernel_convention,))[0]
 
 
-def _jensen_closures(f, r, cfg, conventions, stream_index=0) -> tuple:
+def _jensen_closures(f, r, cfg, conventions) -> tuple:
     """One JensenReport per kernel convention, all from one boundary pass.
 
     The boundary mean does not depend on the convention; only the divisor
@@ -429,7 +426,7 @@ def _jensen_closures(f, r, cfg, conventions, stream_index=0) -> tuple:
         sums.append((long_name, signed_kernel_sum(d, r, short) + origin_term))
     m0, head = _deflated_head(f)
     lhs = math.log(head[0].norm())
-    boundary_f, boundary_fSf, combined = _boundary_columns(f, r, cfg, stream_index)
+    boundary_f, boundary_fSf, combined = _boundary_columns(f, r, cfg)
     harmonic = _lambda_of_head(head, r)
     reports = []
     for long_name, divisor_sum in sums:
@@ -477,7 +474,7 @@ class ArbiterReport:
 
 
 def counting_arbiter(f, r: float, cfg: IntegratorConfig,
-                     candidates=(1, 2), stream_index: int = 0) -> ArbiterReport:
+                     candidates=(1, 2)) -> ArbiterReport:
     """Decide the total order of a single zero sphere by Jensen closure.
 
     f must be slice-preserving with exactly one zero sphere inside B_r,
@@ -501,7 +498,7 @@ def counting_arbiter(f, r: float, cfg: IntegratorConfig,
     kernel = jensen_kernel(sphere, r)
     m0, head = _deflated_head(f)
     lhs = math.log(head[0].norm())
-    _, _, combined = _boundary_columns(f, r, cfg, stream_index)
+    _, _, combined = _boundary_columns(f, r, cfg)
     harmonic = _lambda_of_head(head, r)
     base = combined.value + harmonic
     residuals = tuple((int(c), base - c * kernel - lhs) for c in candidates)
@@ -524,27 +521,26 @@ def counting_arbiter(f, r: float, cfg: IntegratorConfig,
 # ---------------------------------------------------------------------------
 
 
-def mpb_defect(f, a, r: float, cfg: IntegratorConfig,
-               stream_index: int = 0) -> SphericalMean:
+def mpb_defect(f, a, r: float, cfg: IntegratorConfig) -> SphericalMean:
     """Surface mean of log|f(w)| − log|f(S_{f−a}(w))| on ∂B_r.
 
     Both columns share one stem evaluation and one accepted mask; for
     slice-preserving f the integrand is identically zero sample by
     sample, so the estimate (and its standard error) is exactly 0.
     """
-    return _mpb_defects(f, a, (r,), cfg, stream_index)[0]
+    return _mpb_defects(f, a, (r,), cfg)[0]
 
 
-def _mpb_defects(f, a, radii, cfg: IntegratorConfig, stream_index: int = 0) -> list:
+def _mpb_defects(f, a, radii, cfg: IntegratorConfig) -> list:
     """mpb_defect at each radius, all from one walk of the stream."""
     f = _realized(f)
     shift = None if _is_infinity(a) else _coerce(a)
 
     def request(r):
-        thr = _log_threshold(f, r, cfg.reject_tol)
+        thr = _log_threshold(f, r)
 
         def columns(pts):
-            se = f.stems(pts, cfg.reject_tol)
+            se = f.stems(pts)
             la = se.log_abs()
             lat, ok_t = se.log_abs_twisted(shift)
             ok = se.ok & ok_t & (la >= thr) & (lat >= thr)
@@ -552,7 +548,7 @@ def _mpb_defects(f, a, radii, cfg: IntegratorConfig, stream_index: int = 0) -> l
 
         return columns, r
 
-    return [means[0] for means in mean_batch([request(r) for r in radii], cfg, stream_index)]
+    return [means[0] for means in mean_batch([request(r) for r in radii], cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -611,18 +607,18 @@ def _o1_fields(radii, values) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_proximity_columns(f, g, a, r, cfg):
+def _fmt_proximity_columns(f, g, a, r):
     """Shared-stream column function for the form-2 assembly.
 
     Yields columns [m(f,a,·), m(f∘S_{f−a},a,·), m(f∘S_f,∞,·),
     m(f∘S_{f−a},∞,·)] where g = f − a for the Quaternion a.  The stems of
     g are read off those of f, so each chunk is evaluated once.
     """
-    thr_g = _log_threshold(g, r, cfg.reject_tol)
+    thr_g = _log_threshold(g, r)
     a_row = a.to_array()
 
     def columns(pts):
-        sef = f.stems(pts, cfg.reject_tol)
+        sef = f.stems(pts)
         seg = sef.minus(a)
         la_g = seg.log_abs()
         lat_g, ok_tg = seg.log_abs_twisted(None)
@@ -647,8 +643,7 @@ def _fmt_proximity_columns(f, g, a, r, cfg):
     return columns
 
 
-def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
-               stream_index: int = 0):
+def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3):
     """Per-radius residual table for one First Main Theorem form.
 
     form 3: residual = N(f,a,r) + m(f,a,r) − H(f,a,r) − T(f,r), the
@@ -678,9 +673,8 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
     if form == 3:
         weil = WeilFunction.analytic(a)
         means = _mean_rows(
-            [(at_inf.request(r, cfg), (_proximity_columns(f, weil, r, cfg), r))
-             for r in radii],
-            cfg, stream_index,
+            [(at_inf.request(r), (_proximity_columns(f, weil, r), r)) for r in radii],
+            cfg,
         )
         for r, ((sym_mean,), (prox,)) in zip(radii, means):
             t_inf, t_err = at_inf.at(r, sym_mean)
@@ -703,9 +697,8 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
         aq = _coerce(a)
         g = _shifted(f, aq)
         means = _mean_rows(
-            [(at_inf.request(r, cfg), (_fmt_proximity_columns(f, g, aq, r, cfg), r))
-             for r in radii],
-            cfg, stream_index,
+            [(at_inf.request(r), (_fmt_proximity_columns(f, g, aq, r), r)) for r in radii],
+            cfg,
         )
         for r, ((sym_mean,), fmt_means) in zip(radii, means):
             counting = at_a.counting(r)
@@ -730,15 +723,14 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
         conj_f = f.conjugate()
 
         def envelope_columns(pts):
-            sef = f.stems(pts, cfg.reject_tol)
-            sec = conj_f.stems(pts, cfg.reject_tol)
+            sef = f.stems(pts)
+            sec = conj_f.stems(pts)
             lam = np.maximum(sef.log_abs() + sec.log_abs(), 0.0)
             return lam[:, None], sef.ok & sec.ok
 
         means = _mean_rows(
-            [(at_a.request(r, cfg), at_inf.request(r, cfg), (envelope_columns, r))
-             for r in radii],
-            cfg, stream_index,
+            [(at_a.request(r), at_inf.request(r), (envelope_columns, r)) for r in radii],
+            cfg,
         )
         for r, ((sym_a,), (sym_inf,), (envelope,)) in zip(radii, means):
             t_a, _ = at_a.at(r, sym_a)
@@ -777,7 +769,7 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3,
 # ---------------------------------------------------------------------------
 
 
-def _sandwich_columns(f, fs, r, cfg):
+def _sandwich_columns(f, fs):
     """Column function of the mean slacks of the symmetrization proximity sandwich.
 
     lower = mean(log⁺|f| + log⁺|f∘S_f| − log⁺|f^s|): the integrand is
@@ -788,8 +780,8 @@ def _sandwich_columns(f, fs, r, cfg):
     ``fs`` is f.symmetrize().
     """
     def columns(pts):
-        sef = f.stems(pts, cfg.reject_tol)
-        ses = fs.stems(pts, cfg.reject_tol)
+        sef = f.stems(pts)
+        ses = fs.stems(pts)
         la = np.maximum(sef.log_abs(), 0.0)
         lat_raw, ok_t = sef.log_abs_twisted(None)
         lat = np.maximum(lat_raw, 0.0)
@@ -822,9 +814,7 @@ def _inequality_row(name, slacks, gates=None) -> dict:
             "gate": -max(gates), "pass": all(s + g >= 0.0 for s, g in zip(slacks, gates))}
 
 
-def characteristic_algebra_suite(f, g, a, b, t, radii,
-                                 cfg: IntegratorConfig,
-                                 stream_index: int = 0):
+def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
     """Battery of characteristic-function identities over a radius grid.
 
     Equality rows carry a shared-stream gate (1e-9 for rounding-exact
@@ -842,13 +832,14 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
         g = as_rational(g)
     aq = None if _is_infinity(a) else _coerce(a)
     bq = None if _is_infinity(b) else _coerce(b)
+    # first: f^s raises OverflowError where the star powers would overflow
+    fs = f.symmetrize()
     powers = {n: star_power(f, n) for n in (2, 3)}
     fg = f * g
     fpg = f + g
     mixed = f * g.conjugate() + g * f.conjugate()
     fc = f.conjugate()
     a_conj = None if aq is None else aq.conj()
-    fs = f.symmetrize()
     recip = as_rational(f).star_reciprocal()
     phi = None if t is None else linear_fractional(t, f)
 
@@ -867,7 +858,7 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
         key = t_key(fn, target)
         if key not in parts:
             parts[key] = _radius_free(fn, target)
-        return key, lambda r: parts[key].request(r, cfg)
+        return key, parts[key].request
 
     def read(*uses):
         for r in radii:
@@ -881,10 +872,10 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
         read(t_use(fn, None))
     read(t_use(fg, None))
     read(t_use(fpg, None), ("mixed", lambda r: (
-        _proximity_columns(mixed, WeilFunction.analytic(None), r, cfg), r)))
+        _proximity_columns(mixed, WeilFunction.analytic(None), r), r)))
     read(t_use(fc, aq), t_use(f, a_conj))
     read(t_use(fc, aq), t_use(fs, None))
-    read(("sandwich", lambda r: (_sandwich_columns(f, fs, r, cfg), r)))
+    read(("sandwich", lambda r: (_sandwich_columns(f, fs), r)))
     read(t_use(f, aq), t_use(f, bq))
     read(t_use(fpg, aq), t_use(f, aq), t_use(g, aq))
     read(t_use(recip, aq), t_use(f, aq))
@@ -893,7 +884,7 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
     read(t_use(f, aq))
 
     # ---- phase 2: one walk of the stream serves every pass --------------------
-    means = dict(zip(requests, mean_batch(list(requests.values()), cfg, stream_index)))
+    means = dict(zip(requests, mean_batch(list(requests.values()), cfg)))
 
     def T(fn, target, r):
         key = t_key(fn, target)
@@ -965,7 +956,7 @@ def characteristic_algebra_suite(f, g, a, b, t, radii,
 # ---------------------------------------------------------------------------
 
 
-def n_bound_check(f, a, radii, cfg: IntegratorConfig, stream_index: int = 0):
+def n_bound_check(f, a, radii, cfg: IntegratorConfig):
     """How often f attains a: report N(f,a,r) − T(f,r) − H(f,a,r) per radius.
 
     The excess is bounded above for mean-proximity-balanced f; the report
@@ -974,7 +965,7 @@ def n_bound_check(f, a, radii, cfg: IntegratorConfig, stream_index: int = 0):
     radii = [float(r) for r in radii]
     at_inf = _radius_free(f, None)
     at_a = at_inf if _is_infinity(a) else _radius_free(f, a)
-    means = mean_batch([at_inf.request(r, cfg) for r in radii], cfg, stream_index)
+    means = mean_batch([at_inf.request(r) for r in radii], cfg)
     rows = []
     for r, (sym_mean,) in zip(radii, means):
         t_inf, _ = at_inf.at(r, sym_mean)
@@ -1040,16 +1031,14 @@ class NevanlinnaProfile:
             raise ValueError("radii must be positive")
 
     @staticmethod
-    def compute(f, a, radii, cfg: IntegratorConfig,
-                stream_index: int = 0) -> "NevanlinnaProfile":
+    def compute(f, a, radii, cfg: IntegratorConfig) -> "NevanlinnaProfile":
         """Evaluate the five Nevanlinna columns of (f, a) on a radius grid."""
         radii = tuple(float(r) for r in radii)
         parts = _radius_free(f, a)
         weil = WeilFunction.analytic(a)
         means = _mean_rows(
-            [((_proximity_columns(f, weil, r, cfg), r), parts.request(r, cfg))
-             for r in radii],
-            cfg, stream_index,
+            [((_proximity_columns(f, weil, r), r), parts.request(r)) for r in radii],
+            cfg,
         )
         col_N, col_m, col_me, col_H, col_T, col_A = [], [], [], [], [], []
         for r, ((prox,), (sym_mean,)) in zip(radii, means):
@@ -1085,15 +1074,7 @@ class NevanlinnaProfile:
         return "\n".join(lines) + "\n"
 
     def to_json(self):
-        return {
-            "function": json.loads(self.function_id),
-            "a": self.a_label,
-            "radii": list(self.radii),
-            "N": list(self.N),
-            "m": list(self.m),
-            "m_std_error": list(self.m_std_error),
-            "H": list(self.H),
-            "T": list(self.T),
-            "A": list(self.A),
-            "config": asdict(self.config),
-        }
+        blob = asdict(self)
+        blob["function"] = json.loads(blob.pop("function_id"))
+        blob["a"] = blob.pop("a_label")
+        return blob

@@ -45,7 +45,6 @@ __all__ = [
     "mean_batch",
     "mean_columns",
     "mean_log_abs",
-    "mean_weil",
     "paired_reflection_mean",
 ]
 
@@ -73,7 +72,6 @@ class IntegratorConfig:
     samples: int = 300000
     seed: int = 2026
     scheme: str = "monte_carlo"
-    reject_tol: float = 1e-12
 
     def __post_init__(self):
         for name in ("samples", "seed"):
@@ -82,11 +80,6 @@ class IntegratorConfig:
                 raise TypeError(f"{name} must be an int, got {value!r}")
         if self.samples < 1000:
             raise ValueError("samples must be at least 1000")
-        tol = self.reject_tol
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool):
-            raise TypeError(f"reject_tol must be a number, got {tol!r}")
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"reject_tol must be finite and positive, got {tol!r}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
 
@@ -109,7 +102,7 @@ class SphericalMean:
         return 3.0 * self.std_error
 
 
-def mean_columns(column_fn, r: float, cfg: IntegratorConfig, stream_index: int = 0):
+def mean_columns(column_fn, r: float, cfg: IntegratorConfig):
     """Estimate the surface means of k integrand columns on one stream.
 
     column_fn(pts: (n, 4) array of points on ∂B_r) must return
@@ -124,17 +117,16 @@ def mean_columns(column_fn, r: float, cfg: IntegratorConfig, stream_index: int =
     differences are exact sample-by-sample statements.  This is the
     one-request case of mean_batch.
     """
-    return mean_batch([(column_fn, r)], cfg, stream_index)[0]
+    return mean_batch([(column_fn, r)], cfg)[0]
 
 
 class _Pass:
     """Running state of one request of a batch: its rejection count and sums."""
 
-    def __init__(self, column_fn, r, cfg: IntegratorConfig, stream_index: int):
+    def __init__(self, column_fn, r, cfg: IntegratorConfig):
         if r <= 0.0:
             raise ValueError("r must be positive")
-        # validates the radius and the stream index
-        SphereSampler(radius=r, seed=cfg.seed, stream_index=stream_index)
+        SphereSampler(radius=r, seed=cfg.seed)  # validates the radius
         self.column_fn = column_fn
         self.r = r
         self.needed = cfg.samples
@@ -208,7 +200,7 @@ class _Pass:
         ]
 
 
-def mean_batch(requests, cfg: IntegratorConfig, stream_index: int = 0):
+def mean_batch(requests, cfg: IntegratorConfig):
     """mean_columns for many (column_fn, r) requests from one walk of the stream.
 
     Chunks are the outer loop: the Gaussians of chunk k are drawn once and
@@ -219,7 +211,7 @@ def mean_batch(requests, cfg: IntegratorConfig, stream_index: int = 0):
     frame they all read.
 
     Returns one list of SphericalMean per request, each bitwise equal to
-    mean_columns(column_fn, r, cfg, stream_index).  When requests fail, the
+    mean_columns(column_fn, r, cfg).  When requests fail, the
     exception of the first failing request in request order is raised,
     which is the one calling mean_columns on each request in turn raises.
     """
@@ -227,7 +219,7 @@ def mean_batch(requests, cfg: IntegratorConfig, stream_index: int = 0):
     failure = None
     for column_fn, r in requests:
         try:
-            passes.append(_Pass(column_fn, r, cfg, stream_index))
+            passes.append(_Pass(column_fn, r, cfg))
         except ValueError as exc:
             failure = exc
             break
@@ -245,7 +237,7 @@ def mean_batch(requests, cfg: IntegratorConfig, stream_index: int = 0):
                 f"{live[0].rejected} rejections"
             )
             break
-        g, n = gaussian_chunk(cfg.seed, stream_index, chunk_index)
+        g, n = gaussian_chunk(cfg.seed, 0, chunk_index)
         for r in dict.fromkeys(p.r for p in live):
             group = [p for p in passes if p.r == r and p.taken < p.needed]
             if not group:
@@ -270,70 +262,52 @@ def mean_batch(requests, cfg: IntegratorConfig, stream_index: int = 0):
     return [p.means() for p in passes]
 
 
-def _log_threshold(f, r: float, reject_tol: float) -> float:
-    """log of the near-zero guard reject_tol·(1+r)^growth_degree·coeff_scale.
+# near-zero guard of log|f|, relative to (1+r)^growth_degree·coeff_scale
+_ZERO_GUARD = 1e-12
+
+
+def _log_threshold(f, r: float) -> float:
+    """log of the near-zero guard _ZERO_GUARD·(1+r)^growth_degree·coeff_scale.
 
     The guard scales with f, so it rejects the same points of c·f for every
     c > 0; f ≡ 0 gets a finite guard, so its samples are all rejected.
     """
     scale = math.log(max(f.coeff_scale(), 1e-300))
-    return math.log(reject_tol) + f.growth_degree * math.log1p(r) + scale
+    return math.log(_ZERO_GUARD) + f.growth_degree * math.log1p(r) + scale
 
 
-def mean_log_abs(f, r: float, cfg: IntegratorConfig, stream_index: int = 0) -> SphericalMean:
+def mean_log_abs(f, r: float, cfg: IntegratorConfig) -> SphericalMean:
     """Surface mean of log|f| over ∂B_r.
 
-    Samples with |f(w)| below reject_tol·(1+r)^deg·coeff_scale — or on a
+    Samples with |f(w)| below _ZERO_GUARD·(1+r)^deg·coeff_scale — or on a
     numerical pole — are rejected and resampled from the same stream; the
     count is reported and bounded by 0.001·samples.
     """
-    thr = _log_threshold(f, r, cfg.reject_tol)
+    thr = _log_threshold(f, r)
 
     def columns(pts):
-        se = f.stems(pts, cfg.reject_tol)
+        se = f.stems(pts)
         la = se.log_abs()
         ok = se.ok & (la >= thr)
         return la[:, None], ok
 
-    return mean_columns(columns, r, cfg, stream_index)[0]
+    return mean_columns(columns, r, cfg)[0]
 
 
-def mean_weil(f, weil, r: float, cfg: IntegratorConfig, stream_index: int = 0) -> SphericalMean:
-    """Surface mean of λ(f(w)) for a Weil-type singularity weight.
-
-    weil must provide batch(values (n,4), guard_scale) -> (λ values (n,),
-    ok (n,)); the guard scale passed is reject_tol·(1+r)^deg so the weight
-    can reject samples inside its own singularity.
-    """
-    return mean_columns(_weil_columns(f, weil, r, cfg), r, cfg, stream_index)[0]
-
-
-def _weil_columns(f, weil, r: float, cfg: IntegratorConfig):
-    """Column function of mean_weil at radius r."""
-    guard = cfg.reject_tol * (1.0 + r) ** f.growth_degree
-
-    def columns(pts):
-        se = f.stems(pts, cfg.reject_tol)
-        lam, wok = weil.batch(se.value(), guard)
-        return np.asarray(lam, dtype=float)[:, None], se.ok & np.asarray(wok, dtype=bool)
-
-    return columns
-
-
-def paired_reflection_mean(f, r: float, cfg: IntegratorConfig, stream_index: int = 0):
+def paired_reflection_mean(f, r: float, cfg: IntegratorConfig):
     """Means of log|f(w)| and log|f(w̄)| on the same stream.
 
     Both columns share one stem evaluation and one accepted mask, so for
     slice-preserving f the two results are bitwise identical.
     """
-    thr = _log_threshold(f, r, cfg.reject_tol)
+    thr = _log_threshold(f, r)
 
     def columns(pts):
-        se = f.stems(pts, cfg.reject_tol)
+        se = f.stems(pts)
         la = se.log_abs()
         lac = se.log_abs_conj_point()
         ok = se.ok & (la >= thr) & (lac >= thr)
         return np.stack([la, lac], axis=1), ok
 
-    first, second = mean_columns(columns, r, cfg, stream_index)
+    first, second = mean_columns(columns, r, cfg)
     return first, second

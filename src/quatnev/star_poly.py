@@ -2,7 +2,7 @@
 
 The function model: left polynomials f(q) = Σ_k q^k a_k (quaternion
 coefficients on the right of the powers), their *-products, conjugates
-f^c, symmetrizations f^s, slice derivatives, spherical value/derivative,
+f^c, symmetrizations f^s, spherical value/derivative,
 the spherical conjugate point map S_f, Blaschke factors, and linear
 fractional transforms; plus semiregular rationals f = g * h^{-*}.
 
@@ -433,13 +433,20 @@ class LeftPoly:
     def symmetrize(self) -> "RealPoly":
         """f^s = f * f^c, projected to its (provably real) coefficients.
 
-        Raises SymmetrizationNotReal if the imaginary residue exceeds
-        1e-9 times the coefficient scale, which would indicate an
+        Raises OverflowError if a coefficient of f^s does not fit a float,
+        and SymmetrizationNotReal if the imaginary residue exceeds 1e-9
+        times the squared coefficient scale, which would indicate an
         arithmetic bug rather than rounding noise.
         """
         if self.is_zero:
             return RealPoly([])
-        prod = star_mul(self, self.conjugate())
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = star_mul(self, self.conjugate())
+        if not np.isfinite(prod.coeffs).all():
+            raise OverflowError(
+                f"f^s overflows: the coefficient scale {self.coeff_scale():.3e} "
+                "of f squared does not fit a float"
+            )
         residue = float(np.abs(prod.coeffs[:, 1:]).max()) if prod.coeffs.size else 0.0
         scale = max(self.coeff_scale() ** 2, 1e-300)
         if residue > 1e-9 * scale:
@@ -447,18 +454,6 @@ class LeftPoly:
                 f"imaginary residue {residue:.3e} exceeds 1e-9·scale ({scale:.3e})"
             )
         return RealPoly(prod.coeffs[:, 0])
-
-    def derivative(self, order: int = 1) -> "LeftPoly":
-        """Slice derivative ∂f/∂q = Σ_k k q^{k−1} a_k, iterated ``order`` times."""
-        if order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        c = self.coeffs
-        for _ in range(order):
-            if c.shape[0] <= 1:
-                c = np.empty((0, 4))
-                break
-            c = c[1:] * np.arange(1, c.shape[0])[:, None]
-        return _realized(LeftPoly(c))
 
     def series_head(self):
         """(a0, a1, 2·a2) as Quaternions: f(0), f′(0), f″(0)."""
@@ -492,12 +487,10 @@ class LeftPoly:
             acc = q * acc + Quaternion.from_array(self.coeffs[k])
         return acc
 
-    def stems(self, pts: np.ndarray, reject_tol: float = 0.0) -> StemEval:
+    def stems(self, pts: np.ndarray) -> StemEval:
         """Stem evaluation on an (n, 4) batch of points.
 
-        For a polynomial ok is all-True (there is no denominator); the
-        reject_tol parameter is accepted for interface uniformity and
-        ignored here.
+        For a polynomial ok is all-True (there is no denominator).
         """
         pts = slice_points(pts)
         u, v = pts.uv
@@ -597,7 +590,7 @@ class RealPoly(LeftPoly):
             w += ck
         return w
 
-    def stems(self, pts: np.ndarray, reject_tol: float = 0.0) -> StemEval:
+    def stems(self, pts: np.ndarray) -> StemEval:
         """Stem evaluation that reads only z = u + iv of the points' frame."""
         pts = slice_points(pts)
         w = self.real_stems(pts.z)
@@ -810,8 +803,8 @@ class SemiregularRational:
 
     # -- evaluation ------------------------------------------------------------
 
-    def pole_tol(self, q_norm: float) -> float:
-        """EvalAtPole threshold 1e-12·(1+|q|)^{deg den_s}."""
+    def pole_tol(self, q_norm):
+        """EvalAtPole threshold 1e-12·(1+|q|)^{deg den_s}, for a float or an array of |q|."""
         return 1e-12 * (1.0 + q_norm) ** max(self.den_s.degree, 1)
 
     def __call__(self, q) -> Quaternion:
@@ -827,21 +820,21 @@ class SemiregularRational:
             hs_q = Quaternion(hs.real) + I * hs.imag
         return hs_q.inverse() * self.num_eff(q)
 
-    def stems(self, pts: np.ndarray, reject_tol: float = 1e-12) -> StemEval:
+    def stems(self, pts: np.ndarray) -> StemEval:
         """Stem evaluation of the quotient.
 
         With the denominator stem A + iB of den_s and numerator stems
         (P_n, Q_n): P = (A·P_n + B·Q_n)/(A²+B²), Q = (A·Q_n − B·P_n)/(A²+B²);
         for a slice-preserving quotient this is the complex w_n·(A − iB)/(A²+B²).
-        Points with |den_s| below the scale-aware tolerance are masked out.
+        Points with |den_s| below pole_tol(|q|), the rule __call__ raises
+        EvalAtPole by, are masked out.
         """
         pts = slice_points(pts)
         base = self.num_eff.stems(pts)
         hs = self.den_s.real_stems(pts.z)
         A, B = hs.real, hs.imag
         mod2 = A * A + B * B
-        radius = np.hypot(*pts.uv)
-        tol = reject_tol * (1.0 + radius) ** max(self.den_s.degree, 1)
+        tol = self.pole_tol(np.hypot(*pts.uv))
         ok = mod2 >= tol * tol
         safe = np.where(ok, mod2, 1.0)
         if self.is_real:

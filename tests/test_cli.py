@@ -8,6 +8,7 @@ subprocesses.
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,8 +257,8 @@ def test_batched_artifacts_equal_one_pass_at_a_time(command, form, function,
     batched = run()
     original = sph_integral.mean_batch
 
-    def one_at_a_time(requests, cfg, stream_index=0):
-        return [original([request], cfg, stream_index)[0] for request in requests]
+    def one_at_a_time(requests, cfg):
+        return [original([request], cfg)[0] for request in requests]
 
     monkeypatch.setattr(sph_integral, "mean_batch", one_at_a_time)
     monkeypatch.setattr(nevanlinna, "mean_batch", one_at_a_time)
@@ -383,8 +384,7 @@ def test_config_supplies_the_function(tmp_path, capsys):
 
 def test_kernel_flag_selects_reported_convention(tmp_path):
     out = tmp_path / "j.json"
-    assert main(["verify-jensen", *FAST, "--kernel", "doubled",
-                 "--format", "json", "--out", str(out)]) == 0
+    assert main(["verify-jensen", *FAST, "--format", "json", "--out", str(out)]) == 0
     blob = json.loads(out.read_text())
     diff = blob["corrected"]["residual"] - blob["factor2"]["residual"]
     want = jensen_kernel(SliceComplex(0.5, 0.7), 2.0)
@@ -447,7 +447,7 @@ def test_bad_function_literal_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("settings", [
-    {"reject_tol": math.nan}, {"reject_tol": math.inf}, {"reject_tol": 0},
+    {"samples": 999}, {"samples": "2500"}, {"scheme": "simpson"},
     {"samples": 2500.5}, {"samples": True}, {"seed": 1.5}, {"seed": True},
 ])
 def test_unusable_integrator_settings_exit_2_before_sampling(settings, tmp_path,
@@ -458,6 +458,57 @@ def test_unusable_integrator_settings_exit_2_before_sampling(settings, tmp_path,
     assert code == 2
     assert "config error: bad integrator settings" in capsys.readouterr().err
     assert counters["draws"] == []
+
+
+@pytest.mark.parametrize("settings, named", [
+    ({"reject_tol": math.nan}, "reject_tol"),
+    ({"reject_tol": math.inf}, "reject_tol"),
+    ({"reject_tol": 0}, "reject_tol"),
+    ({"reject_tol": 1e-3, "radius": 5}, "radius, reject_tol"),
+    ({"kernel": "doubled"}, "kernel"),
+], ids=["reject_tol-nan", "reject_tol-inf", "reject_tol-zero", "misspelt-radius", "kernel"])
+def test_unknown_config_keys_exit_2_before_sampling(settings, named, tmp_path,
+                                                    capsys, counters):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    code = main(["verify-jensen", "--config", str(cfg)])
+    assert code == 2
+    assert f"config error: unknown config keys: {named}" in capsys.readouterr().err
+    assert counters["draws"] == []
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("verify-jensen", {"function": [[-1, 0, 0, 0], [math.inf, 0, 0, 0]]}),
+    ("verify-jensen", {"function": [[math.nan, 0, 0, 0], [1, 0, 0, 0]]}),
+    ("verify-jensen",
+     {"function": {"num": [[1, 0, 0, 0]], "den": [[-1, 0, 0, 0], [-math.inf, 0, 0, 0]]}}),
+    ("mpb-check", {"radii": [2.0, math.inf]}),
+    ("mpb-check", {"radii": [math.nan]}),
+    ("verify-jensen", {"r": math.inf}),
+], ids=["inf-coefficient", "nan-coefficient", "inf-denominator", "inf-radius", "nan-radius",
+        "inf-r"])
+def test_non_finite_config_numbers_exit_2_before_sampling(command, settings, tmp_path,
+                                                          capsys, counters):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    code = main([command, "--config", str(cfg), *FAST])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err and "finite" in captured.err
+    assert "Mean-proximity-balance" not in captured.out + captured.err, "report began"
+    assert counters["draws"] == []
+
+
+@pytest.mark.parametrize("command", ["profile", "fmt-check", "algebra-suite"])
+def test_overflowing_symmetrization_exits_2_with_a_named_error(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": [[-0.5e160, -0.7e160, 0, 0], [1e160, 0, 0, 0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", str(cfg), *FAST])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: f^s overflows" in err and "coefficient scale 1.000e+160" in err, err
 
 
 def test_nested_rational_literal_exits_2(tmp_path, capsys):

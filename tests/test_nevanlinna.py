@@ -459,12 +459,12 @@ def test_fmt_form2_rows_are_finite_and_bounded():
     assert max(vals) - min(vals) <= 1.0, f"form-2 residual drifting: {vals}"
 
 
-def _fmt_columns_from_two_evaluations(f, g, a, r, cfg):
+def _fmt_columns_from_two_evaluations(f, g, a, r):
     """Form-2 columns with g = f − a evaluated on its own, as a reference."""
-    thr_g = _log_threshold(g, r, cfg.reject_tol)
+    thr_g = _log_threshold(g, r)
 
     def columns(pts):
-        sef, seg = f.stems(pts, cfg.reject_tol), g.stems(pts, cfg.reject_tol)
+        sef, seg = f.stems(pts), g.stems(pts)
         la_g = seg.log_abs()
         lat_g, ok_tg = seg.log_abs_twisted(None)
         lat_f, ok_tf = sef.log_abs_twisted(None)
@@ -495,7 +495,7 @@ def test_fmt_form2_columns_match_two_evaluations(f, a, monkeypatch):
     pts = SphereSampler(radii[0], seed=3).sample(4096)
     g = nevanlinna._shifted(f, a)
     (_, ok), (_, ok_ref) = (
-        build(f, g, a, radii[0], FAST)(pts)
+        build(f, g, a, radii[0])(pts)
         for build in (nevanlinna._fmt_proximity_columns, _fmt_columns_from_two_evaluations)
     )
     assert np.array_equal(ok, ok_ref)

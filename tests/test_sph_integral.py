@@ -22,10 +22,9 @@ from quatnev.sph_integral import (
     mean_batch,
     mean_columns,
     mean_log_abs,
-    mean_weil,
     paired_reflection_mean,
 )
-from quatnev.nevanlinna import NevanlinnaProfile, WeilFunction
+from quatnev.nevanlinna import NevanlinnaProfile, WeilFunction, proximity
 
 CFG = IntegratorConfig(samples=20_000, seed=2026)
 
@@ -47,10 +46,8 @@ def test_same_config_is_bitwise_reproducible():
 
 
 def test_streams_and_seeds_decorrelate():
-    a = mean_columns(identity_columns, 1.7, CFG, stream_index=0)[0]
-    b = mean_columns(identity_columns, 1.7, CFG, stream_index=1)[0]
+    a = mean_columns(identity_columns, 1.7, CFG)[0]
     c = mean_columns(identity_columns, 1.7, IntegratorConfig(samples=20_000, seed=1))[0]
-    assert a.value != b.value
     assert a.value != c.value
 
 
@@ -283,7 +280,7 @@ def test_weil_guard_rejects_near_singularity():
     # but only a vanishing fraction of draws lands inside the guard
     f = RealPoly([0.0, 1.0])
     weil = WeilFunction.analytic(Quaternion(1.0, 0, 0, 0))
-    m = mean_weil(f, weil, 1.0, CFG)
+    m = proximity(f, weil, 1.0, CFG)
     assert math.isfinite(m.value)
     assert m.rejected <= 0.001 * CFG.samples
 
@@ -341,9 +338,9 @@ def _assert_batch_is_sequential(requests, cfg):
 def test_batch_walks_the_stream_in_chunk_order():
     """Three chunks of one stream, checked against the sampler's own points."""
     cfg = IntegratorConfig(samples=150_000, seed=5)
-    batch = mean_batch([(identity_columns, 0.8), (identity_columns, 2.5)], cfg, stream_index=3)
+    batch = mean_batch([(identity_columns, 0.8), (identity_columns, 2.5)], cfg)
     for r, means in zip((0.8, 2.5), batch):
-        want = SphereSampler(radius=r, seed=5, stream_index=3).sample(cfg.samples).mean(axis=0)
+        want = SphereSampler(radius=r, seed=5).sample(cfg.samples).mean(axis=0)
         assert [m.value for m in means] == pytest.approx(want, rel=0, abs=1e-12)
 
 
@@ -371,7 +368,7 @@ def test_batch_equals_single_requests_under_antithetic_pairs():
     f = LeftPoly([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 0, 0]])
 
     def log_abs(pts):
-        se = f.stems(pts, cfg.reject_tol)
+        se = f.stems(pts)
         return se.log_abs()[:, None], se.ok
 
     requests = [(log_abs, 1.5), (identity_columns, 1.5), (_cap_rejecting(1, 0.999), 2.0)]
@@ -441,13 +438,13 @@ def test_slice_frame_dies_with_its_points(scheme):
     refs = []
 
     def columns(pts):
-        se = g.stems(pts, cfg.reject_tol)
+        se = g.stems(pts)
         la = se.log_abs()
         refs[:] = [weakref.ref(x) for x in (pts, se.v, se.I, pts.z, la)]
         return la[:, None], se.ok
 
     def real_columns(pts):
-        se = f.stems(pts, cfg.reject_tol)
+        se = f.stems(pts)
         return se.log_abs()[:, None], se.ok
 
     mean_batch([(columns, 1.5), (real_columns, 1.5), (columns, 2.5)], cfg)
