@@ -343,6 +343,36 @@ class SphereDivisor:
         )
 
 
+_LOG_HUGE = math.log(np.finfo(float).max)  # natural log of the largest float
+
+
+def _check_root_scale(side, copies: int) -> None:
+    """Raise OverflowError when the product of the roots complex_roots would find for side overflows.
+
+    Those are copies·n roots (copies = 2 for the symmetrization), n the
+    roots of side away from 0, found from a monic polynomial whose constant
+    term is ± their product ρ^{copies·n}, with ρ = |c_lo / c_deg|^{1/n} the
+    root scale of side.
+    """
+    lo = side.origin_order()
+    n = side.degree - lo
+    if n == 0:
+        return
+    log_rho = (math.log(math.hypot(*side.coeffs[lo])) - math.log(math.hypot(*side.coeffs[-1]))) / n
+    if copies * n * log_rho >= _LOG_HUGE:
+        raise OverflowError(
+            f"the roots lie at scale {_power_of_ten(log_rho)}, so the {copies * n} roots to find "
+            f"have a product near {_power_of_ten(copies * n * log_rho)}, which does not fit a float"
+        )
+
+
+def _power_of_ten(log_x: float) -> str:
+    """e-notation of x = exp(log_x), also beyond the float range."""
+    log10_x = log_x / math.log(10.0)
+    e = math.floor(log10_x)
+    return f"{10.0 ** (log10_x - e):.3f}e{e:+d}"
+
+
 def total_order_divisor(f) -> SphereDivisor:
     """Signed total-order divisor of a polynomial or semiregular rational.
 
@@ -354,7 +384,8 @@ def total_order_divisor(f) -> SphereDivisor:
     instead, at twice their multiplicity.
 
     Raises UnbalancedDivisor when the orders found for g, with its order at
-    the origin, do not sum to deg g, or likewise for h.
+    the origin, do not sum to deg g, or likewise for h, and OverflowError
+    when the product of the roots to find for g or h overflows a float.
     """
     f = as_rational(f)
     if f.num.is_zero:
@@ -364,6 +395,7 @@ def total_order_divisor(f) -> SphereDivisor:
     for side, sign in ((_realized(f.num), 1), (_realized(f.den), -1)):
         if side.degree <= 0:
             continue
+        _check_root_scale(side, 1 if isinstance(side, RealPoly) else 2)
         if isinstance(side, RealPoly):
             poly, power = side, 2
         else:

@@ -168,7 +168,9 @@ class WeilFunction:
         """Custom weight λ(values) with singularity at ``a``.
 
         weight_fn maps an (n, 4) array of quaternion values to an (n,)
-        array of weights; non-finite outputs are rejected samples.
+        array of weights; non-finite outputs are rejected samples.  In a
+        Monte-Carlo pass it gets blocks of at most quat_core.BLOCK rows, so it must be
+        pointwise: weight i depends on row i alone.
         """
         sing = None if _is_infinity(a) else _coerce(a)
         return WeilFunction("custom", sing, weight_fn)
@@ -324,7 +326,10 @@ def _radius_free(f, a) -> _RadiusFree:
         return _RadiusFree(total_order_divisor(f), "pole", f.symmetrize(),
                            WeilFunction.analytic(None), None)
     g = _shifted(f, _coerce(a))
-    d = total_order_divisor(g)
+    try:
+        d = total_order_divisor(g)
+    except OverflowError as exc:
+        raise OverflowError(f"f − a: {exc}") from None
     _, head = _deflated_head(g)
     return _RadiusFree(d, "zero", g.symmetrize(),
                        WeilFunction.analytic(Quaternion(0.0, 0.0, 0.0, 0.0)), head)

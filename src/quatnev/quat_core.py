@@ -35,6 +35,7 @@ __all__ = [
     "SliceComplex",
     "SlicePoints",
     "SphereSampler",
+    "BLOCK",
     "CHUNK",
     "gaussian_chunk",
     "mul",
@@ -56,8 +57,11 @@ __all__ = [
 #: (seed, stream_index, chunk_index) so any prefix of a run is reproducible.
 CHUNK = 65536
 
+#: rows of a block: Gaussians are drawn, and Monte-Carlo columns evaluated,
+#: BLOCK rows at a time; divides CHUNK.
+BLOCK = 8192
+
 _MASK64 = (1 << 64) - 1
-_DRAW_ROWS = 8192  # rows of Gaussians drawn at a time; divides CHUNK
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -422,8 +426,8 @@ def gaussian_chunk(seed: int, stream_index: int, chunk_index: int):
     # the stream is sequential, so drawing (CHUNK, 4) in blocks of rows gives
     # the same bits, and each block is written transposed with no full copy
     g = np.empty((4, CHUNK))
-    for start in range(0, CHUNK, _DRAW_ROWS):
-        g[:, start:start + _DRAW_ROWS] = rng.standard_normal((_DRAW_ROWS, 4)).T
+    for start in range(0, CHUNK, BLOCK):
+        g[:, start:start + BLOCK] = rng.standard_normal((BLOCK, 4)).T
     g = g.T
     n = qnorm(g)
     # a 4-vector of exact zeros has probability 0; guard anyway

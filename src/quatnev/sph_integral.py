@@ -22,21 +22,29 @@ which keeps its own mask, rejection count and sums.  Only the current
 chunk is held, and every mean equals the one mean_columns gives for its
 request alone.
 
-The requests at one radius read one point array per chunk, a SlicePoints
-batch with (4, n) storage behind its (n, 4) view, so its slice frame (u, v)
-and z = u + iv is computed once per (chunk, radius) and dropped with its
-points when the walk moves on.
-Under antithetic_pair the conjugate batch reuses the same (u, v, z).
+Within a chunk the walk goes radius group → request → block: a request
+evaluates the chunk in blocks of quat_core.BLOCK points and stops after
+the block that brings its accepted rows up to the number it still needs,
+so column functions get at most BLOCK rows per call and must be
+pointwise.  Each block of a (chunk, radius) group is a read-only
+SlicePoints batch with (4, n) storage behind its (n, 4) view, made on
+first use and shared by the group's later requests, so its slice frame
+(u, v) and z = u + iv is computed once per (block, radius) and dropped
+with its points when the walk moves on.  Under antithetic_pair the
+conjugate block reuses the same (u, v, z).  A request writes its blocks
+into a (CHUNK, k) buffer the walk owns, and its sums run on the filled
+prefix, so every mean has the bits of a walk by whole chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quat_core import CHUNK, SlicePoints, SphereSampler, gaussian_chunk
+from .quat_core import BLOCK, CHUNK, SlicePoints, SphereSampler, gaussian_chunk
 
 __all__ = [
     "IntegratorConfig",
@@ -108,10 +116,12 @@ def mean_columns(column_fn, r: float, cfg: IntegratorConfig):
     column_fn(pts: (n, 4) array of points on ∂B_r) must return
     (vals: (n, k) array, ok: (n,) bool mask); rows with ok = False, and
     rows with a non-finite value, are rejected and replaced by continuing
-    the stream.  Under the antithetic_pair scheme the columns are
-    evaluated at the batch and at its quaternion-conjugate batch, and each
-    accepted unit is the pair average ½(v(w) + v(w̄)) with both points
-    required to be acceptable.  The point arrays are read-only.
+    the stream.  It gets blocks of at most BLOCK points, so it must be
+    pointwise: row i of its output depends on point i alone.  Under the
+    antithetic_pair scheme the columns are evaluated at the batch and at
+    its quaternion-conjugate batch, and each accepted unit is the pair
+    average ½(v(w) + v(w̄)) with both points required to be acceptable.
+    The point arrays are read-only.
 
     Returns a list of k SphericalMean sharing the accepted mask, so column
     differences are exact sample-by-sample statements.  This is the
@@ -135,32 +145,53 @@ class _Pass:
         self.taken = 0
         self.rejected = 0
 
-    def feed(self, pts, conj_pts):
-        """Accumulate the next chunk; conj_pts is its conjugate under antithetic_pair."""
+    def columns(self, pts):
+        """column_fn at one block, as an (n, k) float array and a bool mask."""
         vals, ok = self.column_fn(pts)
         vals = np.asarray(vals, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.shape[0] != pts.shape[0]:
             raise ValueError("column_fn must return one row per point")
-        ok = np.asarray(ok, dtype=bool)
-        if conj_pts is not None:
-            vals2, ok2 = self.column_fn(conj_pts)
-            vals2 = np.asarray(vals2, dtype=float)
-            if vals2.ndim == 1:
-                vals2 = vals2[:, None]
-            with np.errstate(invalid="ignore"):
-                vals = 0.5 * (vals + vals2)
-            ok = ok & np.asarray(ok2, dtype=bool)
-        # column by column: on a (65536, k) chunk a row-wise all() is ~15x slower
-        for column in vals.T:
-            ok = ok & np.isfinite(column)
-        # a C-order copy costs a fraction of the boolean gather it equals
-        take_rows = np.array(vals, order="C") if ok.all() else vals[ok]
-        n_ok = take_rows.shape[0]
-        n_rej = pts.shape[0] - n_ok
+        return vals, np.asarray(ok, dtype=bool)
+
+    def feed(self, block, scratch):
+        """Accumulate the next chunk, block by block, until no more rows are needed.
+
+        block(b) is the b-th (points, conjugate points or None) pair of the
+        chunk's blocks, and scratch(k) a (CHUNK, k) buffer and a (CHUNK,)
+        mask, owned by the walk and lent to one request at a time.
+        """
         remaining = self.needed - self.taken
-        if n_ok > remaining:
+        buf = mask = None
+        filled = n_ok = 0
+        for b in range(CHUNK // BLOCK):
+            pts, conj_pts = block(b)
+            vals, ok = self.columns(pts)
+            if buf is None:
+                buf, mask = scratch(vals.shape[1])
+            end = filled + len(pts)
+            rows = buf[filled:end]
+            if conj_pts is None:
+                rows[...] = vals
+            else:
+                vals2, ok2 = self.columns(conj_pts)
+                with np.errstate(invalid="ignore"):
+                    np.add(vals, vals2, out=rows)
+                    rows *= 0.5
+                ok = ok & ok2
+            # column by column: on an (n, k) block a row-wise all() is 5-10x slower
+            for column in rows.T:
+                ok = ok & np.isfinite(column)
+            mask[filled:end] = ok
+            filled = end
+            n_ok += int(np.count_nonzero(ok))
+            if n_ok >= remaining:
+                break
+        ok = mask[:filled]
+        take_rows = buf[:filled] if n_ok == filled else buf[:filled][ok]
+        n_rej = filled - n_ok
+        if n_ok >= remaining:
             # count rejections only along the stream prefix actually used
             used = np.nonzero(ok)[0][remaining - 1] + 1
             n_rej = int(used - remaining)
@@ -181,7 +212,7 @@ class _Pass:
             # the spread estimate does not depend on the offset of a column
             chunk_sum = take_rows.sum(axis=0)
             chunk_mean = chunk_sum / n_ok
-            # take_rows is a fresh copy (gathered or C-order), so center it in place
+            # take_rows is the walk's buffer or a gather from it, so center it in place
             dev = np.subtract(take_rows, chunk_mean, out=take_rows)
             delta = chunk_mean - self.run_mean
             merged = self.taken + n_ok
@@ -200,15 +231,38 @@ class _Pass:
         ]
 
 
+def _blocks(g, n, r: float, antithetic: bool):
+    """block(b): the b-th BLOCK points of a (chunk, radius) group, made on first use.
+
+    g and n are the chunk's Gaussians and their row norms.  Each block is
+    a read-only SlicePoints, paired with its conjugate under
+    antithetic_pair (else None), and kept, so every request of the group
+    reads one slice frame per block.
+    """
+
+    @functools.cache
+    def block(b):
+        rows = slice(b * BLOCK, (b + 1) * BLOCK)
+        pts = (g[rows].T * (r / n[rows])).T.view(SlicePoints)
+        pts.setflags(write=False)
+        return pts, (SlicePoints.conjugate_of(pts) if antithetic else None)
+
+    return block
+
+
 def mean_batch(requests, cfg: IntegratorConfig):
     """mean_columns for many (column_fn, r) requests from one walk of the stream.
 
     Chunks are the outer loop: the Gaussians of chunk k are drawn once and
     scaled to each radius still needed, and every unfinished request reads
     them.  A request keeps its own mask, rejection count and sums, so one
-    with rejections reads further chunks alone.  Requests at the same r
-    share one read-only point array per chunk, which carries the slice
-    frame they all read.
+    with rejections reads further chunks alone.  Each column_fn gets
+    blocks of at most BLOCK points and must be pointwise; a request stops
+    after the block that completes it.  Requests at the same r share one
+    read-only point array per block, which carries the slice frame they
+    all read.  Rejections count along the stream prefix a request used,
+    up to its last accepted row, also when a chunk's accepted rows
+    exactly equal the rows still needed.
 
     Returns one list of SphericalMean per request, each bitwise equal to
     mean_columns(column_fn, r, cfg).  When requests fail, the
@@ -224,6 +278,11 @@ def mean_batch(requests, cfg: IntegratorConfig):
             failure = exc
             break
     antithetic = cfg.scheme == "antithetic_pair"
+
+    @functools.cache
+    def scratch(k):
+        return np.empty((CHUNK, k)), np.empty(CHUNK, dtype=bool)
+
     # the rejection invariant (0.1%) trips long before this budget
     max_chunks = 2 * (cfg.samples // CHUNK + 2) + 8
     chunk_index = 0
@@ -242,19 +301,17 @@ def mean_batch(requests, cfg: IntegratorConfig):
             group = [p for p in passes if p.r == r and p.taken < p.needed]
             if not group:
                 continue
-            pts = (g.T * (r / n)).T.view(SlicePoints)
-            pts.setflags(write=False)
-            conj_pts = SlicePoints.conjugate_of(pts) if antithetic else None
+            block = _blocks(g, n, r, antithetic)
             for p in group:
                 try:
-                    p.feed(pts, conj_pts)
+                    p.feed(block, scratch)
                 except Exception as exc:
                     # held, not raised: an earlier request may still fail on
                     # a later chunk, and its exception is the one to raise
                     failure = exc
                     del passes[passes.index(p):]
                     break
-            del pts, conj_pts
+            del block
         del g, n
         chunk_index += 1
     if failure is not None:

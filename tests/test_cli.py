@@ -511,6 +511,19 @@ def test_overflowing_symmetrization_exits_2_with_a_named_error(command, tmp_path
     assert "error: f^s overflows" in err and "coefficient scale 1.000e+160" in err, err
 
 
+@pytest.mark.parametrize("command", ["profile", "fmt-check"])
+def test_target_near_the_float_range_exits_2_with_a_named_error(command, tmp_path, capsys):
+    """The roots of f − a lie near 1.2e154, so the product of the four roots of (f − a)^s overflows."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": [1e308, 1e308, 0, 0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", str(cfg), *FAST])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: f − a: the roots lie at scale 1.189e+154" in err and "orders sum" not in err, err
+
+
 def test_nested_rational_literal_exits_2(tmp_path, capsys):
     inner = {"num": [[1, 0, 0, 0]], "den": [[1, 0, 0, 0]]}
     cfg = tmp_path / "cfg.json"

@@ -13,12 +13,13 @@ import weakref
 import numpy as np
 import pytest
 
-from quatnev.quat_core import CHUNK, Quaternion, SphereSampler
-from quatnev.star_poly import LeftPoly, RealPoly
+from quatnev.quat_core import BLOCK, CHUNK, Quaternion, SlicePoints, SphereSampler, gaussian_chunk
+from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational
 from quatnev.sph_integral import (
     IntegratorConfig,
     SphericalMean,
     TooManyRejections,
+    _log_threshold,
     mean_batch,
     mean_columns,
     mean_log_abs,
@@ -219,31 +220,60 @@ def test_strided_columns_give_the_bits_of_contiguous_ones(k):
     assert _bits(mean_columns(strided, 1.3, cfg)) == _bits(mean_columns(contiguous, 1.3, cfg))
 
 
+def _stream_rows(scheme="monte_carlo"):
+    """rows(pts): the stream positions of the rows of one column_fn call of a request.
+
+    column_fn gets one block per call.  A request reads its blocks in
+    stream order and stops early only in its last chunk, so a running
+    offset is the position of a block's first row; chunk c, row i is
+    position c·CHUNK + i.  Under antithetic_pair each block is read twice,
+    at its points and then at their conjugates.  Make one per request.
+    """
+    reads_per_block = 2 if scheme == "antithetic_pair" else 1
+    offset = reads = 0
+
+    def rows(pts):
+        nonlocal offset, reads
+        start = offset
+        reads += 1
+        if reads % reads_per_block == 0:
+            offset += len(pts)
+        return np.arange(start, start + len(pts))
+
+    return rows
+
+
+def _chunks_read(rows_read):
+    return -(-rows_read // CHUNK)
+
+
 @pytest.mark.parametrize("rows_by_chunk, rejected", [
     ({0: [5, 17, 900]}, 3),             # a rejecting chunk, then a clean one
     ({1: [10, 50_000]}, 1),             # row 50 000 lies past the prefix the second chunk gives
 ])
 def test_rejections_are_counted_across_clean_and_rejecting_chunks(rows_by_chunk, rejected):
     cfg = IntegratorConfig(samples=CHUNK + 4_000, seed=2026)
-    calls = []
+    bad = [c * CHUNK + i for c, rows in rows_by_chunk.items() for i in rows]
+    rows = _stream_rows()
+    read = []
 
     def columns(pts):
-        ok = np.ones(len(pts), dtype=bool)
-        ok[rows_by_chunk.get(len(calls), [])] = False
-        calls.append(len(pts))
-        return pts[:, :2], ok
+        at = rows(pts)
+        read.append(len(pts))
+        return pts[:, :2], ~np.isin(at, bad)
 
     means = mean_columns(columns, 1.0, cfg)
-    assert len(calls) == 2
+    assert _chunks_read(sum(read)) == 2
     assert all(m.rejected == rejected and m.effective_samples == cfg.samples for m in means)
 
 
-def _poisoned(rows, value):
-    """Columns (w, x) that hold ``value`` at the given rows, all marked ok."""
+def _poisoned(bad, value, scheme="monte_carlo"):
+    """Columns (w, x) that hold ``value`` at the given stream positions, all marked ok."""
+    rows = _stream_rows(scheme)
 
     def columns(pts):
         vals = pts[:, :2].copy()
-        vals[rows, 1] = value
+        vals[np.isin(rows(pts), bad), 1] = value
         return vals, np.ones(len(pts), dtype=bool)
 
     return columns
@@ -254,14 +284,13 @@ def _poisoned(rows, value):
 def test_non_finite_rows_are_rejected_and_counted(scheme, value):
     cfg = IntegratorConfig(samples=20_000, seed=2026, scheme=scheme)
     bad = [3, 500, 7_000, 19_000]
-    means = mean_columns(_poisoned(bad, value), 1.0, cfg)
+    means = mean_columns(_poisoned(bad, value, scheme), 1.0, cfg)
     assert all(math.isfinite(m.value) and math.isfinite(m.std_error) for m in means)
     assert all(m.rejected == len(bad) for m in means)
+    rows = _stream_rows(scheme)
 
     def masked(pts):
-        ok = np.ones(len(pts), dtype=bool)
-        ok[bad] = False
-        return pts[:, :2], ok
+        return pts[:, :2], ~np.isin(rows(pts), bad)
 
     want = mean_columns(masked, 1.0, cfg)
     assert [m.value for m in means] == [m.value for m in want], (
@@ -359,7 +388,7 @@ def test_batch_requests_read_different_numbers_of_chunks():
     ]
     batch = _assert_batch_is_sequential(requests, NEAR_CHUNK)
     # each request was read once by the batch and once alone
-    assert [len(r) // 2 for r in reads] == [2, 2, 1]
+    assert [_chunks_read(sum(r) // 2) for r in reads] == [2, 2, 1]
     assert [m[0].rejected > 0 for m in batch] == [True, True, False]
 
 
@@ -376,27 +405,29 @@ def test_batch_equals_single_requests_under_antithetic_pairs():
 
 
 def _late_failure():
-    """Columns that reject ten rows of chunk 0, then every row of chunk 1."""
-    calls = []
+    """Columns that reject the first ten rows of chunk 0, then every row of chunk 1."""
+    rows = _stream_rows()
 
     def columns(pts):
-        ok = np.ones(len(pts), dtype=bool)
-        ok[: 10 if not calls else len(pts)] = False
-        calls.append(None)
-        return pts[:, :1], ok
+        at = rows(pts)
+        return pts[:, :1], (at >= 10) & (at < CHUNK)
 
     return columns
 
 
 def test_batch_raises_the_first_failing_request():
+    early_rows = []
+
     def early(pts):
+        early_rows.append(len(pts))
         return pts[:, :1], np.zeros(len(pts), dtype=bool)
 
     with pytest.raises(TooManyRejections) as alone:
         mean_columns(_late_failure(), 1.0, NEAR_CHUNK)
-    # the second request fails on chunk 0, before the first one fails
+    # the second request fails on chunk 0, before the first one fails on chunk 1
     with pytest.raises(TooManyRejections) as batch:
         mean_batch([(_late_failure(), 1.0), (early, 2.0)], NEAR_CHUNK)
+    assert sum(early_rows) == CHUNK
     assert str(batch.value) == str(alone.value)
     assert "at r = 1.0" in str(batch.value)
 
@@ -449,3 +480,130 @@ def test_slice_frame_dies_with_its_points(scheme):
 
     mean_batch([(columns, 1.5), (real_columns, 1.5), (columns, 2.5)], cfg)
     assert refs and all(ref() is None for ref in refs), "a slice frame outlived its group"
+
+
+# ---------------------------------------------------------------------------
+# Blocks: the walk stops at the block that completes a request
+# ---------------------------------------------------------------------------
+
+
+def _whole_chunk_means(column_fn, r, cfg):
+    """mean_columns walked one whole chunk per column_fn call.
+
+    Each chunk's accepted rows are gathered in stream order, cut at the
+    rows still needed, and merged with the same sums and Chan–Golub–LeVeque
+    update as the library.  Rejections count along the used prefix only,
+    including when a chunk's accepted rows exactly equal the rows needed.
+    """
+    taken = rejected = chunk = 0
+    sums = run_mean = run_m2 = 0.0
+    while taken < cfg.samples:
+        g, n = gaussian_chunk(cfg.seed, 0, chunk)
+        chunk += 1
+        pts = (g.T * (r / n)).T.view(SlicePoints)
+        pts.setflags(write=False)
+        vals, ok = column_fn(pts)
+        if cfg.scheme == "antithetic_pair":
+            vals2, ok2 = column_fn(SlicePoints.conjugate_of(pts))
+            with np.errstate(invalid="ignore"):
+                vals = 0.5 * (vals + vals2)
+            ok = ok & ok2
+        ok = ok & np.isfinite(vals).all(axis=1)
+        take = vals[ok]
+        remaining = cfg.samples - taken
+        n_rej = len(ok) - len(take)
+        if len(take) >= remaining:
+            n_rej = int(np.nonzero(ok)[0][remaining - 1] + 1 - remaining)
+            take = take[:remaining]
+        rejected += n_rej
+        n_ok = len(take)
+        chunk_sum = take.sum(axis=0)
+        chunk_mean = chunk_sum / n_ok
+        dev = take - chunk_mean
+        delta = chunk_mean - run_mean
+        merged = taken + n_ok
+        run_m2 = run_m2 + (np.einsum("ij,ij->j", dev, dev) + delta * delta * (taken * n_ok / merged))
+        run_mean = run_mean + delta * (n_ok / merged)
+        sums = sums + chunk_sum
+        taken = merged
+    means = sums / cfg.samples
+    std_err = np.sqrt(run_m2 / (cfg.samples - 1) / cfg.samples)
+    return [SphericalMean(float(m), float(e), cfg.samples, rejected)
+            for m, e in zip(means, std_err)]
+
+
+def _log_columns(f, r, rows=None, bad=()):
+    """Columns (log|f|, log|f∘S_f|) with the library's guards.
+
+    With a _stream_rows ``rows``, the stream positions in ``bad`` are
+    rejected as well.
+    """
+    thr = _log_threshold(f, r)
+
+    def columns(pts):
+        se = f.stems(pts)
+        la = se.log_abs()
+        lat, ok_t = se.log_abs_twisted(None)
+        ok = se.ok & ok_t & (la >= thr) & (lat >= thr)
+        if rows is not None:
+            ok &= ~np.isin(rows(pts), bad)
+        return np.stack([la, lat], axis=1), ok
+
+    return columns
+
+
+_BLOCK_FUNCTIONS = [
+    RealPoly([0.5, -1.0, 0.0, 1.0]),
+    LeftPoly([[1, 1, 0, 0], [0.5, 0, -1, 0], [0, 0, 0.3, 1], [1, 0, 0, 0]]),
+    SemiregularRational(LeftPoly([[1, 0, 0, 0], [0.2, 0.1, 0, 0], [1, 0, 0, 0]]),
+                        LeftPoly([[0.3, 0, 0.4, 0], [1, 0, 0, 0]])),
+]
+
+
+@pytest.mark.parametrize("scheme", ["monte_carlo", "antithetic_pair"])
+def test_blocks_give_the_bits_of_whole_chunks(scheme):
+    """Each mean of a batch equals a walk by whole chunks, bit for bit.
+
+    20 000 samples stop in the third block of chunk 0; CHUNK + 5 000 read
+    chunk 0 whole, then a prefix of chunk 1.
+    """
+    for samples in (20_000, CHUNK + 5_000):
+        cfg = IntegratorConfig(samples=samples, seed=7, scheme=scheme)
+        requests = [(_log_columns(f, r), r) for f in _BLOCK_FUNCTIONS for r in (0.7, 1.9)]
+        batch = mean_batch(requests, cfg)
+        want = [_whole_chunk_means(column_fn, r, cfg) for column_fn, r in requests]
+        assert [_bits(m) for m in batch] == [_bits(m) for m in want]
+
+
+@pytest.mark.parametrize("scheme", ["monte_carlo", "antithetic_pair"])
+@pytest.mark.parametrize("samples, bad, rejected", [
+    # five rows across the first block boundary; row CHUNK − 1 lies after the
+    # last used sample when chunk 0 accepts exactly the rows needed
+    (CHUNK - 6, [BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, CHUNK - 1], 5),
+    # the same run, then a rejected row past the prefix chunk 1 gives
+    (CHUNK + 4_000, [BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, CHUNK + 4_100], 5),
+])
+def test_rejections_straddling_blocks_give_the_bits_of_whole_chunks(scheme, samples, bad, rejected):
+    cfg = IntegratorConfig(samples=samples, seed=7, scheme=scheme)
+    f = _BLOCK_FUNCTIONS[1]
+    got = mean_columns(_log_columns(f, 1.3, _stream_rows(scheme), bad), 1.3, cfg)
+    want = _whole_chunk_means(_log_columns(f, 1.3, _stream_rows(scheme), bad), 1.3, cfg)
+    assert _bits(got) == _bits(want)
+    assert all(m.rejected == rejected and m.effective_samples == samples for m in got)
+
+
+def test_a_small_request_reads_one_block_per_radius():
+    """2 000 samples need one BLOCK-row block, which every request at its radius shares."""
+    cfg = IntegratorConfig(samples=2_000, seed=7)
+    seen = [[], [], []]
+
+    def recorder(i):
+        def columns(pts):
+            seen[i].append(pts)
+            return pts[:, :1], np.ones(len(pts), dtype=bool)
+
+        return columns
+
+    mean_batch([(recorder(0), 1.0), (recorder(1), 2.0), (recorder(2), 1.0)], cfg)
+    assert [[len(pts) for pts in calls] for calls in seen] == [[BLOCK]] * 3
+    assert seen[0][0] is seen[2][0] and seen[0][0] is not seen[1][0]

@@ -594,6 +594,20 @@ def test_spherical_decomposition(f, q):
     assert residual <= 1e-8 * scale, f"f ≠ f°_s + Im(q)·f'_s at {q} (residual {residual})"
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="evaluating f near a double zero sphere cancels, "
+                   "so the residual is 1.12e-6 against the 1e-8 bound")
+def test_spherical_decomposition_near_a_double_zero_sphere():
+    """f = (q − k)*(q − k) at q = 0.99999k, 1e-5 from its double zero sphere |q| = 1, Re q = 0.
+
+    The property above drew a degree-3 case of this kind; this one pins it
+    without depending on the draw.
+    """
+    f = LeftPoly([[-1, 0, 0, 0], [0, 0, 0, -2], [1, 0, 0, 0]])
+    q = Quaternion(0, 0, 0, 0.99999)
+    residual = corollary_decomposition_check(f, q)
+    assert residual <= 1e-8 * (1.0 + abs(f(q))), f"residual {residual}"
+
+
 @given(polys(), quats().filter(lambda q: q.abs_im() > 0.1))
 @settings(max_examples=150)
 def test_spherical_parts_are_constant_on_the_sphere(f, q):
