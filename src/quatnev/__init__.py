@@ -13,11 +13,8 @@ from .quat_core import (
     Quaternion,
     SliceComplex,
     SphereSampler,
-    conj,
     embed,
-    inverse,
     mul,
-    norm,
     sphere_of,
 )
 from .star_poly import (
@@ -32,12 +29,10 @@ from .star_poly import (
     UndefinedAtZeroPole,
     ZeroCenter,
     ZeroFunctionReciprocal,
-    blaschke,
     corollary_decomposition_check,
     linear_fractional,
     spherical_conjugate,
     spherical_derivative,
-    spherical_value,
     star_eval_identity_check,
     star_mul,
 )
@@ -46,14 +41,11 @@ from .divisor import (
     SphereDivisor,
     UnbalancedDivisor,
     ZeroPolynomial,
-    a_count,
-    a_re_count,
     analytic_characterization_check,
     angular_identity_check,
     angular_term,
     complex_roots,
     jensen_kernel,
-    n_count,
     N_integrated,
     N_via_unintegrated,
     total_order_divisor,

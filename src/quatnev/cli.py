@@ -60,12 +60,12 @@ from .divisor import (
 from .sph_integral import IntegratorConfig
 from .nevanlinna import (
     NevanlinnaProfile,
-    _jensen_closures,
-    _mpb_defects,
     characteristic_algebra_suite,
     counting_arbiter,
     harmonic_remainder,
+    mpb_defect,
     verify_fmt,
+    verify_jensen,
 )
 
 PASS = "✓ PASS"
@@ -393,7 +393,7 @@ def _run_verify_jensen(spec: ExperimentSpec) -> tuple:
     f = spec.function
     r = spec.r
     cfg = spec.integrator
-    corrected, factor2 = _jensen_closures(f, r, cfg, ("corrected", "doubled"))
+    corrected, factor2 = verify_jensen(f, r, cfg)
     offset = factor2.divisor_sum - corrected.divisor_sum
 
     print(f"Jensen closure at r = {r:g}  "
@@ -480,7 +480,7 @@ def _run_mpb_check(spec: ExperimentSpec) -> tuple:
     print(f"Mean-proximity-balance defect, a = "
           f"{'inf' if spec.a is None else spec.a}")
     rows = []
-    defects = _mpb_defects(spec.function, spec.a, spec.radii, spec.integrator)
+    defects = mpb_defect(spec.function, spec.a, spec.radii, spec.integrator)
     for r, d in zip(spec.radii, defects):
         rows.append((r, d.value, d.std_error, d.three_sigma))
         print(f"  r = {r:10.4f}   defect = {d.value:+.6e} ± {d.std_error:.2e}")

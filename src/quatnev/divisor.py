@@ -6,9 +6,10 @@ function of the real polynomials g^s and h^s alone.  This module extracts
 conjugate-closed complex root sets, converts them into signed total-order
 divisors (zeros positive, poles negative, real roots at half the
 symmetrization multiplicity, the origin kept separate), and evaluates the
-counting functions n, N, A and their integral representations in closed
-form — the integrands are elementary on each interval between divisor
-radii, so the dual-route identity checks carry no quadrature error.
+integrated counting function N, the angular term A and their integral
+representations in closed form — the integrands are elementary on each
+interval between divisor radii, so the dual-route identity checks carry no
+quadrature error.
 """
 
 from __future__ import annotations
@@ -31,12 +32,9 @@ __all__ = [
     "total_order_divisor",
     "jensen_kernel",
     "signed_kernel_sum",
-    "n_count",
     "N_integrated",
     "N_via_unintegrated",
     "angular_term",
-    "a_count",
-    "a_re_count",
     "angular_identity_check",
     "analytic_characterization_check",
 ]
@@ -324,24 +322,6 @@ class SphereDivisor:
         sign = 1 if side == "zero" else -1
         return max(sign * self.origin_order, 0)
 
-    def to_json(self):
-        return {
-            "entries": [
-                {"re": s.re, "im": s.im, "order": k} for s, k in self.entries
-            ],
-            "origin_order": self.origin_order,
-        }
-
-    @staticmethod
-    def from_json(data) -> "SphereDivisor":
-        return SphereDivisor.build(
-            [
-                (SliceComplex(e["re"], e["im"]), int(e["order"]))
-                for e in data["entries"]
-            ],
-            int(data.get("origin_order", 0)),
-        )
-
 
 _LOG_HUGE = math.log(np.finfo(float).max)  # natural log of the largest float
 
@@ -475,7 +455,8 @@ def signed_kernel_sum(d: SphereDivisor, R: float, convention: str = "corrected")
     convention='doubled' doubles the kernel on nonreal spheres (the
     factor-2 variant); real spheres keep the single kernel,
     where the two kernel forms coincide.  Raises BoundaryDivisor if a
-    sphere sits on |ζ| = R within 1e-12·R.
+    sphere sits on |ζ| = R within 1e-12·R.  verify_jensen reports both
+    conventions, and the benchmark's divisor-sweep workload checks both.
     """
     if convention not in ("corrected", "doubled"):
         raise ValueError("convention must be 'corrected' or 'doubled'")
@@ -488,18 +469,6 @@ def signed_kernel_sum(d: SphereDivisor, R: float, convention: str = "corrected")
             continue
         factor = 2.0 if (convention == "doubled" and s.im > 0.0) else 1.0
         total += k * factor * jensen_kernel(s, R)
-    return total
-
-
-def n_count(d: SphereDivisor, side: str, r: float) -> int:
-    """n(f,a,r): unsigned count of side-matching total orders with |ζ| ≤ r,
-    including the origin contribution."""
-    if r < 0.0:
-        raise ValueError("r must be nonnegative")
-    total = d.origin_side(side)
-    for mod, _s, k in d.side_spheres(side):
-        if mod <= r:
-            total += k
     return total
 
 
@@ -586,28 +555,6 @@ def angular_term(d: SphereDivisor, side: str, r: float) -> float:
             mod4 = mod**4
             total += k * (mod4 - r**4) / (2.0 * r**2 * mod4) * s.re * s.re
     return total
-
-
-def a_count(d: SphereDivisor, side: str, r: float, t: float) -> int:
-    """a_r(f,a,t): count of side orders with 0 < |ζ| ≤ r and |Re ζ| ≤ t."""
-    if r <= 0.0 or t < 0.0:
-        raise ValueError("need r > 0 and t ≥ 0")
-    return sum(
-        k for mod, s, k in d.side_spheres(side) if mod <= r and abs(s.re) <= t
-    )
-
-
-def a_re_count(d: SphereDivisor, side: str, r: float, t: float) -> float:
-    """a_r^Re(f,a,t): Σ ordt⁺·(Re ζ)² over 0 < |ζ| ≤ r, |Re ζ| ≤ t."""
-    if r <= 0.0 or t < 0.0:
-        raise ValueError("need r > 0 and t ≥ 0")
-    return float(
-        sum(
-            k * s.re * s.re
-            for mod, s, k in d.side_spheres(side)
-            if mod <= r and abs(s.re) <= t
-        )
-    )
 
 
 def angular_identity_check(d: SphereDivisor, side: str, r: float):

@@ -70,13 +70,6 @@ _SLOPE_GATE = 0.01
 # admissible radii keep |r − modulus| > clearance·r from divisor spheres
 _RADIUS_CLEARANCE = 1e-6
 
-_CONVENTION_NAMES = {
-    "corrected": ("corrected", "corrected_factor1"),
-    "corrected_factor1": ("corrected", "corrected_factor1"),
-    "doubled": ("doubled", "doubled_factor2"),
-    "doubled_factor2": ("doubled", "doubled_factor2"),
-}
-
 
 class CenterIsZeroOrPole(ArithmeticError):
     """The series center q = 0 is a zero or pole; deflate before use."""
@@ -283,8 +276,8 @@ def characteristic(f, a, r: float, cfg: IntegratorConfig) -> float:
     zeros/poles of f − a enter N through their log r term and H through
     the deflated series head.
     """
-    value, _ = _characteristic_with_error(f, a, r, cfg)
-    return value
+    parts = _radius_free(f, a)
+    return parts.at(r, mean_columns(*parts.request(r), cfg)[0])[0]
 
 
 @dataclass(frozen=True)
@@ -341,12 +334,6 @@ def _mean_rows(rows, cfg) -> list:
     return [tuple(next(means) for _ in row) for row in rows]
 
 
-def _characteristic_with_error(f, a, r, cfg):
-    """(T, Monte-Carlo standard error of T)."""
-    parts = _radius_free(f, a)
-    return parts.at(r, mean_columns(*parts.request(r), cfg)[0])
-
-
 # ---------------------------------------------------------------------------
 # Jensen verification
 # ---------------------------------------------------------------------------
@@ -385,8 +372,15 @@ class JensenReport:
         return asdict(self)
 
 
-def _boundary_columns(f, r, cfg):
-    """Shared-stream means of log|f|, log|f∘S_f| and their ½-combination."""
+def _jensen_pass(f, r, cfg):
+    """(lhs, boundary means, H) of the Jensen formula for f on ∂B_r.
+
+    lhs = log|g(0)| for g the origin-deflated f, and H comes from the same
+    series head.  The boundary means of log|f|, log|f∘S_f| and their
+    ½-combination share one stream and one accepted mask.
+    """
+    _, head = _deflated_head(f)
+    lhs = math.log(head[0].norm())
     thr = _log_threshold(f, r)
 
     def columns(pts):
@@ -397,57 +391,34 @@ def _boundary_columns(f, r, cfg):
         cols = np.stack([la, lat, 0.5 * (la + lat)], axis=1)
         return cols, ok
 
-    return mean_columns(columns, r, cfg)
+    boundary = mean_columns(columns, r, cfg)
+    return lhs, boundary, _lambda_of_head(head, r)
 
 
-def verify_jensen(f, r: float, cfg: IntegratorConfig,
-                  kernel_convention: str = "corrected") -> JensenReport:
-    """Close the Jensen formula for f on ∂B_r and report the residual.
+def verify_jensen(f, r: float, cfg: IntegratorConfig) -> tuple:
+    """Close the Jensen formula for f on ∂B_r under both kernel conventions.
 
-    lhs = log|g(0)| for g the origin-deflated f; the divisor side carries
-    the per-sphere kernel sum (doubled on nonreal spheres under the
-    factor-2 convention) plus the origin total order times log r.  The
-    boundary term is the shared-stream combined mean ½(log|f| +
-    log|f∘S_f|); residual = RHS − lhs with a 3σ gate from that column.
+    Returns (corrected, factor2) JensenReports from one boundary pass.
+    The divisor side carries the per-sphere kernel sum (doubled on nonreal
+    spheres under the factor-2 convention) plus the origin total order
+    times log r.  The boundary term is the shared-stream combined mean
+    ½(log|f| + log|f∘S_f|); residual = RHS − lhs with a 3σ gate from that
+    column.  The boundary mean does not depend on the convention, so the
+    two residuals differ by exactly the closed-form offset of the kernel
+    sums.
     """
-    return _jensen_closures(f, r, cfg, (kernel_convention,))[0]
-
-
-def _jensen_closures(f, r, cfg, conventions) -> tuple:
-    """One JensenReport per kernel convention, all from one boundary pass.
-
-    The boundary mean does not depend on the convention; only the divisor
-    sum does, so the reports differ by exactly the closed-form offset of
-    their kernel sums.
-    """
-    for convention in conventions:
-        if convention not in _CONVENTION_NAMES:
-            raise ValueError(f"unknown kernel convention {convention!r}")
     d = total_order_divisor(f)
     origin_term = d.origin_order * math.log(r)
-    sums = []
-    for convention in conventions:
-        short, long_name = _CONVENTION_NAMES[convention]
-        sums.append((long_name, signed_kernel_sum(d, r, short) + origin_term))
-    m0, head = _deflated_head(f)
-    lhs = math.log(head[0].norm())
-    boundary_f, boundary_fSf, combined = _boundary_columns(f, r, cfg)
-    harmonic = _lambda_of_head(head, r)
-    reports = []
-    for long_name, divisor_sum in sums:
-        rhs = combined.value + harmonic - divisor_sum
-        reports.append(JensenReport(
-            lhs=lhs,
-            boundary_f=boundary_f,
-            boundary_fSf=boundary_fSf,
-            harmonic=harmonic,
-            divisor_sum=divisor_sum,
-            residual=rhs - lhs,
-            kernel_convention=long_name,
-            three_sigma=combined.three_sigma,
-            radius=r,
-        ))
-    return tuple(reports)
+    sums = [(name, signed_kernel_sum(d, r, convention) + origin_term)
+            for convention, name in (("corrected", "corrected_factor1"),
+                                     ("doubled", "doubled_factor2"))]
+    lhs, (boundary_f, boundary_fSf, combined), harmonic = _jensen_pass(f, r, cfg)
+    return tuple(
+        JensenReport(lhs, boundary_f, boundary_fSf, harmonic, divisor_sum,
+                     combined.value + harmonic - divisor_sum - lhs, name,
+                     combined.three_sigma, r)
+        for name, divisor_sum in sums
+    )
 
 
 @dataclass(frozen=True)
@@ -501,10 +472,7 @@ def counting_arbiter(f, r: float, cfg: IntegratorConfig,
         )
     sphere = inside[0]
     kernel = jensen_kernel(sphere, r)
-    m0, head = _deflated_head(f)
-    lhs = math.log(head[0].norm())
-    _, _, combined = _boundary_columns(f, r, cfg)
-    harmonic = _lambda_of_head(head, r)
+    lhs, (_, _, combined), harmonic = _jensen_pass(f, r, cfg)
     base = combined.value + harmonic
     residuals = tuple((int(c), base - c * kernel - lhs) for c in candidates)
     best = min(residuals, key=lambda pair: abs(pair[1]))[0]
@@ -526,18 +494,14 @@ def counting_arbiter(f, r: float, cfg: IntegratorConfig,
 # ---------------------------------------------------------------------------
 
 
-def mpb_defect(f, a, r: float, cfg: IntegratorConfig) -> SphericalMean:
-    """Surface mean of log|f(w)| − log|f(S_{f−a}(w))| on ∂B_r.
+def mpb_defect(f, a, radii, cfg: IntegratorConfig) -> list:
+    """Surface means of log|f(w)| − log|f(S_{f−a}(w))| on ∂B_r, one per radius.
 
-    Both columns share one stem evaluation and one accepted mask; for
-    slice-preserving f the integrand is identically zero sample by
-    sample, so the estimate (and its standard error) is exactly 0.
+    All radii share one walk of the stream.  At each radius both columns
+    share one stem evaluation and one accepted mask; for slice-preserving
+    f the integrand is identically zero sample by sample, so each
+    estimate (and its standard error) is exactly 0.
     """
-    return _mpb_defects(f, a, (r,), cfg)[0]
-
-
-def _mpb_defects(f, a, radii, cfg: IntegratorConfig) -> list:
-    """mpb_defect at each radius, all from one walk of the stream."""
     f = _realized(f)
     shift = None if _is_infinity(a) else _coerce(a)
 
@@ -566,7 +530,9 @@ def admissible_radii(f, r_lo: float, r_hi: float, count: int = 12) -> np.ndarray
 
     Any grid point within 1e-6·r of a zero/pole sphere modulus of f is
     moved multiplicatively (factor 1 + 3e-6 per step) until clear, so
-    every returned radius is admissible for boundary integration.
+    every returned radius is admissible for boundary integration.  No
+    command calls it; the benchmark's jensen-noncommutative workload draws
+    its radius grids from it.
     """
     if not (0.0 < r_lo <= r_hi):
         raise ValueError("need 0 < r_lo <= r_hi")
@@ -966,6 +932,9 @@ def n_bound_check(f, a, radii, cfg: IntegratorConfig):
 
     The excess is bounded above for mean-proximity-balanced f; the report
     carries its supremum over the grid rather than asserting a constant.
+    No command calls it; it stays while the benchmark's tracer
+    (perfbench/tracer.py) wraps it and tests/test_bench_hooks.py pins that
+    target, and goes with the tracer's change (ROADMAP item 5a).
     """
     radii = [float(r) for r in radii]
     at_inf = _radius_free(f, None)

@@ -39,9 +39,6 @@ __all__ = [
     "CHUNK",
     "gaussian_chunk",
     "mul",
-    "conj",
-    "norm",
-    "inverse",
     "sphere_of",
     "embed",
     "qmul",
@@ -198,18 +195,6 @@ def mul(p: Quaternion, q: Quaternion) -> Quaternion:
         p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
         p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
     )
-
-
-def conj(q: Quaternion) -> Quaternion:
-    return q.conj()
-
-
-def norm(q: Quaternion) -> float:
-    return q.norm()
-
-
-def inverse(q: Quaternion) -> Quaternion:
-    return q.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +430,11 @@ class SphereSampler:
     (seed, stream_index, sample_index): sample(n) is a bitwise prefix of
     sample(m) for n <= m, and disjoint stream_index values give independent
     substreams for parallel consumers.
+
+    The Monte-Carlo passes draw through gaussian_chunk, not this class.
+    It stays while the benchmark's tracer (perfbench/tracer.py) wraps
+    SphereSampler.chunk and tests/test_bench_hooks.py pins that target,
+    and goes with the tracer's change (ROADMAP item 5a).
     """
 
     radius: float

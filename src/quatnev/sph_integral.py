@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat_core import BLOCK, CHUNK, SlicePoints, SphereSampler, gaussian_chunk
+from .quat_core import BLOCK, CHUNK, SlicePoints, gaussian_chunk
 
 __all__ = [
     "IntegratorConfig",
@@ -134,9 +134,8 @@ class _Pass:
     """Running state of one request of a batch: its rejection count and sums."""
 
     def __init__(self, column_fn, r, cfg: IntegratorConfig):
-        if r <= 0.0:
-            raise ValueError("r must be positive")
-        SphereSampler(radius=r, seed=cfg.seed)  # validates the radius
+        if not (r > 0.0 and math.isfinite(r)):
+            raise ValueError(f"radius must be positive and finite, got {r}")
         self.column_fn = column_fn
         self.r = r
         self.needed = cfg.samples
@@ -355,7 +354,9 @@ def paired_reflection_mean(f, r: float, cfg: IntegratorConfig):
     """Means of log|f(w)| and log|f(w̄)| on the same stream.
 
     Both columns share one stem evaluation and one accepted mask, so for
-    slice-preserving f the two results are bitwise identical.
+    slice-preserving f the two results are bitwise identical.  No command
+    calls it; it exercises StemEval.log_abs_conj_point, which the
+    benchmark's tracer wraps, and goes with it (ROADMAP item 5a).
     """
     thr = _log_threshold(f, r)
 

@@ -2,9 +2,9 @@
 
 The function model: left polynomials f(q) = Σ_k q^k a_k (quaternion
 coefficients on the right of the powers), their *-products, conjugates
-f^c, symmetrizations f^s, spherical value/derivative,
-the spherical conjugate point map S_f, Blaschke factors, and linear
-fractional transforms; plus semiregular rationals f = g * h^{-*}.
+f^c, symmetrizations f^s, the spherical derivative, the spherical
+conjugate point map S_f, and linear fractional transforms; plus
+semiregular rationals f = g * h^{-*}.
 
 Batch evaluation runs through *stems*: f(u + Iv) = P + I Q, where each
 real component of P + iQ is the matching component polynomial of f at the
@@ -29,7 +29,6 @@ from numpy.polynomial import polynomial as npoly
 
 from .quat_core import (
     Quaternion,
-    SliceComplex,
     _coerce,
     _read_only,
     qconj,
@@ -56,11 +55,9 @@ __all__ = [
     "star_mul",
     "star_power",
     "star_eval_identity_check",
-    "spherical_value",
     "spherical_derivative",
     "spherical_conjugate",
     "corollary_decomposition_check",
-    "blaschke",
     "linear_fractional",
     "as_rational",
 ]
@@ -83,7 +80,7 @@ class UndefinedAtZeroPole(ArithmeticError):
 
 
 class ZeroCenter(ValueError):
-    """Blaschke factor / Jensen kernel centered at zero is undefined."""
+    """The Jensen kernel centered at zero is undefined."""
 
 
 class DegenerateTransform(ValueError):
@@ -203,7 +200,13 @@ class StemEval:
         return self._log_abs
 
     def log_abs_conj_point(self) -> np.ndarray:
-        """log|f(q̄)|; the same array as log_abs() for slice-preserving f."""
+        """log|f(q̄)|; the same array as log_abs() for slice-preserving f.
+
+        Only sph_integral.paired_reflection_mean reads it.  Both stay while
+        the benchmark's tracer (perfbench/tracer.py) wraps this method and
+        tests/test_bench_hooks.py pins that target; they go with the
+        tracer's change (ROADMAP item 5a).
+        """
         if self.w is not None:
             return self.log_abs()
         return _log_norm(self.value_conj_point())
@@ -340,10 +343,6 @@ class LeftPoly:
     def identity() -> "LeftPoly":
         """The polynomial f(q) = q."""
         return LeftPoly([[0, 0, 0, 0], [1, 0, 0, 0]])
-
-    @staticmethod
-    def from_json(data) -> "LeftPoly":
-        return LeftPoly(data)
 
     def to_json(self):
         return [list(map(float, row)) for row in self.coeffs]
@@ -573,11 +572,6 @@ class RealPoly(LeftPoly):
         self.real_coeffs = real
         self.real_coeffs.setflags(write=False)
 
-    @staticmethod
-    def from_roots_conjugate_pair(sphere) -> "RealPoly":
-        """(q − ζ)^s = q² − 2·Re(ζ)·q + |ζ|² for the sphere key ζ = (re, im)."""
-        return RealPoly([sphere.re**2 + sphere.im**2, -2.0 * sphere.re, 1.0])
-
     def real_stems(self, z: np.ndarray) -> np.ndarray:
         """The complex stem w = A + iB with f(u + Iv) = A + I B, by Horner at z = u + iv."""
         if self.is_zero:
@@ -641,12 +635,6 @@ def star_eval_identity_check(f: LeftPoly, g: LeftPoly, q) -> float:
         return prod_val.norm()
     twisted = fq.inverse() * q * fq
     return (prod_val - fq * g(twisted)).norm()
-
-
-def spherical_value(f, q) -> Quaternion:
-    """f°_s(q) = ½(f(q) + f(q̄)); constant on the sphere S_q."""
-    q = _coerce(q)
-    return (f(q) + f(q.conj())) * 0.5
 
 
 def spherical_derivative(f, q) -> Quaternion:
@@ -755,10 +743,6 @@ class SemiregularRational:
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
-    @staticmethod
-    def from_json(data) -> "SemiregularRational":
-        return SemiregularRational(LeftPoly(data["num"]), LeftPoly(data["den"]))
-
     def __repr__(self) -> str:
         return f"SemiregularRational(num_degree={self.num.degree}, den_degree={self.den.degree})"
 
@@ -804,8 +788,12 @@ class SemiregularRational:
     # -- evaluation ------------------------------------------------------------
 
     def pole_tol(self, q_norm):
-        """EvalAtPole threshold 1e-12·(1+|q|)^{deg den_s}, for a float or an array of |q|."""
-        return 1e-12 * (1.0 + q_norm) ** max(self.den_s.degree, 1)
+        """EvalAtPole threshold 1e-12·Σ|c_i|·|q|^i over the coefficients c_i of den_s.
+
+        The bound is relative to the scale of den_s at |q|, so c·den_s masks
+        the same points for every c > 0; q_norm is a float or an array of |q|.
+        """
+        return 1e-12 * npoly.polyval(q_norm, np.abs(self.den_s.real_coeffs))
 
     def __call__(self, q) -> Quaternion:
         q = _coerce(q)
@@ -888,31 +876,8 @@ def as_rational(f) -> SemiregularRational:
 
 
 # ---------------------------------------------------------------------------
-# Blaschke factor and linear fractional transforms
+# Linear fractional transforms
 # ---------------------------------------------------------------------------
-
-
-def blaschke(sphere, rho: float, q) -> Quaternion:
-    """Blaschke factor B_{S_ζ,ρ}(q) = (ρ²(q−ζ)^s(q))^{-1}·(q − ρ²ζ^{-1})^s(q)·|ζ|².
-
-    ζ is the sphere key (re, im) ≠ 0; |B| = 1 on |q| = ρ.  Both
-    symmetrized factors are slice-preserving, so their values commute and
-    the quotient is unambiguous.
-    """
-    zeta_mod2 = sphere.re**2 + sphere.im**2
-    if zeta_mod2 == 0.0:
-        raise ZeroCenter("Blaschke factor needs a nonzero center sphere")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    q = _coerce(q)
-    s1 = RealPoly.from_roots_conjugate_pair(sphere)
-    # ρ²ζ^{-1} has real part ρ²·Re(ζ)/|ζ|² and modulus ρ²/|ζ|
-    mirror = SliceComplex(rho**2 * sphere.re / zeta_mod2, rho**2 * sphere.im / zeta_mod2)
-    s2 = RealPoly.from_roots_conjugate_pair(mirror)
-    v1 = s1(q)
-    if v1.norm() < 1e-12 * (1.0 + q.norm()) ** 2:
-        raise EvalAtPole(f"Blaschke factor has a pole on S_ζ at {q}")
-    return v1.inverse() * s2(q) * (zeta_mod2 / rho**2)
 
 
 @dataclass(frozen=True)
@@ -935,15 +900,6 @@ class GL2H:
         scale = max(self.A.norm(), self.B.norm(), self.C.norm(), self.D.norm(), 1e-300)
         if self.dieudonne() < 1e-12 * scale**2:
             raise DegenerateTransform(f"Dieudonné determinant {self.dieudonne():.3e} ≈ 0")
-
-    def compose(self, other: "GL2H") -> "GL2H":
-        """Matrix product; linear_fractional(self∘other, f) = self(other(f))."""
-        return GL2H(
-            self.A * other.A + self.B * other.C,
-            self.A * other.B + self.B * other.D,
-            self.C * other.A + self.D * other.C,
-            self.C * other.B + self.D * other.D,
-        )
 
     @staticmethod
     def identity() -> "GL2H":

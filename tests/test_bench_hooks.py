@@ -7,6 +7,7 @@ and its layer silently records nothing, so this test pins every target.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,15 @@ def test_trace_target_resolves(module_name, owner_name, attr):
         # the tracer replaces the attribute in the owner's own namespace
         assert callable(owner.__dict__.get(attr)), f"{owner_name}.{attr} is not defined on it"
 
+
+def test_every_nevanlinna_function_the_cli_calls_is_traced():
+    """A nevanlinna function the CLI calls but the tracer does not wrap books
+    its time under the tracer's ``cli`` layer instead of ``nevanlinna``."""
+    cli = importlib.import_module("quatnev.cli")
+    nevanlinna = importlib.import_module("quatnev.nevanlinna")
+    imported = {name for name, value in vars(cli).items()
+                if inspect.isfunction(value) and value.__module__ == nevanlinna.__name__}
+    traced = {attr for _span, module, owner, attr, _attrs in _tracer().TARGETS
+              if module == "nevanlinna" and owner is None}
+    assert imported, "the CLI imports no nevanlinna function"
+    assert imported <= traced, f"untraced: {sorted(imported - traced)}"

@@ -29,14 +29,11 @@ from quatnev.divisor import (
     UnbalancedDivisor,
     N_integrated,
     N_via_unintegrated,
-    a_count,
-    a_re_count,
     analytic_characterization_check,
     angular_identity_check,
     angular_term,
     complex_roots,
     jensen_kernel,
-    n_count,
     signed_kernel_sum,
     total_order_divisor,
 )
@@ -117,16 +114,6 @@ def test_a_power_of_two_scale_leaves_the_divisor_unchanged(k):
         ref = total_order_divisor(SemiregularRational(g, h))
         for num, den in ((gk, h), (g, hk), (gk, hk)):
             assert total_order_divisor(SemiregularRational(num, den)) == ref
-
-
-def test_sphere_divisor_json_roundtrip():
-    d = SphereDivisor.build([(SliceComplex(0.5, 0.7), 1), (SliceComplex(1.0, 0.0), -2)], 3)
-    back = SphereDivisor.from_json(d.to_json())
-    assert back.origin_order == 3
-    assert {(sphere.re, sphere.im, ordt) for sphere, ordt in back.entries} == {
-        (0.5, 0.7, 1),
-        (1.0, 0.0, -2),
-    }
 
 
 def test_slice_preserving_star_cube_keeps_an_exact_sphere_key():
@@ -434,27 +421,6 @@ def random_divisor(rng) -> SphereDivisor:
         ordt = int(rng.integers(1, 4)) * (1 if rng.random() < 0.7 else -1)
         pairs.append((SliceComplex(xi, eta), ordt))
     return SphereDivisor.build(pairs, int(rng.integers(0, 3)))
-
-
-def test_n_count_is_a_step_function():
-    d = SphereDivisor.build(
-        [(SliceComplex(0.0, 1.0), 2), (SliceComplex(1.2, 0.0), 1)], 1
-    )
-    assert n_count(d, "zero", 0.5) == 1          # origin order only
-    assert n_count(d, "zero", 1.1) == 3
-    assert n_count(d, "zero", 2.0) == 4
-    assert n_count(d, "pole", 2.0) == 0
-
-
-def test_a_count_and_a_re_count_cut_by_modulus_and_real_part():
-    d = SphereDivisor.build(
-        [(SliceComplex(0.6, 0.8), 1), (SliceComplex(0.0, 2.0), 3)], 0
-    )
-    assert a_count(d, "zero", 3.0, 1.5) == 4        # both spheres qualify
-    assert a_count(d, "zero", 3.0, 0.5) == 3        # |Re ζ| = 0.6 cut away
-    assert a_count(d, "zero", 1.5, 1.5) == 1        # |ζ| = 2 cut away
-    got = a_re_count(d, "zero", 3.0, 1.5)
-    assert abs(got - (0.6**2 * 1 + 0.0 * 3)) <= 1e-12
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from quatnev import sph_integral
 from quatnev.quat_core import BLOCK, CHUNK, Quaternion, SlicePoints, SphereSampler, gaussian_chunk
 from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational
 from quatnev.sph_integral import (
@@ -200,6 +201,16 @@ def test_mass_rejection_raises():
 
     with pytest.raises(TooManyRejections):
         mean_columns(broken, 1.0, CFG)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_bad_radius_raises_before_any_draw(r, monkeypatch):
+    draws = []
+    monkeypatch.setattr(sph_integral, "gaussian_chunk",
+                        lambda *key: draws.append(key) or gaussian_chunk(*key))
+    with pytest.raises(ValueError, match="radius"):
+        mean_columns(identity_columns, r, CFG)
+    assert draws == []
 
 
 @pytest.mark.parametrize("k", [1, 3])
