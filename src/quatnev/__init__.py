@@ -13,9 +13,7 @@ from .quat_core import (
     Quaternion,
     SliceComplex,
     SphereSampler,
-    embed,
     mul,
-    sphere_of,
 )
 from .star_poly import (
     GL2H,
@@ -27,7 +25,6 @@ from .star_poly import (
     SemiregularRational,
     SymmetrizationNotReal,
     UndefinedAtZeroPole,
-    ZeroCenter,
     ZeroFunctionReciprocal,
     corollary_decomposition_check,
     linear_fractional,
@@ -40,6 +37,7 @@ from .divisor import (
     BoundaryDivisor,
     SphereDivisor,
     UnbalancedDivisor,
+    ZeroCenter,
     ZeroPolynomial,
     analytic_characterization_check,
     angular_identity_check,
@@ -62,7 +60,6 @@ from .nevanlinna import (
     CenterIsZeroOrPole,
     JensenReport,
     NevanlinnaProfile,
-    WeilFunction,
     admissible_radii,
     characteristic,
     characteristic_algebra_suite,

@@ -10,8 +10,8 @@ profile         Tabulate the Nevanlinna functions N, m, H, T, A of one
 fmt-check       Per-radius residuals of one First Main Theorem form plus
                 the bounded-gap summary (spread, slope, envelope fit).
 mpb-check       Mean-proximity-balance defect over a radius grid.
-arbiter         Decide the total order of a single zero sphere by Jensen
-                closure over candidate integer orders.
+arbiter         Decide whether a single zero sphere has total order 1 or 2
+                by Jensen closure.
 algebra-suite   Battery of characteristic-function identities.
 selftest        Monte-Carlo-free exact identity suite (gate 1e-9).
 
@@ -238,7 +238,6 @@ _DEFAULT_CONFIGS = {
     "arbiter": {
         "function": [[1.0, 0, 0, 0], [0.0, 0, 0, 0], [1.0, 0, 0, 0]],
         "r": 2.0,
-        "candidates": [1, 2],
     },
     "algebra-suite": {
         "function": [[1.0, 0, 0, 0], [0.0, 0, 0, 0], [1.0, 0, 0, 0]],
@@ -260,7 +259,7 @@ _DEFAULT_CONFIGS = {
 # every key build_spec reads; any other key in a config file is an error
 _CONFIG_KEYS = frozenset({
     "command", "function", "a", "r", "radii", "seed", "samples", "scheme",
-    "out", "format", "form", "candidates", "g", "b", "transform",
+    "out", "format", "form", "g", "b", "transform",
 })
 
 
@@ -314,12 +313,6 @@ def build_spec(command: str, args) -> ExperimentSpec:
         radii = _parse_radii(cfg_map)
 
     extras = {}
-    if command == "arbiter":
-        cands = cfg_map.get("candidates", [1, 2])
-        try:
-            extras["candidates"] = tuple(int(c) for c in cands)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad candidates {cands!r}") from exc
     if command == "fmt-check":
         form = cfg_map.get("form", 3)
         if form not in (1, 2, 3):
@@ -442,7 +435,7 @@ def _run_profile(spec: ExperimentSpec) -> tuple:
     print(f"  {'r':>10s} {'N':>14s} {'m':>14s} {'H':>14s} {'T':>14s} {'A':>14s}")
     for r, N, m, _me, H, T, A in profile.rows():
         print(f"  {r:10.4f} {N:14.8f} {m:14.8f} {H:14.8f} {T:14.8f} {A:14.8f}")
-    return 0, (profile.to_csv(), profile.to_json())
+    return 0, (_csv_rows(_CSV_COLUMNS["profile"], profile.rows()), profile.to_json())
 
 
 def _run_fmt_check(spec: ExperimentSpec) -> tuple:
@@ -494,9 +487,7 @@ def _run_mpb_check(spec: ExperimentSpec) -> tuple:
 
 
 def _run_arbiter(spec: ExperimentSpec) -> tuple:
-    report = counting_arbiter(
-        spec.function, spec.r, spec.integrator, spec.extras["candidates"]
-    )
+    report = counting_arbiter(spec.function, spec.r, spec.integrator)
     print(f"Counting-convention arbiter at r = {spec.r:g}")
     print(f"  zero sphere ζ = {report.sphere.re:+.6f} + {report.sphere.im:.6f}·I   "
           f"J(ζ, r) = {report.kernel:+.12f}")

@@ -21,13 +21,14 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .quat_core import SliceComplex
-from .star_poly import LeftPoly, RealPoly, ZeroCenter, _realized, as_rational
+from .star_poly import LeftPoly, RealPoly, _realized, as_rational
 
 __all__ = [
     "SphereDivisor",
     "ZeroPolynomial",
     "BoundaryDivisor",
     "UnbalancedDivisor",
+    "ZeroCenter",
     "complex_roots",
     "total_order_divisor",
     "jensen_kernel",
@@ -38,6 +39,10 @@ __all__ = [
     "angular_identity_check",
     "analytic_characterization_check",
 ]
+
+
+class ZeroCenter(ValueError):
+    """The Jensen kernel centered at zero is undefined."""
 
 
 class ZeroPolynomial(ValueError):

@@ -1,7 +1,7 @@
 """Nevanlinna value-distribution functions over the quaternions.
 
 Implements the integrated counting function N, the mean proximity
-function m (with pluggable Weil-type singularity weights), the harmonic
+function m (against the canonical Weil weight λ_a), the harmonic
 remainder H, the characteristic T, and the verification harness for the
 sphere-corrected Jensen formula, the First Main Theorem envelope, and
 the algebra of T — all on deterministic Monte-Carlo spherical means.
@@ -19,10 +19,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .quat_core import Quaternion, SliceComplex, _coerce, qnorm
+from .quat_core import Quaternion, SliceComplex, _coerce
 from .star_poly import (
     LeftPoly,
     SemiregularRational,
+    _log_norm,
     _realized,
     as_rational,
     linear_fractional,
@@ -49,7 +50,6 @@ __all__ = [
     "CenterIsZeroOrPole",
     "JensenReport",
     "NevanlinnaProfile",
-    "WeilFunction",
     "admissible_radii",
     "characteristic",
     "characteristic_algebra_suite",
@@ -57,7 +57,6 @@ __all__ = [
     "harmonic_remainder",
     "mpb_defect",
     "n_bound_check",
-    "o1_summary",
     "proximity",
     "verify_fmt",
     "verify_jensen",
@@ -69,6 +68,8 @@ _EQUALITY_TOL = 1e-9
 _SLOPE_GATE = 0.01
 # admissible radii keep |r − modulus| > clearance·r from divisor spheres
 _RADIUS_CLEARANCE = 1e-6
+# the sphere orders counting_arbiter compares
+_ARBITER_ORDERS = (1, 2)
 
 
 class CenterIsZeroOrPole(ArithmeticError):
@@ -124,100 +125,24 @@ def _lambda_of_head(head, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Weil weights and proximity
+# Proximity
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeilFunction:
-    """Singularity weight λ_a used by the mean proximity function.
+def proximity(f, a, r: float, cfg: IntegratorConfig) -> SphericalMean:
+    """Mean proximity m(f, a, r): surface mean of λ_a(f) on ∂B_r.
 
-    The analytic kind is the canonical weight: λ_a(q) = log⁺(1/|q − a|)
-    for finite a and λ_∞(q) = log⁺|q|; it vanishes at the opposite
-    extreme (λ_a(∞) = 0 for finite a).  A custom kind wraps a
-    user-supplied weight expected to stay within a bounded offset of the
-    analytic weight with the same singularity.
+    λ_a is the canonical Weil weight: λ_a(q) = log⁺(1/|q − a|) for finite
+    a and λ_∞(q) = log⁺|q|.  It is evaluated in log space on the stem data
+    of f − a, so near-singularity samples reject by the same rule as
+    mean_log_abs.  The estimate is ≥ 0 because the weight is pointwise ≥ 0.
     """
-
-    kind: str
-    singularity: Quaternion | None  # None encodes the point at infinity
-    weight_fn: object | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("analytic", "custom"):
-            raise ValueError(f"unknown Weil kind {self.kind!r}")
-        if self.kind == "custom" and self.weight_fn is None:
-            raise ValueError("custom Weil functions need a weight_fn")
-
-    @staticmethod
-    def analytic(a) -> "WeilFunction":
-        """Canonical weight with singularity at ``a`` (finite or infinity)."""
-        if _is_infinity(a):
-            return WeilFunction("analytic", None)
-        return WeilFunction("analytic", _coerce(a))
-
-    @staticmethod
-    def custom(a, weight_fn) -> "WeilFunction":
-        """Custom weight λ(values) with singularity at ``a``.
-
-        weight_fn maps an (n, 4) array of quaternion values to an (n,)
-        array of weights; non-finite outputs are rejected samples.  In a
-        Monte-Carlo pass it gets blocks of at most quat_core.BLOCK rows, so it must be
-        pointwise: weight i depends on row i alone.
-        """
-        sing = None if _is_infinity(a) else _coerce(a)
-        return WeilFunction("custom", sing, weight_fn)
-
-    def batch(self, values):
-        """Weights and acceptance mask for (n, 4) quaternion value rows.
-
-        Rows whose weight is not finite, such as rows on a finite
-        singularity, are rejected.
-        """
-        vals = np.asarray(values, dtype=float)
-        if self.kind == "custom":
-            lam = np.asarray(self.weight_fn(vals), dtype=float)
-        elif self.singularity is None:
-            with np.errstate(divide="ignore"):
-                lam = np.maximum(np.log(qnorm(vals)), 0.0)
-        else:
-            with np.errstate(divide="ignore"):
-                lam = np.maximum(-np.log(qnorm(vals - self.singularity.to_array())), 0.0)
-        return lam, np.isfinite(lam)
-
-    def max_offset_vs_analytic(self, probe_values) -> float:
-        """sup |λ − λ_analytic| over (n, 4) probe value rows off-singularity."""
-        ref = WeilFunction("analytic", self.singularity)
-        lam, ok = self.batch(probe_values)
-        lam_ref, ok_ref = ref.batch(probe_values)
-        keep = ok & ok_ref
-        if not np.any(keep):
-            return 0.0
-        return float(np.max(np.abs(lam[keep] - lam_ref[keep])))
+    return mean_columns(_proximity_columns(f, a, r), r, cfg)[0]
 
 
-def proximity(f, weil: WeilFunction, r: float, cfg: IntegratorConfig) -> SphericalMean:
-    """Mean proximity m(f, λ_a, r): surface mean of the weight of f on ∂B_r.
-
-    Analytic weights are evaluated in log space on the stem data of the
-    shifted function (so near-singularity samples reject by the same rule
-    as mean_log_abs); custom weights evaluate on the formed values of f.
-    The estimate is ≥ 0 because the weight is pointwise ≥ 0.
-    """
-    return mean_columns(_proximity_columns(f, weil, r), r, cfg)[0]
-
-
-def _proximity_columns(f, weil: WeilFunction, r: float):
-    """Column function of the proximity pass of f to ``weil`` at radius r."""
-    if weil.kind == "custom":
-
-        def columns(pts):
-            se = f.stems(pts)
-            lam, ok = weil.batch(se.value())
-            return lam[:, None], se.ok & ok
-
-        return columns
-    if weil.singularity is None:
+def _proximity_columns(f, a, r: float):
+    """Column function of the proximity pass of f to the target a at radius r."""
+    if _is_infinity(a):
 
         def columns(pts):
             se = f.stems(pts)
@@ -226,7 +151,7 @@ def _proximity_columns(f, weil: WeilFunction, r: float):
 
         return columns
 
-    g = _shifted(f, weil.singularity)
+    g = _shifted(f, _coerce(a))
     thr = _log_threshold(g, r)
 
     def columns(pts):
@@ -285,7 +210,7 @@ class _RadiusFree:
     """The pieces of T(f, a, ·) that do not depend on the radius.
 
     ``divisor`` and ``side`` give N; ``sym`` is (f − a)^s (f^s at
-    infinity), whose proximity to the singularity of ``weil`` is the ½·m
+    infinity), whose proximity to ``target`` (0, or None for ∞) is the ½·m
     term; ``head`` is the deflated series head of f − a behind H (None at
     infinity, where H ≡ 0).  Only the ½·m term needs a Monte-Carlo pass.
     """
@@ -293,7 +218,7 @@ class _RadiusFree:
     divisor: SphereDivisor
     side: str
     sym: object
-    weil: WeilFunction
+    target: Quaternion | None
     head: tuple | None
 
     def counting(self, r: float) -> float:
@@ -304,7 +229,7 @@ class _RadiusFree:
 
     def request(self, r: float):
         """The (column_fn, r) request of the ½·m pass of T at r."""
-        return _proximity_columns(self.sym, self.weil, r), r
+        return _proximity_columns(self.sym, self.target, r), r
 
     def at(self, r: float, sym_mean: SphericalMean):
         """(T, Monte-Carlo standard error of T) at r from the mean of request(r)."""
@@ -316,16 +241,14 @@ class _RadiusFree:
 def _radius_free(f, a) -> _RadiusFree:
     """Divisor, symmetrization and deflated head of f − a, computed once."""
     if _is_infinity(a):
-        return _RadiusFree(total_order_divisor(f), "pole", f.symmetrize(),
-                           WeilFunction.analytic(None), None)
+        return _RadiusFree(total_order_divisor(f), "pole", f.symmetrize(), None, None)
     g = _shifted(f, _coerce(a))
     try:
         d = total_order_divisor(g)
     except OverflowError as exc:
         raise OverflowError(f"f − a: {exc}") from None
     _, head = _deflated_head(g)
-    return _RadiusFree(d, "zero", g.symmetrize(),
-                       WeilFunction.analytic(Quaternion(0.0, 0.0, 0.0, 0.0)), head)
+    return _RadiusFree(d, "zero", g.symmetrize(), Quaternion(), head)
 
 
 def _mean_rows(rows, cfg) -> list:
@@ -425,8 +348,8 @@ def verify_jensen(f, r: float, cfg: IntegratorConfig) -> tuple:
 class ArbiterReport:
     """Which integer sphere order closes the Jensen formula.
 
-    residuals holds (candidate, residual) pairs computed on one shared
-    boundary stream; best_order minimizes |residual|.
+    residuals holds (order, residual) pairs for the orders 1 and 2,
+    computed on one shared boundary stream; best_order minimizes |residual|.
     """
 
     best_order: int
@@ -439,24 +362,22 @@ class ArbiterReport:
     three_sigma: float
     radius: float
 
-    def residual(self, candidate: int) -> float:
+    def residual(self, order: int) -> float:
         for c, res in self.residuals:
-            if c == candidate:
+            if c == order:
                 return res
-        raise KeyError(f"candidate {candidate} was not examined")
+        raise KeyError(f"order {order} was not examined")
 
     def to_json(self):
         return {**asdict(self), "residuals": {str(c): res for c, res in self.residuals}}
 
 
-def counting_arbiter(f, r: float, cfg: IntegratorConfig,
-                     candidates=(1, 2)) -> ArbiterReport:
-    """Decide the total order of a single zero sphere by Jensen closure.
+def counting_arbiter(f, r: float, cfg: IntegratorConfig) -> ArbiterReport:
+    """Decide whether a single zero sphere has total order 1 or 2 by Jensen closure.
 
     f must be slice-preserving with exactly one zero sphere inside B_r,
-    no poles, and no zero at 0.  Each candidate order c replaces the
-    divisor sum by c·J(ζ, r); the report carries every candidate residual
-    and the minimizer.
+    no poles, and no zero at 0.  Each order c replaces the divisor sum by
+    c·J(ζ, r); the report carries both residuals and the minimizer.
     """
     if not getattr(f, "is_real", False):
         raise ValueError("the arbiter needs a slice-preserving function")
@@ -474,7 +395,7 @@ def counting_arbiter(f, r: float, cfg: IntegratorConfig,
     kernel = jensen_kernel(sphere, r)
     lhs, (_, _, combined), harmonic = _jensen_pass(f, r, cfg)
     base = combined.value + harmonic
-    residuals = tuple((int(c), base - c * kernel - lhs) for c in candidates)
+    residuals = tuple((c, base - c * kernel - lhs) for c in _ARBITER_ORDERS)
     best = min(residuals, key=lambda pair: abs(pair[1]))[0]
     return ArbiterReport(
         best_order=best,
@@ -550,26 +471,18 @@ def admissible_radii(f, r_lo: float, r_hi: float, count: int = 12) -> np.ndarray
     return np.asarray(out)
 
 
-def o1_summary(radii, residuals):
-    """(spread, slope) of a residual grid: bounded-claim report numbers.
-
-    spread = max − min of the residuals; slope = best-fit line slope of
-    residual against log r (an O(1) claim is numerically consistent when
-    the slope is compatible with 0 and the spread stays at its frozen
-    reference level).
-    """
-    res = np.asarray(residuals, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    spread = float(res.max() - res.min())
-    if res.size < 2:
-        return spread, 0.0
-    slope = float(np.polyfit(np.log(radii), res, 1)[0])
-    return spread, slope
-
-
 def _o1_fields(radii, values) -> dict:
-    """spread, slope and slope_ok of a bounded-gap claim over a radius grid."""
-    spread, slope = o1_summary(radii, values)
+    """spread, slope and slope_ok of a bounded-gap claim over a radius grid.
+
+    spread = max − min of the values; slope = best-fit line slope of value
+    against log r, 0 on a single radius.  An O(1) claim is numerically
+    consistent when |slope| ≤ _SLOPE_GATE.
+    """
+    res = np.asarray(values, dtype=float)
+    spread = float(res.max() - res.min())
+    slope = 0.0
+    if res.size >= 2:
+        slope = float(np.polyfit(np.log(np.asarray(radii, dtype=float)), res, 1)[0])
     return {"spread": spread, "slope": slope, "slope_ok": abs(slope) <= _SLOPE_GATE}
 
 
@@ -597,8 +510,7 @@ def _fmt_proximity_columns(f, g, a, r):
         if sef.w is not None:
             la_fsa = sef.log_abs()  # S_{f−a}(q) lies on S_q, where |f| is constant
         else:
-            with np.errstate(divide="ignore"):
-                la_fsa = np.log(qnorm(seg.twisted(None)[0] + a_row))
+            la_fsa = _log_norm(seg.twisted(None)[0] + a_row)
         cols = np.stack(
             [
                 np.maximum(-la_g, 0.0),
@@ -642,9 +554,8 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3):
     at_inf = _radius_free(f, None)
     at_a = at_inf if infinite else _radius_free(f, a)
     if form == 3:
-        weil = WeilFunction.analytic(a)
         means = _mean_rows(
-            [(at_inf.request(r), (_proximity_columns(f, weil, r), r)) for r in radii],
+            [(at_inf.request(r), (_proximity_columns(f, a, r), r)) for r in radii],
             cfg,
         )
         for r, ((sym_mean,), (prox,)) in zip(radii, means):
@@ -814,45 +725,26 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
     recip = as_rational(f).star_reciprocal()
     phi = None if t is None else linear_fractional(t, f)
 
-    # ---- phase 1: every Monte-Carlo pass the rows read, in reading order ------
+    # ---- phase 1: every Monte-Carlo pass the rows read ------------------------
     # T(fn, target, r) recurs across rows: each distinct (class, function,
     # target) gets one radius-free part and one pass per radius.  The class
     # is part of the key because RealPoly and LeftPoly with equal
-    # coefficients take different stem routes.
-    parts = {}
-    requests = {}
-
+    # coefficients take different stem routes.  A pair missing here makes
+    # T raise KeyError.
     def t_key(fn, target):
         return type(fn), json.dumps(fn.to_json()), _a_label(target)
 
-    def t_use(fn, target):
-        key = t_key(fn, target)
-        if key not in parts:
-            parts[key] = _radius_free(fn, target)
-        return key, parts[key].request
-
-    def read(*uses):
-        for r in radii:
-            for name, request in uses:
-                if (name, r) not in requests:
-                    requests[name, r] = request(r)
-
-    read(t_use(f, None))
-    read(t_use(g, None))
-    for fn in powers.values():
-        read(t_use(fn, None))
-    read(t_use(fg, None))
-    read(t_use(fpg, None), ("mixed", lambda r: (
-        _proximity_columns(mixed, WeilFunction.analytic(None), r), r)))
-    read(t_use(fc, aq), t_use(f, a_conj))
-    read(t_use(fc, aq), t_use(fs, None))
-    read(("sandwich", lambda r: (_sandwich_columns(f, fs), r)))
-    read(t_use(f, aq), t_use(f, bq))
-    read(t_use(fpg, aq), t_use(f, aq), t_use(g, aq))
-    read(t_use(recip, aq), t_use(f, aq))
+    t_pairs = [(f, None), (g, None), *((fn, None) for fn in powers.values()),
+               (fg, None), (fpg, None), (fc, aq), (f, a_conj), (fs, None),
+               (f, aq), (f, bq), (fpg, aq), (g, aq), (recip, aq)]
     if phi is not None:
-        read(t_use(phi, aq), t_use(f, aq))
-    read(t_use(f, aq))
+        t_pairs.append((phi, aq))
+    distinct = {t_key(fn, target): (fn, target) for fn, target in t_pairs}
+    parts = {key: _radius_free(*pair) for key, pair in distinct.items()}
+    requests = {(key, r): part.request(r) for key, part in parts.items() for r in radii}
+    for r in radii:
+        requests["mixed", r] = _proximity_columns(mixed, None, r), r
+        requests["sandwich", r] = _sandwich_columns(f, fs), r
 
     # ---- phase 2: one walk of the stream serves every pass --------------------
     means = dict(zip(requests, mean_batch(list(requests.values()), cfg)))
@@ -1009,9 +901,8 @@ class NevanlinnaProfile:
         """Evaluate the five Nevanlinna columns of (f, a) on a radius grid."""
         radii = tuple(float(r) for r in radii)
         parts = _radius_free(f, a)
-        weil = WeilFunction.analytic(a)
         means = _mean_rows(
-            [((_proximity_columns(f, weil, r), r), parts.request(r)) for r in radii],
+            [((_proximity_columns(f, a, r), r), parts.request(r)) for r in radii],
             cfg,
         )
         col_N, col_m, col_me, col_H, col_T, col_A = [], [], [], [], [], []
@@ -1040,12 +931,6 @@ class NevanlinnaProfile:
         for i, r in enumerate(self.radii):
             yield (r, self.N[i], self.m[i], self.m_std_error[i],
                    self.H[i], self.T[i], self.A[i])
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.CSV_COLUMNS)]
-        for row in self.rows():
-            lines.append(",".join(f"{x:.12g}" for x in row))
-        return "\n".join(lines) + "\n"
 
     def to_json(self):
         blob = asdict(self)

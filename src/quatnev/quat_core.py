@@ -39,8 +39,6 @@ __all__ = [
     "CHUNK",
     "gaussian_chunk",
     "mul",
-    "sphere_of",
-    "embed",
     "qmul",
     "qconj",
     "qdot",
@@ -227,22 +225,6 @@ class SliceComplex:
     @staticmethod
     def from_complex(z: complex) -> "SliceComplex":
         return SliceComplex(z.real, abs(z.imag))
-
-
-def sphere_of(q: Quaternion) -> SliceComplex:
-    """Canonical sphere key of q: (Re q, |Im q|)."""
-    return SliceComplex(q.w, q.abs_im())
-
-
-def embed(s: SliceComplex, I: Quaternion) -> Quaternion:
-    """Realize the sphere key s on the slice of the unit imaginary I.
-
-    embed((u, v), I) = u + I*v.  I must satisfy Re I = 0 and |I| = 1
-    (within 1e-12); sphere_of(embed(s, I)) == s for any such I.
-    """
-    if abs(I.w) > 1e-12 or abs(I.norm() - 1.0) > 1e-12:
-        raise ValueError(f"embed requires a unit imaginary I, got {I}")
-    return Quaternion(s.re, I.x * s.im, I.y * s.im, I.z * s.im)
 
 
 # ---------------------------------------------------------------------------

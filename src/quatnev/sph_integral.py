@@ -337,7 +337,9 @@ def mean_log_abs(f, r: float, cfg: IntegratorConfig) -> SphericalMean:
 
     Samples with |f(w)| below _ZERO_GUARD·(1+r)^deg·coeff_scale — or on a
     numerical pole — are rejected and resampled from the same stream; the
-    count is reported and bounded by 0.001·samples.
+    count is reported and bounded by 0.001·samples.  No command calls it;
+    it stays because the tests check the Jensen mean-value statement
+    mean log|f| = log|f(0)| − H through it.
     """
     thr = _log_threshold(f, r)
 

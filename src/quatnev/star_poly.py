@@ -49,7 +49,6 @@ __all__ = [
     "SymmetrizationNotReal",
     "RealPointDegenerate",
     "UndefinedAtZeroPole",
-    "ZeroCenter",
     "DegenerateTransform",
     "ZeroFunctionReciprocal",
     "star_mul",
@@ -77,10 +76,6 @@ class RealPointDegenerate(ValueError):
 
 class UndefinedAtZeroPole(ArithmeticError):
     """Spherical conjugate requested at a zero or pole of f^s."""
-
-
-class ZeroCenter(ValueError):
-    """The Jensen kernel centered at zero is undefined."""
 
 
 class DegenerateTransform(ValueError):
@@ -900,11 +895,6 @@ class GL2H:
         scale = max(self.A.norm(), self.B.norm(), self.C.norm(), self.D.norm(), 1e-300)
         if self.dieudonne() < 1e-12 * scale**2:
             raise DegenerateTransform(f"Dieudonné determinant {self.dieudonne():.3e} ≈ 0")
-
-    @staticmethod
-    def identity() -> "GL2H":
-        one, zero = Quaternion(1.0), Quaternion()
-        return GL2H(one, zero, zero, one)
 
 
 def linear_fractional(t: GL2H, f) -> SemiregularRational:

@@ -225,6 +225,7 @@ def test_criterion_4_fd_oracle():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the harmonic remainder is genuinely signed: H(q, 1, r) = −r²/4 < 0, "
     "so the nonnegativity clause cannot hold for a faithful implementation",
 )

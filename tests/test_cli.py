@@ -466,7 +466,9 @@ def test_unusable_integrator_settings_exit_2_before_sampling(settings, tmp_path,
     ({"reject_tol": 0}, "reject_tol"),
     ({"reject_tol": 1e-3, "radius": 5}, "radius, reject_tol"),
     ({"kernel": "doubled"}, "kernel"),
-], ids=["reject_tol-nan", "reject_tol-inf", "reject_tol-zero", "misspelt-radius", "kernel"])
+    ({"candidates": [1, 2]}, "candidates"),
+], ids=["reject_tol-nan", "reject_tol-inf", "reject_tol-zero", "misspelt-radius", "kernel",
+        "candidates"])
 def test_unknown_config_keys_exit_2_before_sampling(settings, named, tmp_path,
                                                     capsys, counters):
     cfg = tmp_path / "cfg.json"

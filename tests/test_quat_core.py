@@ -18,7 +18,6 @@ from quatnev.quat_core import (
     SliceComplex,
     SlicePoints,
     SphereSampler,
-    embed,
     gaussian_chunk,
     mul,
     qconj,
@@ -28,7 +27,6 @@ from quatnev.quat_core import (
     slice_points,
     slice_units,
     slice_uv,
-    sphere_of,
 )
 
 ATOL = 1e-12
@@ -160,16 +158,6 @@ def test_slice_complex_canonicalizes_sign():
     assert SliceComplex(1.0, -2.0) == SliceComplex(1.0, 2.0)
     assert SliceComplex(0.5, 0.0).is_real
     assert math.isclose(SliceComplex(3.0, 4.0).modulus(), 5.0, rel_tol=0, abs_tol=0)
-
-
-@given(quats().filter(lambda q: q.abs_im() > 0.05))
-@settings(max_examples=200)
-def test_sphere_embed_roundtrip(q):
-    s = sphere_of(q)
-    unit = q.im * (1.0 / q.abs_im())
-    back = embed(s, unit)
-    assert back.isclose(q, 1e-9), f"embed(sphere_of(q)) = {back} ≠ {q}"
-    assert s.im >= 0.0
 
 
 def test_slice_coords_reconstructs_points():

@@ -26,7 +26,7 @@ from quatnev.sph_integral import (
     mean_log_abs,
     paired_reflection_mean,
 )
-from quatnev.nevanlinna import NevanlinnaProfile, WeilFunction, proximity
+from quatnev.nevanlinna import NevanlinnaProfile, proximity
 
 CFG = IntegratorConfig(samples=20_000, seed=2026)
 
@@ -319,8 +319,7 @@ def test_weil_guard_rejects_near_singularity():
     # target on the integration sphere itself: the weight is singular there,
     # but only a vanishing fraction of draws lands inside the guard
     f = RealPoly([0.0, 1.0])
-    weil = WeilFunction.analytic(Quaternion(1.0, 0, 0, 0))
-    m = proximity(f, weil, 1.0, CFG)
+    m = proximity(f, Quaternion(1.0, 0, 0, 0), 1.0, CFG)
     assert math.isfinite(m.value)
     assert m.rejected <= 0.001 * CFG.samples
 
