@@ -125,6 +125,62 @@ def _lambda_of_head(head, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Certified modulus bounds
+# ---------------------------------------------------------------------------
+
+# a sample's |q| lies within this relative distance of its radius
+_RADIUS_SLACK = 1e-12
+# bound on the rounding error of a computed |p(q)|, relative to Σ|a_k||q|^k;
+# stem evaluation errs by a few (deg p + 1)·ε of that sum
+_EVAL_ERROR = 1e-6
+# a certified bound clears its threshold by this much in log space
+_LOG_MARGIN = 1e-6
+# certified evaluations form magnitudes within e^±_LOG_RANGE only
+_LOG_RANGE = math.log(1e300)
+
+
+def _log_modulus_floor(h, r: float):
+    """Certified log lo with lo ≤ |h(q)| as the stems compute it on ∂B_r, or None.
+
+    Only RealPoly and LeftPoly are certified.  Each term has
+    |q^k a_k| = |q|^k·|a_k|, so for S = Σ|a_k||q|^k,
+    |h(q)| ≥ max_j (2|a_j||q|^j − S) at every q whose |q| is within
+    _RADIUS_SLACK·r of r, which covers every sample of ∂B_r.  The bound is
+    lowered by the rounding bound _EVAL_ERROR·S of the evaluation; log lo
+    is −inf when nothing is left of it.  None for any other h, when r is
+    not in [1e-150, 1e150], where the squares that give a sample's slice
+    coordinates are normal, and when S, the largest power of |q| or the
+    sum Σ|a_k| that bounds the Horner partial sums leaves e^±_LOG_RANGE;
+    never raises.
+    """
+    if not (isinstance(h, LeftPoly) and not h.is_zero
+            and r > 0.0 and abs(math.log(r)) <= 0.5 * _LOG_RANGE):
+        return None
+    with np.errstate(divide="ignore"):
+        log_a = np.log(np.hypot.reduce(h.coeffs, axis=1))
+    k = np.arange(log_a.size)
+    log_r_hi = math.log(r) + math.log1p(_RADIUS_SLACK)
+    hi_terms = log_a + k * log_r_hi
+    lo_terms = log_a + k * (math.log(r) + math.log1p(-_RADIUS_SLACK))
+    top = float(hi_terms.max())
+    t_hi = np.exp(hi_terms - top)
+    total = float(t_hi.sum())
+    lo = float((np.exp(lo_terms - top) - (total - t_hi)).max()) - _EVAL_ERROR * total
+    log_s = top + math.log(total)
+    extent = max(abs(log_s) + math.log1p(_EVAL_ERROR), k[-1] * log_r_hi,
+                 float(np.logaddexp.reduce(log_a)))
+    if extent > _LOG_RANGE:
+        return None
+    return top + math.log(lo) if lo > 0.0 else -math.inf
+
+
+def _exceeds(h, r: float, log_floor: float) -> bool:
+    """True when |h| > e^log_floor at every sample of ∂B_r, certified with margin."""
+    log_lo = _log_modulus_floor(h, r)
+    return log_lo is not None and log_lo >= log_floor + _LOG_MARGIN
+
+
+# ---------------------------------------------------------------------------
 # Proximity
 # ---------------------------------------------------------------------------
 
@@ -137,11 +193,19 @@ def proximity(f, a, r: float, cfg: IntegratorConfig) -> SphericalMean:
     of f − a, so near-singularity samples reject by the same rule as
     mean_log_abs.  The estimate is ≥ 0 because the weight is pointwise ≥ 0.
     """
-    return mean_columns(_proximity_columns(f, a, r), r, cfg)[0]
+    return mean_batch([(_proximity_columns(f, a, r), r)], cfg)[0][0]
 
 
 def _proximity_columns(f, a, r: float):
-    """Column function of the proximity pass of f to the target a at radius r."""
+    """Column function of the proximity pass of f to the target a at radius r, or None.
+
+    None marks a pass certified zero (see mean_batch): for a finite a and
+    a polynomial f, _log_modulus_floor proves |f − a| > max(1, e^thr) for
+    the near-zero guard thr of f − a at every sample of ∂B_r.  Then λ_a is
+    +0.0 at every sample and every sample is accepted, so the pass is
+    SphericalMean(0.0, 0.0, samples, 0) and needs no draw.  Passes to ∞
+    and passes of a rational f stay Monte-Carlo.
+    """
     if _is_infinity(a):
 
         def columns(pts):
@@ -153,6 +217,8 @@ def _proximity_columns(f, a, r: float):
 
     g = _shifted(f, _coerce(a))
     thr = _log_threshold(g, r)
+    if _exceeds(g, r, max(thr, 0.0)):
+        return None
 
     def columns(pts):
         se = g.stems(pts)
@@ -202,7 +268,7 @@ def characteristic(f, a, r: float, cfg: IntegratorConfig) -> float:
     the deflated series head.
     """
     parts = _radius_free(f, a)
-    return parts.at(r, mean_columns(*parts.request(r), cfg)[0])[0]
+    return parts.at(r, mean_batch([parts.request(r)], cfg)[0][0])[0]
 
 
 @dataclass(frozen=True)
@@ -421,13 +487,18 @@ def mpb_defect(f, a, radii, cfg: IntegratorConfig) -> list:
     All radii share one walk of the stream.  At each radius both columns
     share one stem evaluation and one accepted mask; for slice-preserving
     f the integrand is identically zero sample by sample, so each
-    estimate (and its standard error) is exactly 0.
+    estimate (and its standard error) is exactly 0.  Where f is a
+    polynomial and _log_modulus_floor certifies |f| > e^thr for the
+    near-zero guard thr at every sample, so that every sample is accepted,
+    that radius is the certified-zero request (None, r) and draws nothing.
     """
     f = _realized(f)
     shift = None if _is_infinity(a) else _coerce(a)
 
     def request(r):
         thr = _log_threshold(f, r)
+        if f.is_real and _exceeds(f, r, thr):
+            return None, r
 
         def columns(pts):
             se = f.stems(pts)
@@ -729,10 +800,13 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
     # T(fn, target, r) recurs across rows: each distinct (class, function,
     # target) gets one radius-free part and one pass per radius.  The class
     # is part of the key because RealPoly and LeftPoly with equal
-    # coefficients take different stem routes.  A pair missing here makes
-    # T raise KeyError.
+    # coefficients take different stem routes.  A target keys by its
+    # components, whose equality takes −0.0 for 0.0, so at a = 0 the
+    # conjugate target ā = −0 is a.  A pair missing here makes T raise
+    # KeyError.
     def t_key(fn, target):
-        return type(fn), json.dumps(fn.to_json()), _a_label(target)
+        return (type(fn), json.dumps(fn.to_json()),
+                None if target is None else tuple(target.to_array().tolist()))
 
     t_pairs = [(f, None), (g, None), *((fn, None) for fn in powers.values()),
                (fg, None), (fpg, None), (fc, aq), (f, a_conj), (fs, None),

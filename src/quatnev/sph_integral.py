@@ -20,7 +20,8 @@ chunk-outer: the Gaussians of chunk k are drawn once per call, scaled to
 each radius that is still needed, and fed to every unfinished request,
 which keeps its own mask, rejection count and sums.  Only the current
 chunk is held, and every mean equals the one mean_columns gives for its
-request alone.
+request alone.  A request (None, r) is a pass certified zero by its
+caller; it draws nothing and gets the mean the walk would give it.
 
 Within a chunk the walk goes radius group → request → block: a request
 evaluates the chunk in blocks of quat_core.BLOCK points and stops after
@@ -131,7 +132,12 @@ def mean_columns(column_fn, r: float, cfg: IntegratorConfig):
 
 
 class _Pass:
-    """Running state of one request of a batch: its rejection count and sums."""
+    """Running state of one request of a batch: its rejection count and sums.
+
+    A request with column_fn None is certified zero: it starts complete,
+    with the one zero column that a walk accumulates when every sample is
+    accepted and +0.0.
+    """
 
     def __init__(self, column_fn, r, cfg: IntegratorConfig):
         if not (r > 0.0 and math.isfinite(r)):
@@ -143,6 +149,9 @@ class _Pass:
         self.sums = self.run_mean = self.run_m2 = None
         self.taken = 0
         self.rejected = 0
+        if column_fn is None:
+            self.sums = self.run_m2 = np.zeros(1)
+            self.taken = self.needed
 
     def columns(self, pts):
         """column_fn at one block, as an (n, k) float array and a bool mask."""
@@ -262,6 +271,13 @@ def mean_batch(requests, cfg: IntegratorConfig):
     all read.  Rejections count along the stream prefix a request used,
     up to its last accepted row, also when a chunk's accepted rows
     exactly equal the rows still needed.
+
+    A request (None, r) is certified zero: its one column is known to be
+    +0.0 at every point of ∂B_r, with every sample accepted.  Its r is
+    validated like any other, it is never live, and it reads no chunk, so
+    a batch of such requests alone draws nothing.  Its result is
+    SphericalMean(0.0, 0.0, cfg.samples, 0), the bits the walk gives that
+    column.
 
     Returns one list of SphericalMean per request, each bitwise equal to
     mean_columns(column_fn, r, cfg).  When requests fail, the

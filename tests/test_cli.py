@@ -175,25 +175,53 @@ def test_verify_jensen_draws_one_pass_for_both_conventions(tmp_path, counters):
 
 def test_algebra_suite_draws_each_pass_once(tmp_path, counters):
     assert main(["algebra-suite", *FAST, "--out", str(tmp_path / "s.csv")]) == 0
-    # 15 distinct means at each of the 4 default radii: 13 characteristics,
+    # 14 distinct means at each of the 4 default radii: 12 characteristics,
     # the mixed proximity and the sandwich.  For the real default f,
-    # T(f^s, ∞) is T(f*f, ∞) and T(f^c, 0) is T(f, 0).
-    assert counters["passes"] == 60
+    # T(f^s, ∞) is T(f*f, ∞), T(f^c, 0) is T(f, 0), and at a = 0 the
+    # conjugate target ā = −0 is a.
+    assert counters["passes"] == 56
     # the divisor and the rest of T's radius-free part, once per distinct
     # (function, target)
     assert len(set(counters["parts"])) == len(counters["parts"])
     assert counters["divisors"] == len(counters["parts"])
 
 
+# At their defaults every pass of profile and mpb-check is certified zero and
+# draws nothing (test_certified_defaults_draw_no_chunk).  These configs keep
+# their passes Monte-Carlo: profile on radii below 1, where |f − a| = |q²| < 1,
+# and mpb-check on a non-slice-preserving f.
+MONTE_CARLO_CONFIGS = {
+    "profile": {"radii": list(np.geomspace(0.2, 0.9, 12))},
+    "mpb-check": {"function": LEFT},
+}
+
+
+def _main_on(command, tmp_path, config=None):
+    """main on command at FAST, with the config file ``config`` when given."""
+    args = [command, *FAST, "--out", str(tmp_path / "a.csv")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    return main(args)
+
+
 @pytest.mark.parametrize("command, passes", [
     ("verify-jensen", 1), ("profile", 24), ("fmt-check", 24), ("mpb-check", 10),
-    ("algebra-suite", 60),
+    ("algebra-suite", 56),
 ])
 def test_each_command_draws_each_chunk_once(command, passes, tmp_path, counters):
-    assert main([command, *FAST, "--out", str(tmp_path / "a.csv")]) == 0
+    assert _main_on(command, tmp_path, MONTE_CARLO_CONFIGS.get(command)) == 0
     assert counters["passes"] == passes
     # at FAST every pass reads chunk 0 only, and all passes read it together
     assert counters["draws"] == [(2026, 0, 0)]
+
+
+@pytest.mark.parametrize("command, passes", [("profile", 24), ("mpb-check", 10)])
+def test_certified_defaults_draw_no_chunk(command, passes, tmp_path, counters):
+    assert _main_on(command, tmp_path) == 0
+    assert counters["passes"] == passes
+    assert counters["draws"] == []
 
 
 @pytest.fixture
@@ -224,7 +252,7 @@ def frames(monkeypatch):
 
 @pytest.mark.parametrize("command", ["profile", "algebra-suite"])
 def test_slice_coordinates_once_per_chunk_and_radius(command, tmp_path, frames):
-    assert main([command, *FAST, "--out", str(tmp_path / "a.csv")]) == 0
+    assert _main_on(command, tmp_path, MONTE_CARLO_CONFIGS.get(command)) == 0
     # at FAST every pass reads chunk 0 only, so each radius is one group
     assert len(frames["uv"]) == len(set(frames["uv"])) == len(frames["radii"])
     assert frames["units"] == 0, "slice-preserving stems formed unit imaginaries"

@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatnev import divisor
-from quatnev.quat_core import Quaternion, SliceComplex
+from quatnev.quat_core import SliceComplex
 from quatnev.star_poly import (
     LeftPoly,
     RealPoly,
     SemiregularRational,
-    as_rational,
     star_mul,
     star_power,
 )

@@ -18,12 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from quatnev import nevanlinna, star_poly
 from quatnev.quat_core import Quaternion, SliceComplex, SphereSampler, qnorm
-from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational, as_rational, star_mul, star_power
-from quatnev.divisor import jensen_kernel, total_order_divisor, N_integrated
-from quatnev.sph_integral import IntegratorConfig, _log_threshold
+from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational, star_mul, star_power
+from quatnev.divisor import jensen_kernel
+from quatnev.sph_integral import IntegratorConfig, TooManyRejections, _log_threshold, mean_batch
 from quatnev.nevanlinna import (
     CenterIsZeroOrPole,
-    JensenReport,
     NevanlinnaProfile,
     admissible_radii,
     characteristic,
@@ -377,6 +376,130 @@ def test_dominating_index_defect_decreases():
         assert abs(m.value) > m.three_sigma, f"defect at r = {r} lost under noise"
         defects.append(abs(m.value))
     assert defects[0] > defects[1] > defects[2], f"not decreasing: {defects}"
+
+
+# ---------------------------------------------------------------------------
+# Certified-zero passes
+# ---------------------------------------------------------------------------
+
+# below, beside and above each sphere of the inputs below, so |h| crosses 1
+# and the pole guard between neighbouring radii
+CERTIFIED_RADII = (0.05, 0.2, 0.45, 0.6, 0.9, 1.1, 1.6, 3.0, 12.0)
+# unit-scale inputs and their radius grids.  Zero spheres have modulus 1
+# (q² + 1), 0.55 (the real rational's numerator and denominator) and 0.5–1
+# (the quaternion ones).  q² + 1e-20 has |h| below the zero guard at
+# r = 1e-11 and above it at 1e-3; its grids are walked one at a time, since
+# a pass that rejects every sample raises for its whole batch.
+CERTIFIED_BATTERY = {
+    "realpoly": ([1.0, 0.0, 1.0], None, [CERTIFIED_RADII]),
+    "leftpoly": ([[0.3, 0.2, -0.1, 0.4], [1.0, 0.5, 0.0, -0.3], [1.0, 0, 0, 0]], None,
+                 [CERTIFIED_RADII]),
+    "real-rational": ([0.3, 0.0, 1.0], [0.3, -0.2, 1.0], [CERTIFIED_RADII]),
+    "quaternion-rational": ([[1, 0, 0, 0], [0.2, 0.1, 0, 0], [1, 0, 0, 0]],
+                            [[0.25, 0, 0.1, 0], [-1, 0, 0, 0], [1, 0, 0, 0]],
+                            [CERTIFIED_RADII]),
+    "zero-guard": ([1e-20, 0.0, 1.0], None, [(1e-11,), (1e-3,)]),
+}
+
+
+def _scaled_input(name, scale):
+    num, den, _grids = CERTIFIED_BATTERY[name]
+    f = LeftPoly(scale * np.asarray(num, dtype=float))
+    if den is not None:
+        return SemiregularRational(f, LeftPoly(den))
+    return RealPoly(f.coeffs) if f.is_real else f
+
+
+def _certified_battery(monkeypatch, certify):
+    """Bits of every pass of the battery, and whether each request was certified.
+
+    Each grid gets one walk for the proximity passes to 0, to a finite
+    target and to ∞, and one for the MPB defect.  With certify False,
+    _log_modulus_floor certifies nothing, so every pass runs Monte-Carlo.
+    """
+    if not certify:
+        monkeypatch.setattr(nevanlinna, "_log_modulus_floor", lambda h, r: None)
+    certified = []
+
+    def recording_mean_batch(requests, cfg):
+        requests = list(requests)
+        certified.extend(fn is None for fn, _r in requests)
+        return mean_batch(requests, cfg)
+
+    monkeypatch.setattr(nevanlinna, "mean_batch", recording_mean_batch)
+    bits = {}
+    for scheme in ("monte_carlo", "antithetic_pair"):
+        cfg = IntegratorConfig(samples=1_000, seed=7, scheme=scheme)
+        for name, (_num, _den, grids) in CERTIFIED_BATTERY.items():
+            for scale in (1e-150, 1.0, 1e150):
+                f = _scaled_input(name, scale)
+                targets = (ZERO, Quaternion(0.5 * scale, 0.1 * scale, 0, 0), None)
+                for radii in grids:
+                    walks = {
+                        "m": lambda: [m for means in nevanlinna.mean_batch(
+                            [(nevanlinna._proximity_columns(f, a, r), r)
+                             for a in targets for r in radii], cfg) for m in means],
+                        "mpb": lambda: mpb_defect(f, None, radii, cfg),
+                    }
+                    for kind, walk in walks.items():
+                        try:
+                            got = [(m.value.hex(), m.std_error.hex(), m.effective_samples,
+                                    m.rejected) for m in walk()]
+                        except TooManyRejections as exc:
+                            got = str(exc)
+                        bits[scheme, name, scale, radii, kind] = got
+    return bits, certified
+
+
+def test_certified_passes_equal_their_monte_carlo_bits(monkeypatch):
+    certified_bits, certified = _certified_battery(monkeypatch, certify=True)
+    monkeypatch.undo()
+    mc_bits, mc_certified = _certified_battery(monkeypatch, certify=False)
+    assert not any(mc_certified)
+    assert certified_bits.keys() == mc_bits.keys()
+    for key, bits in certified_bits.items():
+        assert bits == mc_bits[key], f"certified pass differs from Monte-Carlo at {key}"
+    # the zero-guard input rejects every sample at r = 1e-11, on both routes
+    assert all(isinstance(bits, str) for key, bits in mc_bits.items() if key[3] == (1e-11,))
+    # some requests are certified, and some are not
+    assert 0 < sum(certified) < len(certified)
+
+
+@pytest.mark.parametrize("name, scale, a, r, certified", [
+    ("realpoly", 1.0, ZERO, 3.0, True),                     # |h| > 1
+    ("realpoly", 1.0, ZERO, 0.9, False),                    # |h| < 1
+    ("leftpoly", 1e150, Quaternion(5e149, 1e149, 0, 0), 3.0, True),
+    ("zero-guard", 1e150, ZERO, 1e-3, True),                # above the zero guard
+    ("zero-guard", 1e150, ZERO, 1e-11, False),              # below it
+    # passes to ∞ and passes of rationals stay Monte-Carlo, even where
+    # |f| < 1 or |f − a| > 1 on the whole sphere
+    ("leftpoly", 1.0, None, 0.05, False),                   # |h| < 1
+    ("realpoly", 1.0, None, 0.05, False),                   # |h| > 1
+    ("quaternion-rational", 1.0, ZERO, 0.05, False),
+    ("real-rational", 1e-150, None, 3.0, False),
+    ("real-rational", 1.0, ZERO, 0.6, False),
+    ("quaternion-rational", 1e150, Quaternion(5e149, 1e149, 0, 0), 12.0, False),
+], ids=lambda value: repr(value) if isinstance(value, Quaternion) else None)
+def test_certificate_decides_by_its_bounds(name, scale, a, r, certified):
+    columns = nevanlinna._proximity_columns(_scaled_input(name, scale), a, r)
+    assert (columns is None) == certified
+
+
+@pytest.mark.parametrize("h, r", [
+    (RealPoly([1.0, 0.0, 1.0]), 0.0),
+    (RealPoly([1.0, 0.0, 1.0]), -1.0),
+    (RealPoly([1.0, 0.0, 1.0]), math.inf),
+    (RealPoly([1.0, 0.0, 1.0]), math.nan),
+    (RealPoly([1.0, 0.0, 1.0]), 1e-200),    # |Im q|² of a sample underflows
+    (RealPoly([]), 2.0),
+    (RealPoly([1e300, 1e300]), 2.0),        # Σ|a_k||q|^k leaves the float range
+    (RealPoly([1e-320, 1e-320]), 2.0),      # and here falls below it
+    (RealPoly([1.0] * 3 + [0.0] * 300 + [1.0]), 1e3),   # |q|^deg overflows
+    (SemiregularRational(RealPoly([1e3, 0.0, 1.0]), RealPoly([1.0])), 2.0),
+], ids=["r=0", "r<0", "r=inf", "r=nan", "r=1e-200", "zero", "huge", "subnormal", "high-power",
+        "rational"])
+def test_modulus_floor_falls_back_without_raising(h, r):
+    assert nevanlinna._log_modulus_floor(h, r) is None
 
 
 # ---------------------------------------------------------------------------

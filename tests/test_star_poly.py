@@ -23,7 +23,7 @@ from quatnev.quat_core import (
     slice_units,
     slice_uv,
 )
-from quatnev.sph_integral import IntegratorConfig, TooManyRejections, mean_log_abs
+from quatnev.sph_integral import IntegratorConfig, mean_log_abs
 from quatnev.star_poly import (
     DegenerateTransform,
     EvalAtPole,
