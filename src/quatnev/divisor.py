@@ -73,15 +73,28 @@ _REAL_SNAP = 1e-8
 _SPHERE_MERGE_TOL = 1e-8
 
 
-def _rounding_bound(z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """16ε·Σ|c_i||z|^i, the error bound of evaluating p at z."""
-    return _BACKWARD_EPS * npoly.polyval(np.abs(z), np.abs(c))
+def _eval_rows(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """The rows c, |c| and dc = c′ (padded with a leading 0) that _horner evaluates."""
+    rows = np.zeros((3, c.shape[0]), dtype=complex)
+    rows[0], rows[1] = c, np.abs(c)
+    rows[2, : dc.shape[0]] = dc
+    return rows
 
 
-def _backward_ok(pz: np.ndarray, z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """|p(z)| ≤ 16ε·Σ|c_i||z|^i: z is an exact root of a polynomial whose
-    coefficients differ from c by rounding."""
-    return np.abs(pz) <= _rounding_bound(z, c)
+def _horner(rows: np.ndarray, z: np.ndarray):
+    """p(z), the rounding bound 16ε·Σ|c_i||z|^i and p′(z) for the rows of
+    _eval_rows, from one Horner pass over the stacked rows.
+
+    Each row keeps npoly.polyval's operation order (c[-1] + x*0, then
+    c[k] + acc*x), so each value has its bits: the |c| row is evaluated at
+    |z| with zero imaginary parts, which leave its real part exact."""
+    x = np.empty((3, z.shape[0]), dtype=complex)
+    x[0], x[1], x[2] = z, np.abs(z), z
+    acc = rows[:, -1:] + x * 0
+    for k in range(rows.shape[1] - 2, -1, -1):
+        acc *= x
+        acc += rows[:, k : k + 1]
+    return acc[0], _BACKWARD_EPS * acc[1].real, acc[2]
 
 
 def _aberth_iterate(c: np.ndarray):
@@ -101,12 +114,11 @@ def _aberth_iterate(c: np.ndarray):
     z = radius * (1.0 + 0.01 * k / max(deg, 1)) * np.exp(
         1j * (2.0 * np.pi * (k + 0.353) / deg + 0.007 * k)
     )
-    dc = npoly.polyder(c)
+    rows = _eval_rows(c, npoly.polyder(c))
     for _ in range(_ABERTH_MAX_ITER):
-        pz, bound = npoly.polyval(z, c), _rounding_bound(z, c)
+        pz, bound, dpz = _horner(rows, z)
         if (np.abs(pz) <= bound).all():
             break
-        dpz = npoly.polyval(z, dc)
         dpz = np.where(np.abs(dpz) < 1e-300, 1e-300, dpz)
         w = pz / dpz
         diff = z[:, None] - z[None, :]
@@ -116,7 +128,7 @@ def _aberth_iterate(c: np.ndarray):
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
         z = z - w / denom
     else:
-        pz, bound = npoly.polyval(z, c), _rounding_bound(z, c)
+        pz, bound, _dpz = _horner(rows, z)
     return z, np.abs(pz) + bound
 
 
@@ -149,18 +161,17 @@ def _polish(chain: list[np.ndarray], z: np.ndarray, mult: int) -> np.ndarray:
     successive iterates; the step computed at each is still taken, as it
     costs no further evaluation.  The second step takes a representable
     root, such as ±i of q²+1, from within rounding of it onto it exactly."""
-    f, df = chain[mult - 1], chain[mult]
+    rows = _eval_rows(chain[mult - 1], chain[mult])
     z = z.copy()
     todo = np.arange(z.shape[0])
     passed = np.zeros(z.shape[0], dtype=bool)
     for _ in range(_POLISH_MAX_ITER):
         w = z[todo]
-        fw = npoly.polyval(w, f)
-        dw = npoly.polyval(w, df)
+        fw, bound, dw = _horner(rows, w)
         movable = np.abs(dw) >= 1e-300
         step = np.divide(fw, dw, out=np.zeros_like(fw), where=movable)
         z[todo] = w - step
-        ok = _backward_ok(fw, w, f)
+        ok = np.abs(fw) <= bound
         keep = movable & ~(ok & passed[todo])
         passed[todo] = ok
         todo = todo[keep]
@@ -207,8 +218,10 @@ def complex_roots(p) -> list[tuple[complex, int]]:
     chain = [coeff / coeff[-1]]  # p, p', … as far as the largest cluster needs
     raw, rho = _aberth_iterate(chain[0])
     radii, labels = _inclusion_components(raw, rho)
-    _heads, member_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    centroids = np.array([raw[member_of == k].mean() for k in range(sizes.shape[0])])
+    heads, member_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    centroids = raw[heads]  # a singleton component's centroid is its member
+    for k in np.nonzero(sizes > 1)[0]:
+        centroids[k] = raw[member_of == k].mean()
     best = centroids.copy()
     for mult in np.unique(sizes):
         while len(chain) <= mult:

@@ -235,8 +235,10 @@ class SliceComplex:
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of (n, 4) arrays, or of a (4,) quaternion and an (n, 4) array.
 
-    Each of the four rows of the (4, n)-stored result is the scalar
-    formula, its products summed left to right.
+    Leading axes broadcast, and the result is the transpose of its (4, …)
+    storage: (1, m, 4) times (n, 1, 4) gives (m, n, 4).  Each of the four
+    rows of the (4, n)-stored result is the scalar formula, its products
+    summed left to right.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

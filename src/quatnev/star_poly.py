@@ -213,7 +213,9 @@ class StemEval:
             if shift is not None:
                 P, g = _shifted(P, shift), _shifted(g, shift)
             pp, qq = qdot(P, P), qdot(Q, Q)
-            (P, Q, g), e = _rescaled(pp + qq, P, Q, g)
+            with np.errstate(over="ignore"):  # _rescaled handles an infinite norm
+                sq = pp + qq
+            (P, Q, g), e = _rescaled(sq, P, Q, g)
             if e is not None:
                 pp, qq = qdot(P, P), qdot(Q, Q)
             gs = (pp - qq).astype(complex)
@@ -601,9 +603,10 @@ def star_mul(f: LeftPoly, g: LeftPoly) -> LeftPoly:
     if isinstance(f, RealPoly) and isinstance(g, RealPoly):
         return RealPoly(np.convolve(f.real_coeffs, g.real_coeffs))
     a, b = f.coeffs, g.coeffs
+    prods = qmul(a[None], b[:, None])  # prods[i, j] = a_i·b_j
     out = np.zeros((a.shape[0] + b.shape[0] - 1, 4))
     for i in range(a.shape[0]):
-        out[i : i + b.shape[0]] += qmul(a[i], b)
+        out[i : i + b.shape[0]] += prods[i]
     return _realized(LeftPoly(out))
 
 

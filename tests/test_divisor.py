@@ -7,7 +7,6 @@ tests drive all routes through the same gate.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,23 +159,24 @@ def _planted_symmetrization(rng, count):
 
 
 @pytest.fixture
-def polyval_count(monkeypatch):
-    """Counts the polynomial evaluations the root layer makes."""
+def eval_count(monkeypatch):
+    """Counts the polynomial evaluations the root layer makes: each row of a
+    stacked Horner pass (p, its rounding bound, p′) is one evaluation."""
     calls = [0]
+    horner = divisor._horner
 
-    def counting_polyval(x, c, tensor=True):
-        calls[0] += 1
-        return np.polynomial.polynomial.polyval(x, c, tensor)
+    def counting_horner(rows, z):
+        calls[0] += rows.shape[0]
+        return horner(rows, z)
 
-    counted = SimpleNamespace(polyder=np.polynomial.polynomial.polyder, polyval=counting_polyval)
-    monkeypatch.setattr(divisor, "npoly", counted)
+    monkeypatch.setattr(divisor, "_horner", counting_horner)
     return calls
 
 
 def _roots_within_budget(calls, p):
     calls[0] = 0
     roots = complex_roots(p)
-    assert calls[0] <= ROOT_EVAL_BUDGET, (
+    assert 0 < calls[0] <= ROOT_EVAL_BUDGET, (
         f"{calls[0]} polynomial evaluations for degree {p.degree}"
     )
     _assert_closed_and_complete(roots, p.degree)
@@ -184,12 +184,36 @@ def _roots_within_budget(calls, p):
 
 
 @pytest.mark.parametrize("power", [4, 6])
-def test_multiple_roots_stay_within_the_evaluation_budget(polyval_count, power):
+def test_multiple_roots_stay_within_the_evaluation_budget(eval_count, power):
     p = RealPoly(np.polynomial.polynomial.polypow([1.0, 0.0, 1.0], power))
-    roots = _roots_within_budget(polyval_count, p)
+    roots = _roots_within_budget(eval_count, p)
     assert [m for _z, m in roots] == [power, power]
     for z, _m in roots:
         assert abs(abs(z.imag) - 1.0) <= 1e-8 and abs(z.real) <= 1e-8
+
+
+_moduli = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+_components = st.floats(min_value=-10.0, max_value=10.0)
+
+
+@given(
+    st.lists(st.tuples(_components, _components), min_size=1, max_size=26),
+    st.lists(st.tuples(_moduli, st.floats(min_value=-math.pi, max_value=math.pi)),
+             min_size=1, max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_stacked_horner_has_polyval_bits(lower, points):
+    """p(z), the rounding bound and p′(z) of one stacked pass equal polyval's,
+    signed zeros included, for monic complex c of degree 1–26 and |z| in
+    [1e-3, 1e3]."""
+    npoly = np.polynomial.polynomial
+    c = np.array([complex(re, im) for re, im in lower] + [1.0])
+    z = np.array([m * complex(math.cos(t), math.sin(t)) for m, t in points])
+    pz, bound, dpz = divisor._horner(divisor._eval_rows(c, npoly.polyder(c)), z)
+    eps16 = 16.0 * np.finfo(float).eps
+    assert pz.tobytes() == npoly.polyval(z, c).tobytes()
+    assert bound.tobytes() == (eps16 * npoly.polyval(np.abs(z), np.abs(c))).tobytes()
+    assert dpz.tobytes() == npoly.polyval(z, npoly.polyder(c)).tobytes()
 
 
 def _six_decades():
@@ -199,9 +223,9 @@ def _six_decades():
     return planted, RealPoly(np.polynomial.polynomial.polyfromroots(planted).real)
 
 
-def test_root_moduli_over_six_decades_stay_within_the_evaluation_budget(polyval_count):
+def test_root_moduli_over_six_decades_stay_within_the_evaluation_budget(eval_count):
     _planted, p = _six_decades()
-    _roots_within_budget(polyval_count, p)
+    _roots_within_budget(eval_count, p)
 
 
 def test_root_moduli_over_six_decades_are_all_recovered():
@@ -211,12 +235,12 @@ def test_root_moduli_over_six_decades_are_all_recovered():
         assert min(abs(r - z) for r, _m in roots) <= 1e-8 * abs(z), f"lost the root {z}"
 
 
-def test_planted_symmetrizations_stay_within_the_evaluation_budget(polyval_count):
+def test_planted_symmetrizations_stay_within_the_evaluation_budget(eval_count):
     rng = np.random.default_rng(5)
     for case in range(50):
         count = 2 + case % 11  # symmetrization degree 4–24
         p, spheres = _planted_symmetrization(rng, count)
-        roots = _roots_within_budget(polyval_count, p)
+        roots = _roots_within_budget(eval_count, p)
         got = sorted((z.real, z.imag) for z, m in roots if z.imag > 0.0 and m == 1)
         assert len(got) == count and len(roots) == 2 * count, f"case {case}: {roots}"
         for (gre, gim), (wre, wim) in zip(got, sorted(spheres)):

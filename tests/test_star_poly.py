@@ -118,6 +118,43 @@ def test_star_product_distributes(f, g, h):
     assert lhs.equals(rhs, ATOL * scale), "f*(g+h) ≠ f*g + f*h"
 
 
+def _star_mul_per_coefficient(f, g):
+    """The *-product with one qmul per coefficient of f, its rows summed
+    into the product in the order star_mul sums them."""
+    a, b = f.coeffs, g.coeffs
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, 4))
+    for i in range(a.shape[0]):
+        out[i : i + b.shape[0]] += qmul(a[i], b)
+    return star_poly._realized(LeftPoly(out))
+
+
+def _lead_scaled(f, s):
+    lead = f.coeffs.copy()
+    lead[-1] *= s
+    return type(f)(lead)
+
+
+@given(
+    st.one_of(polys(5), real_polys(5)).filter(lambda f: not f.is_zero),
+    polys(5).filter(lambda g: not g.is_zero),
+    st.sampled_from(["plain", "conjugate", "underflow"]),
+)
+@settings(max_examples=300)
+def test_star_mul_keeps_the_per_coefficient_bits(f, g, lead):
+    """LeftPoly×LeftPoly and RealPoly×LeftPoly, also where the leading
+    coefficient of the product cancels: its imaginary part ("conjugate":
+    b_m = ā_n) or all of it (it underflows to 0, so the degree drops)."""
+    if lead == "conjugate":
+        rows = g.coeffs.copy()
+        rows[-1] = f.coeffs[-1] * [1.0, -1.0, -1.0, -1.0]
+        g = LeftPoly(rows)
+    elif lead == "underflow":
+        f, g = _lead_scaled(f, 1e-200), _lead_scaled(g, 1e-200)
+    got, want = star_mul(f, g), _star_mul_per_coefficient(f, g)
+    assert type(got) is type(want)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
 @given(polys(), polys())
 @settings(max_examples=100)
 def test_conjugate_reverses_star_products(f, g):
@@ -279,6 +316,25 @@ def test_log_moduli_do_not_depend_on_scale(kind, s):
         val, _ = se.twisted(shift)
         val_s, _ = ses.twisted(shift_s)
         assert np.all(se_norm(val_s / s - val) <= 1e-12 * se_norm(val))
+
+
+def test_twisted_log_modulus_where_only_the_summed_stem_norm_overflows():
+    """|P|² and |Q|² fit a float but |P|² + |Q|² does not (|P| = |Q| = 1e154).
+
+    _rescaled takes the infinite sum without an overflow warning (an error
+    under the suite's filter), and log|f∘S_f| is that of the unit-scale
+    stems plus log 1e154.
+    """
+    rng = np.random.default_rng(3)
+    P, Q = rng.normal(size=(2, 64, 4))
+    P /= np.linalg.norm(P, axis=1)[:, None]
+    Q /= np.linalg.norm(Q, axis=1)[:, None]
+    pts, ok = slice_points(SphereSampler(1.7, seed=21).sample(64)), np.ones(64, dtype=bool)
+    s = 1e154
+    la, _ = StemEval(pts, ok, P, Q).log_abs_twisted(None)
+    la_s, ok_s = StemEval(pts, ok, P * s, Q * s).log_abs_twisted(None)
+    assert ok_s.all() and np.isfinite(la_s).all()
+    assert np.all(np.abs(la_s - (la + math.log(s))) <= 1e-12)
 
 
 def se_norm(arr):
