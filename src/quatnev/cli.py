@@ -45,7 +45,6 @@ from .star_poly import (
     GL2H,
     LeftPoly,
     SemiregularRational,
-    _realized,
     corollary_decomposition_check,
     star_eval_identity_check,
     star_power,
@@ -158,7 +157,7 @@ def _parse_function(data, where: str = "function"):
             raise ConfigError(f"{where}: coefficient rows must have 4 entries")
         if not all(math.isfinite(c) for row in rows for c in row):
             raise ConfigError(f"{where}: coefficients must be finite in {data!r}")
-        return _realized(LeftPoly(rows))
+        return LeftPoly(rows)
     raise ConfigError(
         f"{where} must be a coefficient list or a num/den object, got {data!r}"
     )

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .quat_core import SliceComplex
-from .star_poly import LeftPoly, RealPoly, _realized, as_rational
+from .star_poly import LeftPoly, RealPoly, as_rational
 
 __all__ = [
     "SphereDivisor",
@@ -201,7 +201,6 @@ def complex_roots(p) -> list[tuple[complex, int]]:
 
     Raises ZeroPolynomial for the identically-zero input.
     """
-    p = _realized(p)
     if not isinstance(p, RealPoly):
         raise ValueError("complex_roots needs a real-coefficient polynomial")
     if p.is_zero:
@@ -390,7 +389,7 @@ def total_order_divisor(f) -> SphereDivisor:
         raise ZeroPolynomial("the zero function has no divisor")
     origin = f.num.origin_order() - f.den.origin_order()
     acc: list[tuple[SliceComplex, int]] = []
-    for side, sign in ((_realized(f.num), 1), (_realized(f.den), -1)):
+    for side, sign in ((f.num, 1), (f.den, -1)):
         if side.degree <= 0:
             continue
         _check_root_scale(side, 1 if isinstance(side, RealPoly) else 2)

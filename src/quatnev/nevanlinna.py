@@ -24,7 +24,6 @@ from .star_poly import (
     LeftPoly,
     SemiregularRational,
     _log_norm,
-    _realized,
     as_rational,
     linear_fractional,
     star_power,
@@ -492,7 +491,6 @@ def mpb_defect(f, a, radii, cfg: IntegratorConfig) -> list:
     near-zero guard thr at every sample, so that every sample is accepted,
     that radius is the certified-zero request (None, r) and draws nothing.
     """
-    f = _realized(f)
     shift = None if _is_infinity(a) else _coerce(a)
 
     def request(r):
@@ -797,15 +795,13 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
     phi = None if t is None else linear_fractional(t, f)
 
     # ---- phase 1: every Monte-Carlo pass the rows read ------------------------
-    # T(fn, target, r) recurs across rows: each distinct (class, function,
-    # target) gets one radius-free part and one pass per radius.  The class
-    # is part of the key because RealPoly and LeftPoly with equal
-    # coefficients take different stem routes.  A target keys by its
-    # components, whose equality takes −0.0 for 0.0, so at a = 0 the
-    # conjugate target ā = −0 is a.  A pair missing here makes T raise
-    # KeyError.
+    # T(fn, target, r) recurs across rows: each distinct (function,
+    # target) gets one radius-free part and one pass per radius.  A target
+    # keys by its components, whose equality takes −0.0 for 0.0, so at
+    # a = 0 the conjugate target ā = −0 is a.  A pair missing here makes T
+    # raise KeyError.
     def t_key(fn, target):
-        return (type(fn), json.dumps(fn.to_json()),
+        return (json.dumps(fn.to_json()),
                 None if target is None else tuple(target.to_array().tolist()))
 
     t_pairs = [(f, None), (g, None), *((fn, None) for fn in powers.values()),

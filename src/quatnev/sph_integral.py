@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quat_core import BLOCK, CHUNK, SlicePoints, gaussian_chunk
+from .star_poly import NEAR_ZERO, SemiregularRational
 
 __all__ = [
     "IntegratorConfig",
@@ -334,24 +335,33 @@ def mean_batch(requests, cfg: IntegratorConfig):
     return [p.means() for p in passes]
 
 
-# near-zero guard of log|f|, relative to (1+r)^growth_degree·coeff_scale
-_ZERO_GUARD = 1e-12
+def _log_abs_sum(p, r: float) -> float:
+    """log Σ_k |a_k| r^k of a polynomial p, summed in log space (−inf for p ≡ 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(np.hypot.reduce(p.coeffs, axis=1))
+        terms[1:] += np.arange(1, terms.size) * np.log(r)
+    return float(np.logaddexp.reduce(terms))
 
 
 def _log_threshold(f, r: float) -> float:
-    """log of the near-zero guard _ZERO_GUARD·(1+r)^growth_degree·coeff_scale.
+    """log of the near-zero guard NEAR_ZERO·Σ_k |a_k| r^k of log|f| on ∂B_r.
 
-    The guard scales with f, so it rejects the same points of c·f for every
-    c > 0; f ≡ 0 gets a finite guard, so its samples are all rejected.
+    For a rational f the sum is that of num_eff over that of den_s.  The
+    guard scales with f, so it rejects the same points of c·f for every
+    c > 0; f ≡ 0 gets the finite guard log NEAR_ZERO, so its samples are
+    all rejected.
     """
-    scale = math.log(max(f.coeff_scale(), 1e-300))
-    return math.log(_ZERO_GUARD) + f.growth_degree * math.log1p(r) + scale
+    if f.is_zero:
+        return math.log(NEAR_ZERO)
+    if isinstance(f, SemiregularRational):
+        return math.log(NEAR_ZERO) + _log_abs_sum(f.num_eff, r) - _log_abs_sum(f.den_s, r)
+    return math.log(NEAR_ZERO) + _log_abs_sum(f, r)
 
 
 def mean_log_abs(f, r: float, cfg: IntegratorConfig) -> SphericalMean:
     """Surface mean of log|f| over ∂B_r.
 
-    Samples with |f(w)| below _ZERO_GUARD·(1+r)^deg·coeff_scale — or on a
+    Samples with |f(w)| below NEAR_ZERO·Σ_k |a_k| r^k — or on a
     numerical pole — are rejected and resampled from the same stream; the
     count is reported and bounded by 0.001·samples.  No command calls it;
     it stays because the tests check the Jensen mean-value statement

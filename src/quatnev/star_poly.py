@@ -88,6 +88,10 @@ class ZeroFunctionReciprocal(ZeroDivisionError):
 
 ZERO_DEGREE = -1  # sentinel degree of the identically-zero polynomial
 
+# |p(q)| below this fraction of Σ|c_k||q|^k counts as zero: the pole
+# tolerance of a denominator, and the near-zero guard of the spherical means
+NEAR_ZERO = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # stem power helpers
@@ -215,7 +219,7 @@ class StemEval:
             pp, qq = qdot(P, P), qdot(Q, Q)
             with np.errstate(over="ignore"):  # _rescaled handles an infinite norm
                 sq = pp + qq
-            (P, Q, g), e = _rescaled(sq, P, Q, g)
+            (P, Q, g), e = _rescaled(sq, P, Q, g, hi=_TWIST_SQ_MAX)
             if e is not None:
                 pp, qq = qdot(P, P), qdot(Q, Q)
             gs = (pp - qq).astype(complex)
@@ -252,7 +256,9 @@ class StemEval:
         f(q) = 0.
         """
         if self.w is not None:
-            return self.log_abs(), self.ok.copy()
+            # twisted() masks out rows where g(q) = 0, which needs Re f(q) = Re a
+            hit = np.any(self.w.real == (0.0 if shift is None else shift.re))
+            return self.log_abs(), self._parts(shift)[4] if hit else self.ok.copy()
         if shift is not None:
             val, ok = self.twisted(shift)
             return _log_norm(val), ok
@@ -264,6 +270,9 @@ class StemEval:
 
 
 _LN2 = math.log(2.0)
+# _parts rescales points whose |P|² + |Q|² reaches this: (A + iB)·g grows
+# like |g|³ and would overflow from about |g|² = 2^682
+_TWIST_SQ_MAX = 2.0**600
 
 
 def _shifted(x: np.ndarray, a: Quaternion) -> np.ndarray:
@@ -277,14 +286,15 @@ def _log_modulus(w: np.ndarray) -> np.ndarray:
         return np.log(np.abs(w))
 
 
-def _rescaled(sq: np.ndarray, *arrays):
+def _rescaled(sq: np.ndarray, *arrays, hi: float = np.inf):
     """The (n, 4) arrays with each point scaled by 2^{−e}, and e.
 
     e is the binary exponent of the point's largest entry where the squared
-    norm sq is zero, subnormal, infinite or NaN, and 0 elsewhere.  When no
-    row is, the arrays come back unchanged with e = None.
+    norm sq is zero, subnormal, at least hi (infinite by default) or NaN,
+    and 0 elsewhere.  When no row is, the arrays come back unchanged with
+    e = None.
     """
-    bad = ~((sq >= np.finfo(float).tiny) & (sq < np.inf))
+    bad = ~((sq >= np.finfo(float).tiny) & (sq < hi))
     if not bad.any():
         return arrays, None
     e = np.where(bad, np.frexp(np.max([np.abs(x.T).max(axis=0) for x in arrays], axis=0))[1], 0)
@@ -320,21 +330,33 @@ class LeftPoly:
     Coefficients are stored lowest-degree first as an (n, 4) float array;
     trailing zero coefficients are trimmed so the representation is
     canonical.  The zero polynomial has empty coefficients and degree −1.
+    The constructor alone decides the class: coefficients whose imaginary
+    components are all zero, the zero polynomial's included, make a
+    RealPoly, so a LeftPoly always has a nonreal coefficient.
     """
 
     __slots__ = ("coeffs",)
+    is_real = False
 
-    def __init__(self, coeffs) -> None:
+    def __new__(cls, coeffs):
         arr = _coeff_array(coeffs)
-        nz = np.nonzero(np.any(arr != 0.0, axis=1))[0]
-        self.coeffs = arr[: nz[-1] + 1].copy() if nz.size else np.empty((0, 4))
-        self.coeffs.setflags(write=False)
+        nz = (arr != 0.0).any(axis=1).nonzero()[0]
+        arr = arr[: nz[-1] + 1] if nz.size else np.empty((0, 4))
+        real = not arr[:, 1:].any()
+        if cls is RealPoly and not real:
+            raise ValueError("RealPoly requires real coefficients")
+        self = object.__new__(RealPoly if real else LeftPoly)
+        arr.setflags(write=False)
+        self.coeffs = arr
+        if real:
+            self.real_coeffs = arr[:, 0]
+        return self
 
     # -- construction helpers ----------------------------------------------
 
     @staticmethod
     def constant(a) -> "LeftPoly":
-        return LeftPoly([_coerce(a).to_array()])
+        return LeftPoly(_coerce(a).to_array()[None])
 
     @staticmethod
     def identity() -> "LeftPoly":
@@ -354,10 +376,6 @@ class LeftPoly:
     @property
     def is_zero(self) -> bool:
         return self.coeffs.shape[0] == 0
-
-    @property
-    def is_real(self) -> bool:
-        return self.is_zero or not np.any(self.coeffs[:, 1:])
 
     def coefficient(self, k: int) -> Quaternion:
         if 0 <= k < self.coeffs.shape[0]:
@@ -395,12 +413,12 @@ class LeftPoly:
         out = np.zeros((n, 4))
         out[: self.coeffs.shape[0]] += self.coeffs
         out[: other.coeffs.shape[0]] += other.coeffs
-        return _realized(LeftPoly(out))
+        return LeftPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _realized(LeftPoly(-self.coeffs))
+        return LeftPoly(-self.coeffs)
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -417,14 +435,11 @@ class LeftPoly:
 
     def scale_left(self, a) -> "LeftPoly":
         """Constant *-multiplication from the left: coefficients a·a_k."""
-        a = _coerce(a)
-        if self.is_zero:
-            return LeftPoly([])
-        return _realized(LeftPoly(qmul(a.to_array(), self.coeffs)))
+        return LeftPoly(qmul(_coerce(a).to_array(), self.coeffs))
 
     def conjugate(self) -> "LeftPoly":
         """f^c: coefficientwise quaternion conjugation."""
-        return _realized(LeftPoly(qconj(self.coeffs))) if not self.is_zero else LeftPoly([])
+        return LeftPoly(qconj(self.coeffs))
 
     def symmetrize(self) -> "RealPoly":
         """f^s = f * f^c, projected to its (provably real) coefficients.
@@ -463,13 +478,12 @@ class LeftPoly:
         """Multiplicity of the zero at q = 0 (0 if f(0) ≠ 0; 0 for f ≡ 0 by convention)."""
         if self.is_zero:
             return 0
-        nz = np.nonzero(np.any(self.coeffs != 0.0, axis=1))[0]
-        return int(nz[0])
+        return int((self.coeffs != 0.0).any(axis=1).nonzero()[0][0])
 
     def deflate_origin(self) -> tuple["LeftPoly", int]:
         """Divide out q^m at the origin; returns (f / q^m, m)."""
         m = self.origin_order()
-        return (_realized(LeftPoly(self.coeffs[m:])), m) if m else (self, 0)
+        return (LeftPoly(self.coeffs[m:]), m) if m else (self, 0)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -490,24 +504,20 @@ class LeftPoly:
         """
         pts = slice_points(pts)
         u, v = pts.uv
-        deg = max(self.degree, 0)
-        c, s = _complex_powers(u, v, deg)
-        if self.is_zero:
-            P, Q = np.zeros((2, 4, u.shape[0]))
-        else:
-            P, Q = self.coeffs.T @ c, self.coeffs.T @ s
+        c, s = _complex_powers(u, v, self.degree)
+        P, Q = self.coeffs.T @ c, self.coeffs.T @ s
         return StemEval(pts, np.ones(u.shape[0], dtype=bool), P.T, Q.T)
-
-    @property
-    def growth_degree(self) -> int:
-        """Net power growth of |f| at large |q| (degree for polynomials)."""
-        return max(self.degree, 0)
 
 
 def _coeff_array(coeffs) -> np.ndarray:
+    """The coefficients as an (n, 4) float array; scalars are real parts.
+
+    A real ndarray is copied as is, so its non-finite entries reach the
+    caller (symmetrize names an overflow) instead of Quaternion's check.
+    """
     if isinstance(coeffs, LeftPoly):
-        coeffs = coeffs.coeffs
-    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2:
+        return coeffs.coeffs
+    if isinstance(coeffs, np.ndarray) and coeffs.dtype.kind in "biuf":
         arr = coeffs.astype(float)
     else:
         arr = np.asarray(
@@ -517,7 +527,9 @@ def _coeff_array(coeffs) -> np.ndarray:
     if arr.size == 0:
         return np.empty((0, 4))
     if arr.ndim == 1:
-        arr = np.pad(arr[:, None], ((0, 0), (0, 3)))
+        quad = np.zeros((arr.shape[0], 4))
+        quad[:, 0] = arr
+        return quad
     if arr.shape[1] != 4:
         raise ValueError("coefficients must be scalars or [w,x,y,z] quadruples")
     return arr
@@ -529,13 +541,6 @@ def _as_poly(v) -> "LeftPoly":
     if isinstance(v, (int, float, complex, Quaternion)):
         return LeftPoly.constant(v)
     return LeftPoly(v)
-
-
-def _realized(f):
-    """f, as a RealPoly when it is a polynomial with real coefficients."""
-    if isinstance(f, LeftPoly) and not isinstance(f, RealPoly) and f.is_real:
-        return RealPoly(f.coeffs)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -551,23 +556,15 @@ class RealPoly(LeftPoly):
     the *-product with any slice function coincides with the pointwise
     product.  Stem evaluation carries w = A + iB as one complex array,
     making sphere-symmetric quantities exact at machine level.
+
+    LeftPoly(...) returns a RealPoly whenever its coefficients are real;
+    RealPoly(...) takes the same scalars or rows and raises ValueError on
+    a row with a nonzero imaginary component.  real_coeffs is the
+    read-only real column of coeffs.
     """
 
     __slots__ = ("real_coeffs",)
-
-    def __init__(self, coeffs) -> None:
-        arr = np.asarray(coeffs, dtype=float)
-        if arr.ndim == 2:
-            if arr.shape[0] and np.any(arr[:, 1:]):
-                raise ValueError("RealPoly requires real coefficients")
-            arr = arr[:, 0] if arr.shape[0] else np.empty(0)
-        nz = np.nonzero(arr != 0.0)[0]
-        real = arr[: nz[-1] + 1].copy() if nz.size else np.empty(0)
-        quad = np.zeros((real.shape[0], 4))
-        quad[:, 0] = real
-        super().__init__(quad)
-        self.real_coeffs = real
-        self.real_coeffs.setflags(write=False)
+    is_real = True
 
     def real_stems(self, z: np.ndarray) -> np.ndarray:
         """The complex stem w = A + iB with f(u + Iv) = A + I B, by Horner at z = u + iv."""
@@ -607,7 +604,7 @@ def star_mul(f: LeftPoly, g: LeftPoly) -> LeftPoly:
     out = np.zeros((a.shape[0] + b.shape[0] - 1, 4))
     for i in range(a.shape[0]):
         out[i : i + b.shape[0]] += prods[i]
-    return _realized(LeftPoly(out))
+    return LeftPoly(out)
 
 
 def star_power(f, n: int):
@@ -714,7 +711,7 @@ class SemiregularRational:
         if self.den.is_zero:
             raise ZeroDivisionError("denominator polynomial must be nonzero")
         e = math.frexp(np.abs(self.den.coeffs).max())[1] - 1
-        g, h = (_realized(LeftPoly(np.ldexp(p.coeffs, -e))) for p in (self.num, self.den))
+        g, h = (LeftPoly(np.ldexp(p.coeffs, -e)) for p in (self.num, self.den))
         if isinstance(h, RealPoly):
             self.num_eff, self.den_s = g, h
         else:
@@ -729,14 +726,6 @@ class SemiregularRational:
     @property
     def is_real(self) -> bool:
         return self.num.is_real and self.den.is_real
-
-    @property
-    def growth_degree(self) -> int:
-        """Net power growth of |f| = |num_eff|/|den_s| at large |q|."""
-        return max(self.num_eff.degree, 0) - max(self.den_s.degree, 0)
-
-    def coeff_scale(self) -> float:
-        return max(self.num.coeff_scale(), 1e-300) / max(self.den.coeff_scale(), 1e-300)
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -786,12 +775,12 @@ class SemiregularRational:
     # -- evaluation ------------------------------------------------------------
 
     def pole_tol(self, q_norm):
-        """EvalAtPole threshold 1e-12·Σ|c_i|·|q|^i over the coefficients c_i of den_s.
+        """EvalAtPole threshold NEAR_ZERO·Σ|c_i|·|q|^i over the coefficients c_i of den_s.
 
         The bound is relative to the scale of den_s at |q|, so c·den_s masks
         the same points for every c > 0; q_norm is a float or an array of |q|.
         """
-        return 1e-12 * npoly.polyval(q_norm, np.abs(self.den_s.real_coeffs))
+        return NEAR_ZERO * npoly.polyval(q_norm, np.abs(self.den_s.real_coeffs))
 
     def __call__(self, q) -> Quaternion:
         q = _coerce(q)

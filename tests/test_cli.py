@@ -69,6 +69,21 @@ def test_hard_inputs_exit_zero(command, function, extra, tmp_path, capsys):
     assert "✗" not in captured.out, f"{command} printed a FAIL line:\n{captured.out}"
 
 
+def test_mpb_defects_of_a_huge_function_are_those_of_its_unit_copy(tmp_path):
+    """At scale 1e150 the twisted product (A + iB)·g is of order |g|³ and is rescaled, not rejected."""
+    defects = []
+    for scale in (1.0, 1e150):
+        cfg = tmp_path / f"cfg-{scale}.json"
+        cfg.write_text(json.dumps({
+            "function": [[c * scale for c in row] for row in LEFT],
+            "a": [0.5 * scale, 0.1 * scale, 0, 0], "radii": [0.05, 3.0], "samples": 2000,
+        }))
+        out = tmp_path / f"mpb-{scale}.json"
+        assert main(["mpb-check", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+        defects.append([row["defect"] for row in json.loads(out.read_text())])
+    assert defects[1] == pytest.approx(defects[0], rel=1e-11)
+
+
 def test_selftest_prints_all_pass(capsys):
     code = main(["selftest"])
     out = capsys.readouterr().out

@@ -387,9 +387,10 @@ def test_dominating_index_defect_decreases():
 CERTIFIED_RADII = (0.05, 0.2, 0.45, 0.6, 0.9, 1.1, 1.6, 3.0, 12.0)
 # unit-scale inputs and their radius grids.  Zero spheres have modulus 1
 # (q² + 1), 0.55 (the real rational's numerator and denominator) and 0.5–1
-# (the quaternion ones).  q² + 1e-20 has |h| below the zero guard at
-# r = 1e-11 and above it at 1e-3; its grids are walked one at a time, since
-# a pass that rejects every sample raises for its whole batch.
+# (the quaternion ones).  q² + 1e-20 has |h| ≈ 1e-20 at r = 1e-11, far
+# below a guard on the coefficient scale but above one relative to
+# Σ|a_k|r^k; its grids are walked one at a time, since a pass that rejects
+# every sample raises for its whole batch.
 CERTIFIED_BATTERY = {
     "realpoly": ([1.0, 0.0, 1.0], None, [CERTIFIED_RADII]),
     "leftpoly": ([[0.3, 0.2, -0.1, 0.4], [1.0, 0.5, 0.0, -0.3], [1.0, 0, 0, 0]], None,
@@ -405,9 +406,7 @@ CERTIFIED_BATTERY = {
 def _scaled_input(name, scale):
     num, den, _grids = CERTIFIED_BATTERY[name]
     f = LeftPoly(scale * np.asarray(num, dtype=float))
-    if den is not None:
-        return SemiregularRational(f, LeftPoly(den))
-    return RealPoly(f.coeffs) if f.is_real else f
+    return f if den is None else SemiregularRational(f, LeftPoly(den))
 
 
 def _certified_battery(monkeypatch, certify):
@@ -459,8 +458,8 @@ def test_certified_passes_equal_their_monte_carlo_bits(monkeypatch):
     assert certified_bits.keys() == mc_bits.keys()
     for key, bits in certified_bits.items():
         assert bits == mc_bits[key], f"certified pass differs from Monte-Carlo at {key}"
-    # the zero-guard input rejects every sample at r = 1e-11, on both routes
-    assert all(isinstance(bits, str) for key, bits in mc_bits.items() if key[3] == (1e-11,))
+    # the zero-guard input clears the guard, relative to Σ|a_k|r^k, at r = 1e-11
+    assert not any(isinstance(bits, str) for key, bits in mc_bits.items() if key[3] == (1e-11,))
     # some requests are certified, and some are not
     assert 0 < sum(certified) < len(certified)
 
@@ -470,7 +469,7 @@ def test_certified_passes_equal_their_monte_carlo_bits(monkeypatch):
     ("realpoly", 1.0, ZERO, 0.9, False),                    # |h| < 1
     ("leftpoly", 1e150, Quaternion(5e149, 1e149, 0, 0), 3.0, True),
     ("zero-guard", 1e150, ZERO, 1e-3, True),                # above the zero guard
-    ("zero-guard", 1e150, ZERO, 1e-11, False),              # below it
+    ("zero-guard", 1e150, ZERO, 1e-11, True),               # and here, relative to Σ|a_k|r^k
     # passes to ∞ and passes of rationals stay Monte-Carlo, even where
     # |f| < 1 or |f − a| > 1 on the whole sphere
     ("leftpoly", 1.0, None, 0.05, False),                   # |h| < 1

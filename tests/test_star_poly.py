@@ -96,6 +96,30 @@ Q_IDENT = LeftPoly.identity()
 
 
 # ---------------------------------------------------------------------------
+# The polynomial class
+# ---------------------------------------------------------------------------
+
+
+@given(st.one_of(polys(), real_polys(3)), st.one_of(polys(), real_polys(3)), quats())
+@settings(max_examples=150)
+def test_real_coefficients_make_a_realpoly(f, g, a):
+    """Every construction returns a RealPoly exactly when the imaginary components are zero."""
+    results = [LeftPoly(f.coeffs), LeftPoly([list(row) for row in f.coeffs]), f + g, f - g,
+               f.scale_left(a), f.conjugate(), star_mul(f, g), f.deflate_origin()[0],
+               f.symmetrize()]
+    for p in results:
+        assert isinstance(p, RealPoly) == (not np.any(p.coeffs[:, 1:]))
+        assert p.is_real == isinstance(p, RealPoly)
+
+
+@given(polys())
+def test_realpoly_refuses_quaternion_rows(f):
+    assume(not isinstance(f, RealPoly))
+    with pytest.raises(ValueError, match="real coefficients"):
+        RealPoly(f.coeffs)
+
+
+# ---------------------------------------------------------------------------
 # *-product algebra
 # ---------------------------------------------------------------------------
 
@@ -125,7 +149,7 @@ def _star_mul_per_coefficient(f, g):
     out = np.zeros((a.shape[0] + b.shape[0] - 1, 4))
     for i in range(a.shape[0]):
         out[i : i + b.shape[0]] += qmul(a[i], b)
-    return star_poly._realized(LeftPoly(out))
+    return LeftPoly(out)
 
 
 def _lead_scaled(f, s):
@@ -224,6 +248,13 @@ def _minus(f, a):
     return f.shift(a) if isinstance(f, SemiregularRational) else f - LeftPoly.constant(a)
 
 
+def _coeff_scale(f):
+    """max |a_k| of a polynomial; for a rational, that of its numerator over that of its denominator."""
+    if isinstance(f, SemiregularRational):
+        return max(f.num.coeff_scale(), 1e-300) / max(f.den.coeff_scale(), 1e-300)
+    return f.coeff_scale()
+
+
 def _well_conditioned(f, se):
     """Rows where a rational's |h^s| is well above its rounding scale; all rows of a polynomial."""
     if not isinstance(f, SemiregularRational):
@@ -268,7 +299,7 @@ def test_twisted_value_matches_scalar_spherical_conjugate(f, shift):
     deg = star_poly._value_degree(g)
     for i in np.nonzero(ok & se.ok & _well_conditioned(f, se))[0]:
         q = Quaternion.from_array(pts[i])
-        scale = g.coeff_scale() * (1.0 + abs(q)) ** deg
+        scale = _coeff_scale(g) * (1.0 + abs(q)) ** deg
         # off the scalar route's reflection branch S(q) = q̄, and off zeros of g
         if abs(g(q)) < 1e-4 * scale or abs(spherical_derivative(g, q)) < 1e-4 * scale:
             continue
