@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .quat_core import Quaternion, SliceComplex, _coerce
+from .quat_core import SliceComplex, _coerce
 from .star_poly import (
     LeftPoly,
     SemiregularRational,
@@ -84,21 +84,6 @@ def _is_infinity(a) -> bool:
     if isinstance(a, (int, float)):
         return math.isinf(a)
     return False
-
-
-def _shifted(f, a: Quaternion):
-    """f − a with the representation kept evaluable (poly or rational)."""
-    if isinstance(f, SemiregularRational):
-        return f.shift(a)
-    return f - LeftPoly.constant(a)
-
-
-def _deflated_head(g):
-    """Series head (g(0), g′(0), g″(0)) of q^{−m₀}·g, plus m₀."""
-    if isinstance(g, SemiregularRational):
-        return g.origin_order(), g.series_head()
-    deflated, m0 = g.deflate_origin()
-    return m0, deflated.series_head()
 
 
 def _lambda_of_head(head, r: float) -> float:
@@ -192,29 +177,31 @@ def proximity(f, a, r: float, cfg: IntegratorConfig) -> SphericalMean:
     of f − a, so near-singularity samples reject by the same rule as
     mean_log_abs.  The estimate is ≥ 0 because the weight is pointwise ≥ 0.
     """
-    return mean_batch([(_proximity_columns(f, a, r), r)], cfg)[0][0]
+    finite = not _is_infinity(a)
+    g = f - _coerce(a) if finite else f
+    return mean_batch([(_proximity_columns(g, finite, r), r)], cfg)[0][0]
 
 
-def _proximity_columns(f, a, r: float):
-    """Column function of the proximity pass of f to the target a at radius r, or None.
+def _proximity_columns(g, finite: bool, r: float):
+    """Column function at radius r of the proximity pass of g to 0 (finite) or ∞, or None.
 
-    None marks a pass certified zero (see mean_batch): for a finite a and
-    a polynomial f, _log_modulus_floor proves |f − a| > max(1, e^thr) for
-    the near-zero guard thr of f − a at every sample of ∂B_r.  Then λ_a is
-    +0.0 at every sample and every sample is accepted, so the pass is
+    g is read as given: f − a for a finite target a, f itself for ∞.  None
+    marks a pass certified zero (see mean_batch): for a finite a and a
+    polynomial g, _log_modulus_floor proves |g| > max(1, e^thr) for the
+    near-zero guard thr of g at every sample of ∂B_r.  Then λ_a is +0.0 at
+    every sample and every sample is accepted, so the pass is
     SphericalMean(0.0, 0.0, samples, 0) and needs no draw.  Passes to ∞
-    and passes of a rational f stay Monte-Carlo.
+    and passes of a rational g stay Monte-Carlo.
     """
-    if _is_infinity(a):
+    if not finite:
 
         def columns(pts):
-            se = f.stems(pts)
+            se = g.stems(pts)
             lam = np.maximum(se.log_abs(), 0.0)
             return lam[:, None], se.ok
 
         return columns
 
-    g = _shifted(f, _coerce(a))
     thr = _log_threshold(g, r)
     if _exceeds(g, r, max(thr, 0.0)):
         return None
@@ -247,15 +234,15 @@ def harmonic_remainder(f, a, r: float) -> float:
     """
     if _is_infinity(a):
         return 0.0
-    g = _shifted(f, _coerce(a))
-    if getattr(g, "is_zero", False):
+    g = f - _coerce(a)
+    if g.is_zero:
         raise CenterIsZeroOrPole("f is identically equal to a")
-    m0, head = _deflated_head(g)
+    m0 = g.origin_order()
     if m0 != 0:
         raise CenterIsZeroOrPole(
             f"0 carries total order {m0} for f − a; deflate before calling"
         )
-    return _lambda_of_head(head, r)
+    return _lambda_of_head(g.series_head(), r)
 
 
 def characteristic(f, a, r: float, cfg: IntegratorConfig) -> float:
@@ -274,16 +261,17 @@ def characteristic(f, a, r: float, cfg: IntegratorConfig) -> float:
 class _RadiusFree:
     """The pieces of T(f, a, ·) that do not depend on the radius.
 
-    ``divisor`` and ``side`` give N; ``sym`` is (f − a)^s (f^s at
-    infinity), whose proximity to ``target`` (0, or None for ∞) is the ½·m
-    term; ``head`` is the deflated series head of f − a behind H (None at
-    infinity, where H ≡ 0).  Only the ½·m term needs a Monte-Carlo pass.
+    ``g`` is f − a, formed once per (f, a), and f at infinity; m(f, a, r)
+    is its proximity.  ``divisor`` and ``side`` give N; ``sym`` is g^s,
+    whose proximity to 0 (to ∞ at infinity) is the ½·m term; ``head`` is
+    the deflated series head of g behind H (None at infinity, where H ≡ 0).
+    Only the ½·m term needs a Monte-Carlo pass.
     """
 
     divisor: SphereDivisor
     side: str
+    g: object
     sym: object
-    target: Quaternion | None
     head: tuple | None
 
     def counting(self, r: float) -> float:
@@ -294,7 +282,11 @@ class _RadiusFree:
 
     def request(self, r: float):
         """The (column_fn, r) request of the ½·m pass of T at r."""
-        return _proximity_columns(self.sym, self.target, r), r
+        return _proximity_columns(self.sym, self.head is not None, r), r
+
+    def proximity_request(self, r: float):
+        """The (column_fn, r) request of the pass of m(f, a, r)."""
+        return _proximity_columns(self.g, self.head is not None, r), r
 
     def at(self, r: float, sym_mean: SphericalMean):
         """(T, Monte-Carlo standard error of T) at r from the mean of request(r)."""
@@ -306,14 +298,13 @@ class _RadiusFree:
 def _radius_free(f, a) -> _RadiusFree:
     """Divisor, symmetrization and deflated head of f − a, computed once."""
     if _is_infinity(a):
-        return _RadiusFree(total_order_divisor(f), "pole", f.symmetrize(), None, None)
-    g = _shifted(f, _coerce(a))
+        return _RadiusFree(total_order_divisor(f), "pole", f, f.symmetrize(), None)
+    g = f - _coerce(a)
     try:
         d = total_order_divisor(g)
     except OverflowError as exc:
         raise OverflowError(f"f − a: {exc}") from None
-    _, head = _deflated_head(g)
-    return _RadiusFree(d, "zero", g.symmetrize(), Quaternion(), head)
+    return _RadiusFree(d, "zero", g, g.symmetrize(), g.series_head())
 
 
 def _mean_rows(rows, cfg) -> list:
@@ -367,7 +358,7 @@ def _jensen_pass(f, r, cfg):
     series head.  The boundary means of log|f|, log|f∘S_f| and their
     ½-combination share one stream and one accepted mask.
     """
-    _, head = _deflated_head(f)
+    head = f.series_head()
     lhs = math.log(head[0].norm())
     thr = _log_threshold(f, r)
 
@@ -624,7 +615,7 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3):
     at_a = at_inf if infinite else _radius_free(f, a)
     if form == 3:
         means = _mean_rows(
-            [(at_inf.request(r), (_proximity_columns(f, a, r), r)) for r in radii],
+            [(at_inf.request(r), at_a.proximity_request(r)) for r in radii],
             cfg,
         )
         for r, ((sym_mean,), (prox,)) in zip(radii, means):
@@ -646,9 +637,8 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3):
             )
     elif form == 2:
         aq = _coerce(a)
-        g = _shifted(f, aq)
         means = _mean_rows(
-            [(at_inf.request(r), (_fmt_proximity_columns(f, g, aq, r), r)) for r in radii],
+            [(at_inf.request(r), (_fmt_proximity_columns(f, at_a.g, aq, r), r)) for r in radii],
             cfg,
         )
         for r, ((sym_mean,), fmt_means) in zip(radii, means):
@@ -783,7 +773,7 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
         g = as_rational(g)
     aq = None if _is_infinity(a) else _coerce(a)
     bq = None if _is_infinity(b) else _coerce(b)
-    # first: f^s raises OverflowError where the star powers would overflow
+    # first, so an f^s past the float range is named before the star powers overflow
     fs = f.symmetrize()
     powers = {n: star_power(f, n) for n in (2, 3)}
     fg = f * g
@@ -806,14 +796,14 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
 
     t_pairs = [(f, None), (g, None), *((fn, None) for fn in powers.values()),
                (fg, None), (fpg, None), (fc, aq), (f, a_conj), (fs, None),
-               (f, aq), (f, bq), (fpg, aq), (g, aq), (recip, aq)]
+               (f, aq), (f, bq), (recip, aq)]
     if phi is not None:
         t_pairs.append((phi, aq))
     distinct = {t_key(fn, target): (fn, target) for fn, target in t_pairs}
     parts = {key: _radius_free(*pair) for key, pair in distinct.items()}
     requests = {(key, r): part.request(r) for key, part in parts.items() for r in radii}
     for r in radii:
-        requests["mixed", r] = _proximity_columns(mixed, None, r), r
+        requests["mixed", r] = _proximity_columns(mixed, False, r), r
         requests["sandwich", r] = _sandwich_columns(f, fs), r
 
     # ---- phase 2: one walk of the stream serves every pass --------------------
@@ -870,8 +860,6 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
     # ---- bounded-gap reports (never asserted) ---------------------------------
     gaps = {
         "target_shift": [T(f, aq, r)[0] - T(f, bq, r)[0] for r in radii],
-        "plus_additivity": [T(fpg, aq, r)[0] - T(f, aq, r)[0] - T(g, aq, r)[0]
-                            for r in radii],
         "star_reciprocal": [T(recip, aq, r)[0] - T(f, aq, r)[0] for r in radii],
         "fractional_linear": None if phi is None
         else [T(phi, aq, r)[0] - T(f, aq, r)[0] for r in radii],
@@ -972,7 +960,7 @@ class NevanlinnaProfile:
         radii = tuple(float(r) for r in radii)
         parts = _radius_free(f, a)
         means = _mean_rows(
-            [((_proximity_columns(f, a, r), r), parts.request(r)) for r in radii],
+            [(parts.proximity_request(r), parts.request(r)) for r in radii],
             cfg,
         )
         col_N, col_m, col_me, col_H, col_T, col_A = [], [], [], [], [], []

@@ -452,26 +452,29 @@ class LeftPoly:
         if self.is_zero:
             return RealPoly([])
         with np.errstate(over="ignore", invalid="ignore"):
-            prod = star_mul(self, self.conjugate())
-        if not np.isfinite(prod.coeffs).all():
+            prod = _star_coeffs(self, self.conjugate())
+        if not np.isfinite(prod).all():
             raise OverflowError(
                 f"f^s overflows: the coefficient scale {self.coeff_scale():.3e} "
                 "of f squared does not fit a float"
             )
-        residue = float(np.abs(prod.coeffs[:, 1:]).max()) if prod.coeffs.size else 0.0
+        if prod.ndim == 1:
+            return RealPoly(prod)
+        residue = float(np.abs(prod[:, 1:]).max())
         scale = max(self.coeff_scale() ** 2, 1e-300)
         if residue > 1e-9 * scale:
             raise SymmetrizationNotReal(
                 f"imaginary residue {residue:.3e} exceeds 1e-9·scale ({scale:.3e})"
             )
-        return RealPoly(prod.coeffs[:, 0])
+        return RealPoly(prod[:, 0])
 
     def series_head(self):
-        """(a0, a1, 2·a2) as Quaternions: f(0), f′(0), f″(0)."""
+        """(d0, d1, 2·d2) as Quaternions: value, first and second derivative at 0 of q^{−m₀}·f."""
+        m = self.origin_order()
         return (
-            self.coefficient(0),
-            self.coefficient(1),
-            self.coefficient(2) * 2.0,
+            self.coefficient(m),
+            self.coefficient(m + 1),
+            self.coefficient(m + 2) * 2.0,
         )
 
     def origin_order(self) -> int:
@@ -512,8 +515,7 @@ class LeftPoly:
 def _coeff_array(coeffs) -> np.ndarray:
     """The coefficients as an (n, 4) float array; scalars are real parts.
 
-    A real ndarray is copied as is, so its non-finite entries reach the
-    caller (symmetrize names an overflow) instead of Quaternion's check.
+    Raises ValueError on a non-finite entry, whatever the input's form.
     """
     if isinstance(coeffs, LeftPoly):
         return coeffs.coeffs
@@ -524,6 +526,8 @@ def _coeff_array(coeffs) -> np.ndarray:
             [(_coerce(c).to_array() if not np.shape(c) else np.asarray(c, dtype=float)) for c in coeffs],
             dtype=float,
         )
+    if not np.isfinite(arr).all():
+        raise ValueError("coefficients must be finite")
     if arr.size == 0:
         return np.empty((0, 4))
     if arr.ndim == 1:
@@ -535,10 +539,14 @@ def _coeff_array(coeffs) -> np.ndarray:
     return arr
 
 
+# the operands that count as constants in polynomial and rational arithmetic
+_CONSTANTS = (int, float, complex, Quaternion)
+
+
 def _as_poly(v) -> "LeftPoly":
     if isinstance(v, LeftPoly):
         return v
-    if isinstance(v, (int, float, complex, Quaternion)):
+    if isinstance(v, _CONSTANTS):
         return LeftPoly.constant(v)
     return LeftPoly(v)
 
@@ -594,17 +602,28 @@ class RealPoly(LeftPoly):
 
 
 def star_mul(f: LeftPoly, g: LeftPoly) -> LeftPoly:
-    """*-product: coefficient convolution c_n = Σ_{i+j=n} a_i·b_j (a on the left)."""
+    """*-product: coefficient convolution c_n = Σ_{i+j=n} a_i·b_j (a on the left).
+
+    Raises OverflowError if a coefficient of the product does not fit a float.
+    """
     if f.is_zero or g.is_zero:
         return RealPoly([])
+    try:
+        return LeftPoly(_star_coeffs(f, g))
+    except ValueError:
+        raise OverflowError("f*g overflows: a coefficient does not fit a float") from None
+
+
+def _star_coeffs(f: LeftPoly, g: LeftPoly) -> np.ndarray:
+    """Untrimmed coefficients of f*g for nonzero f, g: real for two RealPolys, else (n, 4) rows."""
     if isinstance(f, RealPoly) and isinstance(g, RealPoly):
-        return RealPoly(np.convolve(f.real_coeffs, g.real_coeffs))
+        return np.convolve(f.real_coeffs, g.real_coeffs)
     a, b = f.coeffs, g.coeffs
     prods = qmul(a[None], b[:, None])  # prods[i, j] = a_i·b_j
     out = np.zeros((a.shape[0] + b.shape[0] - 1, 4))
     for i in range(a.shape[0]):
         out[i : i + b.shape[0]] += prods[i]
-    return LeftPoly(out)
+    return out
 
 
 def star_power(f, n: int):
@@ -749,17 +768,17 @@ class SemiregularRational:
             raise ZeroFunctionReciprocal("reciprocal of the zero function")
         return SemiregularRational(self.den, self.num)
 
-    def shift(self, a) -> "SemiregularRational":
-        """f − a = (g − a*h) * h^{-*} for a constant a."""
-        a = _coerce(a)
-        return SemiregularRational(self.num - self.den.scale_left(a), self.den)
-
     def __add__(self, other):
+        """f + other; f ± a = (g ± a*h) * h^{-*} keeps h for a constant a."""
+        if isinstance(other, _CONSTANTS):
+            return SemiregularRational(self.num + self.den.scale_left(other), self.den)
         other = as_rational(other)
         num = star_mul(self.num_eff, other.den_s) + star_mul(other.num_eff, self.den_s)
         return SemiregularRational(num, self.den_s * other.den_s)
 
     def __sub__(self, other):
+        if isinstance(other, _CONSTANTS):
+            return SemiregularRational(self.num - self.den.scale_left(other), self.den)
         return self + (-as_rational(other))
 
     def __neg__(self):
@@ -785,7 +804,7 @@ class SemiregularRational:
     def __call__(self, q) -> Quaternion:
         q = _coerce(q)
         u, vq = q.w, q.abs_im()
-        hs = npoly.polyval(complex(u, vq), self.den_s.real_coeffs)
+        hs = complex(npoly.polyval(complex(u, vq), self.den_s.real_coeffs))
         if abs(hs) < self.pole_tol(q.norm()):
             raise EvalAtPole(f"|den_s({q})| = {abs(hs):.3e} below pole tolerance")
         if vq == 0.0:
@@ -835,24 +854,15 @@ class SemiregularRational:
     def series_head(self):
         """(d0, d1, 2·d2) of the Laurent-deflated series at 0.
 
-        Divides num_eff and den_s by their exact origin powers and then
-        performs three-term series division by the real denominator.
+        Divides the heads of num_eff and den_s, each of them deflated by
+        its exact origin power, as three-term series by the real denominator.
         """
-        num, m_num = self.num_eff.deflate_origin()
-        den, m_den = self.den_s.deflate_origin()
-        n0, n1, n2 = (num.coefficient(k).to_array() for k in range(3))
-        s = den.real_coeffs
-        s0 = s[0]
-        s1 = s[1] if s.shape[0] > 1 else 0.0
-        s2 = s[2] if s.shape[0] > 2 else 0.0
+        n0, n1, n2 = (x.to_array() for x in self.num_eff.series_head())
+        s0, s1, s2 = (x.w for x in self.den_s.series_head())
         d0 = n0 / s0
         d1 = (n1 - d0 * s1) / s0
-        d2 = (n2 - d0 * s2 - d1 * s1) / s0
-        return (
-            Quaternion.from_array(d0),
-            Quaternion.from_array(d1),
-            Quaternion.from_array(2.0 * d2),
-        )
+        d2 = (n2 - d0 * s2 - 2.0 * d1 * s1) / s0
+        return Quaternion.from_array(d0), Quaternion.from_array(d1), Quaternion.from_array(d2)
 
 
 def as_rational(f) -> SemiregularRational:

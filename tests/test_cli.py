@@ -190,11 +190,11 @@ def test_verify_jensen_draws_one_pass_for_both_conventions(tmp_path, counters):
 
 def test_algebra_suite_draws_each_pass_once(tmp_path, counters):
     assert main(["algebra-suite", *FAST, "--out", str(tmp_path / "s.csv")]) == 0
-    # 14 distinct means at each of the 4 default radii: 12 characteristics,
+    # 12 distinct means at each of the 4 default radii: 10 characteristics,
     # the mixed proximity and the sandwich.  For the real default f,
     # T(f^s, ∞) is T(f*f, ∞), T(f^c, 0) is T(f, 0), and at a = 0 the
     # conjugate target ā = −0 is a.
-    assert counters["passes"] == 56
+    assert counters["passes"] == 48
     # the divisor and the rest of T's radius-free part, once per distinct
     # (function, target)
     assert len(set(counters["parts"])) == len(counters["parts"])
@@ -223,7 +223,7 @@ def _main_on(command, tmp_path, config=None):
 
 @pytest.mark.parametrize("command, passes", [
     ("verify-jensen", 1), ("profile", 24), ("fmt-check", 24), ("mpb-check", 10),
-    ("algebra-suite", 56),
+    ("algebra-suite", 48),
 ])
 def test_each_command_draws_each_chunk_once(command, passes, tmp_path, counters):
     assert _main_on(command, tmp_path, MONTE_CARLO_CONFIGS.get(command)) == 0
@@ -237,6 +237,37 @@ def test_certified_defaults_draw_no_chunk(command, passes, tmp_path, counters):
     assert _main_on(command, tmp_path) == 0
     assert counters["passes"] == passes
     assert counters["draws"] == []
+
+
+RATIONAL_TARGET = {"function": {"num": [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],
+                                "den": [[0.5, 0.2, 0.1, 0], [1, 0, 0, 0]]},
+                   "a": [0.3, 0.1, 0, 0.2], "radii": [0.5, 2.0, 8.0]}
+
+
+@pytest.mark.parametrize("command, config, code, pairs", [
+    ("profile", None, 0, 1),
+    ("fmt-check", None, 0, 1),
+    ("fmt-check", {"form": 2}, 0, 1),
+    ("algebra-suite", None, 0, 4),
+    ("profile", RATIONAL_TARGET, 0, 1),
+    ("fmt-check", RATIONAL_TARGET, 1, 1),
+    ("fmt-check", {**RATIONAL_TARGET, "form": 2}, 1, 1),
+    # (f, a), (f^c, a), (f, ā), (f, b), (f^{-*}, a) and (Φ(f), a)
+    ("algebra-suite", RATIONAL_TARGET, 1, 6),
+], ids=["profile", "fmt-check-3", "fmt-check-2", "algebra-suite", "profile-rational",
+        "fmt-check-3-rational", "fmt-check-2-rational", "algebra-suite-rational"])
+def test_each_command_forms_each_shift_once(command, config, code, pairs, tmp_path, monkeypatch):
+    """f − a is formed once per distinct (f, finite a) in one call, and (f − a)^s − 0 never."""
+    shifts = []
+    for cls in (star_poly.LeftPoly, star_poly.SemiregularRational):
+        def recording(self, other, sub=cls.__sub__):
+            if isinstance(other, quat_core.Quaternion):
+                shifts.append((json.dumps(self.to_json()), tuple(other.to_array().tolist())))
+            return sub(self, other)
+
+        monkeypatch.setattr(cls, "__sub__", recording)
+    assert _main_on(command, tmp_path, config) == code
+    assert len(shifts) == len(set(shifts)) == pairs
 
 
 @pytest.fixture

@@ -11,7 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quatnev import star_poly
 from quatnev.quat_core import (
@@ -119,6 +120,16 @@ def test_realpoly_refuses_quaternion_rows(f):
         RealPoly(f.coeffs)
 
 
+@pytest.mark.parametrize("coeffs", [
+    [math.inf, 1.0],
+    np.array([math.inf, 1.0]),
+    [[math.inf, 0, 0, 0], [1, 0, 0, 0]],
+], ids=["scalars", "real-array", "rows"])
+def test_every_input_form_refuses_a_non_finite_coefficient(coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        LeftPoly(coeffs)
+
+
 # ---------------------------------------------------------------------------
 # *-product algebra
 # ---------------------------------------------------------------------------
@@ -211,6 +222,17 @@ def test_symmetrization_overflow_is_a_named_error(f):
             f.symmetrize()
 
 
+@pytest.mark.parametrize("f", [
+    LeftPoly([[0.3e160, 0.2e160, -0.1e160, 0.4e160], [1e160, 0, 0, 0]]),
+    RealPoly([1.0, 3e160]),
+])
+def test_overflowing_star_product_is_a_named_error(f):
+    """A *-product past the float range raises OverflowError, not the finiteness check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match=r"f\*g overflows"):
+            star_power(f, 2)
+
+
 @given(polys().filter(lambda f: abs(f(Quaternion(0, 0, 0, 0))) > 0.05), quats())
 @settings(max_examples=150)
 def test_star_evaluation_identity(f, q):
@@ -242,10 +264,8 @@ SHIFT = Quaternion(0.4, -0.3, 0.2, 0.5)
 
 
 def _minus(f, a):
-    """f − a as an evaluable polynomial or rational (f itself for a = None)."""
-    if a is None:
-        return f
-    return f.shift(a) if isinstance(f, SemiregularRational) else f - LeftPoly.constant(a)
+    """f − a (f itself for a = None)."""
+    return f if a is None else f - a
 
 
 def _coeff_scale(f):
@@ -266,6 +286,8 @@ def _well_conditioned(f, se):
 
 
 @given(st.one_of(polys(), quat_den_rationals()), st.sampled_from([None, SHIFT]))
+# |g^s| near 1e167, whose square overflows
+@example(SemiregularRational(LeftPoly([[1.5, 0, 0, 0]]), LeftPoly([[2e-84, 1e-84, 0, 0]])), None)
 @settings(max_examples=100, deadline=None)
 def test_symmetrization_modulus_splits(f, shift):
     """|g^s| = |g|·|g∘S_g| pointwise for g = f − a, from the batch twisted value."""
@@ -650,6 +672,10 @@ def test_series_head_is_value_and_derivatives():
     assert a0.isclose(f.coefficient(0), 0.0)
     assert a1.isclose(f.coefficient(1), 0.0)
     assert a2twice.isclose(f.coefficient(2) * 2.0, 0.0), "third slot is f″(0) = 2a₂"
+    # a zero of order 2 at 0: the head of q^{−2}·(q²·f) is that of f
+    g = LeftPoly([[0, 0, 0, 0], [0, 0, 0, 0], *f.coeffs.tolist()])
+    assert [x.to_array().tolist() for x in g.series_head()] == [
+        x.to_array().tolist() for x in f.series_head()]
 
 
 def test_origin_order_and_deflation():
@@ -744,8 +770,26 @@ def test_rational_pole_sphere_raises_in_call_and_is_masked_in_stems():
 
 def test_rational_shift_and_origin_order():
     f = as_rational(RealPoly([1.0, 0.0, 1.0]))
-    g = f.shift(Quaternion(1, 0, 0, 0))                    # q² + 1 − 1 = q²
+    g = f - Quaternion(1, 0, 0, 0)                         # q² + 1 − 1 = q²
     assert g.origin_order() == 2
+
+
+@given(st.one_of(real_den_rationals(), quat_den_rationals()), quats(), quats())
+@settings(max_examples=150, deadline=None)
+def test_rational_minus_a_constant_keeps_its_denominator(f, a, q):
+    """f − a = (g − a*h) * h^{-*}: h is kept, and f − a takes the values f(q) − a."""
+    g = f - a
+    want = SemiregularRational(f.num - f.den.scale_left(a), f.den)
+    assert g.den is f.den
+    for name in ("num", "num_eff", "den_s"):
+        assert getattr(g, name).coeffs.tobytes() == getattr(want, name).coeffs.tobytes(), name
+    # away from the poles, to the rounding of the two numerators over |h^s(q)|
+    # and, for a subnormal a, to the spacing of subnormals
+    hs = abs(npoly.polyval(complex(q.w, q.abs_im()), f.den_s.real_coeffs))
+    assume(hs > 1e-100 and hs >= 1e-3 * npoly.polyval(abs(q), np.abs(f.den_s.real_coeffs)))
+    sums = sum(qnorm(h.num_eff.coeffs) @ abs(q) ** np.arange(h.num_eff.coeffs.shape[0])
+               for h in (f, g))
+    assert abs(g(q) - (f(q) - a)) <= 1e-10 * sums / hs + 1e-12 * abs(a) + 1e-300
 
 
 def test_star_reciprocal_swaps_zero_and_pole_orders():
