@@ -310,6 +310,8 @@ def build_spec(command: str, args) -> ExperimentSpec:
         function = _parse_function(cfg_map.get("function"))
         a = _parse_target(cfg_map.get("a", "inf"))
         radii = _parse_radii(cfg_map)
+        if command in ("verify-jensen", "arbiter") and len(radii) > 1:
+            raise ConfigError(f"{command} runs at one radius, got {len(radii)} radii")
 
     extras = {}
     if command == "fmt-check":

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .quat_core import SliceComplex
-from .star_poly import LeftPoly, RealPoly, as_rational
+from .star_poly import LeftPoly, RealPoly, SemiregularRational
 
 __all__ = [
     "SphereDivisor",
@@ -309,35 +309,33 @@ class SphereDivisor:
 
     @staticmethod
     def build(pairs, origin_order: int = 0) -> "SphereDivisor":
-        """Merge duplicate spheres, drop zero orders, sort deterministically."""
-        acc: dict[tuple[float, float], int] = {}
+        """The one merge of divisor spheres: each sphere joins the first earlier
+        one within _SPHERE_MERGE_TOL·(1 + |ζ_ref|), which keeps its key and sums
+        the orders, so exact duplicates merge and zero and pole spheres from two
+        separate root finds cancel.  Zero orders are dropped, and the entries
+        are sorted by (|ζ|², re, im)."""
+        slots: list[list] = []
         for sphere, order in pairs:
-            key = (sphere.re, sphere.im)
-            acc[key] = acc.get(key, 0) + int(order)
-        entries = tuple(
-            (SliceComplex(re, im), order)
-            for (re, im), order in sorted(acc.items(), key=lambda kv: (kv[0][0] ** 2 + kv[0][1] ** 2, kv[0]))
-            if order != 0
-        )
-        return SphereDivisor(entries, origin_order)
+            for slot in slots:
+                ref = slot[0]
+                dist = math.hypot(ref.re - sphere.re, ref.im - sphere.im)
+                if dist <= _SPHERE_MERGE_TOL * (1.0 + ref.modulus()):
+                    slot[1] += int(order)
+                    break
+            else:
+                slots.append([sphere, int(order)])
+        slots.sort(key=lambda slot: (slot[0].re ** 2 + slot[0].im ** 2, slot[0].re, slot[0].im))
+        return SphereDivisor(tuple((s, k) for s, k in slots if k != 0), origin_order)
 
-    def side_spheres(self, side: str):
-        """[(modulus, sphere, order>0)] for the requested side, origin excluded,
-        sorted by modulus."""
+    def side(self, side: str):
+        """(order at the origin, [(modulus, sphere, order>0)]) on the requested
+        side, the spheres sorted by modulus."""
         if side not in ("zero", "pole"):
             raise ValueError("side must be 'zero' or 'pole'")
         sign = 1 if side == "zero" else -1
-        out = []
-        for s, k in self.entries:
-            sk = sign * k
-            if sk > 0:
-                out.append((s.modulus(), s, sk))
-        out.sort(key=lambda row: (row[0], row[1].re, row[1].im))
-        return out
-
-    def origin_side(self, side: str) -> int:
-        sign = 1 if side == "zero" else -1
-        return max(sign * self.origin_order, 0)
+        spheres = [(s.modulus(), s, sign * k) for s, k in self.entries if sign * k > 0]
+        spheres.sort(key=lambda row: (row[0], row[1].re, row[1].im))
+        return max(sign * self.origin_order, 0), spheres
 
 
 _LOG_HUGE = math.log(np.finfo(float).max)  # natural log of the largest float
@@ -378,18 +376,23 @@ def total_order_divisor(f) -> SphereDivisor:
     roots carry half their symmetrization multiplicity (which is always
     even), and the order at the origin is tracked separately.  A
     slice-preserving g or h has g^s = g², so its own roots are found
-    instead, at twice their multiplicity.
+    instead, at twice their multiplicity.  The sides are g and h of a
+    SemiregularRational as it holds them, or the polynomial alone; the
+    spheres of both go through SphereDivisor.build, which cancels a zero
+    sphere against a pole sphere found within its merge tolerance.
 
     Raises UnbalancedDivisor when the orders found for g, with its order at
     the origin, do not sum to deg g, or likewise for h, and OverflowError
     when the product of the roots to find for g or h overflows a float.
     """
-    f = as_rational(f)
-    if f.num.is_zero:
+    sides = ((f.num, 1), (f.den, -1)) if isinstance(f, SemiregularRational) else ((f, 1),)
+    if f.is_zero:
         raise ZeroPolynomial("the zero function has no divisor")
-    origin = f.num.origin_order() - f.den.origin_order()
-    acc: list[tuple[SliceComplex, int]] = []
-    for side, sign in ((f.num, 1), (f.den, -1)):
+    origin = 0
+    pairs: list[tuple[SliceComplex, int]] = []
+    for side, sign in sides:
+        total = side.origin_order()
+        origin += sign * total
         if side.degree <= 0:
             continue
         _check_root_scale(side, 1 if isinstance(side, RealPoly) else 2)
@@ -400,7 +403,6 @@ def total_order_divisor(f) -> SphereDivisor:
             # overflows nor underflows where that of the side would
             e = math.frexp(np.abs(side.coeffs).max())[1]
             poly, power = LeftPoly(np.ldexp(side.coeffs, -e)).symmetrize(), 1
-        total = side.origin_order()
         for z, mult in complex_roots(poly):
             mult *= power
             if z == 0:
@@ -416,35 +418,23 @@ def total_order_divisor(f) -> SphereDivisor:
             else:
                 order = mult
             total += order
-            acc.append((SliceComplex(z.real, z.imag), sign * order))
+            pairs.append((SliceComplex(z.real, z.imag), sign * order))
         if total != side.degree:
             raise UnbalancedDivisor(
                 f"orders sum to {total} on a polynomial of degree {side.degree}"
             )
-    merged = _merge_nearby_spheres(acc)
-    return SphereDivisor.build(merged, origin)
-
-
-def _merge_nearby_spheres(pairs):
-    """Combine spheres that agree within the relative _SPHERE_MERGE_TOL (so
-    zero and pole spheres extracted from two separate root finds cancel
-    exactly)."""
-    out: list[list] = []
-    for sphere, order in pairs:
-        for slot in out:
-            ref = slot[0]
-            dist = math.hypot(ref.re - sphere.re, ref.im - sphere.im)
-            if dist <= _SPHERE_MERGE_TOL * (1.0 + ref.modulus()):
-                slot[1] += order
-                break
-        else:
-            out.append([sphere, order])
-    return [(s, k) for s, k in out if k != 0]
+    return SphereDivisor.build(pairs, origin)
 
 
 # ---------------------------------------------------------------------------
 # Jensen kernel and counting functions
 # ---------------------------------------------------------------------------
+
+
+def _refuse_boundary(mod: float, r: float) -> None:
+    """Raise BoundaryDivisor when a sphere of modulus mod sits on |ζ| = r within 1e-12·r."""
+    if abs(mod - r) <= 1e-12 * r:
+        raise BoundaryDivisor(f"divisor sphere |ζ| = {mod} on the boundary r = {r}")
 
 
 def jensen_kernel(sphere: SliceComplex, R: float) -> float:
@@ -480,8 +470,7 @@ def signed_kernel_sum(d: SphereDivisor, R: float, convention: str = "corrected")
     total = 0.0
     for s, k in d.entries:
         mod = s.modulus()
-        if abs(mod - R) <= 1e-12 * R:
-            raise BoundaryDivisor(f"divisor sphere |ζ| = {mod} on the boundary r = {R}")
+        _refuse_boundary(mod, R)
         if mod > R:
             continue
         factor = 2.0 if (convention == "doubled" and s.im > 0.0) else 1.0
@@ -496,10 +485,10 @@ def N_integrated(d: SphereDivisor, side: str, r: float) -> float:
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
-    total = d.origin_side(side) * float(np.log(r))
-    for mod, s, k in d.side_spheres(side):
-        if abs(mod - r) <= 1e-12 * r:
-            raise BoundaryDivisor(f"divisor sphere |ζ| = {mod} on the boundary r = {r}")
+    origin, spheres = d.side(side)
+    total = origin * float(np.log(r))
+    for mod, s, k in spheres:
+        _refuse_boundary(mod, r)
         if mod < r:
             total += k * jensen_kernel(s, r)
     return total
@@ -546,11 +535,10 @@ def N_via_unintegrated(d: SphereDivisor, side: str, r: float) -> float:
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
-    spheres = d.side_spheres(side)
+    origin, spheres = d.side(side)
     for mod, _s, _k in spheres:
-        if abs(mod - r) <= 1e-12 * r:
-            raise BoundaryDivisor(f"divisor sphere |ζ| = {mod} on the boundary r = {r}")
-    total = d.origin_side(side) * float(np.log(r))
+        _refuse_boundary(mod, r)
+    total = origin * float(np.log(r))
     for lo, hi, c_level, _d_level in _step_pieces(spheres, r):
         if c_level != 0.0 and lo > 0.0:
             total += c_level * float(np.log(hi / lo))
@@ -567,7 +555,7 @@ def angular_term(d: SphereDivisor, side: str, r: float) -> float:
     if r <= 0.0:
         raise ValueError("r must be positive")
     total = 0.0
-    for mod, s, k in d.side_spheres(side):
+    for mod, s, k in d.side(side)[1]:
         if mod <= r:
             mod4 = mod**4
             total += k * (mod4 - r**4) / (2.0 * r**2 * mod4) * s.re * s.re
@@ -590,8 +578,7 @@ def angular_identity_check(d: SphereDivisor, side: str, r: float):
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
-    spheres = d.side_spheres(side)
-    pieces = _step_pieces(spheres, r)
+    pieces = _step_pieces(d.side(side)[1], r)
     A = angular_term(d, side, r)
 
     double_int = 0.0  # ∬ h t⁻⁵ a_t(f,a,h) dh dt over 0 ≤ h ≤ t ≤ r
@@ -623,7 +610,7 @@ def analytic_characterization_check(d: SphereDivisor, side: str, r: float):
     """
     N = N_integrated(d, side, r)
     eq1 = N_via_unintegrated(d, side, r)
-    spheres = d.side_spheres(side)
+    origin, spheres = d.side(side)
     pieces = _step_pieces(spheres, r)
     log_int = 0.0
     mixed_int = 0.0  # ∫ (t⁴+r⁴)/(2r²t³) (n−n₀) dt
@@ -634,7 +621,7 @@ def analytic_characterization_check(d: SphereDivisor, side: str, r: float):
         # ∫ (t⁴+r⁴)/(2r²t³) dt = t²/(4r²) − r²/(4t²)
         anti = (hi**2 - lo**2) / (4.0 * r**2) + (r**2 / 4.0) * (lo**-2 - hi**-2)
         mixed_int += c_level * anti
-    base = d.origin_side(side) * float(np.log(r)) + log_int
+    base = origin * float(np.log(r)) + log_int
     eq2 = base + mixed_int + angular_term(d, side, r)
     bound = base - mixed_int
     return abs(eq1 - N), abs(eq2 - N), N - bound

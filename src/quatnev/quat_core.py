@@ -110,8 +110,8 @@ class Quaternion:
     def abs_im(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return self.abs_im() <= tol
+    def is_real(self) -> bool:
+        return self.abs_im() == 0.0
 
     # -- algebra ----------------------------------------------------------
 
@@ -221,10 +221,6 @@ class SliceComplex:
 
     def modulus(self) -> float:
         return math.hypot(self.re, self.im)
-
-    @staticmethod
-    def from_complex(z: complex) -> "SliceComplex":
-        return SliceComplex(z.real, abs(z.imag))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ __all__ = [
 
 
 class EvalAtPole(ArithmeticError):
-    """Evaluation point is numerically on a pole sphere (|den_s(q)| below pole_tol)."""
+    """Evaluation point is numerically on a pole sphere (|den_s(q)| at most pole_tol)."""
 
 
 class SymmetrizationNotReal(ArithmeticError):
@@ -483,11 +483,6 @@ class LeftPoly:
             return 0
         return int((self.coeffs != 0.0).any(axis=1).nonzero()[0][0])
 
-    def deflate_origin(self) -> tuple["LeftPoly", int]:
-        """Divide out q^m at the origin; returns (f / q^m, m)."""
-        m = self.origin_order()
-        return (LeftPoly(self.coeffs[m:]), m) if m else (self, 0)
-
     # -- evaluation -------------------------------------------------------------
 
     def __call__(self, q) -> Quaternion:
@@ -805,7 +800,7 @@ class SemiregularRational:
         q = _coerce(q)
         u, vq = q.w, q.abs_im()
         hs = complex(npoly.polyval(complex(u, vq), self.den_s.real_coeffs))
-        if abs(hs) < self.pole_tol(q.norm()):
+        if abs(hs) <= self.pole_tol(q.norm()):
             raise EvalAtPole(f"|den_s({q})| = {abs(hs):.3e} below pole tolerance")
         if vq == 0.0:
             hs_q = Quaternion(hs.real)
@@ -820,7 +815,7 @@ class SemiregularRational:
         With the denominator stem A + iB of den_s and numerator stems
         (P_n, Q_n): P = (A·P_n + B·Q_n)/(A²+B²), Q = (A·Q_n − B·P_n)/(A²+B²);
         for a slice-preserving quotient this is the complex w_n·(A − iB)/(A²+B²).
-        Points with |den_s| below pole_tol(|q|), the rule __call__ raises
+        Points with |den_s| at most pole_tol(|q|), the rule __call__ raises
         EvalAtPole by, are masked out.
         """
         pts = slice_points(pts)
@@ -829,7 +824,7 @@ class SemiregularRational:
         A, B = hs.real, hs.imag
         mod2 = A * A + B * B
         tol = self.pole_tol(np.hypot(*pts.uv))
-        ok = mod2 >= tol * tol
+        ok = mod2 > tol * tol
         safe = np.where(ok, mod2, 1.0)
         if self.is_real:
             # in real arithmetic, as P and Q below: NumPy's complex product may fuse

@@ -365,6 +365,9 @@ def formed(monkeypatch):
 ])
 def test_each_evaluation_forms_value_and_twist_once(command, form, twists, tmp_path, formed):
     cfg = {"function": LEFT, "a": [0.5, 0.1, 0.0, 0.0], "radii": [1.5, 4.0]}
+    if command == "verify-jensen":  # one radius: it refuses a list of several
+        del cfg["radii"]
+        cfg["r"] = 1.5
     if form is not None:
         cfg["form"] = form
     path = tmp_path / "cfg.json"
@@ -501,6 +504,18 @@ def test_unsorted_radii_exit_2(tmp_path, capsys):
     code = main(["profile", "--config", str(cfg), *FAST])
     assert code == 2
     assert "sorted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-jensen", "arbiter"])
+def test_one_radius_commands_refuse_a_radius_list(command, tmp_path, capsys, counters):
+    """verify-jensen and arbiter run at one radius; a longer list is an error, not a silent r = radii[0]."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radii": [1.0, 2.0, 3.0]}))
+    assert main([command, "--config", str(cfg), *FAST]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert counters["draws"] == []
+    cfg.write_text(json.dumps({"radii": [1.5]}))
+    assert main([command, "--config", str(cfg), *FAST, "--out", str(tmp_path / "a.csv")]) == 0
 
 
 def test_a_config_radius_replaces_the_default_grid(tmp_path):

@@ -114,6 +114,61 @@ def test_a_power_of_two_scale_leaves_the_divisor_unchanged(k):
             assert total_order_divisor(SemiregularRational(num, den)) == ref
 
 
+def test_build_merges_a_sphere_into_the_earlier_one_within_tolerance():
+    ref = SliceComplex(0.6, 0.8)
+    near = SliceComplex(0.6 + 1e-9, 0.8)  # within 1e-9·(1 + |ζ|) of ref
+    assert SphereDivisor.build([(ref, 2), (near, 1)]).entries == ((ref, 3),)
+    assert SphereDivisor.build([(near, 1), (ref, 2)]).entries == ((near, 3),)
+    assert SphereDivisor.build([(ref, 1), (SliceComplex(0.6, 0.8), 2)]).entries == ((ref, 3),)
+
+
+def test_build_drops_cancelled_orders_and_keeps_distinct_spheres():
+    ref = SliceComplex(0.6, 0.8)
+    cancelled = SphereDivisor.build([(ref, 2), (SliceComplex(0.6, 0.8 + 1e-10), -2)], 1)
+    assert cancelled == SphereDivisor((), 1)
+    apart = SliceComplex(0.6 + 1e-6, 0.8)
+    d = SphereDivisor.build([(apart, -1), (ref, 1)])
+    assert d.entries == ((ref, 1), (apart, -1)), "spheres 1e-6 apart stay apart, sorted by modulus"
+
+
+def test_a_real_factor_shared_by_numerator_and_denominator_cancels():
+    f = SemiregularRational(RealPoly([4.0, 0.0, 5.0, 0.0, 1.0]), RealPoly([1.0, 0.0, 1.0]))
+    spheres, m0 = entries_of(f)  # (q² + 1)(q² + 4) / (q² + 1)
+    assert spheres == {(0.0, 2.0): 2}, f"only S_2i is left: {spheres}"
+    assert m0 == 0
+
+
+@pytest.mark.parametrize("h", [[[0.5, 0.2, 0.1, 0], [1, 0, 0, 0]],
+                               [[0.2, -0.4, 0.1, 0.3], [0.1, 0.2, 0, 0], [1, 0, 0.5, 0]]],
+                         ids=["linear", "quadratic"])
+def test_a_quaternion_factor_shared_by_numerator_and_denominator_cancels(h):
+    """(g*h)*h^{-*} has the divisor of g: the spheres of h cancel between the two root finds."""
+    g = LeftPoly([[0.3, 0.2, -0.1, 0.4], [1.0, 0.5, 0.0, -0.3], [1.0, 0, 0, 0]])
+    h = LeftPoly(h)
+    got = total_order_divisor(SemiregularRational(star_mul(g, h), h))
+    want = total_order_divisor(g)
+    assert got.origin_order == want.origin_order
+    assert [k for _s, k in got.entries] == [k for _s, k in want.entries]
+    for (s, _k), (t, _l) in zip(got.entries, want.entries):
+        assert math.hypot(s.re - t.re, s.im - t.im) <= 1e-12, f"{s} ≠ {t}"
+
+
+@pytest.mark.parametrize("f", [RealPoly([1.0, 0.0, 1.0]),
+                               LeftPoly([[0.3, 0.2, -0.1, 0.4], [1.0, 0.5, 0.0, -0.3]])],
+                         ids=["realpoly", "leftpoly"])
+def test_a_polynomial_divisor_constructs_no_rational(f, monkeypatch):
+    made = []
+    original = SemiregularRational.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(SemiregularRational, "__init__", counting)
+    total_order_divisor(f)
+    assert made == []
+
+
 def test_slice_preserving_star_cube_keeps_an_exact_sphere_key():
     spheres, m0 = entries_of(star_power(RealPoly([1.0, 0.0, 1.0]), 3))
     assert spheres == {(0.0, 1.0): 6}, f"(q²+1)^{{*3}} has total order 6 on S_i: {spheres}"
@@ -424,10 +479,15 @@ def test_signed_kernel_sum_conventions():
     )
 
 
-def test_boundary_sphere_raises():
+@pytest.mark.parametrize("reader", [
+    lambda d, r: signed_kernel_sum(d, r, "corrected"),
+    lambda d, r: N_integrated(d, "zero", r),
+    lambda d, r: N_via_unintegrated(d, "zero", r),
+], ids=["signed_kernel_sum", "N_integrated", "N_via_unintegrated"])
+def test_boundary_sphere_raises(reader):
     d = SphereDivisor.build([(SliceComplex(0.0, 1.0), 1)], 0)
     with pytest.raises(BoundaryDivisor):
-        signed_kernel_sum(d, 1.0, "corrected")
+        reader(d, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,7 @@ Q_IDENT = LeftPoly.identity()
 def test_real_coefficients_make_a_realpoly(f, g, a):
     """Every construction returns a RealPoly exactly when the imaginary components are zero."""
     results = [LeftPoly(f.coeffs), LeftPoly([list(row) for row in f.coeffs]), f + g, f - g,
-               f.scale_left(a), f.conjugate(), star_mul(f, g), f.deflate_origin()[0],
-               f.symmetrize()]
+               f.scale_left(a), f.conjugate(), star_mul(f, g), f.symmetrize()]
     for p in results:
         assert isinstance(p, RealPoly) == (not np.any(p.coeffs[:, 1:]))
         assert p.is_real == isinstance(p, RealPoly)
@@ -681,10 +680,10 @@ def test_series_head_is_value_and_derivatives():
 def test_origin_order_and_deflation():
     f = LeftPoly([[0, 0, 0, 0], [0, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0]])
     assert f.origin_order() == 2
-    base, m0 = f.deflate_origin()
-    assert m0 == 2
-    assert base.coefficient(0).isclose(Quaternion(2, 1, 0, 0), 0.0)
-    assert base.origin_order() == 0
+    d0, d1, d2 = f.series_head()
+    assert d0.isclose(Quaternion(2, 1, 0, 0), 0.0)
+    assert d1.isclose(Quaternion(0, 0, 1, 0), 0.0)
+    assert d2.isclose(Quaternion(), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -766,6 +765,16 @@ def test_rational_pole_sphere_raises_in_call_and_is_masked_in_stems():
             f(Quaternion.from_array(row))
     assert f(Quaternion.from_array(rows[2])).isclose(Quaternion(1.0 / (1.0 - 1.001**2)), 1e-9)
     assert f.stems(rows).ok.tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("den", [[0.0, 1.0], [[0, 0, 0, 0], [1, 0.5, 0, 0]]],
+                         ids=["real", "quaternion"])
+def test_a_pole_at_the_origin_raises_in_call_and_is_masked_in_stems(den):
+    """At q = 0 with den_s(0) = 0 the pole tolerance is 0 itself, and |den_s| = 0 meets it."""
+    f = SemiregularRational(RealPoly([1.0]), LeftPoly(den))
+    with pytest.raises(EvalAtPole):
+        f(Quaternion())
+    assert f.stems(np.array([[0, 0, 0, 0], [0.5, 0, 0.5, 0]], dtype=float)).ok.tolist() == [False, True]
 
 
 def test_rational_shift_and_origin_order():
