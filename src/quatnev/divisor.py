@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .quat_core import SliceComplex
+from .quat_core import SliceComplex, _check_radius
 from .star_poly import LeftPoly, RealPoly, SemiregularRational
 
 __all__ = [
@@ -376,7 +376,9 @@ def total_order_divisor(f) -> SphereDivisor:
     roots carry half their symmetrization multiplicity (which is always
     even), and the order at the origin is tracked separately.  A
     slice-preserving g or h has g^s = g², so its own roots are found
-    instead, at twice their multiplicity.  The sides are g and h of a
+    instead, at twice their multiplicity.  A nonreal h is not symmetrized
+    again: its roots are those of den_s, the h^s at a power-of-two scale
+    that the rational already holds.  The sides are g and h of a
     SemiregularRational as it holds them, or the polynomial alone; the
     spheres of both go through SphereDivisor.build, which cancels a zero
     sphere against a pole sphere found within its merge tolerance.
@@ -398,6 +400,8 @@ def total_order_divisor(f) -> SphereDivisor:
         _check_root_scale(side, 1 if isinstance(side, RealPoly) else 2)
         if isinstance(side, RealPoly):
             poly, power = side, 2
+        elif sign < 0:
+            poly, power = f.den_s, 1  # h^s at a power-of-two scale, as f holds it
         else:
             # a copy scaled by 2^−e has the same roots, and its f^s neither
             # overflows nor underflows where that of the side would
@@ -441,13 +445,13 @@ def jensen_kernel(sphere: SliceComplex, R: float) -> float:
     """J(ζ,R) = log(R/|ζ|) + ((|ζ|⁴−R⁴)/(4R²|ζ|⁴))·(2(Re ζ)² − |ζ|²).
 
     The per-sphere boundary contribution of a zero/pole sphere in the
-    Jensen formula; J(ζ,|ζ|) = 0.  Raises ZeroCenter for ζ = 0.
+    Jensen formula; J(ζ,|ζ|) = 0.  Raises ZeroCenter for ζ = 0 and
+    ValueError unless 0 < R < ∞.
     """
     mod = sphere.modulus()
     if mod == 0.0:
         raise ZeroCenter("Jensen kernel is undefined for the origin sphere")
-    if R <= 0.0:
-        raise ValueError("R must be positive")
+    _check_radius(R)
     mod2 = mod * mod
     mod4 = mod2 * mod2
     return float(
@@ -461,12 +465,14 @@ def signed_kernel_sum(d: SphereDivisor, R: float, convention: str = "corrected")
 
     convention='doubled' doubles the kernel on nonreal spheres (the
     factor-2 variant); real spheres keep the single kernel,
-    where the two kernel forms coincide.  Raises BoundaryDivisor if a
-    sphere sits on |ζ| = R within 1e-12·R.  verify_jensen reports both
-    conventions, and the benchmark's divisor-sweep workload checks both.
+    where the two kernel forms coincide.  Raises ValueError unless
+    0 < R < ∞, and BoundaryDivisor if a sphere sits on |ζ| = R within
+    1e-12·R.  verify_jensen reports both conventions, and the
+    benchmark's divisor-sweep workload checks both.
     """
     if convention not in ("corrected", "doubled"):
         raise ValueError("convention must be 'corrected' or 'doubled'")
+    _check_radius(R)
     total = 0.0
     for s, k in d.entries:
         mod = s.modulus()
@@ -481,10 +487,10 @@ def signed_kernel_sum(d: SphereDivisor, R: float, convention: str = "corrected")
 def N_integrated(d: SphereDivisor, side: str, r: float) -> float:
     """N(f,a,r) = n(f,a,0)·log r + Σ_{0<|ζ|≤r} ordt⁺·J(ζ,r).
 
-    Raises BoundaryDivisor when a side sphere has |ζ| = r within 1e-12·r.
+    Raises ValueError unless 0 < r < ∞, and BoundaryDivisor when a side
+    sphere has |ζ| = r within 1e-12·r.
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    _check_radius(r)
     origin, spheres = d.side(side)
     total = origin * float(np.log(r))
     for mod, s, k in spheres:
@@ -533,8 +539,7 @@ def N_via_unintegrated(d: SphereDivisor, side: str, r: float) -> float:
     function.  An identity with N_integrated; kept as an independent
     arithmetic route.
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    _check_radius(r)
     origin, spheres = d.side(side)
     for mod, _s, _k in spheres:
         _refuse_boundary(mod, r)
@@ -552,8 +557,7 @@ def N_via_unintegrated(d: SphereDivisor, side: str, r: float) -> float:
 
 def angular_term(d: SphereDivisor, side: str, r: float) -> float:
     """A(f,a,r) = Σ_{0<|ζ|≤r} ordt⁺·((|ζ|⁴ − r⁴)/(2r²|ζ|⁴))·(Re ζ)² ≤ 0."""
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    _check_radius(r)
     total = 0.0
     for mod, s, k in d.side(side)[1]:
         if mod <= r:
@@ -576,8 +580,7 @@ def angular_identity_check(d: SphereDivisor, side: str, r: float):
     D) and compared against the direct sum angular_term.  Returns
     (|rep1 − A|, |rep2 − A|).
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    _check_radius(r)
     pieces = _step_pieces(d.side(side)[1], r)
     A = angular_term(d, side, r)
 

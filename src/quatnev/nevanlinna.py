@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .quat_core import SliceComplex, _coerce
+from .quat_core import Quaternion, SliceComplex, _check_radius, _coerce, qmul
 from .star_poly import (
     LeftPoly,
     SemiregularRational,
@@ -228,21 +228,50 @@ def harmonic_remainder(f, a, r: float) -> float:
     log|(f−a)^s| misses its value at the center — zero in two complex
     dimensions, generically nonzero in four.  H(f, ∞, r) ≡ 0.
 
-    Raises CenterIsZeroOrPole when 0 is a zero or pole of f − a; callers
-    that need the deflated variant should divide the origin factor out
-    first (verify_jensen and characteristic do this automatically).
+    f − a is not formed: its head is read off the deflated head
+    (d₀, d₁, 2d₂) of f and m₀ = ord₀ f, as a constant a moves only the
+    value.  For m₀ = 0 it is (d₀ − a, d₁, 2d₂); for m₀ > 0 it is
+    (0 − a, c₁, 2c₂) with the undeflated coefficients c_k = d_{k−m₀}
+    (0 for k < m₀).
+
+    Raises ValueError unless 0 < r < ∞, and CenterIsZeroOrPole when 0 is a
+    zero or pole of f − a: a pole of f, or f(0) = a exactly (f ≡ a
+    included); callers that need the deflated variant should divide the
+    origin factor out first (verify_jensen and characteristic do this
+    automatically).
     """
+    _check_radius(r)
     if _is_infinity(a):
         return 0.0
-    g = f - _coerce(a)
-    if g.is_zero:
-        raise CenterIsZeroOrPole("f is identically equal to a")
-    m0 = g.origin_order()
-    if m0 != 0:
+    a = _coerce(a)
+    m0 = f.origin_order()
+    if m0 < 0:
         raise CenterIsZeroOrPole(
             f"0 carries total order {m0} for f − a; deflate before calling"
         )
-    return _lambda_of_head(g.series_head(), r)
+    if _rational_value_is(f, a):
+        raise CenterIsZeroOrPole("f(0) = a, so 0 is a zero of f − a; deflate before calling")
+    d0, d1, d2x2 = f.series_head()
+    if m0 == 0:
+        return _lambda_of_head((d0 - a, d1, d2x2), r)
+    c = (Quaternion(),) * m0 + (d0, d1)
+    # 0 − a, not −a: the sum f − a forms, down to the sign of a zero
+    return _lambda_of_head((Quaternion() - a, c[1], c[2] * 2.0), r)
+
+
+def _rational_value_is(f, a: Quaternion) -> bool:
+    """True when f is a nonzero rational g * h^{-*} with f(0) = a exactly as
+    ``f - a`` decides it: the row of g − a·h at ord₀ h vanishes.
+
+    The head value d₀ = (g·h^c)₀/(h^s)₀ may round off a where g − a·h
+    has an exact zero at 0, so that row decides.  For a polynomial,
+    d₀ − a is that row itself, and _lambda_of_head refuses its zero.
+    """
+    if not isinstance(f, SemiregularRational) or f.is_zero:
+        return False
+    k = f.den.origin_order()
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range
+        return np.array_equal(f.num.coeffs[k], qmul(a.to_array(), f.den.coeffs[k]))
 
 
 def characteristic(f, a, r: float, cfg: IntegratorConfig) -> float:
@@ -603,8 +632,8 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3):
     if form not in (1, 2, 3):
         raise ValueError("form must be 1, 2, or 3")
     radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    for r in radii:
+        _check_radius(r)
     infinite = _is_infinity(a)
     if infinite and form != 3:
         raise ValueError("forms 1 and 2 need a finite target a")
@@ -951,8 +980,8 @@ class NevanlinnaProfile:
         for name in ("N", "m", "m_std_error", "H", "T", "A"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name} length differs from radii")
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("radii must be positive")
+        for r in self.radii:
+            _check_radius(r)
 
     @staticmethod
     def compute(f, a, radii, cfg: IntegratorConfig) -> "NevanlinnaProfile":

@@ -185,6 +185,12 @@ def _coerce(v) -> Quaternion:
     return Quaternion.from_array(v)
 
 
+def _check_radius(r) -> None:
+    """Raise ValueError unless 0 < r < ∞; a NaN radius is refused too."""
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
+
+
 def mul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product pq."""
     return Quaternion(
@@ -422,8 +428,7 @@ class SphereSampler:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        _check_radius(self.radius)
         if self.stream_index < 0:
             raise ValueError("stream_index must be >= 0")
 

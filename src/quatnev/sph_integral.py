@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat_core import BLOCK, CHUNK, SlicePoints, gaussian_chunk
+from .quat_core import BLOCK, CHUNK, SlicePoints, _check_radius, gaussian_chunk
 from .star_poly import NEAR_ZERO, SemiregularRational
 
 __all__ = [
@@ -141,8 +141,7 @@ class _Pass:
     """
 
     def __init__(self, column_fn, r, cfg: IntegratorConfig):
-        if not (r > 0.0 and math.isfinite(r)):
-            raise ValueError(f"radius must be positive and finite, got {r}")
+        _check_radius(r)
         self.column_fn = column_fn
         self.r = r
         self.needed = cfg.samples

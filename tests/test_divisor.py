@@ -169,6 +169,34 @@ def test_a_polynomial_divisor_constructs_no_rational(f, monkeypatch):
     assert made == []
 
 
+@pytest.mark.parametrize("k", [-17, 0, 17], ids=["den-1e-5", "den-1", "den-1e5"])
+def test_a_quaternion_denominator_is_rooted_through_the_den_s_it_holds(k, monkeypatch):
+    """The pole side reads den_s, not a second symmetrization of h, and has
+    the bits of the roots of a power-of-two copy of h, symmetrized."""
+    g = LeftPoly([[0.3, 0.2, -0.1, 0.4], [1.0, 0.5, 0.0, -0.3], [1, 0, 0, 0]])
+    h = LeftPoly(np.ldexp([[0.8, 1.1, -0.2, 0.5], [0.1, 0.4, 0.3, 0.0], [1, 0, 0, 0.2]], k))
+    f = SemiregularRational(g, h)
+    symmetrized = []
+    original = LeftPoly.symmetrize
+
+    def counting(self):
+        symmetrized.append(self.coeffs)
+        return original(self)
+
+    monkeypatch.setattr(LeftPoly, "symmetrize", counting)
+    d = total_order_divisor(f)
+    monkeypatch.undo()
+    assert len(symmetrized) == 1, "only the numerator is symmetrized"
+
+    def scaled(p):
+        return LeftPoly(np.ldexp(p.coeffs, -math.frexp(np.abs(p.coeffs).max())[1]))
+
+    assert np.array_equal(symmetrized[0], scaled(g).coeffs), "the numerator, at a power-of-two scale"
+    want = sorted((z.real, z.imag, -m) for z, m in complex_roots(scaled(h).symmetrize()) if z.imag > 0.0)
+    got = sorted((s.re, s.im, m) for s, m in d.entries if m < 0)
+    assert got == want
+
+
 def test_slice_preserving_star_cube_keeps_an_exact_sphere_key():
     spheres, m0 = entries_of(star_power(RealPoly([1.0, 0.0, 1.0]), 3))
     assert spheres == {(0.0, 1.0): 6}, f"(q²+1)^{{*3}} has total order 6 on S_i: {spheres}"
@@ -488,6 +516,23 @@ def test_boundary_sphere_raises(reader):
     d = SphereDivisor.build([(SliceComplex(0.0, 1.0), 1)], 0)
     with pytest.raises(BoundaryDivisor):
         reader(d, 1.0)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("reader", [
+    lambda d, r: jensen_kernel(d.entries[0][0], r),
+    lambda d, r: signed_kernel_sum(d, r, "corrected"),
+    lambda d, r: N_integrated(d, "zero", r),
+    lambda d, r: N_via_unintegrated(d, "zero", r),
+    lambda d, r: angular_term(d, "zero", r),
+    lambda d, r: angular_identity_check(d, "zero", r),
+], ids=["jensen_kernel", "signed_kernel_sum", "N_integrated", "N_via_unintegrated",
+        "angular_term", "angular_identity_check"])
+def test_a_radius_outside_zero_to_infinity_raises(reader, r):
+    """No NaN, no value at r ≤ 0, and no BoundaryDivisor at r = ∞: a ValueError."""
+    d = SphereDivisor.build([(SliceComplex(0.5, 1.0), 1)], 1)
+    with pytest.raises(ValueError, match="radius"):
+        reader(d, r)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quatnev import nevanlinna, star_poly
 from quatnev.quat_core import Quaternion, SliceComplex, SphereSampler, qnorm
@@ -99,6 +99,154 @@ def test_harmonic_rejects_center_on_divisor():
     f = RealPoly([1.0, 0.0, 1.0])
     with pytest.raises(CenterIsZeroOrPole):
         harmonic_remainder(f, ONE, 2.0)          # f − 1 = q² vanishes at 0
+
+
+# components of a series coefficient: 0.0 or 1e-3 ≤ |x| ≤ 2, so every
+# inverse and square of the head is a normal float, and no −0.0, whose
+# sign the head of f and the head of f − a may keep differently
+_COMPONENT = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=2.0),
+                       st.floats(min_value=-2.0, max_value=-1e-3))
+_QUAT = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT, _COMPONENT)
+
+
+def _head_of_f_minus_a(f, a, r: float) -> float:
+    """H from the series head of f − a formed in full, the route harmonic_remainder skips."""
+    return nevanlinna._lambda_of_head((f - a).series_head(), r)
+
+
+def _term_size(head, r: float) -> float:
+    """(r²/4)(|g₀⁻¹g₂| + |g₀⁻¹g₁|²) for a head (g₀, g₁, g₂): the size of H's two terms."""
+    g0, g1, g2 = head
+    inv0 = g0.inverse()
+    return 0.25 * r * r * ((inv0 * g2).norm() + (inv0 * g1).norm() ** 2)
+
+
+def _with_origin_order(m0: int, rows) -> np.ndarray:
+    """Coefficient rows of q^m0 times the polynomial with the given rows (rows[0] ≠ 0)."""
+    return np.concatenate([np.zeros((m0, 4)), np.array(rows, dtype=float)])
+
+
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.lists(_QUAT, min_size=1, max_size=4),
+    _QUAT,
+    st.floats(min_value=0.25, max_value=4.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_harmonic_of_a_polynomial_keeps_the_bits_of_f_minus_a(m0, rows, a, r):
+    """H read off the head of f has the bits of H read off the head of f − a."""
+    a = Quaternion(*a)
+    assume(any(rows[0]) and (m0 == 0 or a.norm() > 0.0))
+    f = LeftPoly(_with_origin_order(m0, rows))
+    assert f.origin_order() == m0
+    g = f - a
+    if g.is_zero or g.origin_order() != 0:
+        with pytest.raises(CenterIsZeroOrPole):
+            harmonic_remainder(f, a, r)
+        return
+    assert harmonic_remainder(f, a, r).hex() == _head_of_f_minus_a(f, a, r).hex()
+
+
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.lists(_QUAT, min_size=1, max_size=3),
+    st.lists(_QUAT, min_size=1, max_size=3),
+    _QUAT,
+    st.floats(min_value=0.25, max_value=4.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_harmonic_of_a_rational_matches_f_minus_a_at_rounding_level(m0, num, den, a, r):
+    """For a rational H is read off the head of f, whose division by den_s
+    rounds apart from that of f − a: the two agree to 1e-10 of the size of
+    H's terms.  The inputs keep clear of cancellation, which would lift the
+    rounding of both routes above that size: |h(0)| ≥ 0.5, f's own head
+    has |d₁|, |2d₂| ≥ 1e-2·(1 + |d₀|), and for ord₀ f = 0, |f(0) − a| ≥ 1e-3·(1 + |a|)."""
+    a = Quaternion(*a)
+    num, den = np.array(num), np.array(den)
+    assume(np.linalg.norm(num[0]) >= 0.1 and np.linalg.norm(den[0]) >= 0.5 and a.norm() >= 0.1)
+    f = SemiregularRational(LeftPoly(_with_origin_order(m0, num)), LeftPoly(den))
+    assert f.origin_order() == m0
+    d0, d1, d2x2 = f.series_head()
+    assume(min(d1.norm(), d2x2.norm()) >= 1e-2 * (1.0 + d0.norm()))
+    assume(m0 > 0 or (d0 - a).norm() >= 1e-3 * (1.0 + a.norm()))
+    got = harmonic_remainder(f, a, r)
+    want = _head_of_f_minus_a(f, a, r)
+    # f − a cancels c₁ and c₂ down from terms of the size of f's own d₁ and
+    # 2d₂ (for ord₀ f = 3 to exactly 0), so its rounding is measured on both
+    g0, g1, g2 = (f - a).series_head()
+    scale = _term_size((g0, g1, g2), r) + _term_size((g0, d1, d2x2), r)
+    assert abs(got - want) <= 1e-10 * scale, f"{got} ≠ {want}"
+
+
+_QUATERNION_DEN = LeftPoly([[0.5, 0.2, -0.1, 0.3], [1.0, 0.0, 0.4, 0.0]])
+_A = Quaternion(0.3, -1.1, 0.7, 0.2)
+_CENTER_CASES = {
+    # f(0) = a: g(0) = a·h(0), though the head value d₀ of f rounds off a
+    # (a polynomial's case is test_harmonic_rejects_center_on_divisor)
+    "rational-f(0)=a": (SemiregularRational(LeftPoly([(_A * Quaternion(0.5, 0.2, -0.1, 0.3)).to_array(),
+                                                      [1, 0, 0, 0]]), _QUATERNION_DEN), _A),
+    # 0 is a zero of f − a through a zero of f at a = 0
+    "poly-zero-at-0": (LeftPoly([[0, 0, 0, 0], [1, 1, 0, 0]]), ZERO),
+    "rational-zero-at-0": (SemiregularRational(LeftPoly([[0, 0, 0, 0], [1, 1, 0, 0]]),
+                                               _QUATERNION_DEN), ZERO),
+    # a pole at 0, which only a rational has; a moves nothing there
+    "real-den-pole-at-0": (SemiregularRational(RealPoly([1.0, 1.0]), RealPoly([0.0, 1.0])), ONE),
+    "quaternion-den-pole-at-0": (SemiregularRational(
+        LeftPoly([[1, 0.5, 0, 0], [0, 0, 1, 0]]),
+        star_mul(RealPoly([0.0, 0.0, 1.0]), _QUATERNION_DEN)), Quaternion(0.2, 0, 0, -1)),
+    # f ≡ a
+    "poly-constant": (LeftPoly.constant(_A), _A),
+    "rational-constant": (SemiregularRational(_QUATERNION_DEN.scale_left(_A), _QUATERNION_DEN), _A),
+    "zero-function": (SemiregularRational(RealPoly([]), _QUATERNION_DEN), ZERO),
+}
+
+
+@pytest.mark.parametrize("f, a", list(_CENTER_CASES.values()), ids=list(_CENTER_CASES))
+def test_harmonic_refuses_a_zero_or_pole_of_f_minus_a_at_the_center(f, a):
+    with pytest.raises(CenterIsZeroOrPole):
+        harmonic_remainder(f, a, 1.5)
+
+
+@pytest.mark.parametrize("f, a", [
+    (LeftPoly([[0.3, 0.2, -0.1, 0.4], [1.0, 0.5, 0.0, -0.3], [1, 0, 0, 0]]), Quaternion(0.1, 0.2, 0, 0)),
+    (LeftPoly([[0, 0, 0, 0], [1.0, 0.5, 0.0, -0.3], [1, 0, 0, 0]]), Quaternion(0.1, 0.2, 0, 0)),
+    (SemiregularRational(LeftPoly([[0.3, 0.2, -0.1, 0.4], [1, 0, 0, 0]]), _QUATERNION_DEN), 0.7),
+    (SemiregularRational(LeftPoly([[0, 0, 0, 0], [0.3, 0.2, -0.1, 0.4], [1, 0, 0, 0]]),
+                         _QUATERNION_DEN), Quaternion(0.1, 0.2, 0, 0)),
+], ids=["poly", "poly-zero-at-0", "rational", "rational-zero-at-0"])
+def test_harmonic_remainder_forms_no_polynomial(f, a, monkeypatch):
+    """H reads the head f holds: no LeftPoly, no rational, no *-product is made."""
+    made = []
+    new_poly, init_rational, mul = LeftPoly.__new__, SemiregularRational.__init__, star_poly.star_mul
+
+    def counting_new(cls, *args):
+        made.append(("LeftPoly", args))
+        return new_poly(cls, *args)
+
+    def counting_init(self, *args):
+        made.append(("SemiregularRational", args))
+        init_rational(self, *args)
+
+    def counting_mul(*args):
+        made.append(("star_mul", args))
+        return mul(*args)
+
+    monkeypatch.setattr(LeftPoly, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(SemiregularRational, "__init__", counting_init)
+    monkeypatch.setattr(star_poly, "star_mul", counting_mul)
+    assert math.isfinite(harmonic_remainder(f, a, 1.5))
+    assert made == []
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("reader", [
+    lambda f, r: harmonic_remainder(f, ZERO, r),
+    lambda f, r: verify_fmt(f, ZERO, [1.0, r], FAST),
+    lambda f, r: NevanlinnaProfile("f", "0", (r,), *[(0.0,)] * 6, FAST),
+], ids=["harmonic_remainder", "verify_fmt", "NevanlinnaProfile"])
+def test_a_radius_outside_zero_to_infinity_is_refused(reader, r):
+    with pytest.raises(ValueError, match="radius"):
+        reader(linear(Quaternion(0.5, 0.7, 0, 0)), r)
 
 
 def _fd_laplacian_defect(g, r: float, h: float) -> float:
