@@ -17,7 +17,7 @@ selftest        Monte-Carlo-free exact identity suite (gate 1e-9).
 
 All experiment inputs come from a JSON config file (--config); the
 command-line flags --seed, --samples, --out, --format override the
-matching config keys, and a key the runner does not know is a config
+matching config keys, and a key the command does not read is a config
 error.  Quaternions are written as [w, x, y, z] arrays; the point at
 infinity as the string "inf".  Polynomials are
 coefficient lists [[w,x,y,z], ...] (degree-ascending); rationals are
@@ -36,7 +36,8 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,33 +71,6 @@ from .nevanlinna import (
 PASS = "✓ PASS"
 FAIL = "✗ FAIL"
 
-_COMMANDS = (
-    "verify-jensen",
-    "profile",
-    "fmt-check",
-    "mpb-check",
-    "arbiter",
-    "algebra-suite",
-    "selftest",
-)
-
-_CSV_COLUMNS = {
-    "verify-jensen": (
-        "radius,lhs,boundary_f,boundary_f_std_error,boundary_fSf,"
-        "boundary_fSf_std_error,harmonic,divisor_sum_corrected,"
-        "divisor_sum_factor2,rhs_corrected,rhs_factor2,residual_corrected,"
-        "residual_factor2,three_sigma"
-    ),
-    "profile": ",".join(NevanlinnaProfile.CSV_COLUMNS),
-    "fmt-check": "form-dependent: see the printed rows (form 3: "
-    "r,N,m,m_std_error,H,T_infinity,residual,three_sigma)",
-    "mpb-check": "r,defect,std_error,three_sigma",
-    "arbiter": "candidate,residual",
-    "algebra-suite": "identity,kind,value,gate,passed,spread,slope",
-    "selftest": "check,residual,gate,passed",
-}
-
-
 class ConfigError(ValueError):
     """The experiment configuration is invalid."""
 
@@ -106,19 +80,21 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _finite(v, where: str) -> float:
+    """A config number as a float: booleans, non-numbers and non-finite numbers are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{where}: {v!r} is not a finite number")
+    return float(v)
+
+
 def _parse_target(v, where: str = "a"):
     """Quaternion target from [w,x,y,z] / number / 'inf' (None = infinity)."""
     if v is None or (isinstance(v, str) and v.strip().lower() in ("inf", "infinity")):
         return None
-    if isinstance(v, bool):
-        raise ConfigError(f"{where} must be a quaternion literal, got {v!r}")
-    if isinstance(v, (int, float)):
-        return Quaternion(float(v), 0.0, 0.0, 0.0)
     if isinstance(v, (list, tuple)) and len(v) == 4:
-        try:
-            return Quaternion(*(float(c) for c in v))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad quaternion literal for {where}: {v!r}") from exc
+        return Quaternion(*(_finite(c, where) for c in v))
+    if isinstance(v, (int, float)):  # a boolean too, which _finite refuses
+        return Quaternion(_finite(v, where), 0.0, 0.0, 0.0)
     raise ConfigError(
         f"{where} must be [w,x,y,z], a real number, or \"inf\"; got {v!r}"
     )
@@ -146,18 +122,10 @@ def _parse_function(data, where: str = "function"):
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     if isinstance(data, list):
-        try:
-            rows = [
-                [float(c) for c in (row if isinstance(row, (list, tuple)) else (row, 0, 0, 0))]
-                for row in data
-            ]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: bad coefficient row in {data!r}") from exc
+        rows = [row if isinstance(row, (list, tuple)) else (row, 0, 0, 0) for row in data]
         if any(len(row) != 4 for row in rows):
             raise ConfigError(f"{where}: coefficient rows must have 4 entries")
-        if not all(math.isfinite(c) for row in rows for c in row):
-            raise ConfigError(f"{where}: coefficients must be finite in {data!r}")
-        return LeftPoly(rows)
+        return LeftPoly([[_finite(c, where) for c in row] for row in rows])
     raise ConfigError(
         f"{where} must be a coefficient list or a num/den object, got {data!r}"
     )
@@ -169,102 +137,76 @@ def _parse_transform(data) -> GL2H:
     return GL2H(*(_parse_quat(data[k], f"transform.{k}") for k in "ABCD"))
 
 
+def _parse_form(v) -> int:
+    form = _finite(v, "form")
+    if form not in (1, 2, 3):
+        raise ConfigError(f"form must be 1, 2, or 3, got {v!r}")
+    return int(form)
+
+
 def _parse_radii(cfg_map) -> tuple:
     if "radii" in cfg_map and cfg_map["radii"] is not None:
         radii = cfg_map["radii"]
         if not isinstance(radii, (list, tuple)) or not radii:
             raise ConfigError("radii must be a nonempty list")
-        try:
-            radii = tuple(float(r) for r in radii)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad radii list {radii!r}") from exc
+        radii = tuple(_finite(r, "radii") for r in radii)
     elif "r" in cfg_map and cfg_map["r"] is not None:
-        try:
-            radii = (float(cfg_map["r"]),)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad radius {cfg_map['r']!r}") from exc
+        radii = (_finite(cfg_map["r"], "r"),)
     else:
         raise ConfigError("config needs 'r' or 'radii'")
-    if not all(math.isfinite(r) and r > 0 for r in radii):
-        raise ConfigError(f"radii must be positive and finite, got {list(radii)!r}")
+    if not all(r > 0 for r in radii):
+        raise ConfigError(f"radii must be positive, got {list(radii)!r}")
     if list(radii) != sorted(radii):
         raise ConfigError("radii must be sorted ascending")
     return radii
 
 
+# the parser of each input key a command may read
+_PARSERS = {
+    "function": _parse_function,
+    "a": _parse_target,
+    "g": lambda v: _parse_function(v, "g"),
+    "b": lambda v: _parse_target(v, "b"),
+    "transform": _parse_transform,
+    "form": _parse_form,
+}
+
+# the keys every command reads: its integrator and its output
+_COMMON_KEYS = frozenset({"command", "seed", "samples", "scheme", "out", "format"})
+
+
 @dataclass
 class ExperimentSpec:
-    """One fully-resolved experiment: command, inputs, integrator, output."""
+    """One fully-resolved experiment: command, inputs, integrator, output.
+
+    ``inputs`` maps each input key the command reads (function, a, g, b,
+    transform, form) to its parsed value.
+    """
 
     command: str
-    function: object
-    a: Quaternion | None
+    inputs: dict
     radii: tuple
     integrator: IntegratorConfig
     out: str | None = None
     format: str = "csv"
-    extras: dict = field(default_factory=dict)
+
+    @property
+    def function(self):
+        return self.inputs["function"]
+
+    @property
+    def a(self) -> Quaternion | None:
+        return self.inputs["a"]
 
     @property
     def r(self) -> float:
         return self.radii[0]
 
 
-_DEFAULT_CONFIGS = {
-    # the canonical linear closure: f = q − (0.5 + 0.7i) on ∂B₂
-    "verify-jensen": {
-        "function": [[-0.5, -0.7, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
-        "r": 2.0,
-    },
-    "profile": {
-        "function": [[1.0, 0, 0, 0], [0.0, 0, 0, 0], [1.0, 0, 0, 0]],
-        "a": [1.0, 0.0, 0.0, 0.0],
-        "radii": list(np.geomspace(2.0, 50.0, 12)),
-    },
-    "fmt-check": {
-        "function": [[1.0, 0, 0, 0], [0.0, 0, 0, 0], [1.0, 0, 0, 0]],
-        "a": [1.0, 0.0, 0.0, 0.0],
-        "form": 3,
-        # start the grid on the bounded-gap plateau: the small-radius
-        # transient of the residual would dominate a best-fit slope
-        "radii": list(np.geomspace(10.0, 1000.0, 12)),
-    },
-    "mpb-check": {
-        "function": [[1.0, 0, 0, 0], [0.0, 0, 0, 0], [1.0, 0, 0, 0]],
-        "a": "inf",
-        "radii": list(np.geomspace(2.0, 50.0, 10)),
-    },
-    "arbiter": {
-        "function": [[1.0, 0, 0, 0], [0.0, 0, 0, 0], [1.0, 0, 0, 0]],
-        "r": 2.0,
-    },
-    "algebra-suite": {
-        "function": [[1.0, 0, 0, 0], [0.0, 0, 0, 0], [1.0, 0, 0, 0]],
-        "g": [[0.74, 0, 0, 0], [-1.0, 0, 0, 0], [1.0, 0, 0, 0]],
-        "a": [0.0, 0.0, 0.0, 0.0],
-        "b": [1.0, 0.0, 0.0, 0.0],
-        "transform": {
-            "A": [1.0, 0, 0, 0],
-            "B": [1.0, 0, 0, 0],
-            "C": [1.0, 0, 0, 0],
-            "D": [-1.0, 0, 0, 0],
-        },
-        "radii": [2.0, 5.0, 12.0, 31.0],
-    },
-    "selftest": {},
-}
-
-
-# every key build_spec reads; any other key in a config file is an error
-_CONFIG_KEYS = frozenset({
-    "command", "function", "a", "r", "radii", "seed", "samples", "scheme",
-    "out", "format", "form", "g", "b", "transform",
-})
-
-
 def build_spec(command: str, args) -> ExperimentSpec:
     """Merge defaults ← config file ← flags into one ExperimentSpec."""
-    cfg_map = dict(_DEFAULT_CONFIGS[command])
+    entry = _COMMANDS[command]
+    cfg_map = dict(entry.defaults)
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -275,7 +217,7 @@ def build_spec(command: str, args) -> ExperimentSpec:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = sorted(set(loaded) - _CONFIG_KEYS)
+        unknown = sorted(set(loaded) - entry.keys)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if "command" in loaded and loaded["command"] != command:
@@ -304,36 +246,17 @@ def build_spec(command: str, args) -> ExperimentSpec:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad integrator settings: {exc}") from exc
 
-    if command == "selftest":
-        function, a, radii = None, None, (1.0,)
-    else:
-        function = _parse_function(cfg_map.get("function"))
-        a = _parse_target(cfg_map.get("a", "inf"))
-        radii = _parse_radii(cfg_map)
-        if command in ("verify-jensen", "arbiter") and len(radii) > 1:
-            raise ConfigError(f"{command} runs at one radius, got {len(radii)} radii")
-
-    extras = {}
-    if command == "fmt-check":
-        form = cfg_map.get("form", 3)
-        if form not in (1, 2, 3):
-            raise ConfigError(f"form must be 1, 2, or 3, got {form!r}")
-        extras["form"] = int(form)
-    if command == "algebra-suite":
-        extras["g"] = _parse_function(cfg_map.get("g"), "g")
-        extras["b"] = _parse_target(cfg_map.get("b", "inf"), "b")
-        extras["transform"] = _parse_transform(
-            cfg_map.get("transform", _DEFAULT_CONFIGS["algebra-suite"]["transform"])
-        )
+    inputs = {key: parse(cfg_map[key]) for key, parse in _PARSERS.items() if key in cfg_map}
+    radii = _parse_radii(cfg_map) if "radii" in entry.keys else ()
+    if command in ("verify-jensen", "arbiter") and len(radii) > 1:
+        raise ConfigError(f"{command} runs at one radius, got {len(radii)} radii")
     return ExperimentSpec(
         command=command,
-        function=function,
-        a=a,
+        inputs=inputs,
         radii=radii,
         integrator=integrator,
         out=cfg_map.get("out"),
         format=fmt,
-        extras=extras,
     )
 
 
@@ -422,7 +345,7 @@ def _run_verify_jensen(spec: ExperimentSpec) -> tuple:
         corrected.three_sigma,
     )
     return 0 if gate_ok else 1, (
-        _csv_rows(_CSV_COLUMNS["verify-jensen"], [row]),
+        _csv_rows(_COMMANDS["verify-jensen"].columns, [row]),
         {"corrected": corrected.to_json(), "factor2": factor2.to_json()},
     )
 
@@ -436,11 +359,11 @@ def _run_profile(spec: ExperimentSpec) -> tuple:
     print(f"  {'r':>10s} {'N':>14s} {'m':>14s} {'H':>14s} {'T':>14s} {'A':>14s}")
     for r, N, m, _me, H, T, A in profile.rows():
         print(f"  {r:10.4f} {N:14.8f} {m:14.8f} {H:14.8f} {T:14.8f} {A:14.8f}")
-    return 0, (_csv_rows(_CSV_COLUMNS["profile"], profile.rows()), profile.to_json())
+    return 0, (_csv_rows(_COMMANDS["profile"].columns, profile.rows()), profile.to_json())
 
 
 def _run_fmt_check(spec: ExperimentSpec) -> tuple:
-    form = spec.extras["form"]
+    form = spec.inputs["form"]
     report = verify_fmt(spec.function, spec.a, spec.radii, spec.integrator, form)
     rows = report["rows"]
     summary = report["summary"]
@@ -479,7 +402,7 @@ def _run_mpb_check(spec: ExperimentSpec) -> tuple:
         rows.append((r, d.value, d.std_error, d.three_sigma))
         print(f"  r = {r:10.4f}   defect = {d.value:+.6e} ± {d.std_error:.2e}")
     return 0, (
-        _csv_rows(_CSV_COLUMNS["mpb-check"], rows),
+        _csv_rows(_COMMANDS["mpb-check"].columns, rows),
         [
             {"r": r, "defect": v, "std_error": s, "three_sigma": t}
             for r, v, s, t in rows
@@ -501,7 +424,7 @@ def _run_arbiter(spec: ExperimentSpec) -> tuple:
     print(f"  {PASS if gate_ok else FAIL}: best order c = {report.best_order} "
           f"closes the formula within 3σ = {report.three_sigma:.2e}")
     return 0 if gate_ok else 1, (
-        _csv_rows(_CSV_COLUMNS["arbiter"], list(report.residuals)),
+        _csv_rows(_COMMANDS["arbiter"].columns, list(report.residuals)),
         report.to_json(),
     )
 
@@ -509,10 +432,10 @@ def _run_arbiter(spec: ExperimentSpec) -> tuple:
 def _run_algebra_suite(spec: ExperimentSpec) -> tuple:
     rows = characteristic_algebra_suite(
         spec.function,
-        spec.extras["g"],
+        spec.inputs["g"],
         spec.a,
-        spec.extras["b"],
-        spec.extras["transform"],
+        spec.inputs["b"],
+        spec.inputs["transform"],
         spec.radii,
         spec.integrator,
     )
@@ -535,7 +458,7 @@ def _run_algebra_suite(spec: ExperimentSpec) -> tuple:
             csv_rows.append((row["identity"], row["kind"], row["value"],
                              row["gate"], ok, "", ""))
     return 0 if all_ok else 1, (
-        _csv_rows(_CSV_COLUMNS["algebra-suite"], csv_rows), rows
+        _csv_rows(_COMMANDS["algebra-suite"].columns, csv_rows), rows
     )
 
 
@@ -649,7 +572,7 @@ def _run_selftest(spec: ExperimentSpec) -> tuple:
     if spec.out is None:
         return 0 if all_ok else 1, None
     return 0 if all_ok else 1, (
-        _csv_rows(_CSV_COLUMNS["selftest"], rows),
+        _csv_rows(_COMMANDS["selftest"].columns, rows),
         [
             {"check": n, "residual": v, "gate": g, "passed": ok}
             for n, v, g, ok in rows
@@ -657,14 +580,71 @@ def _run_selftest(spec: ExperimentSpec) -> tuple:
     )
 
 
-_RUNNERS = {
-    "verify-jensen": _run_verify_jensen,
-    "profile": _run_profile,
-    "fmt-check": _run_fmt_check,
-    "mpb-check": _run_mpb_check,
-    "arbiter": _run_arbiter,
-    "algebra-suite": _run_algebra_suite,
-    "selftest": _run_selftest,
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its runner, its built-in config and its CSV columns."""
+
+    runner: Callable[[ExperimentSpec], tuple]
+    defaults: dict
+    columns: str
+
+    @property
+    def keys(self) -> frozenset:
+        """The config keys the command reads; a radius key brings the other."""
+        keys = _COMMON_KEYS | set(self.defaults)
+        if keys & {"r", "radii"}:
+            keys |= {"r", "radii"}
+        return keys
+
+
+# q² + 1, the slice-preserving default function of five commands
+_QUADRATIC = [[1.0, 0, 0, 0], [0.0, 0, 0, 0], [1.0, 0, 0, 0]]
+
+_COMMANDS = {
+    "verify-jensen": _Command(
+        _run_verify_jensen,
+        # the canonical linear closure: f = q − (0.5 + 0.7i) on ∂B₂
+        {"function": [[-0.5, -0.7, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], "r": 2.0},
+        "radius,lhs,boundary_f,boundary_f_std_error,boundary_fSf,"
+        "boundary_fSf_std_error,harmonic,divisor_sum_corrected,"
+        "divisor_sum_factor2,rhs_corrected,rhs_factor2,residual_corrected,"
+        "residual_factor2,three_sigma",
+    ),
+    "profile": _Command(
+        _run_profile,
+        {"function": _QUADRATIC, "a": [1.0, 0.0, 0.0, 0.0],
+         "radii": list(np.geomspace(2.0, 50.0, 12))},
+        ",".join(NevanlinnaProfile.CSV_COLUMNS),
+    ),
+    "fmt-check": _Command(
+        _run_fmt_check,
+        {"function": _QUADRATIC, "a": [1.0, 0.0, 0.0, 0.0], "form": 3,
+         # start the grid on the bounded-gap plateau: the small-radius
+         # transient of the residual would dominate a best-fit slope
+         "radii": list(np.geomspace(10.0, 1000.0, 12))},
+        "form-dependent: see the printed rows (form 3: "
+        "r,N,m,m_std_error,H,T_infinity,residual,three_sigma)",
+    ),
+    "mpb-check": _Command(
+        _run_mpb_check,
+        {"function": _QUADRATIC, "a": "inf", "radii": list(np.geomspace(2.0, 50.0, 10))},
+        "r,defect,std_error,three_sigma",
+    ),
+    "arbiter": _Command(
+        _run_arbiter, {"function": _QUADRATIC, "r": 2.0}, "candidate,residual",
+    ),
+    "algebra-suite": _Command(
+        _run_algebra_suite,
+        {"function": _QUADRATIC,
+         "g": [[0.74, 0, 0, 0], [-1.0, 0, 0, 0], [1.0, 0, 0, 0]],
+         "a": [0.0, 0.0, 0.0, 0.0],
+         "b": [1.0, 0.0, 0.0, 0.0],
+         "transform": {"A": [1.0, 0, 0, 0], "B": [1.0, 0, 0, 0],
+                       "C": [1.0, 0, 0, 0], "D": [-1.0, 0, 0, 0]},
+         "radii": [2.0, 5.0, 12.0, 31.0]},
+        "identity,kind,value,gate,passed,spread,slope",
+    ),
+    "selftest": _Command(_run_selftest, {}, "check,residual,gate,passed"),
 }
 
 
@@ -682,12 +662,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "bitwise-identical artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
+    for command, entry in _COMMANDS.items():
         p = sub.add_parser(
             command,
             help=f"run the {command} experiment",
             description=f"{command} experiment.",
-            epilog=f"CSV columns: {_CSV_COLUMNS[command]}",
+            epilog=f"CSV columns: {entry.columns}",
         )
         p.add_argument("--config", help="JSON config file (flags override keys)")
         p.add_argument("--seed", type=int, help="integrator seed (never wall-clock)")
@@ -705,7 +685,7 @@ def main(argv=None) -> int:
         # goes to stderr (selftest writes no artifact without --out)
         to_stdout = spec.out is None and spec.command != "selftest"
         with contextlib.redirect_stdout(sys.stderr if to_stdout else sys.stdout):
-            code, artifact = _RUNNERS[spec.command](spec)
+            code, artifact = _COMMANDS[spec.command].runner(spec)
         if artifact is not None:
             _emit(spec, *artifact)
         return code

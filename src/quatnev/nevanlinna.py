@@ -98,14 +98,27 @@ def _lambda_of_head(head, r: float) -> float:
     with conjugation the two forms disagree whenever Re(g(0))·Re(g′(0))
     and ⟨Im g(0), Im g′(0)⟩ are both nonzero (e.g. g(0) = g′(0) = 1+i
     gives +r²/4 instead of the correct −r²/4).
+
+    A head whose bracket Re(g(0)⁻¹·g″(0)) − Re((g(0)⁻¹·g′(0))²) is
+    exactly 0 gives that 0 at every r, even where r²/4 overflows; any
+    other H, or a bracket, past the float range raises OverflowError.
     """
     g0, g1, g2 = head
     if g0.norm() == 0.0:
         raise CenterIsZeroOrPole("series head vanishes at the center")
-    inv0 = g0.inverse()
-    tmp = inv0 * g1
+    try:
+        inv0 = g0.inverse()
+        tmp = inv0 * g1
+        bracket = (inv0 * g2).re - (tmp * tmp).re
+    except (ValueError, OverflowError):  # a quaternion component past the float range
+        bracket = math.nan
+    if bracket == 0.0:
+        return bracket
     quarter_r2 = 0.25 * r * r
-    return quarter_r2 * ((inv0 * g2).re - (tmp * tmp).re)
+    H = quarter_r2 * bracket
+    if not math.isfinite(H):
+        raise OverflowError(f"H(f, a, r) at r = {r!r} is past the float range")
+    return H
 
 
 # ---------------------------------------------------------------------------

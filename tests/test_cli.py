@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from quatnev import nevanlinna, quat_core, sph_integral, star_poly
-from quatnev.cli import main
+from quatnev.cli import _COMMANDS, main
 from quatnev.divisor import jensen_kernel, total_order_divisor
 from quatnev.quat_core import SliceComplex, gaussian_chunk, slice_units, slice_uv
 from quatnev.nevanlinna import NevanlinnaProfile, _radius_free as radius_free
@@ -44,6 +44,12 @@ def test_command_smoke_exit_zero(command, tmp_path, capsys):
     assert code == 0, f"{command} exited {code}:\n{captured.out}\n{captured.err}"
     assert out.exists(), f"{command} did not write its artifact"
     assert "✗" not in captured.out, f"{command} printed a FAIL line:\n{captured.out}"
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_config_of_the_command_defaults_exits_zero(command, tmp_path):
+    """Every key of a command's defaults is a key the command reads."""
+    assert _main_on(command, tmp_path, _COMMANDS[command].defaults) == 0
 
 
 @pytest.mark.parametrize("command, function, extra", [
@@ -365,8 +371,8 @@ def formed(monkeypatch):
 ])
 def test_each_evaluation_forms_value_and_twist_once(command, form, twists, tmp_path, formed):
     cfg = {"function": LEFT, "a": [0.5, 0.1, 0.0, 0.0], "radii": [1.5, 4.0]}
-    if command == "verify-jensen":  # one radius: it refuses a list of several
-        del cfg["radii"]
+    if command == "verify-jensen":  # one radius and no target: it refuses both
+        del cfg["radii"], cfg["a"]
         cfg["r"] = 1.5
     if form is not None:
         cfg["form"] = form
@@ -549,20 +555,32 @@ def test_unusable_integrator_settings_exit_2_before_sampling(settings, tmp_path,
     assert counters["draws"] == []
 
 
-@pytest.mark.parametrize("settings, named", [
-    ({"reject_tol": math.nan}, "reject_tol"),
-    ({"reject_tol": math.inf}, "reject_tol"),
-    ({"reject_tol": 0}, "reject_tol"),
-    ({"reject_tol": 1e-3, "radius": 5}, "radius, reject_tol"),
-    ({"kernel": "doubled"}, "kernel"),
-    ({"candidates": [1, 2]}, "candidates"),
+TRANSFORM = {"A": [1, 0, 0, 0], "B": [1, 0, 0, 0], "C": [1, 0, 0, 0], "D": [-1, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("command, settings, named", [
+    ("verify-jensen", {"reject_tol": math.nan}, "reject_tol"),
+    ("verify-jensen", {"reject_tol": math.inf}, "reject_tol"),
+    ("verify-jensen", {"reject_tol": 0}, "reject_tol"),
+    ("verify-jensen", {"reject_tol": 1e-3, "radius": 5}, "radius, reject_tol"),
+    ("verify-jensen", {"kernel": "doubled"}, "kernel"),
+    ("verify-jensen", {"candidates": [1, 2]}, "candidates"),
+    # keys that other commands read and this one does not
+    ("verify-jensen", {"a": [1, 0, 0, 0]}, "a"),
+    ("profile", {"form": 7, "g": "nonsense"}, "form, g"),
+    ("selftest", {"function": "garbage", "radii": [-1]}, "function, radii"),
+    ("mpb-check", {"transform": TRANSFORM}, "transform"),
+    ("arbiter", {"b": [1, 0, 0, 0]}, "b"),
+    ("mpb-check", {"form": 3}, "form"),
+    ("algebra-suite", {"form": 3}, "form"),
 ], ids=["reject_tol-nan", "reject_tol-inf", "reject_tol-zero", "misspelt-radius", "kernel",
-        "candidates"])
-def test_unknown_config_keys_exit_2_before_sampling(settings, named, tmp_path,
+        "candidates", "verify-jensen-a", "profile-form-g", "selftest-function-radii",
+        "mpb-check-transform", "arbiter-b", "mpb-check-form", "algebra-suite-form"])
+def test_unknown_config_keys_exit_2_before_sampling(command, settings, named, tmp_path,
                                                     capsys, counters):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(settings))
-    code = main(["verify-jensen", "--config", str(cfg)])
+    code = main([command, "--config", str(cfg)])
     assert code == 2
     assert f"config error: unknown config keys: {named}" in capsys.readouterr().err
     assert counters["draws"] == []
@@ -576,8 +594,13 @@ def test_unknown_config_keys_exit_2_before_sampling(settings, named, tmp_path,
     ("mpb-check", {"radii": [2.0, math.inf]}),
     ("mpb-check", {"radii": [math.nan]}),
     ("verify-jensen", {"r": math.inf}),
+    ("profile", {"a": math.inf}),
+    ("profile", {"a": math.nan}),
+    ("profile", {"a": [1, math.nan, 0, 0]}),
+    ("algebra-suite", {"b": -math.inf}),
+    ("algebra-suite", {"b": [0, 0, math.inf, 0]}),
 ], ids=["inf-coefficient", "nan-coefficient", "inf-denominator", "inf-radius", "nan-radius",
-        "inf-r"])
+        "inf-r", "inf-a", "nan-a", "nan-a-component", "inf-b", "inf-b-component"])
 def test_non_finite_config_numbers_exit_2_before_sampling(command, settings, tmp_path,
                                                           capsys, counters):
     cfg = tmp_path / "cfg.json"
@@ -587,6 +610,25 @@ def test_non_finite_config_numbers_exit_2_before_sampling(command, settings, tmp
     assert code == 2
     assert "config error" in captured.err and "finite" in captured.err
     assert "Mean-proximity-balance" not in captured.out + captured.err, "report began"
+    assert counters["draws"] == []
+
+
+@pytest.mark.parametrize("command, settings, named", [
+    ("verify-jensen", {"r": True}, "r"),
+    ("mpb-check", {"radii": [True, 2.0]}, "radii"),
+    ("verify-jensen", {"function": [[True, 0, 0, 0], [1, 0, 0, 0]]}, "function"),
+    ("fmt-check", {"form": True}, "form"),
+    ("profile", {"a": [True, 0, 0, 0]}, "a"),
+], ids=["r", "radii", "coefficient", "form", "target-component"])
+def test_boolean_config_numbers_exit_2_before_sampling(command, settings, named, tmp_path,
+                                                       capsys, counters):
+    """JSON true is not the number 1: it is refused wherever a number is read."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    code = main([command, "--config", str(cfg), *FAST])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: {named}" in err and "finite" in err, err
     assert counters["draws"] == []
 
 

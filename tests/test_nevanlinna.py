@@ -11,6 +11,7 @@ conventions on a shared sample stream.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,23 @@ def test_harmonic_rejects_center_on_divisor():
     f = RealPoly([1.0, 0.0, 1.0])
     with pytest.raises(CenterIsZeroOrPole):
         harmonic_remainder(f, ONE, 2.0)          # f − 1 = q² vanishes at 0
+
+
+@pytest.mark.parametrize("f, r, want", [
+    # (g₀⁻¹g₁)² = 1e400 overflows
+    (LeftPoly([[1e-200, 0, 0, 0], [1, 0, 0, 0]]), 1.0, OverflowError),
+    # the inverse of a subnormal g₀ overflows
+    (LeftPoly([[0, 0, 0, 2.2e-311], [1, 0, 0, 0]]), 1.0, OverflowError),
+    # r²/4 overflows, but a constant has H = 0 at every r
+    (RealPoly([2.0]), 1e200, 0.0),
+    (RealPoly([1.0, 0.0, 1.0]), 1e200, OverflowError),
+], ids=["squared-ratio", "subnormal-center", "constant", "r-squared"])
+def test_harmonic_is_finite_or_a_named_overflow(f, r, want):
+    if want is OverflowError:
+        with pytest.raises(OverflowError, match=re.escape(f"H(f, a, r) at r = {r!r}")):
+            harmonic_remainder(f, ZERO, r)
+    else:
+        assert harmonic_remainder(f, ZERO, r) == want
 
 
 # components of a series coefficient: 0.0 or 1e-3 ≤ |x| ≤ 2, so every
