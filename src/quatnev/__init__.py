@@ -54,7 +54,6 @@ from .sph_integral import (
     TooManyRejections,
     mean_columns,
     mean_log_abs,
-    paired_reflection_mean,
 )
 from .nevanlinna import (
     CenterIsZeroOrPole,

@@ -441,12 +441,23 @@ def _refuse_boundary(mod: float, r: float) -> None:
         raise BoundaryDivisor(f"divisor sphere |ζ| = {mod} on the boundary r = {r}")
 
 
+def _kernel_divisor(den: float, mod: float, r: float) -> float:
+    """den, the c·r²·|ζ|⁴ a kernel term divides by, as given; OverflowError where it is 0.
+
+    |ζ|⁴ underflows to 0 for |ζ| below about 1e-81, and c·r²·|ζ|⁴ sooner
+    at a small r.
+    """
+    if den == 0.0:
+        raise OverflowError(f"r²|ζ|⁴ underflows to 0 at the divisor sphere |ζ| = {mod!r}, r = {r!r}")
+    return den
+
+
 def jensen_kernel(sphere: SliceComplex, R: float) -> float:
     """J(ζ,R) = log(R/|ζ|) + ((|ζ|⁴−R⁴)/(4R²|ζ|⁴))·(2(Re ζ)² − |ζ|²).
 
     The per-sphere boundary contribution of a zero/pole sphere in the
-    Jensen formula; J(ζ,|ζ|) = 0.  Raises ZeroCenter for ζ = 0 and
-    ValueError unless 0 < R < ∞.
+    Jensen formula; J(ζ,|ζ|) = 0.  Raises ZeroCenter for ζ = 0,
+    ValueError unless 0 < R < ∞, and OverflowError where 4R²|ζ|⁴ underflows.
     """
     mod = sphere.modulus()
     if mod == 0.0:
@@ -456,7 +467,7 @@ def jensen_kernel(sphere: SliceComplex, R: float) -> float:
     mod4 = mod2 * mod2
     return float(
         np.log(R / mod)
-        + (mod4 - R**4) / (4.0 * R**2 * mod4) * (2.0 * sphere.re**2 - mod2)
+        + (mod4 - R**4) / _kernel_divisor(4.0 * R**2 * mod4, mod, R) * (2.0 * sphere.re**2 - mod2)
     )
 
 
@@ -537,7 +548,7 @@ def N_via_unintegrated(d: SphereDivisor, side: str, r: float) -> float:
 
     with the dt/t integral taken in closed form over the counting step
     function.  An identity with N_integrated; kept as an independent
-    arithmetic route.
+    arithmetic route.  Raises OverflowError where 4r²|ζ|⁴ underflows.
     """
     _check_radius(r)
     origin, spheres = d.side(side)
@@ -551,18 +562,22 @@ def N_via_unintegrated(d: SphereDivisor, side: str, r: float) -> float:
         if mod < r:
             mod2 = mod * mod
             mod4 = mod2 * mod2
-            total += k * (mod4 - r**4) / (4.0 * r**2 * mod4) * (2.0 * s.re * s.re - mod2)
+            total += (k * (mod4 - r**4) / _kernel_divisor(4.0 * r**2 * mod4, mod, r)
+                      * (2.0 * s.re * s.re - mod2))
     return total
 
 
 def angular_term(d: SphereDivisor, side: str, r: float) -> float:
-    """A(f,a,r) = Σ_{0<|ζ|≤r} ordt⁺·((|ζ|⁴ − r⁴)/(2r²|ζ|⁴))·(Re ζ)² ≤ 0."""
+    """A(f,a,r) = Σ_{0<|ζ|≤r} ordt⁺·((|ζ|⁴ − r⁴)/(2r²|ζ|⁴))·(Re ζ)² ≤ 0.
+
+    Raises OverflowError where 2r²|ζ|⁴ underflows.
+    """
     _check_radius(r)
     total = 0.0
     for mod, s, k in d.side(side)[1]:
         if mod <= r:
             mod4 = mod**4
-            total += k * (mod4 - r**4) / (2.0 * r**2 * mod4) * s.re * s.re
+            total += k * (mod4 - r**4) / _kernel_divisor(2.0 * r**2 * mod4, mod, r) * s.re * s.re
     return total
 
 

@@ -36,13 +36,7 @@ from .divisor import (
     signed_kernel_sum,
     total_order_divisor,
 )
-from .sph_integral import (
-    IntegratorConfig,
-    SphericalMean,
-    _log_threshold,
-    mean_batch,
-    mean_columns,
-)
+from .sph_integral import IntegratorConfig, SphericalMean, mean_batch, mean_columns
 
 __all__ = [
     "ArbiterReport",
@@ -75,15 +69,15 @@ class CenterIsZeroOrPole(ArithmeticError):
     """The series center q = 0 is a zero or pole; deflate before use."""
 
 
-def _is_infinity(a) -> bool:
-    """True when ``a`` denotes the point at infinity."""
+def _target(a) -> Quaternion | None:
+    """The target ``a`` as a Quaternion, or None for the point at infinity."""
     if a is None:
-        return True
-    if isinstance(a, str):
-        return a.strip().lower() in ("inf", "infinity")
-    if isinstance(a, (int, float)):
-        return math.isinf(a)
-    return False
+        return None
+    if isinstance(a, str) and a.strip().lower() in ("inf", "infinity"):
+        return None
+    if isinstance(a, (int, float)) and math.isinf(a):
+        return None
+    return _coerce(a)
 
 
 def _lambda_of_head(head, r: float) -> float:
@@ -100,8 +94,10 @@ def _lambda_of_head(head, r: float) -> float:
     gives +r²/4 instead of the correct −r²/4).
 
     A head whose bracket Re(g(0)⁻¹·g″(0)) − Re((g(0)⁻¹·g′(0))²) is
-    exactly 0 gives that 0 at every r, even where r²/4 overflows; any
-    other H, or a bracket, past the float range raises OverflowError.
+    exactly 0 gives that 0 at every r, even where r²/4 overflows.  Where
+    (r²/4)·bracket is not finite, H is formed as (r/2)·((r/2)·bracket),
+    which fits where r²/4 alone overflows; an H past the float range that
+    way too, or a bracket past it, raises OverflowError.
     """
     g0, g1, g2 = head
     if g0.norm() == 0.0:
@@ -114,8 +110,9 @@ def _lambda_of_head(head, r: float) -> float:
         bracket = math.nan
     if bracket == 0.0:
         return bracket
-    quarter_r2 = 0.25 * r * r
-    H = quarter_r2 * bracket
+    H = 0.25 * r * r * bracket
+    if not math.isfinite(H):
+        H = (0.5 * r) * ((0.5 * r) * bracket)
     if not math.isfinite(H):
         raise OverflowError(f"H(f, a, r) at r = {r!r} is past the float range")
     return H
@@ -190,9 +187,9 @@ def proximity(f, a, r: float, cfg: IntegratorConfig) -> SphericalMean:
     of f − a, so near-singularity samples reject by the same rule as
     mean_log_abs.  The estimate is ≥ 0 because the weight is pointwise ≥ 0.
     """
-    finite = not _is_infinity(a)
-    g = f - _coerce(a) if finite else f
-    return mean_batch([(_proximity_columns(g, finite, r), r)], cfg)[0][0]
+    a = _target(a)
+    g = f if a is None else f - a
+    return mean_batch([(_proximity_columns(g, a is not None, r), r)], cfg)[0][0]
 
 
 def _proximity_columns(g, finite: bool, r: float):
@@ -215,7 +212,7 @@ def _proximity_columns(g, finite: bool, r: float):
 
         return columns
 
-    thr = _log_threshold(g, r)
+    thr = g.near_zero_log(r)
     if _exceeds(g, r, max(thr, 0.0)):
         return None
 
@@ -254,9 +251,9 @@ def harmonic_remainder(f, a, r: float) -> float:
     automatically).
     """
     _check_radius(r)
-    if _is_infinity(a):
+    a = _target(a)
+    if a is None:
         return 0.0
-    a = _coerce(a)
     m0 = f.origin_order()
     if m0 < 0:
         raise CenterIsZeroOrPole(
@@ -339,14 +336,25 @@ class _RadiusFree:
 
 def _radius_free(f, a) -> _RadiusFree:
     """Divisor, symmetrization and deflated head of f − a, computed once."""
-    if _is_infinity(a):
+    a = _target(a)
+    if a is None:
         return _RadiusFree(total_order_divisor(f), "pole", f, f.symmetrize(), None)
-    g = f - _coerce(a)
+    g = f - a
     try:
         d = total_order_divisor(g)
     except OverflowError as exc:
         raise OverflowError(f"f − a: {exc}") from None
     return _RadiusFree(d, "zero", g, g.symmetrize(), g.series_head())
+
+
+def _log_pair(se, shift, thr):
+    """(log|f|, log|f∘S_{f−a}|, mask) from the stems se of f, for a = shift (None for 0).
+
+    The mask keeps points where f and S_{f−a} are defined and both clear thr.
+    """
+    la = se.log_abs()
+    lat, ok_t = se.log_abs_twisted(shift)
+    return la, lat, se.ok & ok_t & (la >= thr) & (lat >= thr)
 
 
 def _mean_rows(rows, cfg) -> list:
@@ -402,15 +410,11 @@ def _jensen_pass(f, r, cfg):
     """
     head = f.series_head()
     lhs = math.log(head[0].norm())
-    thr = _log_threshold(f, r)
+    thr = f.near_zero_log(r)
 
     def columns(pts):
-        se = f.stems(pts)
-        la = se.log_abs()
-        lat, ok_t = se.log_abs_twisted(None)
-        ok = se.ok & ok_t & (la >= thr) & (lat >= thr)
-        cols = np.stack([la, lat, 0.5 * (la + lat)], axis=1)
-        return cols, ok
+        la, lat, ok = _log_pair(f.stems(pts), None, thr)
+        return np.stack([la, lat, 0.5 * (la + lat)], axis=1), ok
 
     boundary = mean_columns(columns, r, cfg)
     return lhs, boundary, _lambda_of_head(head, r)
@@ -524,18 +528,15 @@ def mpb_defect(f, a, radii, cfg: IntegratorConfig) -> list:
     near-zero guard thr at every sample, so that every sample is accepted,
     that radius is the certified-zero request (None, r) and draws nothing.
     """
-    shift = None if _is_infinity(a) else _coerce(a)
+    shift = _target(a)
 
     def request(r):
-        thr = _log_threshold(f, r)
+        thr = f.near_zero_log(r)
         if f.is_real and _exceeds(f, r, thr):
             return None, r
 
         def columns(pts):
-            se = f.stems(pts)
-            la = se.log_abs()
-            lat, ok_t = se.log_abs_twisted(shift)
-            ok = se.ok & ok_t & (la >= thr) & (lat >= thr)
+            la, lat, ok = _log_pair(f.stems(pts), shift, thr)
             return (la - lat)[:, None], ok
 
         return columns, r
@@ -600,14 +601,13 @@ def _fmt_proximity_columns(f, g, a, r):
     m(f∘S_{f−a},∞,·)] where g = f − a for the Quaternion a.  The stems of
     g are read off those of f, so each chunk is evaluated once.
     """
-    thr_g = _log_threshold(g, r)
+    thr_g = g.near_zero_log(r)
     a_row = a.to_array()
 
     def columns(pts):
         sef = f.stems(pts)
         seg = sef.minus(a)
-        la_g = seg.log_abs()
-        lat_g, ok_tg = seg.log_abs_twisted(None)
+        la_g, lat_g, ok_g = _log_pair(seg, None, thr_g)
         lat_f, ok_tf = sef.log_abs_twisted(None)
         if sef.w is not None:
             la_fsa = sef.log_abs()  # S_{f−a}(q) lies on S_q, where |f| is constant
@@ -622,8 +622,7 @@ def _fmt_proximity_columns(f, g, a, r):
             ],
             axis=1,
         )
-        ok = ok_tg & ok_tf & (la_g >= thr_g) & (lat_g >= thr_g)
-        return cols, ok
+        return cols, ok_g & ok_tf
 
     return columns
 
@@ -647,14 +646,14 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3):
     radii = [float(r) for r in radii]
     for r in radii:
         _check_radius(r)
-    infinite = _is_infinity(a)
-    if infinite and form != 3:
+    aq = _target(a)
+    if aq is None and form != 3:
         raise ValueError("forms 1 and 2 need a finite target a")
     if form == 1 and len(radii) < 2:
         raise ValueError("form 1 fits its envelope over at least two radii")
     rows = []
     at_inf = _radius_free(f, None)
-    at_a = at_inf if infinite else _radius_free(f, a)
+    at_a = at_inf if aq is None else _radius_free(f, aq)
     if form == 3:
         means = _mean_rows(
             [(at_inf.request(r), at_a.proximity_request(r)) for r in radii],
@@ -678,7 +677,6 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3):
                 }
             )
     elif form == 2:
-        aq = _coerce(a)
         means = _mean_rows(
             [(at_inf.request(r), (_fmt_proximity_columns(f, at_a.g, aq, r), r)) for r in radii],
             cfg,
@@ -813,8 +811,8 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
     if isinstance(f, SemiregularRational) or isinstance(g, SemiregularRational):
         f = as_rational(f)
         g = as_rational(g)
-    aq = None if _is_infinity(a) else _coerce(a)
-    bq = None if _is_infinity(b) else _coerce(b)
+    aq = _target(a)
+    bq = _target(b)
     # first, so an f^s past the float range is named before the star powers overflow
     fs = f.symmetrize()
     powers = {n: star_power(f, n) for n in (2, 3)}
@@ -930,7 +928,8 @@ def n_bound_check(f, a, radii, cfg: IntegratorConfig):
     """
     radii = [float(r) for r in radii]
     at_inf = _radius_free(f, None)
-    at_a = at_inf if _is_infinity(a) else _radius_free(f, a)
+    aq = _target(a)
+    at_a = at_inf if aq is None else _radius_free(f, aq)
     means = mean_batch([at_inf.request(r) for r in radii], cfg)
     rows = []
     for r, (sym_mean,) in zip(radii, means):
@@ -959,10 +958,8 @@ def n_bound_check(f, a, radii, cfg: IntegratorConfig):
 
 
 def _a_label(a) -> str:
-    if _is_infinity(a):
-        return "inf"
-    aq = _coerce(a)
-    return json.dumps([aq.w, aq.x, aq.y, aq.z])
+    aq = _target(a)
+    return "inf" if aq is None else json.dumps([aq.w, aq.x, aq.y, aq.z])
 
 
 @dataclass(frozen=True)

@@ -40,13 +40,11 @@ prefix, so every mean has the bits of a walk by whole chunks.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quat_core import BLOCK, CHUNK, SlicePoints, _check_radius, gaussian_chunk
-from .star_poly import NEAR_ZERO, SemiregularRational
 
 __all__ = [
     "IntegratorConfig",
@@ -55,7 +53,6 @@ __all__ = [
     "mean_batch",
     "mean_columns",
     "mean_log_abs",
-    "paired_reflection_mean",
 ]
 
 
@@ -334,39 +331,16 @@ def mean_batch(requests, cfg: IntegratorConfig):
     return [p.means() for p in passes]
 
 
-def _log_abs_sum(p, r: float) -> float:
-    """log Σ_k |a_k| r^k of a polynomial p, summed in log space (−inf for p ≡ 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.log(np.hypot.reduce(p.coeffs, axis=1))
-        terms[1:] += np.arange(1, terms.size) * np.log(r)
-    return float(np.logaddexp.reduce(terms))
-
-
-def _log_threshold(f, r: float) -> float:
-    """log of the near-zero guard NEAR_ZERO·Σ_k |a_k| r^k of log|f| on ∂B_r.
-
-    For a rational f the sum is that of num_eff over that of den_s.  The
-    guard scales with f, so it rejects the same points of c·f for every
-    c > 0; f ≡ 0 gets the finite guard log NEAR_ZERO, so its samples are
-    all rejected.
-    """
-    if f.is_zero:
-        return math.log(NEAR_ZERO)
-    if isinstance(f, SemiregularRational):
-        return math.log(NEAR_ZERO) + _log_abs_sum(f.num_eff, r) - _log_abs_sum(f.den_s, r)
-    return math.log(NEAR_ZERO) + _log_abs_sum(f, r)
-
-
 def mean_log_abs(f, r: float, cfg: IntegratorConfig) -> SphericalMean:
     """Surface mean of log|f| over ∂B_r.
 
-    Samples with |f(w)| below NEAR_ZERO·Σ_k |a_k| r^k — or on a
+    Samples with log|f(w)| below f.near_zero_log(r) — or on a
     numerical pole — are rejected and resampled from the same stream; the
     count is reported and bounded by 0.001·samples.  No command calls it;
     it stays because the tests check the Jensen mean-value statement
     mean log|f| = log|f(0)| − H through it.
     """
-    thr = _log_threshold(f, r)
+    thr = f.near_zero_log(r)
 
     def columns(pts):
         se = f.stems(pts)
@@ -375,24 +349,3 @@ def mean_log_abs(f, r: float, cfg: IntegratorConfig) -> SphericalMean:
         return la[:, None], ok
 
     return mean_columns(columns, r, cfg)[0]
-
-
-def paired_reflection_mean(f, r: float, cfg: IntegratorConfig):
-    """Means of log|f(w)| and log|f(w̄)| on the same stream.
-
-    Both columns share one stem evaluation and one accepted mask, so for
-    slice-preserving f the two results are bitwise identical.  No command
-    calls it; it exercises StemEval.log_abs_conj_point, which the
-    benchmark's tracer wraps, and goes with it (ROADMAP item 5a).
-    """
-    thr = _log_threshold(f, r)
-
-    def columns(pts):
-        se = f.stems(pts)
-        la = se.log_abs()
-        lac = se.log_abs_conj_point()
-        ok = se.ok & (la >= thr) & (lac >= thr)
-        return np.stack([la, lac], axis=1), ok
-
-    first, second = mean_columns(columns, r, cfg)
-    return first, second

@@ -89,7 +89,7 @@ class ZeroFunctionReciprocal(ZeroDivisionError):
 ZERO_DEGREE = -1  # sentinel degree of the identically-zero polynomial
 
 # |p(q)| below this fraction of Σ|c_k||q|^k counts as zero: the pole
-# tolerance of a denominator, and the near-zero guard of the spherical means
+# tolerance pole_tol of a denominator, and the guard near_zero_log of log|f|
 NEAR_ZERO = 1e-12
 
 
@@ -201,10 +201,9 @@ class StemEval:
     def log_abs_conj_point(self) -> np.ndarray:
         """log|f(q̄)|; the same array as log_abs() for slice-preserving f.
 
-        Only sph_integral.paired_reflection_mean reads it.  Both stay while
-        the benchmark's tracer (perfbench/tracer.py) wraps this method and
-        tests/test_bench_hooks.py pins that target; they go with the
-        tracer's change (ROADMAP item 5a).
+        The package reads it nowhere.  It stays while the benchmark's tracer
+        (perfbench/tracer.py) wraps this method and tests/test_bench_hooks.py
+        pins that target, and goes with the tracer's change (ROADMAP item 5a).
         """
         if self.w is not None:
             return self.log_abs()
@@ -506,6 +505,23 @@ class LeftPoly:
         P, Q = self.coeffs.T @ c, self.coeffs.T @ s
         return StemEval(pts, np.ones(u.shape[0], dtype=bool), P.T, Q.T)
 
+    def near_zero_log(self, r: float) -> float:
+        """log of the near-zero guard NEAR_ZERO·Σ_k |a_k| r^k of log|f| on ∂B_r.
+
+        The guard scales with f, so it rejects the same points of c·f for
+        every c > 0; f ≡ 0 gets the finite guard log NEAR_ZERO, so its
+        samples are all rejected.
+        """
+        return math.log(NEAR_ZERO) + (0.0 if self.is_zero else _log_abs_sum(self, r))
+
+
+def _log_abs_sum(p, r: float) -> float:
+    """log Σ_k |a_k| r^k of a polynomial p, summed in log space (−inf for p ≡ 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(np.hypot.reduce(p.coeffs, axis=1))
+        terms[1:] += np.arange(1, terms.size) * np.log(r)
+    return float(np.logaddexp.reduce(terms))
+
 
 def _coeff_array(coeffs) -> np.ndarray:
     """The coefficients as an (n, 4) float array; scalars are real parts.
@@ -795,6 +811,13 @@ class SemiregularRational:
         the same points for every c > 0; q_norm is a float or an array of |q|.
         """
         return NEAR_ZERO * npoly.polyval(q_norm, np.abs(self.den_s.real_coeffs))
+
+    def near_zero_log(self, r: float) -> float:
+        """log of the near-zero guard of log|f| on ∂B_r: LeftPoly.near_zero_log
+        with the sum Σ_k |a_k| r^k of num_eff over that of den_s."""
+        if self.is_zero:
+            return math.log(NEAR_ZERO)
+        return math.log(NEAR_ZERO) + _log_abs_sum(self.num_eff, r) - _log_abs_sum(self.den_s, r)
 
     def __call__(self, q) -> Quaternion:
         q = _coerce(q)

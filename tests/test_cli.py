@@ -657,6 +657,16 @@ def test_target_near_the_float_range_exits_2_with_a_named_error(command, tmp_pat
     assert "error: f − a: the roots lie at scale 1.189e+154" in err and "orders sum" not in err, err
 
 
+def test_kernel_divisor_underflow_exits_2_with_a_named_error(tmp_path, capsys):
+    """The zero sphere of 1e-200 + q has |ζ|⁴ = 0 in floats, which the Jensen kernel divides by."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": [[1e-200, 0, 0, 0], [1, 0, 0, 0]], "r": 2}))
+    code = main(["verify-jensen", "--config", str(cfg), *FAST])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: r²|ζ|⁴ underflows to 0 at the divisor sphere |ζ| = 1e-200, r = 2.0" in err, err
+
+
 def test_nested_rational_literal_exits_2(tmp_path, capsys):
     inner = {"num": [[1, 0, 0, 0]], "den": [[1, 0, 0, 0]]}
     cfg = tmp_path / "cfg.json"

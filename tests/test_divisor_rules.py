@@ -2,9 +2,12 @@
 
 Two rules decide what a divisor is, and each must have one copy: the
 1e-12·r test that raises BoundaryDivisor, and the merge of spheres that
-agree within _SPHERE_MERGE_TOL.  A second copy of either could drift from
-the first when the rule changes, so these checks read the source with
-``ast`` and name every function that holds one.
+agree within _SPHERE_MERGE_TOL.  A third decides when |f(q)| counts as
+zero, NEAR_ZERO: each function class answers it in its own pole_tol and
+near_zero_log, so the Monte-Carlo engine in sph_integral knows no
+function class and imports from quat_core alone.  A second copy of a rule
+could drift from the first when the rule changes, so these checks read
+the source with ``ast`` and name every function that holds one.
 """
 
 import ast
@@ -49,3 +52,25 @@ def test_the_sphere_merge_tolerance_is_read_by_build_alone():
                 and isinstance(node.ctx, ast.Load))
 
     assert _where(reads_tolerance) == ["divisor:SphereDivisor.build"]
+
+
+def test_near_zero_is_read_by_the_guard_methods_alone():
+    def reads_near_zero(node):
+        return (isinstance(node, ast.Name) and node.id == "NEAR_ZERO"
+                and isinstance(node.ctx, ast.Load))
+
+    assert _where(reads_near_zero) == [
+        "star_poly:LeftPoly.near_zero_log",
+        "star_poly:SemiregularRational.near_zero_log",
+        "star_poly:SemiregularRational.pole_tol",
+    ]
+
+
+def test_sph_integral_imports_from_quat_core_alone():
+    imported = set()
+    for node in ast.walk(TREES["sph_integral"]):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("quatnev")):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.startswith("quatnev"))
+    assert imported == {"quat_core"}

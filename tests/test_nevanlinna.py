@@ -21,7 +21,7 @@ from quatnev import nevanlinna, star_poly
 from quatnev.quat_core import Quaternion, SliceComplex, SphereSampler, qnorm
 from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational, star_mul, star_power
 from quatnev.divisor import jensen_kernel
-from quatnev.sph_integral import IntegratorConfig, TooManyRejections, _log_threshold, mean_batch
+from quatnev.sph_integral import IntegratorConfig, TooManyRejections, mean_batch
 from quatnev.nevanlinna import (
     CenterIsZeroOrPole,
     NevanlinnaProfile,
@@ -110,7 +110,9 @@ def test_harmonic_rejects_center_on_divisor():
     # r²/4 overflows, but a constant has H = 0 at every r
     (RealPoly([2.0]), 1e200, 0.0),
     (RealPoly([1.0, 0.0, 1.0]), 1e200, OverflowError),
-], ids=["squared-ratio", "subnormal-center", "constant", "r-squared"])
+    # r²/4 overflows, but H = (r/2)·((r/2)·(−1e-300)) fits
+    (RealPoly([1.0, 1e-150]), 1e200, -2.5e99),
+], ids=["squared-ratio", "subnormal-center", "constant", "r-squared", "r-squared-small-bracket"])
 def test_harmonic_is_finite_or_a_named_overflow(f, r, want):
     if want is OverflowError:
         with pytest.raises(OverflowError, match=re.escape(f"H(f, a, r) at r = {r!r}")):
@@ -745,7 +747,7 @@ def test_fmt_form2_rows_are_finite_and_bounded():
 
 def _fmt_columns_from_two_evaluations(f, g, a, r):
     """Form-2 columns with g = f − a evaluated on its own, as a reference."""
-    thr_g = _log_threshold(g, r)
+    thr_g = g.near_zero_log(r)
 
     def columns(pts):
         sef, seg = f.stems(pts), g.stems(pts)

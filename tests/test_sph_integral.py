@@ -20,11 +20,9 @@ from quatnev.sph_integral import (
     IntegratorConfig,
     SphericalMean,
     TooManyRejections,
-    _log_threshold,
     mean_batch,
     mean_columns,
     mean_log_abs,
-    paired_reflection_mean,
 )
 from quatnev.nevanlinna import NevanlinnaProfile, proximity
 
@@ -325,25 +323,6 @@ def test_weil_guard_rejects_near_singularity():
 
 
 # ---------------------------------------------------------------------------
-# Paired reflection
-# ---------------------------------------------------------------------------
-
-
-def test_paired_reflection_is_bitwise_equal_for_real_coefficients():
-    f = RealPoly([1.0, 0.5, 1.0])
-    first, second = paired_reflection_mean(f, 1.5, CFG)
-    assert first.value == second.value, (
-        "log|f(w)| and log|f(w̄)| share every sample for slice-preserving f"
-    )
-
-
-def test_paired_reflection_differs_for_generic_coefficients():
-    f = LeftPoly([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 0, 0]])
-    first, second = paired_reflection_mean(f, 1.5, CFG)
-    assert first.value != second.value
-
-
-# ---------------------------------------------------------------------------
 # Batches: one walk of the stream, each request as if alone
 # ---------------------------------------------------------------------------
 
@@ -548,7 +527,7 @@ def _log_columns(f, r, rows=None, bad=()):
     With a _stream_rows ``rows``, the stream positions in ``bad`` are
     rejected as well.
     """
-    thr = _log_threshold(f, r)
+    thr = f.near_zero_log(r)
 
     def columns(pts):
         se = f.stems(pts)

@@ -534,6 +534,17 @@ def test_real_stems_read_only_z(monkeypatch):
     assert not la.flags.writeable, "the shared log-modulus must be read-only"
 
 
+def test_conj_point_log_modulus_differs_for_generic_coefficients():
+    """log|f(q̄)| read off the stems is that of pointwise evaluation, and not log|f(q)|."""
+    f = LeftPoly([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 0, 0]])
+    raw = SphereSampler(1.5, seed=4).sample(64)
+    se = f.stems(slice_points(raw))
+    lac = se.log_abs_conj_point()
+    assert not np.array_equal(lac, se.log_abs())
+    want = [math.log(f(Quaternion.from_array(q).conj()).norm()) for q in raw]
+    assert np.allclose(lac, want, rtol=0.0, atol=1e-12)
+
+
 def test_in_place_horner_keeps_polyval_bits():
     """RealPoly stems run polyval's ufunc sequence in place, so they keep its bits."""
     pts = slice_points(SphereSampler(1.7, seed=3).chunk(0))
