@@ -199,7 +199,9 @@ def complex_roots(p) -> list[tuple[complex, int]]:
     1e-8·(1+|z|) of the real axis snap onto it, and nonreal roots with a
     conjugate partner are emitted in exact conjugate pairs.
 
-    Raises ZeroPolynomial for the identically-zero input.
+    Raises ZeroPolynomial for the identically-zero input, and OverflowError
+    where p overflows near its roots, so an approximant or its evaluation
+    bound is not finite.
     """
     if not isinstance(p, RealPoly):
         raise ValueError("complex_roots needs a real-coefficient polynomial")
@@ -215,7 +217,14 @@ def complex_roots(p) -> list[tuple[complex, int]]:
     if coeff.shape[0] == 1:
         return roots
     chain = [coeff / coeff[-1]]  # p, p', … as far as the largest cluster needs
-    raw, rho = _aberth_iterate(chain[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw, rho = _aberth_iterate(chain[0])
+    if not np.isfinite(rho).all():
+        deg = coeff.shape[0] - 1
+        raise OverflowError(
+            f"a degree-{deg} polynomial with roots near {abs(chain[0][0]) ** (1.0 / deg):.3e} "
+            "overflows a float there, so the root iteration left non-finite approximants"
+        )
     radii, labels = _inclusion_components(raw, rho)
     heads, member_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     centroids = raw[heads]  # a singleton component's centroid is its member
@@ -441,34 +450,43 @@ def _refuse_boundary(mod: float, r: float) -> None:
         raise BoundaryDivisor(f"divisor sphere |ζ| = {mod} on the boundary r = {r}")
 
 
-def _kernel_divisor(den: float, mod: float, r: float) -> float:
-    """den, the c·r²·|ζ|⁴ a kernel term divides by, as given; OverflowError where it is 0.
+def _sphere_ratio(sphere: SliceComplex, r: float):
+    """(w, c, d) of the sphere S_ζ at the radius r, from which every kernel term is read.
 
-    |ζ|⁴ underflows to 0 for |ζ| below about 1e-81, and c·r²·|ζ|⁴ sooner
-    at a small r.
+    With t = |ζ|/r and ρ = r/|ζ|, w = (t² − ρ²)/4, and c = Re ζ/|ζ| and
+    d = Im ζ/|ζ| are the direction cosines of ζ.  Then
+
+        (|ζ|⁴ − r⁴)/(4r²|ζ|⁴)·(2(Re ζ)² − |ζ|²) = w·(c − d)(c + d),
+        (|ζ|⁴ − r⁴)/(2r²|ζ|⁴)·(Re ζ)²            = 2w·c²,
+
+    with t and ρ each squared on its own, so nothing divides by |ζ|² or
+    |ζ|⁴.  Raises OverflowError where w is past the float range: ρ² is for
+    |ζ| below about 1e-154·r, and t² for |ζ| above about 1e154·r.
     """
-    if den == 0.0:
-        raise OverflowError(f"r²|ζ|⁴ underflows to 0 at the divisor sphere |ζ| = {mod!r}, r = {r!r}")
-    return den
+    mod = sphere.modulus()
+    t, rho = mod / r, r / mod
+    w = (t * t - rho * rho) / 4.0
+    if not math.isfinite(w):
+        raise OverflowError(
+            f"((|ζ|/r)² − (r/|ζ|)²)/4 does not fit a float at the divisor sphere |ζ| = {mod!r}, r = {r!r}"
+        )
+    return w, sphere.re / mod, sphere.im / mod
 
 
 def jensen_kernel(sphere: SliceComplex, R: float) -> float:
-    """J(ζ,R) = log(R/|ζ|) + ((|ζ|⁴−R⁴)/(4R²|ζ|⁴))·(2(Re ζ)² − |ζ|²).
+    """J(ζ,R) = log(R/|ζ|) + w·(c − d)(c + d), with (w, c, d) of _sphere_ratio.
 
     The per-sphere boundary contribution of a zero/pole sphere in the
     Jensen formula; J(ζ,|ζ|) = 0.  Raises ZeroCenter for ζ = 0,
-    ValueError unless 0 < R < ∞, and OverflowError where 4R²|ζ|⁴ underflows.
+    ValueError unless 0 < R < ∞, and OverflowError where w does not fit a
+    float.
     """
     mod = sphere.modulus()
     if mod == 0.0:
         raise ZeroCenter("Jensen kernel is undefined for the origin sphere")
     _check_radius(R)
-    mod2 = mod * mod
-    mod4 = mod2 * mod2
-    return float(
-        np.log(R / mod)
-        + (mod4 - R**4) / _kernel_divisor(4.0 * R**2 * mod4, mod, R) * (2.0 * sphere.re**2 - mod2)
-    )
+    w, c, d = _sphere_ratio(sphere, R)
+    return float(np.log(R / mod) + w * (c - d) * (c + d))
 
 
 def signed_kernel_sum(d: SphereDivisor, R: float, convention: str = "corrected") -> float:
@@ -543,41 +561,39 @@ def _step_pieces(spheres, r: float):
 def N_via_unintegrated(d: SphereDivisor, side: str, r: float) -> float:
     """N via its radial/angular decomposition.
 
-    N = n(0)·log r + ∫₀ʳ (n(t) − n(0)) dt/t
-        + Σ ordt⁺·((|ζ|⁴ − r⁴)/(4r²|ζ|⁴))·(2(Re ζ)² − |ζ|²),
+    N = n(0)·log r + ∫₀ʳ (n(t) − n(0)) dt/t + Σ_{0<|ζ|<r} ordt⁺·w·(c − d)(c + d),
 
-    with the dt/t integral taken in closed form over the counting step
-    function.  An identity with N_integrated; kept as an independent
-    arithmetic route.  Raises OverflowError where 4r²|ζ|⁴ underflows.
+    with (w, c, d) of _sphere_ratio and the dt/t integral taken in closed
+    form over the counting step function.  An identity with N_integrated;
+    kept as an independent arithmetic route.  Raises BoundaryDivisor when a
+    side sphere has |ζ| = r within 1e-12·r, and OverflowError where w does
+    not fit a float.
     """
     _check_radius(r)
     origin, spheres = d.side(side)
-    for mod, _s, _k in spheres:
-        _refuse_boundary(mod, r)
     total = origin * float(np.log(r))
     for lo, hi, c_level, _d_level in _step_pieces(spheres, r):
         if c_level != 0.0 and lo > 0.0:
             total += c_level * float(np.log(hi / lo))
     for mod, s, k in spheres:
+        _refuse_boundary(mod, r)
         if mod < r:
-            mod2 = mod * mod
-            mod4 = mod2 * mod2
-            total += (k * (mod4 - r**4) / _kernel_divisor(4.0 * r**2 * mod4, mod, r)
-                      * (2.0 * s.re * s.re - mod2))
+            w, cos_re, cos_im = _sphere_ratio(s, r)
+            total += k * w * (cos_re - cos_im) * (cos_re + cos_im)
     return total
 
 
 def angular_term(d: SphereDivisor, side: str, r: float) -> float:
-    """A(f,a,r) = Σ_{0<|ζ|≤r} ordt⁺·((|ζ|⁴ − r⁴)/(2r²|ζ|⁴))·(Re ζ)² ≤ 0.
+    """A(f,a,r) = Σ_{0<|ζ|≤r} ordt⁺·2w·c² ≤ 0, with (w, c, _) of _sphere_ratio.
 
-    Raises OverflowError where 2r²|ζ|⁴ underflows.
+    Raises OverflowError where w does not fit a float.
     """
     _check_radius(r)
     total = 0.0
     for mod, s, k in d.side(side)[1]:
         if mod <= r:
-            mod4 = mod**4
-            total += k * (mod4 - r**4) / _kernel_divisor(2.0 * r**2 * mod4, mod, r) * s.re * s.re
+            w, cos_re, _cos_im = _sphere_ratio(s, r)
+            total += 2.0 * k * w * cos_re * cos_re
     return total
 
 

@@ -694,11 +694,17 @@ def spherical_conjugate(f, q) -> Quaternion:
 
 
 def corollary_decomposition_check(f, q) -> float:
-    """Residual of log|f^s(q)| = log|f(q)| + log|f(S_f(q))|."""
+    """Residual of log|f^s(q)| = log|f(q)| + log|f(S_f(q))|.
+
+    |f^s(q)| is read through the *-product rule, f^s(q) = f(q)·f^c(f(q)⁻¹qf(q)),
+    not from the coefficients of f^s, whose evaluation cancels near a
+    repeated zero sphere.
+    """
     q = _coerce(q)
-    fs_abs = f.symmetrize()(q).norm()
     s = spherical_conjugate(f, q)
-    return abs(math.log(fs_abs) - math.log(f(q).norm()) - math.log(f(s).norm()))
+    fq = f(q)
+    fs_abs = fq.norm() * f.conjugate()(fq.inverse() * q * fq).norm()
+    return abs(math.log(fs_abs) - math.log(fq.norm()) - math.log(f(s).norm()))
 
 
 def _degree_sum(f) -> int:

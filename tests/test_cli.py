@@ -658,13 +658,59 @@ def test_target_near_the_float_range_exits_2_with_a_named_error(command, tmp_pat
 
 
 def test_kernel_divisor_underflow_exits_2_with_a_named_error(tmp_path, capsys):
-    """The zero sphere of 1e-200 + q has |ζ|⁴ = 0 in floats, which the Jensen kernel divides by."""
+    """The zero sphere of 1e-200 + q has (r/|ζ|)² = 4e400, past the float range."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"function": [[1e-200, 0, 0, 0], [1, 0, 0, 0]], "r": 2}))
     code = main(["verify-jensen", "--config", str(cfg), *FAST])
     err = capsys.readouterr().err
     assert code == 2
-    assert "error: r²|ζ|⁴ underflows to 0 at the divisor sphere |ζ| = 1e-200, r = 2.0" in err, err
+    assert ("error: ((|ζ|/r)² − (r/|ζ|)²)/4 does not fit a float at the divisor sphere "
+            "|ζ| = 1e-200, r = 2.0") in err, err
+
+
+def test_a_sphere_at_1e_79_gives_a_finite_artifact(tmp_path, capsys):
+    """The zero sphere of 1e-79 + q has |ζ|⁴ = 1e-316, a subnormal the kernel once divided by.
+
+    The kernel is about −1e158, read in the ratio r/|ζ|, so every number of
+    the artifact is finite.  The gate may still miss: H and the kernel sum
+    each reach 1e158 and cancel in the residual.
+    """
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": [[1e-79, 0, 0, 0], [1, 0, 0, 0]], "r": 2}))
+    out = tmp_path / "a.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify-jensen", "--config", str(cfg), *FAST, "--format", "json",
+                     "--out", str(out)])
+    assert code in (0, 1), capsys.readouterr().err
+    # json writes a non-finite float as Infinity, -Infinity or NaN
+    artifact = json.loads(out.read_text(),
+                          parse_constant=lambda name: pytest.fail(f"{name} in the artifact"))
+    assert artifact["corrected"]["divisor_sum"] < -1e157
+
+
+# numerator coefficients near 1e-144 put the roots of (f − a)^s and f^s near 1e48
+ROOTS_NEAR_1E48 = {
+    "function": {"num": [[0.3, 0.2, 0.1, 0.4], [0.5, -0.2, 0.3, 0.1], [0.7, 0.1, -0.4, 0.2],
+                         [1e-144, 2e-144, 0, 0]],
+                 "den": [[1.0, 0.3, 0, 0], [0.2, 0, 0.5, 0], [1.0, 0, 0, 0.2]]},
+    "a": [1, 0, 0, 0],
+    "radii": [1.0, 2.0],
+}
+
+
+@pytest.mark.parametrize("command", ["profile", "fmt-check"])
+def test_roots_where_the_polynomial_overflows_exit_2_with_a_named_error(command, tmp_path,
+                                                                        capsys):
+    """Horner overflows near roots at 1e48, so the root iteration leaves NaN approximants."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(ROOTS_NEAR_1E48))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", str(cfg), *FAST])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: " in err and "overflows a float there" in err, err
 
 
 def test_nested_rational_literal_exits_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ tests drive all routes through the same gate.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -492,6 +493,30 @@ def test_kernel_growth_sign_follows_the_angle():
     # purely imaginary spheres push the kernel up like +r²/4, real ones down
     assert jensen_kernel(SliceComplex(0.0, 1.0), 50.0) > 100.0
     assert jensen_kernel(SliceComplex(1.0, 0.0), 50.0) < -100.0
+
+
+def test_kernel_at_a_sphere_of_modulus_1e_79_is_read_in_the_ratio():
+    """|ζ|⁴ = 1e-316 is subnormal; the kernel is log(R/|ζ|) + ((|ζ|/R)² − (R/|ζ|)²)/4 for a real ζ."""
+    got = jensen_kernel(SliceComplex(-1e-79, 0.0), 2.0)
+    want = math.log(2e79) + ((1e-79 / 2.0) ** 2 - 2e79 ** 2) / 4.0
+    assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("reader", [
+    lambda d, r: jensen_kernel(d.entries[0][0], r),
+    lambda d, r: N_integrated(d, "zero", r),
+    lambda d, r: N_via_unintegrated(d, "zero", r),
+    lambda d, r: angular_term(d, "zero", r),
+], ids=["jensen_kernel", "N_integrated", "N_via_unintegrated", "angular_term"])
+@pytest.mark.parametrize("mod, finite", [(1e-79, True), (1e-200, False)])
+def test_kernel_terms_are_finite_or_a_named_overflow(reader, mod, finite):
+    """(r/|ζ|)² is 4e158 at |ζ| = 1e-79 and 4e400 at |ζ| = 1e-200, with r = 2."""
+    d = SphereDivisor.build([(SliceComplex(-mod, 0.0), 1)], 0)
+    if finite:
+        assert math.isfinite(reader(d, 2.0))
+    else:
+        with pytest.raises(OverflowError, match=re.escape(f"|ζ| = {mod!r}, r = 2.0")):
+            reader(d, 2.0)
 
 
 def test_signed_kernel_sum_conventions():

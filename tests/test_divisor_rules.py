@@ -5,7 +5,8 @@ Two rules decide what a divisor is, and each must have one copy: the
 agree within _SPHERE_MERGE_TOL.  A third decides when |f(q)| counts as
 zero, NEAR_ZERO: each function class answers it in its own pole_tol and
 near_zero_log, so the Monte-Carlo engine in sph_integral knows no
-function class and imports from quat_core alone.  A second copy of a rule
+function class and imports from quat_core alone.  Every kernel term of a
+sphere is read in the ratio r/|ζ| by one helper, _sphere_ratio.  A second copy of a rule
 could drift from the first when the rule changes, so these checks read
 the source with ``ast`` and name every function that holds one.
 """
@@ -35,15 +36,40 @@ def _where(matches):
                    for scope, node in _scoped(tree) if matches(node)})
 
 
-def _raises_boundary(node):
-    if not isinstance(node, ast.Raise) or node.exc is None:
-        return False
-    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "BoundaryDivisor"
+def _raises(name):
+    def matches(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == name
+    return matches
 
 
 def test_boundary_divisor_is_raised_in_one_function():
-    assert _where(_raises_boundary) == ["divisor:_refuse_boundary"]
+    assert _where(_raises("BoundaryDivisor")) == ["divisor:_refuse_boundary"]
+
+
+def test_every_kernel_term_is_read_through_one_ratio_helper():
+    """_sphere_ratio forms w = ((|ζ|/r)² − (r/|ζ|)²)/4 and raises the kernel's OverflowError.
+
+    The three kernel readers call it, and none of divisor.py forms |ζ|⁴
+    (a fourth power or a mod4); the other OverflowErrors of divisor.py are
+    the root scale and the root iteration.
+    """
+    def calls_helper(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_sphere_ratio")
+
+    def fourth_power(node):
+        return ((isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                 and isinstance(node.right, ast.Constant) and node.right.value == 4)
+                or (isinstance(node, ast.Name) and node.id == "mod4"))
+
+    assert set(_where(calls_helper)) == {
+        "divisor:jensen_kernel", "divisor:N_via_unintegrated", "divisor:angular_term"}
+    assert [w for w in _where(_raises("OverflowError")) if w.startswith("divisor:")] == [
+        "divisor:_check_root_scale", "divisor:_sphere_ratio", "divisor:complex_roots"]
+    assert [w for w in _where(fourth_power) if w.startswith("divisor:")] == []
 
 
 def test_the_sphere_merge_tolerance_is_read_by_build_alone():

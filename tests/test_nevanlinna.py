@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from quatnev import nevanlinna, star_poly
 from quatnev.quat_core import Quaternion, SliceComplex, SphereSampler, qnorm
 from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational, star_mul, star_power
-from quatnev.divisor import jensen_kernel
+from quatnev.divisor import jensen_kernel, total_order_divisor
 from quatnev.sph_integral import IntegratorConfig, TooManyRejections, mean_batch
 from quatnev.nevanlinna import (
     CenterIsZeroOrPole,
@@ -196,6 +196,29 @@ def test_harmonic_of_a_rational_matches_f_minus_a_at_rounding_level(m0, num, den
     g0, g1, g2 = (f - a).series_head()
     scale = _term_size((g0, g1, g2), r) + _term_size((g0, d1, d2x2), r)
     assert abs(got - want) <= 1e-10 * scale, f"{got} ≠ {want}"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_harmonic_from_the_head_is_minus_r2_over_4_sum_of_ord_re_zeta_to_the_minus_2(seed):
+    """H(f, a, R) = −(R²/4)·Σ ord·Re(ζ⁻²) over the signed divisor of f − a, zeros and poles.
+
+    Newton's identities on the stem of (f − a)^s give this; the terms are
+    formed here with complex arithmetic, apart from the kernel code of
+    divisor.py.  Seeded LeftPolys of degree 1–3 and rationals with a
+    quaternion denominator, at a = 0 and at a random a, with R from 0.1 to
+    100.
+    """
+    rng = np.random.default_rng(seed)
+    f = LeftPoly(rng.normal(size=(int(rng.integers(1, 4)) + 1, 4)))
+    if seed % 2:
+        f = SemiregularRational(f, LeftPoly(rng.normal(size=(int(rng.integers(2, 4)), 4))))
+    a = ZERO if seed % 4 < 2 else Quaternion(*rng.normal(size=4))
+    R = float(10.0 ** rng.uniform(-1.0, 2.0))
+    d = total_order_divisor(f - a)
+    assert d.origin_order == 0
+    terms = [(R * R / 4.0) * k * (complex(s.re, s.im) ** -2).real for s, k in d.entries]
+    got = harmonic_remainder(f, a, R)
+    assert abs(got + sum(terms)) <= 1e-12 * sum(abs(t) for t in terms), (got, -sum(terms))
 
 
 _QUATERNION_DEN = LeftPoly([[0.5, 0.2, -0.1, 0.3], [1.0, 0.0, 0.4, 0.0]])
