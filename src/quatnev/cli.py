@@ -56,6 +56,7 @@ from .divisor import (
     angular_identity_check,
     jensen_kernel,
     signed_kernel_sum,
+    total_order_divisor,
 )
 from .sph_integral import IntegratorConfig
 from .nevanlinna import (
@@ -511,6 +512,21 @@ def _selftest_checks():
     checks.append(
         ("harmonic remainder closed form", abs(H - 0.24 / 0.5476), 1e-10)
     )
+
+    # H(f, a, R) = −(R²/4)·Σ ord·Re(ζ⁻²) over the divisor of f − a, as a
+    # fraction of Σ|terms|: a quadratic, a rational with a quaternion
+    # denominator at a = 0, and that rational at a ≠ 0
+    quadratic = LeftPoly([[0.3, 0.2, -0.1, 0.4], [1.0, 0.5, 0.0, -0.3], [1.0, 0, 0, 0]])
+    rational = SemiregularRational(LeftPoly([[1.0, 0.2, 0, 0], [1.0, 0, 0, 0]]),
+                                   LeftPoly([[0.25, 0, 0.1, 0.3], [1.0, 0, 0, 0]]))
+    worst = 0.0
+    for f, a, R in ((quadratic, Quaternion(), 1.7), (rational, Quaternion(), 2.5),
+                    (rational, Quaternion(0.5, 0.1, 0.0, 0.0), 3.0)):
+        terms = [(R * R / 4.0) * k * (complex(zeta.re, zeta.im) ** -2).real
+                 for zeta, k in total_order_divisor(f - a).entries]
+        H = harmonic_remainder(f, a, R)
+        worst = max(worst, abs(H + sum(terms)) / sum(abs(t) for t in terms))
+    checks.append(("harmonic remainder from the divisor", worst, 1e-12))
 
     # Jensen kernel: golden value and the J(ζ, |ζ|) = 0 normalization
     J = jensen_kernel(SliceComplex(0.5, 0.7), 2.0)

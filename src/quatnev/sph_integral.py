@@ -4,7 +4,7 @@ The estimation engine draws uniform points on the 3-sphere of radius r from
 a counter-based chunked stream (quat_core.gaussian_chunk), evaluates one or
 more integrand columns per point, rejects samples that land inside the
 singularity guard (continuing the same stream until the requested count of
-accepted samples is reached), and accumulates partial sums in chunk order —
+accepted samples is reached), and accumulates partial sums in block order —
 so results are bitwise-reproducible for a given configuration regardless of
 how the work would be scheduled.
 
@@ -15,31 +15,29 @@ of one evaluation so the Monte-Carlo noise is shared and identities hold
 sample by sample.
 
 A caller that needs many means on one stream — a radius profile, or T at
-many (f, a, r) — passes them to mean_batch together.  Its walk is
-chunk-outer: the Gaussians of chunk k are drawn once per call, scaled to
-each radius that is still needed, and fed to every unfinished request,
-which keeps its own mask, rejection count and sums.  Only the current
-chunk is held, and every mean equals the one mean_columns gives for its
-request alone.  A request (None, r) is a pass certified zero by its
-caller; it draws nothing and gets the mean the walk would give it.
+many (f, a, r) — passes them to mean_batch together.  Its walk goes
+chunk → radius → block: the Gaussians of chunk k are drawn once per call,
+and each block of quat_core.BLOCK of them is scaled to each radius that is
+still needed and fed to every unfinished request, which keeps its own
+rejection count and sums.  Only the current chunk and block are held, and
+every mean equals the one mean_columns gives for its request alone.  A
+request (None, r) is a pass certified zero by its caller; it draws nothing
+and gets the mean the walk would give it.
 
-Within a chunk the walk goes radius group → request → block: a request
-evaluates the chunk in blocks of quat_core.BLOCK points and stops after
-the block that brings its accepted rows up to the number it still needs,
-so column functions get at most BLOCK rows per call and must be
-pointwise.  Each block of a (chunk, radius) group is a read-only
-SlicePoints batch with (4, n) storage behind its (n, 4) view, made on
-first use and shared by the group's later requests, so its slice frame
-(u, v) and z = u + iv is computed once per (block, radius) and dropped
-with its points when the walk moves on.  Under antithetic_pair the
-conjugate block reuses the same (u, v, z).  A request writes its blocks
-into a (CHUNK, k) buffer the walk owns, and its sums run on the filled
-prefix, so every mean has the bits of a walk by whole chunks.
+A request stops after the block that brings its accepted rows up to the
+number it needs, so column functions get at most BLOCK rows per call and
+must be pointwise.  Each block is a read-only SlicePoints batch with
+(4, n) storage behind its (n, 4) view, shared by every request at its
+radius, so its slice frame (u, v) and z = u + iv is computed once per
+(block, radius) and dropped with its points; under antithetic_pair the
+conjugate block reuses the same (u, v, z).  A request sums each block
+where it is evaluated: its columns as contiguous (k, n) rows, summed
+pairwise and merged into the running sums by one Chan–Golub–LeVeque
+update, so the bits do not depend on the layout column_fn returns.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,80 +149,61 @@ class _Pass:
             self.taken = self.needed
 
     def columns(self, pts):
-        """column_fn at one block, as an (n, k) float array and a bool mask."""
+        """column_fn at one block, as contiguous (k, n) rows and a bool mask."""
         vals, ok = self.column_fn(pts)
         vals = np.asarray(vals, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.shape[0] != pts.shape[0]:
             raise ValueError("column_fn must return one row per point")
-        return vals, np.asarray(ok, dtype=bool)
+        return np.ascontiguousarray(vals.T), np.asarray(ok, dtype=bool)
 
-    def feed(self, block, scratch):
-        """Accumulate the next chunk, block by block, until no more rows are needed.
+    def feed(self, pts, conj_pts):
+        """Accumulate one block: its points, and their conjugates or None.
 
-        block(b) is the b-th (points, conjugate points or None) pair of the
-        chunk's blocks, and scratch(k) a (CHUNK, k) buffer and a (CHUNK,)
-        mask, owned by the walk and lent to one request at a time.
+        The block's accepted rows, cut at the rows still needed, are merged
+        into the running sums; its rejections count along the used prefix.
         """
+        cols, ok = self.columns(pts)
+        if conj_pts is not None:
+            cols2, ok2 = self.columns(conj_pts)
+            with np.errstate(invalid="ignore"):
+                cols = 0.5 * (cols + cols2)
+            ok = ok & ok2
+        ok = ok & np.isfinite(cols).all(axis=0)
+        accepted = np.flatnonzero(ok)
         remaining = self.needed - self.taken
-        buf = mask = None
-        filled = n_ok = 0
-        for b in range(CHUNK // BLOCK):
-            pts, conj_pts = block(b)
-            vals, ok = self.columns(pts)
-            if buf is None:
-                buf, mask = scratch(vals.shape[1])
-            end = filled + len(pts)
-            rows = buf[filled:end]
-            if conj_pts is None:
-                rows[...] = vals
-            else:
-                vals2, ok2 = self.columns(conj_pts)
-                with np.errstate(invalid="ignore"):
-                    np.add(vals, vals2, out=rows)
-                    rows *= 0.5
-                ok = ok & ok2
-            # column by column: on an (n, k) block a row-wise all() is 5-10x slower
-            for column in rows.T:
-                ok = ok & np.isfinite(column)
-            mask[filled:end] = ok
-            filled = end
-            n_ok += int(np.count_nonzero(ok))
-            if n_ok >= remaining:
-                break
-        ok = mask[:filled]
-        take_rows = buf[:filled] if n_ok == filled else buf[:filled][ok]
-        n_rej = filled - n_ok
-        if n_ok >= remaining:
+        if len(accepted) >= remaining:
             # count rejections only along the stream prefix actually used
-            used = np.nonzero(ok)[0][remaining - 1] + 1
-            n_rej = int(used - remaining)
-            take_rows = take_rows[:remaining]
-            n_ok = remaining
-        self.rejected += n_rej
+            accepted = accepted[:remaining]
+            self.rejected += int(accepted[-1] + 1 - remaining)
+        else:
+            self.rejected += len(ok) - len(accepted)
         if self.rejected > self.max_rejected:
             raise TooManyRejections(
                 f"{self.rejected} rejected samples exceed the 0.001·samples bound "
                 f"({self.max_rejected:.0f}) at r = {self.r}"
             )
+        # take, not cols[:, accepted]: the (k, n) rows stay contiguous, and
+        # NumPy sums contiguous rows pairwise
+        take = cols.take(accepted, axis=1)
+        n_ok = len(accepted)
         if self.sums is None:
-            self.sums = np.zeros(take_rows.shape[1])
-            self.run_mean = np.zeros(take_rows.shape[1])
-            self.run_m2 = np.zeros(take_rows.shape[1])
+            self.sums = np.zeros(len(take))
+            self.run_mean = np.zeros(len(take))
+            self.run_m2 = np.zeros(len(take))
         if n_ok:
-            # centered chunk sums merged pairwise (Chan, Golub & LeVeque), so
+            # centered block sums merged pairwise (Chan, Golub & LeVeque), so
             # the spread estimate does not depend on the offset of a column
-            chunk_sum = take_rows.sum(axis=0)
-            chunk_mean = chunk_sum / n_ok
-            # take_rows is the walk's buffer or a gather from it, so center it in place
-            dev = np.subtract(take_rows, chunk_mean, out=take_rows)
-            delta = chunk_mean - self.run_mean
+            block_sum = take.sum(axis=1)
+            block_mean = block_sum / n_ok
+            dev = take - block_mean[:, None]
+            delta = block_mean - self.run_mean
             merged = self.taken + n_ok
-            self.run_m2 += (np.einsum("ij,ij->j", dev, dev)
+            self.run_m2 += (np.einsum("ij,ij->i", dev, dev)
                             + delta * delta * (self.taken * n_ok / merged))
             self.run_mean += delta * (n_ok / merged)
-            self.sums += chunk_sum
+            self.sums += block_sum
         self.taken += n_ok
 
     def means(self):
@@ -236,38 +215,20 @@ class _Pass:
         ]
 
 
-def _blocks(g, n, r: float, antithetic: bool):
-    """block(b): the b-th BLOCK points of a (chunk, radius) group, made on first use.
-
-    g and n are the chunk's Gaussians and their row norms.  Each block is
-    a read-only SlicePoints, paired with its conjugate under
-    antithetic_pair (else None), and kept, so every request of the group
-    reads one slice frame per block.
-    """
-
-    @functools.cache
-    def block(b):
-        rows = slice(b * BLOCK, (b + 1) * BLOCK)
-        pts = (g[rows].T * (r / n[rows])).T.view(SlicePoints)
-        pts.setflags(write=False)
-        return pts, (SlicePoints.conjugate_of(pts) if antithetic else None)
-
-    return block
-
-
 def mean_batch(requests, cfg: IntegratorConfig):
     """mean_columns for many (column_fn, r) requests from one walk of the stream.
 
-    Chunks are the outer loop: the Gaussians of chunk k are drawn once and
-    scaled to each radius still needed, and every unfinished request reads
-    them.  A request keeps its own mask, rejection count and sums, so one
-    with rejections reads further chunks alone.  Each column_fn gets
+    The walk goes chunk → radius → block: the Gaussians of chunk k are
+    drawn once, and each BLOCK rows of them are scaled to each radius still
+    needed, as one read-only point array (and its conjugate under
+    antithetic_pair) that every unfinished request at that radius reads and
+    that is dropped before the next block.  It carries the slice frame they
+    all read.  A request keeps its own rejection count and sums, so one
+    with rejections reads further blocks alone.  Each column_fn gets
     blocks of at most BLOCK points and must be pointwise; a request stops
-    after the block that completes it.  Requests at the same r share one
-    read-only point array per block, which carries the slice frame they
-    all read.  Rejections count along the stream prefix a request used,
-    up to its last accepted row, also when a chunk's accepted rows
-    exactly equal the rows still needed.
+    after the block that completes it.  Rejections count along the stream
+    prefix a request used, up to its last accepted row, also when a
+    block's accepted rows exactly equal the rows still needed.
 
     A request (None, r) is certified zero: its one column is known to be
     +0.0 at every point of ∂B_r, with every sample accepted.  Its r is
@@ -290,11 +251,6 @@ def mean_batch(requests, cfg: IntegratorConfig):
             failure = exc
             break
     antithetic = cfg.scheme == "antithetic_pair"
-
-    @functools.cache
-    def scratch(k):
-        return np.empty((CHUNK, k)), np.empty(CHUNK, dtype=bool)
-
     # the rejection invariant (0.1%) trips long before this budget
     max_chunks = 2 * (cfg.samples // CHUNK + 2) + 8
     chunk_index = 0
@@ -310,20 +266,24 @@ def mean_batch(requests, cfg: IntegratorConfig):
             break
         g, n = gaussian_chunk(cfg.seed, 0, chunk_index)
         for r in dict.fromkeys(p.r for p in live):
-            group = [p for p in passes if p.r == r and p.taken < p.needed]
-            if not group:
-                continue
-            block = _blocks(g, n, r, antithetic)
-            for p in group:
-                try:
-                    p.feed(block, scratch)
-                except Exception as exc:
-                    # held, not raised: an earlier request may still fail on
-                    # a later chunk, and its exception is the one to raise
-                    failure = exc
-                    del passes[passes.index(p):]
+            for start in range(0, CHUNK, BLOCK):
+                group = [p for p in passes if p.r == r and p.taken < p.needed]
+                if not group:
                     break
-            del block
+                rows = slice(start, start + BLOCK)
+                pts = (g[rows].T * (r / n[rows])).T.view(SlicePoints)
+                pts.setflags(write=False)
+                conj_pts = SlicePoints.conjugate_of(pts) if antithetic else None
+                for p in group:
+                    try:
+                        p.feed(pts, conj_pts)
+                    except Exception as exc:
+                        # held, not raised: an earlier request may still fail
+                        # on a later block, and its exception is the one to raise
+                        failure = exc
+                        del passes[passes.index(p):]
+                        break
+                del pts, conj_pts
         del g, n
         chunk_index += 1
     if failure is not None:

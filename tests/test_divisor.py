@@ -465,6 +465,24 @@ def test_an_unpaired_root_cluster_is_counted_once_and_the_divisor_refused():
         total_order_divisor(f)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=UnbalancedDivisor,
+    reason="_canonicalize_conjugate_pairs snaps a root with |Im z| ≤ 1e-8·(1 + |z|) onto "
+    "the real axis, a bound that is absolute below |z| = 1",
+)
+@pytest.mark.parametrize("f, sphere, order", [
+    (RealPoly([1e-16, 0.0, 1.0]), (0.0, 1e-8), 2),
+    (LeftPoly([[-1e-9, -2e-9, 0, 0], [1, 0, 0, 0]]), (1e-9, 2e-9), 1),
+], ids=["q2-plus-1e-16", "q-minus-1e-9-times-1-plus-2i"])
+def test_a_sphere_of_modulus_below_1e_8_is_found(f, sphere, order):
+    """Both kernels fit a float at r = 2, and q² + 1e-12, at |ζ| = 1e-6, is found."""
+    spheres, m0 = entries_of(f)
+    [(got, k)] = spheres.items()
+    assert (k, m0) == (order, 0)
+    assert math.dist(got, sphere) <= 1e-6 * math.hypot(*sphere)
+
+
 # ---------------------------------------------------------------------------
 # Boundary kernel
 # ---------------------------------------------------------------------------

@@ -1,0 +1,133 @@
+"""A seeded edge census: every config ends in finite numbers or a named error.
+
+The configs are drawn once, from a fixed seed, by ``_draw``: verify-jensen,
+profile, mpb-check and fmt-check in turn, on a polynomial of degree 1–4
+(real 30% of the time), or on a rational 30% of the time, with coefficient
+scales out to 10^±300, radii 10^±3 and targets 10^±5 or ∞.  Each runs
+in-process through ``cli.main`` at ``--samples 2000 --format json``.
+
+The contract checked: no exception escapes ``main``; an exit 2 says
+``error:`` or ``config error:``; every number of an exit-0 or exit-1
+artifact is finite; and verify-jensen never exits 1, since the Jensen
+formula is exact.  A config that breaks the contract is a strict xfail
+that names its cause, and the list is never re-drawn around a defect.
+"""
+
+import contextlib
+import io
+import json
+import math
+import random
+
+import pytest
+
+from quatnev.cli import main
+
+SEED = 18
+COUNT = 128
+COMMANDS = ("verify-jensen", "profile", "mpb-check", "fmt-check")
+
+
+def _draw(rng: random.Random, command: str) -> dict:
+    """One config for command.  Only rng.random() is read, so the draw is stable."""
+    u = rng.random
+
+    def coefficient(real):
+        # most coefficients at unit scale, a fifth anywhere in 10^±300
+        scale = 10.0 ** round(600 * u() - 300) if u() < 0.2 else 1.0
+        parts = [2 * u() - 1] + [0.0 if real else 2 * u() - 1 for _ in range(3)]
+        return [scale * x for x in parts]
+
+    def poly(degree, real):
+        return [coefficient(real) for _ in range(degree)] + [[1.0, 0.0, 0.0, 0.0]]
+
+    def radius():
+        return 10.0 ** (6 * u() - 3)
+
+    kind = u()
+    degree = 1 + int(4 * u())
+    if kind < 0.3:
+        function = [c[0] for c in poly(degree, real=True)]
+    elif kind < 0.6:
+        function = {"num": poly(degree, real=u() < 0.5), "den": poly(1 + int(2 * u()), real=False)}
+    else:
+        function = poly(degree, real=False)
+    config = {"function": function}
+    if command == "verify-jensen":
+        config["r"] = radius()
+        return config
+    config["radii"] = sorted(radius() for _ in range(2))
+    if u() < 0.25:
+        config["a"] = "inf"
+    else:
+        config["a"] = [10.0 ** (10 * u() - 5) * (2 * u() - 1) for _ in range(4)]
+    if command == "fmt-check":
+        config["form"] = 1 + int(3 * u())
+    return config
+
+
+def _census():
+    rng = random.Random(SEED)
+    return [(COMMANDS[i % len(COMMANDS)], _draw(rng, COMMANDS[i % len(COMMANDS)]))
+            for i in range(COUNT)]
+
+
+CENSUS = _census()
+
+
+#: census index → the cause that keeps it from meeting the contract
+KNOWN = {
+    # the 1e107 constant term dominates f on ∂B_r, so log|f| ≈ 249.1 is
+    # constant to 1e-17 and the residual −1.1e-13 (4 ulps of the mean)
+    # misses a 3σ of 5.7e-15: the zero-width gate of ROADMAP item 6
+    20: "a near-constant boundary mean meets a 3σ gate of near-zero width (item 6)",
+    # a numerator coefficient of 9e296 overflows A·P_n + B·Q_n in
+    # SemiregularRational.stems, outside np.errstate, and the RuntimeWarning
+    # escapes main; the rows are then rejected and the run ends TooManyRejections
+    30: "SemiregularRational.stems warns on overflow instead of masking the rows",
+}
+
+#: a quadratic with a zero sphere at |ζ| = 1e-6: H = 2e12 and the kernel sum
+#: cancel in the Jensen closure, so its residual is rounding of 2e12 (item 16)
+TINY_SPHERE = ("verify-jensen", {"function": [[1e-12, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]], "r": 2})
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _numbers(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+def _check(command, config, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path), "--samples", "2000", "--format", "json"])
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert any(line.startswith(("error:", "config error:")) for line in lines), err.getvalue()
+        return
+    assert code in (0, 1), code
+    bad = [x for x in _numbers(json.loads(out.getvalue())) if not math.isfinite(x)]
+    assert not bad, f"non-finite numbers in the artifact: {bad}"
+    if command == "verify-jensen":
+        assert code == 0, "the Jensen formula is exact, so its gate must hold"
+
+
+@pytest.mark.parametrize("index", [
+    pytest.param(i, marks=pytest.mark.xfail(strict=True, reason=KNOWN[i])) if i in KNOWN else i
+    for i in range(COUNT)
+])
+def test_census_config_ends_in_finite_numbers_or_a_named_error(index, tmp_path):
+    _check(*CENSUS[index], tmp_path)
+
+
+@pytest.mark.xfail(strict=True, reason="H = 2e12 cancels the kernel sum (ROADMAP item 16)")
+def test_a_zero_sphere_at_one_millionth_closes_jensen(tmp_path):
+    _check(*TINY_SPHERE, tmp_path)

@@ -438,9 +438,9 @@ def test_jensen_empty_divisor():
 def test_jensen_gate_holds_when_the_boundary_mean_is_exact():
     """f = 3q has |f| = 3r on ∂B_r, so the Jensen residual is pure rounding.
 
-    Its residual is +6.75e-13 against 3σ = 1.43e-14 on every seed: the
-    chunk sums accumulate row by row, and σ → 0 leaves no room for the
-    rounding bias that remains.
+    Its residual is −2.2e-16, one ulp of log 6, against 3σ = 6.6e-18 at
+    seed 1: the block sums are pairwise, and σ → 0 leaves no room for the
+    rounding that remains.
     """
     assert verify_jensen(RealPoly([0.0, 3.0]), 2.0, IntegratorConfig(samples=20_000, seed=1))[0].gate_ok
 

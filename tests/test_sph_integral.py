@@ -213,7 +213,7 @@ def test_bad_radius_raises_before_any_draw(r, monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_strided_columns_give_the_bits_of_contiguous_ones(k):
-    """A fully accepted chunk is copied, not gathered; the layout of the columns must not matter."""
+    """The memory layout of the columns column_fn returns must not move a bit."""
     cfg = IntegratorConfig(samples=CHUNK + 5_000, seed=2026)  # one whole chunk, then a prefix
 
     def strided(pts):
@@ -416,7 +416,7 @@ def test_batch_raises_the_first_failing_request():
     # the second request fails on chunk 0, before the first one fails on chunk 1
     with pytest.raises(TooManyRejections) as batch:
         mean_batch([(_late_failure(), 1.0), (early, 2.0)], NEAR_CHUNK)
-    assert sum(early_rows) == CHUNK
+    assert sum(early_rows) == BLOCK
     assert str(batch.value) == str(alone.value)
     assert "at r = 1.0" in str(batch.value)
 
@@ -476,45 +476,52 @@ def test_slice_frame_dies_with_its_points(scheme):
 # ---------------------------------------------------------------------------
 
 
-def _whole_chunk_means(column_fn, r, cfg):
-    """mean_columns walked one whole chunk per column_fn call.
+def _block_walk_means(column_fn, r, cfg):
+    """mean_columns of one request, walked block by block from gaussian_chunk.
 
-    Each chunk's accepted rows are gathered in stream order, cut at the
-    rows still needed, and merged with the same sums and Chan–Golub–LeVeque
-    update as the library.  Rejections count along the used prefix only,
-    including when a chunk's accepted rows exactly equal the rows needed.
+    Each BLOCK rows of a chunk are scaled to ∂B_r and evaluated; the
+    block's accepted rows are gathered in stream order, cut at the rows
+    still needed, laid out as (k, n) rows and merged with the same sums
+    and Chan–Golub–LeVeque update as the library.  Rejections count along
+    the used prefix only, including when a block's accepted rows exactly
+    equal the rows needed.
     """
     taken = rejected = chunk = 0
     sums = run_mean = run_m2 = 0.0
     while taken < cfg.samples:
         g, n = gaussian_chunk(cfg.seed, 0, chunk)
         chunk += 1
-        pts = (g.T * (r / n)).T.view(SlicePoints)
-        pts.setflags(write=False)
-        vals, ok = column_fn(pts)
-        if cfg.scheme == "antithetic_pair":
-            vals2, ok2 = column_fn(SlicePoints.conjugate_of(pts))
-            with np.errstate(invalid="ignore"):
-                vals = 0.5 * (vals + vals2)
-            ok = ok & ok2
-        ok = ok & np.isfinite(vals).all(axis=1)
-        take = vals[ok]
-        remaining = cfg.samples - taken
-        n_rej = len(ok) - len(take)
-        if len(take) >= remaining:
-            n_rej = int(np.nonzero(ok)[0][remaining - 1] + 1 - remaining)
-            take = take[:remaining]
-        rejected += n_rej
-        n_ok = len(take)
-        chunk_sum = take.sum(axis=0)
-        chunk_mean = chunk_sum / n_ok
-        dev = take - chunk_mean
-        delta = chunk_mean - run_mean
-        merged = taken + n_ok
-        run_m2 = run_m2 + (np.einsum("ij,ij->j", dev, dev) + delta * delta * (taken * n_ok / merged))
-        run_mean = run_mean + delta * (n_ok / merged)
-        sums = sums + chunk_sum
-        taken = merged
+        for start in range(0, CHUNK, BLOCK):
+            if taken == cfg.samples:
+                break
+            rows = slice(start, start + BLOCK)
+            pts = (g[rows].T * (r / n[rows])).T.view(SlicePoints)
+            pts.setflags(write=False)
+            vals, ok = column_fn(pts)
+            if cfg.scheme == "antithetic_pair":
+                vals2, ok2 = column_fn(SlicePoints.conjugate_of(pts))
+                with np.errstate(invalid="ignore"):
+                    vals = 0.5 * (vals + vals2)
+                ok = ok & ok2
+            ok = ok & np.isfinite(vals).all(axis=1)
+            remaining = cfg.samples - taken
+            used = len(ok)
+            if np.count_nonzero(ok) >= remaining:
+                used = int(np.nonzero(ok)[0][remaining - 1] + 1)
+            take = np.ascontiguousarray(vals[:used][ok[:used]].T)
+            n_ok = take.shape[1]
+            rejected += used - n_ok
+            if not n_ok:
+                continue
+            block_sum = take.sum(axis=1)
+            block_mean = block_sum / n_ok
+            dev = take - block_mean[:, None]
+            delta = block_mean - run_mean
+            merged = taken + n_ok
+            run_m2 = run_m2 + (np.einsum("ij,ij->i", dev, dev) + delta * delta * (taken * n_ok / merged))
+            run_mean = run_mean + delta * (n_ok / merged)
+            sums = sums + block_sum
+            taken = merged
     means = sums / cfg.samples
     std_err = np.sqrt(run_m2 / (cfg.samples - 1) / cfg.samples)
     return [SphericalMean(float(m), float(e), cfg.samples, rejected)
@@ -551,7 +558,7 @@ _BLOCK_FUNCTIONS = [
 
 @pytest.mark.parametrize("scheme", ["monte_carlo", "antithetic_pair"])
 def test_blocks_give_the_bits_of_whole_chunks(scheme):
-    """Each mean of a batch equals a walk by whole chunks, bit for bit.
+    """Each mean of a batch equals the reference walk, bit for bit.
 
     20 000 samples stop in the third block of chunk 0; CHUNK + 5 000 read
     chunk 0 whole, then a prefix of chunk 1.
@@ -560,7 +567,7 @@ def test_blocks_give_the_bits_of_whole_chunks(scheme):
         cfg = IntegratorConfig(samples=samples, seed=7, scheme=scheme)
         requests = [(_log_columns(f, r), r) for f in _BLOCK_FUNCTIONS for r in (0.7, 1.9)]
         batch = mean_batch(requests, cfg)
-        want = [_whole_chunk_means(column_fn, r, cfg) for column_fn, r in requests]
+        want = [_block_walk_means(column_fn, r, cfg) for column_fn, r in requests]
         assert [_bits(m) for m in batch] == [_bits(m) for m in want]
 
 
@@ -576,7 +583,7 @@ def test_rejections_straddling_blocks_give_the_bits_of_whole_chunks(scheme, samp
     cfg = IntegratorConfig(samples=samples, seed=7, scheme=scheme)
     f = _BLOCK_FUNCTIONS[1]
     got = mean_columns(_log_columns(f, 1.3, _stream_rows(scheme), bad), 1.3, cfg)
-    want = _whole_chunk_means(_log_columns(f, 1.3, _stream_rows(scheme), bad), 1.3, cfg)
+    want = _block_walk_means(_log_columns(f, 1.3, _stream_rows(scheme), bad), 1.3, cfg)
     assert _bits(got) == _bits(want)
     assert all(m.rejected == rejected and m.effective_samples == samples for m in got)
 
