@@ -451,30 +451,38 @@ def _refuse_boundary(mod: float, r: float) -> None:
 
 
 def _sphere_ratio(sphere: SliceComplex, r: float):
-    """(w, c, d) of the sphere S_ζ at the radius r, from which every kernel term is read.
+    """(t, ρ, c, d) of the sphere S_ζ at the radius r, from which every kernel term is read.
 
-    With t = |ζ|/r and ρ = r/|ζ|, w = (t² − ρ²)/4, and c = Re ζ/|ζ| and
-    d = Im ζ/|ζ| are the direction cosines of ζ.  Then
+    t = |ζ|/r and ρ = r/|ζ|, and c = Re ζ/|ζ| and d = Im ζ/|ζ| are the
+    direction cosines of ζ.  Nothing divides by |ζ|² or |ζ|⁴, and nothing
+    is squared: each reader squares only what its term needs.
+    """
+    mod = sphere.modulus()
+    return mod / r, r / mod, sphere.re / mod, sphere.im / mod
+
+
+def _sphere_weight(sphere: SliceComplex, r: float):
+    """(w, c, d) with w = (t² − ρ²)/4 and (t, ρ, c, d) of _sphere_ratio.  Then
 
         (|ζ|⁴ − r⁴)/(4r²|ζ|⁴)·(2(Re ζ)² − |ζ|²) = w·(c − d)(c + d),
         (|ζ|⁴ − r⁴)/(2r²|ζ|⁴)·(Re ζ)²            = 2w·c²,
 
-    with t and ρ each squared on its own, so nothing divides by |ζ|² or
-    |ζ|⁴.  Raises OverflowError where w is past the float range: ρ² is for
-    |ζ| below about 1e-154·r, and t² for |ζ| above about 1e154·r.
+    with t and ρ each squared on its own.  Raises OverflowError where w is
+    past the float range: ρ² is for |ζ| below about 1e-154·r, and t² for
+    |ζ| above about 1e154·r.
     """
-    mod = sphere.modulus()
-    t, rho = mod / r, r / mod
+    t, rho, c, d = _sphere_ratio(sphere, r)
     w = (t * t - rho * rho) / 4.0
     if not math.isfinite(w):
         raise OverflowError(
-            f"((|ζ|/r)² − (r/|ζ|)²)/4 does not fit a float at the divisor sphere |ζ| = {mod!r}, r = {r!r}"
+            f"((|ζ|/r)² − (r/|ζ|)²)/4 does not fit a float at the divisor sphere "
+            f"|ζ| = {sphere.modulus()!r}, r = {r!r}"
         )
-    return w, sphere.re / mod, sphere.im / mod
+    return w, c, d
 
 
 def jensen_kernel(sphere: SliceComplex, R: float) -> float:
-    """J(ζ,R) = log(R/|ζ|) + w·(c − d)(c + d), with (w, c, d) of _sphere_ratio.
+    """J(ζ,R) = log(R/|ζ|) + w·(c − d)(c + d), with (w, c, d) of _sphere_weight.
 
     The per-sphere boundary contribution of a zero/pole sphere in the
     Jensen formula; J(ζ,|ζ|) = 0.  Raises ZeroCenter for ζ = 0,
@@ -485,7 +493,7 @@ def jensen_kernel(sphere: SliceComplex, R: float) -> float:
     if mod == 0.0:
         raise ZeroCenter("Jensen kernel is undefined for the origin sphere")
     _check_radius(R)
-    w, c, d = _sphere_ratio(sphere, R)
+    w, c, d = _sphere_weight(sphere, R)
     return float(np.log(R / mod) + w * (c - d) * (c + d))
 
 
@@ -563,7 +571,7 @@ def N_via_unintegrated(d: SphereDivisor, side: str, r: float) -> float:
 
     N = n(0)·log r + ∫₀ʳ (n(t) − n(0)) dt/t + Σ_{0<|ζ|<r} ordt⁺·w·(c − d)(c + d),
 
-    with (w, c, d) of _sphere_ratio and the dt/t integral taken in closed
+    with (w, c, d) of _sphere_weight and the dt/t integral taken in closed
     form over the counting step function.  An identity with N_integrated;
     kept as an independent arithmetic route.  Raises BoundaryDivisor when a
     side sphere has |ζ| = r within 1e-12·r, and OverflowError where w does
@@ -578,13 +586,13 @@ def N_via_unintegrated(d: SphereDivisor, side: str, r: float) -> float:
     for mod, s, k in spheres:
         _refuse_boundary(mod, r)
         if mod < r:
-            w, cos_re, cos_im = _sphere_ratio(s, r)
+            w, cos_re, cos_im = _sphere_weight(s, r)
             total += k * w * (cos_re - cos_im) * (cos_re + cos_im)
     return total
 
 
 def angular_term(d: SphereDivisor, side: str, r: float) -> float:
-    """A(f,a,r) = Σ_{0<|ζ|≤r} ordt⁺·2w·c² ≤ 0, with (w, c, _) of _sphere_ratio.
+    """A(f,a,r) = Σ_{0<|ζ|≤r} ordt⁺·2w·c² ≤ 0, with (w, c, _) of _sphere_weight.
 
     Raises OverflowError where w does not fit a float.
     """
@@ -592,7 +600,7 @@ def angular_term(d: SphereDivisor, side: str, r: float) -> float:
     total = 0.0
     for mod, s, k in d.side(side)[1]:
         if mod <= r:
-            w, cos_re, _cos_im = _sphere_ratio(s, r)
+            w, cos_re, _cos_im = _sphere_weight(s, r)
             total += 2.0 * k * w * cos_re * cos_re
     return total
 

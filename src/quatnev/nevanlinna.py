@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .star_poly import (
 from .divisor import (
     N_integrated,
     SphereDivisor,
+    _refuse_boundary,
+    _sphere_ratio,
     angular_term,
     jensen_kernel,
     signed_kernel_sum,
@@ -373,9 +375,10 @@ class JensenReport:
     """One closure of the sphere-corrected Jensen formula at radius r.
 
     residual := assembled right-hand side − lhs, where the right-hand
-    side is ½·boundary_f + ½·boundary_fSf + harmonic − divisor_sum (the
+    side is ½·boundary_f + ½·boundary_fSf + harmonic − divisor_sum, with
+    harmonic − divisor_sum summed sphere by sphere (_jensen_closure).  The
     combined boundary mean is estimated as one column, so three_sigma
-    gates the residual directly).
+    gates the residual directly.
     """
 
     lhs: float
@@ -401,49 +404,61 @@ class JensenReport:
         return asdict(self)
 
 
-def _jensen_pass(f, r, cfg):
-    """(lhs, boundary means, H) of the Jensen formula for f on ∂B_r.
+def _jensen_closure(f, d: SphereDivisor, r: float, cfg: IntegratorConfig):
+    """(corrected, factor2) JensenReports of f on ∂B_r and the combined boundary mean.
 
-    lhs = log|g(0)| for g the origin-deflated f, and H comes from the same
+    d is the total-order divisor of f, which the caller holds.  lhs =
+    log|g(0)| for g the origin-deflated f, and H comes from the same
     series head.  The boundary means of log|f|, log|f∘S_f| and their
-    ½-combination share one stream and one accepted mask.
+    ½-combination share one stream and one accepted mask.  The divisor
+    side is formed first, so a sphere on ∂B_r is refused before any draw.
+
+    The corrected residual is combined − D − lhs, with the divisor side D
+    summed sphere by sphere over (t, ρ, c, d) of _sphere_ratio,
+    D = n₀·log r + Σ_inside ord·(log ρ + t²(c² − d²)/4)
+                 + Σ_outside ord·ρ²(c² − d²)/4.
+    As H = −Σ ord·ρ²(c² − d²)/4 over the whole divisor, D equals
+    n₀·log r + Σ_inside ord·J(ζ, r) − H, but no term of size ρ² cancels
+    in it.  H and both kernel sums are still reported, and the factor-2
+    residual is the corrected one less the offset of the kernel sums.
     """
+    origin_term = d.origin_order * math.log(r)
+    corrected_sum = signed_kernel_sum(d, r, "corrected") + origin_term
+    doubled_sum = signed_kernel_sum(d, r, "doubled") + origin_term
+    closure = origin_term
+    for sphere, k in d.entries:
+        t, rho, cos_re, cos_im = _sphere_ratio(sphere, r)
+        quarter = (cos_re - cos_im) * (cos_re + cos_im) / 4.0
+        closure += k * (math.log(rho) + t * t * quarter if t < 1.0 else rho * rho * quarter)
     head = f.series_head()
     lhs = math.log(head[0].norm())
+    harmonic = _lambda_of_head(head, r)
     thr = f.near_zero_log(r)
 
     def columns(pts):
         la, lat, ok = _log_pair(f.stems(pts), None, thr)
         return np.stack([la, lat, 0.5 * (la + lat)], axis=1), ok
 
-    boundary = mean_columns(columns, r, cfg)
-    return lhs, boundary, _lambda_of_head(head, r)
+    boundary_f, boundary_fSf, combined = mean_columns(columns, r, cfg)
+    # D leaves the mean before lhs, as H − kernel sum did: a D far below an
+    # ulp of the mean rounds away there, not into the residual
+    residual = combined.value - closure - lhs
+    corrected = JensenReport(lhs, boundary_f, boundary_fSf, harmonic, corrected_sum, residual,
+                             "corrected_factor1", combined.three_sigma, r)
+    factor2 = replace(corrected, divisor_sum=doubled_sum, kernel_convention="doubled_factor2",
+                      residual=residual - (doubled_sum - corrected_sum))
+    return corrected, factor2, combined
 
 
 def verify_jensen(f, r: float, cfg: IntegratorConfig) -> tuple:
     """Close the Jensen formula for f on ∂B_r under both kernel conventions.
 
-    Returns (corrected, factor2) JensenReports from one boundary pass.
-    The divisor side carries the per-sphere kernel sum (doubled on nonreal
-    spheres under the factor-2 convention) plus the origin total order
-    times log r.  The boundary term is the shared-stream combined mean
-    ½(log|f| + log|f∘S_f|); residual = RHS − lhs with a 3σ gate from that
-    column.  The boundary mean does not depend on the convention, so the
-    two residuals differ by exactly the closed-form offset of the kernel
-    sums.
+    Returns (corrected, factor2) JensenReports from one boundary pass: the
+    boundary term is the shared-stream combined mean
+    ½(log|f| + log|f∘S_f|), and residual = RHS − lhs with a 3σ gate from
+    that column (see _jensen_closure).
     """
-    d = total_order_divisor(f)
-    origin_term = d.origin_order * math.log(r)
-    sums = [(name, signed_kernel_sum(d, r, convention) + origin_term)
-            for convention, name in (("corrected", "corrected_factor1"),
-                                     ("doubled", "doubled_factor2"))]
-    lhs, (boundary_f, boundary_fSf, combined), harmonic = _jensen_pass(f, r, cfg)
-    return tuple(
-        JensenReport(lhs, boundary_f, boundary_fSf, harmonic, divisor_sum,
-                     combined.value + harmonic - divisor_sum - lhs, name,
-                     combined.three_sigma, r)
-        for name, divisor_sum in sums
-    )
+    return _jensen_closure(f, total_order_divisor(f), r, cfg)[:2]
 
 
 @dataclass(frozen=True)
@@ -478,8 +493,9 @@ def counting_arbiter(f, r: float, cfg: IntegratorConfig) -> ArbiterReport:
     """Decide whether a single zero sphere has total order 1 or 2 by Jensen closure.
 
     f must be slice-preserving with exactly one zero sphere inside B_r,
-    no poles, and no zero at 0.  Each order c replaces the divisor sum by
-    c·J(ζ, r); the report carries both residuals and the minimizer.
+    no poles, and no zero at 0.  Order c moves the corrected residual of
+    _jensen_closure by (ord − c)·J(ζ, r); the report carries both
+    residuals and the minimizer.
     """
     if not getattr(f, "is_real", False):
         raise ValueError("the arbiter needs a slice-preserving function")
@@ -488,28 +504,18 @@ def counting_arbiter(f, r: float, cfg: IntegratorConfig) -> ArbiterReport:
         raise ValueError("0 must not be a zero of f; deflate first")
     if any(k < 0 for _, k in d.entries):
         raise ValueError("the arbiter needs a pole-free function")
-    inside = [s for s, _k in d.entries if s.modulus() < r]
+    for s, _k in d.entries:
+        _refuse_boundary(s.modulus(), r)
+    inside = [(s, k) for s, k in d.entries if s.modulus() < r]
     if len(inside) != 1:
-        raise ValueError(
-            f"need exactly one zero sphere inside B_{r}, found {len(inside)}"
-        )
-    sphere = inside[0]
+        raise ValueError(f"need exactly one zero sphere inside B_{r}, found {len(inside)}")
+    (sphere, order), = inside
     kernel = jensen_kernel(sphere, r)
-    lhs, (_, _, combined), harmonic = _jensen_pass(f, r, cfg)
-    base = combined.value + harmonic
-    residuals = tuple((c, base - c * kernel - lhs) for c in _ARBITER_ORDERS)
+    corrected, _, combined = _jensen_closure(f, d, r, cfg)
+    residuals = tuple((c, corrected.residual + (order - c) * kernel) for c in _ARBITER_ORDERS)
     best = min(residuals, key=lambda pair: abs(pair[1]))[0]
-    return ArbiterReport(
-        best_order=best,
-        residuals=residuals,
-        sphere=sphere,
-        kernel=kernel,
-        lhs=lhs,
-        boundary=combined,
-        harmonic=harmonic,
-        three_sigma=combined.three_sigma,
-        radius=r,
-    )
+    return ArbiterReport(best, residuals, sphere, kernel, corrected.lhs, combined,
+                         corrected.harmonic, combined.three_sigma, r)
 
 
 # ---------------------------------------------------------------------------
@@ -926,30 +932,10 @@ def n_bound_check(f, a, radii, cfg: IntegratorConfig):
     (perfbench/tracer.py) wraps it and tests/test_bench_hooks.py pins that
     target, and goes with the tracer's change (ROADMAP item 5a).
     """
-    radii = [float(r) for r in radii]
-    at_inf = _radius_free(f, None)
-    aq = _target(a)
-    at_a = at_inf if aq is None else _radius_free(f, aq)
-    means = mean_batch([at_inf.request(r) for r in radii], cfg)
-    rows = []
-    for r, (sym_mean,) in zip(radii, means):
-        t_inf, _ = at_inf.at(r, sym_mean)
-        counting = at_a.counting(r)
-        remainder = at_a.remainder(r)
-        rows.append(
-            {
-                "r": r,
-                "N": counting,
-                "T_infinity": t_inf,
-                "H": remainder,
-                "excess": counting - t_inf - remainder,
-            }
-        )
-    return {
-        "a": _a_label(a),
-        "rows": rows,
-        "sup_excess": max(row["excess"] for row in rows),
-    }
+    rows = [{"r": row["r"], "N": row["N"], "T_infinity": row["T_infinity"], "H": row["H"],
+             "excess": row["N"] - row["T_infinity"] - row["H"]}
+            for row in verify_fmt(f, a, radii, cfg, form=3)["rows"]]
+    return {"a": _a_label(a), "rows": rows, "sup_excess": max(row["excess"] for row in rows)}
 
 
 # ---------------------------------------------------------------------------

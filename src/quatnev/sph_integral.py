@@ -164,12 +164,14 @@ class _Pass:
         The block's accepted rows, cut at the rows still needed, are merged
         into the running sums; its rejections count along the used prefix.
         """
-        cols, ok = self.columns(pts)
-        if conj_pts is not None:
-            cols2, ok2 = self.columns(conj_pts)
-            with np.errstate(invalid="ignore"):
+        # every non-finite row is rejected and counted below, so overflow in
+        # column_fn or in the pair average is not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols, ok = self.columns(pts)
+            if conj_pts is not None:
+                cols2, ok2 = self.columns(conj_pts)
                 cols = 0.5 * (cols + cols2)
-            ok = ok & ok2
+                ok = ok & ok2
         ok = ok & np.isfinite(cols).all(axis=0)
         accepted = np.flatnonzero(ok)
         remaining = self.needed - self.taken

@@ -657,6 +657,16 @@ def test_target_near_the_float_range_exits_2_with_a_named_error(command, tmp_pat
     assert "error: f − a: the roots lie at scale 1.189e+154" in err and "orders sum" not in err, err
 
 
+@pytest.mark.parametrize("r", [2.0000000000002, 2.0, 1.9999999999998])
+def test_the_arbiter_refuses_a_boundary_sphere_before_drawing(r, tmp_path, capsys, counters):
+    """q² + 4 has its zero sphere on |ζ| = 2, within 1e-12·r of each r, on either side."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": [4, 0, 1], "r": r}))
+    assert main(["arbiter", "--config", str(cfg), *FAST]) == 2
+    assert f"error: divisor sphere |ζ| = 2.0 on the boundary r = {r!r}" in capsys.readouterr().err
+    assert counters["draws"] == []
+
+
 def test_kernel_divisor_underflow_exits_2_with_a_named_error(tmp_path, capsys):
     """The zero sphere of 1e-200 + q has (r/|ζ|)² = 4e400, past the float range."""
     cfg = tmp_path / "cfg.json"
@@ -672,8 +682,10 @@ def test_a_sphere_at_1e_79_gives_a_finite_artifact(tmp_path, capsys):
     """The zero sphere of 1e-79 + q has |ζ|⁴ = 1e-316, a subnormal the kernel once divided by.
 
     The kernel is about −1e158, read in the ratio r/|ζ|, so every number of
-    the artifact is finite.  The gate may still miss: H and the kernel sum
-    each reach 1e158 and cancel in the residual.
+    the artifact is finite.  The closure is summed sphere by sphere, so H
+    and the kernel sum no longer cancel in the residual; the gate may still
+    miss on the zero-width 3σ of ROADMAP item 6, as log|f| is constant on
+    ∂B₂ to far below an ulp: the residual is one ulp of log(2e79).
     """
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"function": [[1e-79, 0, 0, 0], [1, 0, 0, 0]], "r": 2}))

@@ -6,7 +6,8 @@ agree within _SPHERE_MERGE_TOL.  A third decides when |f(q)| counts as
 zero, NEAR_ZERO: each function class answers it in its own pole_tol and
 near_zero_log, so the Monte-Carlo engine in sph_integral knows no
 function class and imports from quat_core alone.  Every kernel term of a
-sphere is read in the ratio r/|ζ| by one helper, _sphere_ratio.  A second copy of a rule
+sphere is read in the ratio r/|ζ| by one helper, _sphere_ratio, and the
+Jensen closure is formed in one function, _jensen_closure.  A second copy of a rule
 could drift from the first when the rule changes, so these checks read
 the source with ``ast`` and name every function that holds one.
 """
@@ -49,27 +50,45 @@ def test_boundary_divisor_is_raised_in_one_function():
     assert _where(_raises("BoundaryDivisor")) == ["divisor:_refuse_boundary"]
 
 
-def test_every_kernel_term_is_read_through_one_ratio_helper():
-    """_sphere_ratio forms w = ((|ζ|/r)² − (r/|ζ|)²)/4 and raises the kernel's OverflowError.
-
-    The three kernel readers call it, and none of divisor.py forms |ζ|⁴
-    (a fourth power or a mod4); the other OverflowErrors of divisor.py are
-    the root scale and the root iteration.
-    """
-    def calls_helper(node):
+def _calls(name):
+    def matches(node):
         return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "_sphere_ratio")
+                and node.func.id == name)
+    return matches
 
+
+def test_every_kernel_term_is_read_through_one_ratio_helper():
+    """_sphere_ratio gives t = |ζ|/r, ρ = r/|ζ| and the direction cosines of ζ.
+
+    _sphere_weight forms w = (t² − ρ²)/4 from them for the three kernel
+    readers and raises the kernel's OverflowError; the Jensen closure
+    reads the ratio itself, squaring only the t or ρ its sphere's term
+    needs.  None of divisor.py forms |ζ|⁴ (a fourth power or a mod4); the
+    other OverflowErrors of divisor.py are the root scale and the root
+    iteration.
+    """
     def fourth_power(node):
         return ((isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
                  and isinstance(node.right, ast.Constant) and node.right.value == 4)
                 or (isinstance(node, ast.Name) and node.id == "mod4"))
 
-    assert set(_where(calls_helper)) == {
+    assert set(_where(_calls("_sphere_ratio"))) == {
+        "divisor:_sphere_weight", "nevanlinna:_jensen_closure"}
+    assert set(_where(_calls("_sphere_weight"))) == {
         "divisor:jensen_kernel", "divisor:N_via_unintegrated", "divisor:angular_term"}
     assert [w for w in _where(_raises("OverflowError")) if w.startswith("divisor:")] == [
-        "divisor:_check_root_scale", "divisor:_sphere_ratio", "divisor:complex_roots"]
+        "divisor:_check_root_scale", "divisor:_sphere_weight", "divisor:complex_roots"]
     assert [w for w in _where(fourth_power) if w.startswith("divisor:")] == []
+
+
+def test_the_jensen_closure_is_formed_in_one_function():
+    """verify-jensen and the arbiter read one closure, and n_bound_check the form-3 rows."""
+    def builds_report(node):
+        return _calls("JensenReport")(node) or _calls("mean_columns")(node)
+
+    assert [w for w in _where(builds_report) if w.startswith("nevanlinna:")] == [
+        "nevanlinna:_jensen_closure"]
+    assert "nevanlinna:n_bound_check" in _where(_calls("verify_fmt"))
 
 
 def test_the_sphere_merge_tolerance_is_read_by_build_alone():

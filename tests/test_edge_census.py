@@ -81,15 +81,15 @@ KNOWN = {
     # constant to 1e-17 and the residual −1.1e-13 (4 ulps of the mean)
     # misses a 3σ of 5.7e-15: the zero-width gate of ROADMAP item 6
     20: "a near-constant boundary mean meets a 3σ gate of near-zero width (item 6)",
-    # a numerator coefficient of 9e296 overflows A·P_n + B·Q_n in
-    # SemiregularRational.stems, outside np.errstate, and the RuntimeWarning
-    # escapes main; the rows are then rejected and the run ends TooManyRejections
-    30: "SemiregularRational.stems warns on overflow instead of masking the rows",
 }
 
-#: a quadratic with a zero sphere at |ζ| = 1e-6: H = 2e12 and the kernel sum
-#: cancel in the Jensen closure, so its residual is rounding of 2e12 (item 16)
+#: a quadratic with a zero sphere at |ζ| = 1e-6: H = 2e12, which the closure
+#: summed sphere by sphere never forms against the kernel sum (item 16)
 TINY_SPHERE = ("verify-jensen", {"function": [[1e-12, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]], "r": 2})
+
+#: a cubic from an earlier draw of the census with a real zero near 6.8e-5 at
+#: R = 931.2, where H and the kernel sum each reach −4.6e13 (item 16)
+SMALL_REAL_ZERO = ("verify-jensen", {"function": [-0.00754, 110.2, 55.15, -28.02], "r": 931.2})
 
 
 def _numbers(value):
@@ -103,12 +103,12 @@ def _numbers(value):
         yield value
 
 
-def _check(command, config, tmp_path):
+def _check(command, config, tmp_path, samples=2000):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(path), "--samples", "2000", "--format", "json"])
+        code = main([command, "--config", str(path), "--samples", str(samples), "--format", "json"])
     if code == 2:
         lines = err.getvalue().splitlines()
         assert any(line.startswith(("error:", "config error:")) for line in lines), err.getvalue()
@@ -128,6 +128,10 @@ def test_census_config_ends_in_finite_numbers_or_a_named_error(index, tmp_path):
     _check(*CENSUS[index], tmp_path)
 
 
-@pytest.mark.xfail(strict=True, reason="H = 2e12 cancels the kernel sum (ROADMAP item 16)")
 def test_a_zero_sphere_at_one_millionth_closes_jensen(tmp_path):
     _check(*TINY_SPHERE, tmp_path)
+
+
+def test_a_real_zero_near_7e_5_closes_jensen_at_20000_samples(tmp_path):
+    """At 20 000 samples 3σ is 2.2e-5; the closure that formed H missed it by 4.7e-3."""
+    _check(*SMALL_REAL_ZERO, tmp_path, samples=20_000)

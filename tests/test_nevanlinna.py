@@ -21,7 +21,7 @@ from quatnev import nevanlinna, star_poly
 from quatnev.quat_core import Quaternion, SliceComplex, SphereSampler, qnorm
 from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational, star_mul, star_power
 from quatnev.divisor import jensen_kernel, total_order_divisor
-from quatnev.sph_integral import IntegratorConfig, TooManyRejections, mean_batch
+from quatnev.sph_integral import IntegratorConfig, SphericalMean, TooManyRejections, mean_batch
 from quatnev.nevanlinna import (
     CenterIsZeroOrPole,
     NevanlinnaProfile,
@@ -198,27 +198,63 @@ def test_harmonic_of_a_rational_matches_f_minus_a_at_rounding_level(m0, num, den
     assert abs(got - want) <= 1e-10 * scale, f"{got} ≠ {want}"
 
 
+def _divisor_case(seed):
+    """(f − a, R): a seeded LeftPoly of degree 1–3 or a rational with a quaternion
+    denominator, at a = 0 or a random a, with R from 0.1 to 100."""
+    rng = np.random.default_rng(seed)
+    f = LeftPoly(rng.normal(size=(int(rng.integers(1, 4)) + 1, 4)))
+    if seed % 2:
+        f = SemiregularRational(f, LeftPoly(rng.normal(size=(int(rng.integers(2, 4)), 4))))
+    a = ZERO if seed % 4 < 2 else Quaternion(*rng.normal(size=4))
+    return f, a, float(10.0 ** rng.uniform(-1.0, 2.0))
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_harmonic_from_the_head_is_minus_r2_over_4_sum_of_ord_re_zeta_to_the_minus_2(seed):
     """H(f, a, R) = −(R²/4)·Σ ord·Re(ζ⁻²) over the signed divisor of f − a, zeros and poles.
 
     Newton's identities on the stem of (f − a)^s give this; the terms are
     formed here with complex arithmetic, apart from the kernel code of
-    divisor.py.  Seeded LeftPolys of degree 1–3 and rationals with a
-    quaternion denominator, at a = 0 and at a random a, with R from 0.1 to
-    100.
+    divisor.py, on the cases of _divisor_case.
     """
-    rng = np.random.default_rng(seed)
-    f = LeftPoly(rng.normal(size=(int(rng.integers(1, 4)) + 1, 4)))
-    if seed % 2:
-        f = SemiregularRational(f, LeftPoly(rng.normal(size=(int(rng.integers(2, 4)), 4))))
-    a = ZERO if seed % 4 < 2 else Quaternion(*rng.normal(size=4))
-    R = float(10.0 ** rng.uniform(-1.0, 2.0))
+    f, a, R = _divisor_case(seed)
     d = total_order_divisor(f - a)
     assert d.origin_order == 0
     terms = [(R * R / 4.0) * k * (complex(s.re, s.im) ** -2).real for s, k in d.entries]
     got = harmonic_remainder(f, a, R)
     assert abs(got + sum(terms)) <= 1e-12 * sum(abs(t) for t in terms), (got, -sum(terms))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_jensen_closure_summed_by_sphere_is_the_kernel_sum_less_h(seed, monkeypatch):
+    """The divisor side D of the closure is n₀·log R + Σ_inside ord·J(ζ, R) − H from the head.
+
+    A boundary mean of 0.0 stands in for the Monte-Carlo pass, so the
+    corrected residual is −D − lhs and D is read back off it; lhs joins
+    the scale Σ|terms|, as its rounding enters that residual.
+    """
+    f, a, R = _divisor_case(seed)
+    g = f - a
+    d = total_order_divisor(g)
+    monkeypatch.setattr(nevanlinna, "mean_columns",
+                        lambda columns, r, cfg: [SphericalMean(0.0, 0.0, cfg.samples, 0)] * 3)
+    corrected, factor2, _ = nevanlinna._jensen_closure(g, d, R, FAST)
+    got = -corrected.residual - corrected.lhs
+    want = corrected.divisor_sum - corrected.harmonic
+    terms = [k * jensen_kernel(s, R) for s, k in d.entries if s.modulus() < R]
+    scale = sum(abs(t) for t in terms) + abs(corrected.harmonic) + abs(corrected.lhs)
+    assert abs(got - want) <= 1e-12 * scale, (got, want)
+    assert factor2.residual == corrected.residual - (factor2.divisor_sum - corrected.divisor_sum)
+
+
+def test_a_sphere_beyond_1e154_r_outside_the_ball_still_closes():
+    """(q − 5e-5)(q − 1e152) at R = 1e-3: t² = 1e310 of the far sphere does not fit a float,
+    and its term in the closure needs only ρ² = 1e-310."""
+    f = RealPoly([5e-5 * 1e152, -(1e152 + 5e-5), 1.0])
+    with pytest.raises(OverflowError):
+        jensen_kernel(SliceComplex(1e152, 0.0), 1e-3)
+    rep, _ = verify_jensen(f, 1e-3, CFG)
+    assert rep.gate_ok, f"residual {rep.residual} beyond 3σ = {rep.three_sigma}"
 
 
 _QUATERNION_DEN = LeftPoly([[0.5, 0.2, -0.1, 0.3], [1.0, 0.0, 0.4, 0.0]])
