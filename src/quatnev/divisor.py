@@ -216,13 +216,18 @@ def complex_roots(p) -> list[tuple[complex, int]]:
         roots.append((0j, origin_mult))
     if coeff.shape[0] == 1:
         return roots
-    chain = [coeff / coeff[-1]]  # p, p', … as far as the largest cluster needs
     with np.errstate(over="ignore", invalid="ignore"):
+        chain = [coeff / coeff[-1]]  # p, p', … as far as the largest cluster needs
         raw, rho = _aberth_iterate(chain[0])
     if not np.isfinite(rho).all():
         deg = coeff.shape[0] - 1
+        # Fujiwara's bound 2·max_k |c_k/c_n|^{1/(n−k)} on the root moduli, in
+        # logs, as the monic coefficients need not fit a float
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(coeff))
+        log_bound = math.log(2.0) + float(np.max((logs[:-1] - logs[-1]) / (deg - np.arange(deg))))
         raise OverflowError(
-            f"a degree-{deg} polynomial with roots near {abs(chain[0][0]) ** (1.0 / deg):.3e} "
+            f"a degree-{deg} polynomial with roots up to about {_power_of_ten(log_bound)} "
             "overflows a float there, so the root iteration left non-finite approximants"
         )
     radii, labels = _inclusion_components(raw, rho)
@@ -322,7 +327,7 @@ class SphereDivisor:
         one within _SPHERE_MERGE_TOL·(1 + |ζ_ref|), which keeps its key and sums
         the orders, so exact duplicates merge and zero and pole spheres from two
         separate root finds cancel.  Zero orders are dropped, and the entries
-        are sorted by (|ζ|², re, im)."""
+        are sorted by (|ζ|, re, im), the order side() uses."""
         slots: list[list] = []
         for sphere, order in pairs:
             for slot in slots:
@@ -333,7 +338,7 @@ class SphereDivisor:
                     break
             else:
                 slots.append([sphere, int(order)])
-        slots.sort(key=lambda slot: (slot[0].re ** 2 + slot[0].im ** 2, slot[0].re, slot[0].im))
+        slots.sort(key=lambda slot: (slot[0].modulus(), slot[0].re, slot[0].im))
         return SphereDivisor(tuple((s, k) for s, k in slots if k != 0), origin_order)
 
     def side(self, side: str):

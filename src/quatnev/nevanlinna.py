@@ -657,55 +657,12 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3):
         raise ValueError("forms 1 and 2 need a finite target a")
     if form == 1 and len(radii) < 2:
         raise ValueError("form 1 fits its envelope over at least two radii")
-    rows = []
     at_inf = _radius_free(f, None)
     at_a = at_inf if aq is None else _radius_free(f, aq)
     if form == 3:
-        means = _mean_rows(
-            [(at_inf.request(r), at_a.proximity_request(r)) for r in radii],
-            cfg,
-        )
-        for r, ((sym_mean,), (prox,)) in zip(radii, means):
-            t_inf, t_err = at_inf.at(r, sym_mean)
-            counting = at_a.counting(r)
-            remainder = at_a.remainder(r)
-            residual = counting + prox.value - remainder - t_inf
-            rows.append(
-                {
-                    "r": r,
-                    "N": counting,
-                    "m": prox.value,
-                    "m_std_error": prox.std_error,
-                    "H": remainder,
-                    "T_infinity": t_inf,
-                    "residual": residual,
-                    "three_sigma": 3.0 * math.hypot(prox.std_error, t_err),
-                }
-            )
+        own = [(at_a.proximity_request(r),) for r in radii]
     elif form == 2:
-        means = _mean_rows(
-            [(at_inf.request(r), (_fmt_proximity_columns(f, at_a.g, aq, r), r)) for r in radii],
-            cfg,
-        )
-        for r, ((sym_mean,), fmt_means) in zip(radii, means):
-            counting = at_a.counting(r)
-            remainder = at_a.remainder(r)
-            t_inf, _ = at_inf.at(r, sym_mean)
-            m_fa, m_fsa_a, m_fsf_inf, m_fsa_inf = fmt_means
-            left = counting + 0.5 * m_fa.value + 0.5 * m_fsa_a.value - remainder
-            right = t_inf - 0.5 * m_fsf_inf.value + 0.5 * m_fsa_inf.value
-            rows.append(
-                {
-                    "r": r,
-                    "left": left,
-                    "right": right,
-                    "residual": left - right,
-                    "m_fa": m_fa.value,
-                    "m_fSa_at_a": m_fsa_a.value,
-                    "m_fSf_inf": m_fsf_inf.value,
-                    "m_fSa_inf": m_fsa_inf.value,
-                }
-            )
+        own = [((_fmt_proximity_columns(f, at_a.g, aq, r), r),) for r in radii]
     else:  # form 1
         conj_f = f.conjugate()
 
@@ -715,23 +672,50 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3):
             lam = np.maximum(sef.log_abs() + sec.log_abs(), 0.0)
             return lam[:, None], sef.ok & sec.ok
 
-        means = _mean_rows(
-            [(at_a.request(r), at_inf.request(r), (envelope_columns, r)) for r in radii],
-            cfg,
-        )
-        for r, ((sym_a,), (sym_inf,), (envelope,)) in zip(radii, means):
-            t_a, _ = at_a.at(r, sym_a)
-            t_inf, _ = at_inf.at(r, sym_inf)
-            rows.append(
-                {
-                    "r": r,
-                    "T_a": t_a,
-                    "T_infinity": t_inf,
-                    "residual": t_a - t_inf,
-                    "envelope": envelope.value,
-                    "envelope_std_error": envelope.std_error,
-                }
-            )
+        own = [(at_a.request(r), (envelope_columns, r)) for r in radii]
+    rows = []
+    means = _mean_rows([(at_inf.request(r), *req) for r, req in zip(radii, own)], cfg)
+    for r, ((sym_inf,), *own_means) in zip(radii, means):
+        t_inf, t_err = at_inf.at(r, sym_inf)
+        counting, remainder = at_a.counting(r), at_a.remainder(r)
+        if form == 3:
+            ((prox,),) = own_means
+            row = {
+                "r": r,
+                "N": counting,
+                "m": prox.value,
+                "m_std_error": prox.std_error,
+                "H": remainder,
+                "T_infinity": t_inf,
+                "residual": counting + prox.value - remainder - t_inf,
+                "three_sigma": 3.0 * math.hypot(prox.std_error, t_err),
+            }
+        elif form == 2:
+            ((m_fa, m_fsa_a, m_fsf_inf, m_fsa_inf),) = own_means
+            left = counting + 0.5 * m_fa.value + 0.5 * m_fsa_a.value - remainder
+            right = t_inf - 0.5 * m_fsf_inf.value + 0.5 * m_fsa_inf.value
+            row = {
+                "r": r,
+                "left": left,
+                "right": right,
+                "residual": left - right,
+                "m_fa": m_fa.value,
+                "m_fSa_at_a": m_fsa_a.value,
+                "m_fSf_inf": m_fsf_inf.value,
+                "m_fSa_inf": m_fsa_inf.value,
+            }
+        else:  # form 1
+            (sym_a,), (envelope,) = own_means
+            t_a = counting + 0.5 * sym_a.value - remainder  # T(f, a, r), as at_a.at gives it
+            row = {
+                "r": r,
+                "T_a": t_a,
+                "T_infinity": t_inf,
+                "residual": t_a - t_inf,
+                "envelope": envelope.value,
+                "envelope_std_error": envelope.std_error,
+            }
+        rows.append(row)
     residuals = [row["residual"] for row in rows]
     summary = {
         **_o1_fields(radii, residuals),

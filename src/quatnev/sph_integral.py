@@ -239,33 +239,25 @@ def mean_batch(requests, cfg: IntegratorConfig):
     SphericalMean(0.0, 0.0, cfg.samples, 0), the bits the walk gives that
     column.
 
-    Returns one list of SphericalMean per request, each bitwise equal to
-    mean_columns(column_fn, r, cfg).  When requests fail, the
-    exception of the first failing request in request order is raised,
-    which is the one calling mean_columns on each request in turn raises.
+    Every request's radius is checked before the first draw, so a bad one
+    anywhere in the batch raises before any block is drawn.  Returns one
+    list of SphericalMean per request, each bitwise equal to
+    mean_columns(column_fn, r, cfg).  The first failure the chunk → radius
+    → block walk meets is raised at once, and no block is drawn after it;
+    when several requests would fail, that is the one met first on the
+    walk, not necessarily the first in request order.
     """
-    passes = []
-    failure = None
-    for column_fn, r in requests:
-        try:
-            passes.append(_Pass(column_fn, r, cfg))
-        except ValueError as exc:
-            failure = exc
-            break
+    passes = [_Pass(column_fn, r, cfg) for column_fn, r in requests]
     antithetic = cfg.scheme == "antithetic_pair"
     # the rejection invariant (0.1%) trips long before this budget
     max_chunks = 2 * (cfg.samples // CHUNK + 2) + 8
     chunk_index = 0
-    while True:
-        live = [p for p in passes if p.taken < p.needed]
-        if not live:
-            break
+    while live := [p for p in passes if p.taken < p.needed]:
         if chunk_index >= max_chunks:
-            failure = TooManyRejections(
+            raise TooManyRejections(
                 f"stream exhausted after {chunk_index} chunks with "
                 f"{live[0].rejected} rejections"
             )
-            break
         g, n = gaussian_chunk(cfg.seed, 0, chunk_index)
         for r in dict.fromkeys(p.r for p in live):
             for start in range(0, CHUNK, BLOCK):
@@ -277,19 +269,10 @@ def mean_batch(requests, cfg: IntegratorConfig):
                 pts.setflags(write=False)
                 conj_pts = SlicePoints.conjugate_of(pts) if antithetic else None
                 for p in group:
-                    try:
-                        p.feed(pts, conj_pts)
-                    except Exception as exc:
-                        # held, not raised: an earlier request may still fail
-                        # on a later block, and its exception is the one to raise
-                        failure = exc
-                        del passes[passes.index(p):]
-                        break
+                    p.feed(pts, conj_pts)
                 del pts, conj_pts
         del g, n
         chunk_index += 1
-    if failure is not None:
-        raise failure
     return [p.means() for p in passes]
 
 

@@ -701,6 +701,23 @@ def test_a_sphere_at_1e_79_gives_a_finite_artifact(tmp_path, capsys):
     assert artifact["corrected"]["divisor_sum"] < -1e157
 
 
+def test_a_sphere_at_1e155_gives_a_finite_artifact(tmp_path, capsys):
+    """The zero sphere of q − 1e155 has |ζ|² past the float range, which the divisor never forms.
+
+    log|f| ≈ 356.9 is constant on ∂B₁, so the gate may miss on the
+    zero-width 3σ of ROADMAP item 6; every number of the artifact is finite.
+    """
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": [-1e155, 1.0], "r": 1}))
+    out = tmp_path / "a.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify-jensen", "--config", str(cfg), *FAST, "--format", "json",
+                     "--out", str(out)])
+    assert code in (0, 1), capsys.readouterr().err
+    json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in the artifact"))
+
+
 # numerator coefficients near 1e-144 put the roots of (f − a)^s and f^s near 1e48
 ROOTS_NEAR_1E48 = {
     "function": {"num": [[0.3, 0.2, 0.1, 0.4], [0.5, -0.2, 0.3, 0.1], [0.7, 0.1, -0.4, 0.2],

@@ -520,6 +520,13 @@ def test_kernel_at_a_sphere_of_modulus_1e_79_is_read_in_the_ratio():
     assert abs(got - want) <= 1e-15 * abs(want), (got, want)
 
 
+def test_a_sphere_above_1e154_is_sorted_by_its_modulus():
+    """(1e155)² overflows a Python float; the entries are sorted by |ζ| = hypot(re, im)."""
+    assert entries_of(RealPoly([-1e155, 1.0])) == ({(1e155, 0.0): 1}, 0)
+    d = SphereDivisor.build([(SliceComplex(1e155, 0.0), 1), (SliceComplex(0.0, 2.0), 1)], 0)
+    assert [(s.re, s.im) for s, _ in d.entries] == [(0.0, 2.0), (1e155, 0.0)]
+
+
 @pytest.mark.parametrize("reader", [
     lambda d, r: jensen_kernel(d.entries[0][0], r),
     lambda d, r: N_integrated(d, "zero", r),

@@ -7,7 +7,8 @@ zero, NEAR_ZERO: each function class answers it in its own pole_tol and
 near_zero_log, so the Monte-Carlo engine in sph_integral knows no
 function class and imports from quat_core alone.  Every kernel term of a
 sphere is read in the ratio r/|ζ| by one helper, _sphere_ratio, and the
-Jensen closure is formed in one function, _jensen_closure.  A second copy of a rule
+Jensen closure is formed in one function, _jensen_closure.  verify_fmt reads
+all three First Main Theorem forms off one _mean_rows batch.  A second copy of a rule
 could drift from the first when the rule changes, so these checks read
 the source with ``ast`` and name every function that holds one.
 """
@@ -89,6 +90,15 @@ def test_the_jensen_closure_is_formed_in_one_function():
     assert [w for w in _where(builds_report) if w.startswith("nevanlinna:")] == [
         "nevanlinna:_jensen_closure"]
     assert "nevanlinna:n_bound_check" in _where(_calls("verify_fmt"))
+
+
+def test_verify_fmt_reads_every_form_off_one_batch():
+    fmt = next(node for node in ast.walk(TREES["nevanlinna"])
+               if isinstance(node, ast.FunctionDef) and node.name == "verify_fmt")
+    calls = [node.func.id for node in ast.walk(fmt)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert calls.count("_mean_rows") == 1
+    assert not {"mean_batch", "mean_columns"} & set(calls)
 
 
 def test_the_sphere_merge_tolerance_is_read_by_build_alone():

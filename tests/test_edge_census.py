@@ -1,6 +1,6 @@
 """A seeded edge census: every config ends in finite numbers or a named error.
 
-The configs are drawn once, from a fixed seed, by ``_draw``: verify-jensen,
+The configs are drawn once, from each of two fixed seeds, by ``_draw``: verify-jensen,
 profile, mpb-check and fmt-check in turn, on a polynomial of degree 1–4
 (real 30% of the time), or on a rational 30% of the time, with coefficient
 scales out to 10^±300, radii 10^±3 and targets 10^±5 or ∞.  Each runs
@@ -24,6 +24,7 @@ import pytest
 from quatnev.cli import main
 
 SEED = 18
+SECOND_SEED = 19
 COUNT = 128
 COMMANDS = ("verify-jensen", "profile", "mpb-check", "fmt-check")
 
@@ -66,13 +67,15 @@ def _draw(rng: random.Random, command: str) -> dict:
     return config
 
 
-def _census():
-    rng = random.Random(SEED)
+def _census(seed):
+    rng = random.Random(seed)
     return [(COMMANDS[i % len(COMMANDS)], _draw(rng, COMMANDS[i % len(COMMANDS)]))
             for i in range(COUNT)]
 
 
-CENSUS = _census()
+CENSUS = _census(SEED)
+#: a second draw of COUNT configs; none of them has a known defect
+SECOND_CENSUS = _census(SECOND_SEED)
 
 
 #: census index → the cause that keeps it from meeting the contract
@@ -126,6 +129,11 @@ def _check(command, config, tmp_path, samples=2000):
 ])
 def test_census_config_ends_in_finite_numbers_or_a_named_error(index, tmp_path):
     _check(*CENSUS[index], tmp_path)
+
+
+@pytest.mark.parametrize("index", range(COUNT))
+def test_second_census_config_ends_in_finite_numbers_or_a_named_error(index, tmp_path):
+    _check(*SECOND_CENSUS[index], tmp_path)
 
 
 def test_a_zero_sphere_at_one_millionth_closes_jensen(tmp_path):

@@ -865,6 +865,45 @@ def test_fmt_form1_needs_two_radii():
         verify_fmt(RealPoly([1.0, 0.0, 1.0]), ONE, (2.0,), FAST, form=1)
 
 
+def _hayman_case(k):
+    """(f, a) for the form-1 battery: LeftPolys of degree 1–3 (k < 6), rationals
+    with a quaternion denominator (k < 10), q² + q·i, f(0) = a, and |a| = 40."""
+    rng = np.random.default_rng(k)
+    a = Quaternion(*rng.normal(size=4))
+    if k < 6:
+        return LeftPoly(rng.normal(size=(2 + k % 3, 4))), a
+    if k < 10:
+        return SemiregularRational(LeftPoly(rng.normal(size=(2 + k % 3, 4))),
+                                   LeftPoly(rng.normal(size=(2, 4)))), a
+    if k == 10:
+        return LeftPoly([[0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]]), a  # q² + q·i
+    f = LeftPoly(rng.normal(size=(3, 4)))
+    if k == 11:
+        return f, Quaternion.from_array(f.coeffs[0])
+    return f, a * (40.0 / a.norm())
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_fmt_form1_meets_the_hayman_constant(k):
+    """|T(f,a,r) − T(f,r) + log|g₀|| ≤ log⁺|a| + log 2 (Hayman, §1.2), g₀ the head of f − a.
+
+    The slack is 3(σ_a + σ_∞) of the two T passes, and each row's T values
+    are the bits of those passes run alone.
+    """
+    f, a = _hayman_case(k)
+    radii = (0.4, 2.5, 15.0)
+    cfg = IntegratorConfig(samples=20_000, seed=100 + k)
+    rows = verify_fmt(f, a, radii, cfg, form=1)["rows"]
+    at_a, at_inf = nevanlinna._radius_free(f, a), nevanlinna._radius_free(f, None)
+    log_g0 = math.log((f - a).series_head()[0].norm())
+    for r, row in zip(radii, rows):
+        t_a, sigma_a = at_a.at(r, mean_batch([at_a.request(r)], cfg)[0][0])
+        t_inf, sigma_inf = at_inf.at(r, mean_batch([at_inf.request(r)], cfg)[0][0])
+        assert (row["T_a"], row["T_infinity"], row["residual"]) == (t_a, t_inf, t_a - t_inf)
+        bound = max(math.log(a.norm()), 0.0) + math.log(2.0) + 3.0 * (sigma_a + sigma_inf)
+        assert abs(row["residual"] + log_g0) <= bound, (r, row["residual"] + log_g0, bound)
+
+
 def test_fmt_form2_forms_no_twist_of_a_slice_preserving_f(monkeypatch):
     """S_{f−a}(q) lies on S_q, where |f| is constant: m(f∘S_{f−a}, ∞) reads log|f|."""
     calls = []

@@ -404,21 +404,39 @@ def _late_failure():
     return columns
 
 
-def test_batch_raises_the_first_failing_request():
+def test_batch_raises_the_first_failing_request(monkeypatch):
+    """The first failure the chunk → radius → block walk meets, not the first in request order."""
+    draws = []
+    monkeypatch.setattr(sph_integral, "gaussian_chunk",
+                        lambda *key: draws.append(key) or gaussian_chunk(*key))
     early_rows = []
 
     def early(pts):
         early_rows.append(len(pts))
         return pts[:, :1], np.zeros(len(pts), dtype=bool)
 
-    with pytest.raises(TooManyRejections) as alone:
-        mean_columns(_late_failure(), 1.0, NEAR_CHUNK)
-    # the second request fails on chunk 0, before the first one fails on chunk 1
-    with pytest.raises(TooManyRejections) as batch:
+    # the second request fails on chunk 0, before the first one would fail on
+    # chunk 1; the walk raises it at once and draws no further chunk
+    with pytest.raises(TooManyRejections, match="at r = 2.0"):
         mean_batch([(_late_failure(), 1.0), (early, 2.0)], NEAR_CHUNK)
     assert sum(early_rows) == BLOCK
-    assert str(batch.value) == str(alone.value)
-    assert "at r = 1.0" in str(batch.value)
+    assert len(draws) == 1
+
+
+@pytest.mark.parametrize("r", [0.0, math.nan])
+def test_a_bad_radius_anywhere_in_a_batch_raises_before_any_draw(r, monkeypatch):
+    draws = []
+    monkeypatch.setattr(sph_integral, "gaussian_chunk",
+                        lambda *key: draws.append(key) or gaussian_chunk(*key))
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return identity_columns(pts)
+
+    with pytest.raises(ValueError, match="radius"):
+        mean_batch([(counted, 1.0), (identity_columns, r)], CFG)
+    assert draws == [] and calls == []
 
 
 def test_shared_points_are_read_only():
