@@ -186,8 +186,12 @@ def complex_roots(p) -> list[tuple[complex, int]]:
     Returns a list of (root, multiplicity) pairs whose multiplicities sum
     to the degree; it is conjugate-closed unless a nonreal cluster has no
     conjugate partner, which is kept once, as found.  After the origin is
-    divided out, Aberth–Ehrlich iteration starts on the circle |z| = |c₀/c_n|^{1/n}
-    (the geometric mean of the root moduli) and stops once every
+    divided out, the roots are found as y = z/2^e, e = ⌊(E₀ − E_n)/n + ½⌋
+    from the binary exponents E₀ and E_n of c₀ and c_n, so the root scale
+    |c₀/c_n|^{1/n} is within a factor of about 2 of 2^e; every rule below
+    then reads unit root scale, and q → 2^k·q scales each root found by
+    exactly 2^−k.  Aberth–Ehrlich iteration starts on the circle of the
+    geometric mean of the root moduli and stops once every
     approximant z_k has backward error |p(z_k)| ≤ 16ε·Σ|c_i||z_k|^i.
     The approximants are then clustered once: each gets the inclusion disc
     of radius n·ρ_k/|c_n·∏_{j≠k}(z_k − z_j)|, with ρ_k = |p(z_k)| plus
@@ -195,8 +199,8 @@ def complex_roots(p) -> list[tuple[complex, int]]:
     m-fold root.  All components of one size m are Newton-polished
     together on p^{(m−1)} to the same backward-error test from the
     centroids of their members; a polished point that leaves its
-    component's discs falls back to the centroid.  Roots within
-    1e-8·(1+|z|) of the real axis snap onto it, and nonreal roots with a
+    component's discs falls back to the centroid.  Roots y within
+    1e-8·(1+|y|) of the real axis snap onto it, and nonreal roots with a
     conjugate partner are emitted in exact conjugate pairs.
 
     Raises ZeroPolynomial for the identically-zero input, and OverflowError
@@ -207,20 +211,21 @@ def complex_roots(p) -> list[tuple[complex, int]]:
         raise ValueError("complex_roots needs a real-coefficient polynomial")
     if p.is_zero:
         raise ZeroPolynomial("the zero polynomial has no root set")
-    coeff = p.real_coeffs.astype(complex)
     origin_mult = p.origin_order()
-    if origin_mult:
-        coeff = coeff[origin_mult:]
+    coeff = p.real_coeffs[origin_mult:]
     roots: list[tuple[complex, int]] = []
     if origin_mult:
         roots.append((0j, origin_mult))
-    if coeff.shape[0] == 1:
+    deg = coeff.shape[0] - 1
+    if deg == 0:
         return roots
+    # ⌊x + ½⌋ moves by exactly −k under q → 2^k·q, where round()'s half-to-even would not
+    e = math.floor((math.frexp(coeff[0])[1] - math.frexp(coeff[-1])[1]) / deg + 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
-        chain = [coeff / coeff[-1]]  # p, p', … as far as the largest cluster needs
+        y = (np.ldexp(coeff, e * np.arange(-deg, 1)) if e else coeff).astype(complex)
+        chain = [y / y[-1]]  # p, p', … as far as the largest cluster needs
         raw, rho = _aberth_iterate(chain[0])
     if not np.isfinite(rho).all():
-        deg = coeff.shape[0] - 1
         # Fujiwara's bound 2·max_k |c_k/c_n|^{1/(n−k)} on the root moduli, in
         # logs, as the monic coefficients need not fit a float
         with np.errstate(divide="ignore"):
@@ -245,9 +250,11 @@ def complex_roots(p) -> list[tuple[complex, int]]:
             member_of[None, :] == at[:, None]
         )
         best[at] = np.where(inside.any(axis=1), polished, centroids[at])
-    roots.extend(_canonicalize_conjugate_pairs(list(zip(best, sizes.tolist()))))
-    roots.sort(key=lambda rm: (round(abs(rm[0]), 10), rm[0].real, rm[0].imag))
-    return roots
+    found = _canonicalize_conjugate_pairs(list(zip(best, sizes.tolist())))
+    found.sort(key=lambda rm: (round(abs(rm[0]), 10), rm[0].real, rm[0].imag))
+    if e:
+        found = [(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)), m) for z, m in found]
+    return roots + found
 
 
 def _canonicalize_conjugate_pairs(clusters: list[tuple[complex, int]]):
@@ -324,7 +331,7 @@ class SphereDivisor:
     @staticmethod
     def build(pairs, origin_order: int = 0) -> "SphereDivisor":
         """The one merge of divisor spheres: each sphere joins the first earlier
-        one within _SPHERE_MERGE_TOL·(1 + |ζ_ref|), which keeps its key and sums
+        one within _SPHERE_MERGE_TOL·|ζ_ref|, which keeps its key and sums
         the orders, so exact duplicates merge and zero and pole spheres from two
         separate root finds cancel.  Zero orders are dropped, and the entries
         are sorted by (|ζ|, re, im), the order side() uses."""
@@ -333,7 +340,7 @@ class SphereDivisor:
             for slot in slots:
                 ref = slot[0]
                 dist = math.hypot(ref.re - sphere.re, ref.im - sphere.im)
-                if dist <= _SPHERE_MERGE_TOL * (1.0 + ref.modulus()):
+                if dist <= _SPHERE_MERGE_TOL * ref.modulus():
                     slot[1] += int(order)
                     break
             else:
@@ -350,29 +357,6 @@ class SphereDivisor:
         spheres = [(s.modulus(), s, sign * k) for s, k in self.entries if sign * k > 0]
         spheres.sort(key=lambda row: (row[0], row[1].re, row[1].im))
         return max(sign * self.origin_order, 0), spheres
-
-
-_LOG_HUGE = math.log(np.finfo(float).max)  # natural log of the largest float
-
-
-def _check_root_scale(side, copies: int) -> None:
-    """Raise OverflowError when the product of the roots complex_roots would find for side overflows.
-
-    Those are copies·n roots (copies = 2 for the symmetrization), n the
-    roots of side away from 0, found from a monic polynomial whose constant
-    term is ± their product ρ^{copies·n}, with ρ = |c_lo / c_deg|^{1/n} the
-    root scale of side.
-    """
-    lo = side.origin_order()
-    n = side.degree - lo
-    if n == 0:
-        return
-    log_rho = (math.log(math.hypot(*side.coeffs[lo])) - math.log(math.hypot(*side.coeffs[-1]))) / n
-    if copies * n * log_rho >= _LOG_HUGE:
-        raise OverflowError(
-            f"the roots lie at scale {_power_of_ten(log_rho)}, so the {copies * n} roots to find "
-            f"have a product near {_power_of_ten(copies * n * log_rho)}, which does not fit a float"
-        )
 
 
 def _power_of_ten(log_x: float) -> str:
@@ -399,7 +383,8 @@ def total_order_divisor(f) -> SphereDivisor:
 
     Raises UnbalancedDivisor when the orders found for g, with its order at
     the origin, do not sum to deg g, or likewise for h, and OverflowError
-    when the product of the roots to find for g or h overflows a float.
+    when a symmetrization lost its leading or lowest coefficient below the
+    float range, or complex_roots raises it.
     """
     sides = ((f.num, 1), (f.den, -1)) if isinstance(f, SemiregularRational) else ((f, 1),)
     if f.is_zero:
@@ -411,16 +396,20 @@ def total_order_divisor(f) -> SphereDivisor:
         origin += sign * total
         if side.degree <= 0:
             continue
-        _check_root_scale(side, 1 if isinstance(side, RealPoly) else 2)
         if isinstance(side, RealPoly):
             poly, power = side, 2
         elif sign < 0:
             poly, power = f.den_s, 1  # h^s at a power-of-two scale, as f holds it
         else:
-            # a copy scaled by 2^−e has the same roots, and its f^s neither
-            # overflows nor underflows where that of the side would
+            # a copy scaled by 2^−e has the same roots, and its f^s does not
+            # overflow where that of the side would
             e = math.frexp(np.abs(side.coeffs).max())[1]
             poly, power = LeftPoly(np.ldexp(side.coeffs, -e)).symmetrize(), 1
+        if power == 1 and (poly.degree, poly.origin_order()) != (2 * side.degree, 2 * total):
+            raise OverflowError(
+                f"the symmetrization of a degree-{side.degree} side lost a coefficient below the "
+                f"float range: it has degree {poly.degree} and origin order {poly.origin_order()}"
+            )
         for z, mult in complex_roots(poly):
             mult *= power
             if z == 0:

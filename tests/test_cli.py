@@ -8,6 +8,7 @@ subprocesses.
 import hashlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -646,7 +647,8 @@ def test_overflowing_symmetrization_exits_2_with_a_named_error(command, tmp_path
 
 @pytest.mark.parametrize("command", ["profile", "fmt-check"])
 def test_target_near_the_float_range_exits_2_with_a_named_error(command, tmp_path, capsys):
-    """The roots of f − a lie near 1.2e154, so the product of the four roots of (f − a)^s overflows."""
+    """The roots of f − a lie near 1.2e154; the unit-scale copy of f − a has a leading term
+    near 2^−1024, which (f − a)^s squares below the float range, so the divisor refuses it."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"a": [1e308, 1e308, 0, 0]}))
     with warnings.catch_warnings():
@@ -654,7 +656,8 @@ def test_target_near_the_float_range_exits_2_with_a_named_error(command, tmp_pat
         code = main([command, "--config", str(cfg), *FAST])
     err = capsys.readouterr().err
     assert code == 2
-    assert "error: f − a: the roots lie at scale 1.189e+154" in err and "orders sum" not in err, err
+    assert ("error: f − a: the symmetrization of a degree-2 side lost a coefficient below the "
+            "float range: it has degree 2" in err and "orders sum" not in err), err
 
 
 @pytest.mark.parametrize("r", [2.0000000000002, 2.0, 1.9999999999998])
@@ -676,6 +679,22 @@ def test_kernel_divisor_underflow_exits_2_with_a_named_error(tmp_path, capsys):
     assert code == 2
     assert ("error: ((|ζ|/r)² − (r/|ζ|)²)/4 does not fit a float at the divisor sphere "
             "|ζ| = 1e-200, r = 2.0") in err, err
+
+
+def test_a_sphere_near_1e_160_is_found_before_the_kernel_refuses_it(tmp_path, capsys):
+    """f^s = q² + 2e-160·q + 2e-320 keeps its subnormal constant term, and rooted at
+    unit root scale it gives the one sphere, |ζ| ≈ √2·1e-160 to the 12 bits of that
+    term, where it once gave a real root of odd multiplicity; (r/|ζ|)² is past the
+    float range, so the kernel refuses it by name, as it does the sphere at 1e-200."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": [[1e-160, 1e-160, 0, 0], [1, 0, 0, 0]], "r": 2}))
+    code = main(["verify-jensen", "--config", str(cfg), *FAST])
+    err = capsys.readouterr().err
+    assert code == 2 and "odd multiplicity" not in err, err
+    found = re.search(r"error: \(\(\|ζ\|/r\)² − \(r/\|ζ\|\)²\)/4 does not fit a float at the "
+                      r"divisor sphere \|ζ\| = (\S+), r = 2\.0", err)
+    assert found, err
+    assert abs(float(found[1]) / (math.sqrt(2.0) * 1e-160) - 1.0) <= 1e-4, err
 
 
 def test_a_sphere_at_1e_79_gives_a_finite_artifact(tmp_path, capsys):

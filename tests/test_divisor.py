@@ -212,6 +212,7 @@ ROOT_EVAL_BUDGET = 150  # polynomial evaluations per complex_roots call
 REPEATED_SPHERE_SEED = 5
 REPEATED_SPHERE_CASES = 300
 OVER_MERGED_SEED = 596
+EQUIVARIANCE_SEED = 30
 
 
 def test_complex_roots_returns_exact_keys():
@@ -465,12 +466,6 @@ def test_an_unpaired_root_cluster_is_counted_once_and_the_divisor_refused():
         total_order_divisor(f)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=UnbalancedDivisor,
-    reason="_canonicalize_conjugate_pairs snaps a root with |Im z| ≤ 1e-8·(1 + |z|) onto "
-    "the real axis, a bound that is absolute below |z| = 1",
-)
 @pytest.mark.parametrize("f, sphere, order", [
     (RealPoly([1e-16, 0.0, 1.0]), (0.0, 1e-8), 2),
     (LeftPoly([[-1e-9, -2e-9, 0, 0], [1, 0, 0, 0]]), (1e-9, 2e-9), 1),
@@ -518,6 +513,55 @@ def test_kernel_at_a_sphere_of_modulus_1e_79_is_read_in_the_ratio():
     got = jensen_kernel(SliceComplex(-1e-79, 0.0), 2.0)
     want = math.log(2e79) + ((1e-79 / 2.0) ** 2 - 2e79 ** 2) / 4.0
     assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+
+def _seeded_polynomials(count=40):
+    """count coefficient arrays of degree 1–4 with components in (−1, 1), every third real."""
+    rng = np.random.default_rng(EQUIVARIANCE_SEED)
+    out = []
+    for i in range(count):
+        c = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 6)), 4))
+        if i % 3 == 0:
+            c[:, 1:] = 0.0
+        out.append(c)
+    return out
+
+
+def _entries_times(d, k):
+    """The entries of d with every sphere scaled by 2^k, and its origin order."""
+    return [(math.ldexp(s.re, k), math.ldexp(s.im, k), order) for s, order in d.entries], d.origin_order
+
+
+@pytest.mark.parametrize("k", [1, -1, 27, -27, 60, -60, 200, -200])
+def test_the_divisor_is_exactly_scale_equivariant(k):
+    """f(2^k·q) has the divisor of f scaled by 2^−k, bit for bit.
+
+    At |k| = 200 the symmetrization of a quaternion f may instead lose a
+    coefficient below the float range, which is a named OverflowError; an
+    input with a scaled coefficient that is not a normal float is skipped.
+    """
+    checked = 0
+    for c in _seeded_polynomials():
+        scaled = np.ldexp(c, k * np.arange(c.shape[0])[:, None])
+        nonzero = np.abs(scaled[c != 0.0])
+        if not ((nonzero >= np.finfo(float).tiny) & (nonzero <= np.finfo(float).max)).all():
+            continue
+        want = _entries_times(total_order_divisor(LeftPoly(c)), -k)
+        try:
+            got = _entries_times(total_order_divisor(LeftPoly(scaled)), 0)
+        except OverflowError as err:
+            assert abs(k) >= 200 and "lost a coefficient below the float range" in str(err), err
+            continue
+        assert got == want, (c.tolist(), got, want)
+        checked += 1
+    assert checked >= 13
+
+
+def test_a_symmetrization_that_underflows_is_a_named_error():
+    """f^s = q² + 2e-200·q + 2e-400 loses its constant term, so its roots would read as a real one."""
+    with pytest.raises(OverflowError, match="the symmetrization of a degree-1 side lost a coefficient "
+                       "below the float range: it has degree 2 and origin order 1"):
+        total_order_divisor(LeftPoly([[1e-200, 1e-200, 0, 0], [1, 0, 0, 0]]))
 
 
 def test_a_sphere_above_1e154_is_sorted_by_its_modulus():

@@ -65,8 +65,8 @@ def test_every_kernel_term_is_read_through_one_ratio_helper():
     readers and raises the kernel's OverflowError; the Jensen closure
     reads the ratio itself, squaring only the t or ρ its sphere's term
     needs.  None of divisor.py forms |ζ|⁴ (a fourth power or a mod4); the
-    other OverflowErrors of divisor.py are the root scale and the root
-    iteration.
+    other OverflowErrors of divisor.py are the underflowed symmetrization
+    and the root iteration.
     """
     def fourth_power(node):
         return ((isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
@@ -78,7 +78,7 @@ def test_every_kernel_term_is_read_through_one_ratio_helper():
     assert set(_where(_calls("_sphere_weight"))) == {
         "divisor:jensen_kernel", "divisor:N_via_unintegrated", "divisor:angular_term"}
     assert [w for w in _where(_raises("OverflowError")) if w.startswith("divisor:")] == [
-        "divisor:_check_root_scale", "divisor:_sphere_weight", "divisor:complex_roots"]
+        "divisor:_sphere_weight", "divisor:complex_roots", "divisor:total_order_divisor"]
     assert [w for w in _where(fourth_power) if w.startswith("divisor:")] == []
 
 

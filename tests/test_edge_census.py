@@ -115,12 +115,13 @@ def _check(command, config, tmp_path, samples=2000):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert any(line.startswith(("error:", "config error:")) for line in lines), err.getvalue()
-        return
+        return code
     assert code in (0, 1), code
     bad = [x for x in _numbers(json.loads(out.getvalue())) if not math.isfinite(x)]
     assert not bad, f"non-finite numbers in the artifact: {bad}"
     if command == "verify-jensen":
         assert code == 0, "the Jensen formula is exact, so its gate must hold"
+    return code
 
 
 @pytest.mark.parametrize("index", [
@@ -143,3 +144,10 @@ def test_a_zero_sphere_at_one_millionth_closes_jensen(tmp_path):
 def test_a_real_zero_near_7e_5_closes_jensen_at_20000_samples(tmp_path):
     """At 20 000 samples 3σ is 2.2e-5; the closure that formed H missed it by 4.7e-3."""
     _check(*SMALL_REAL_ZERO, tmp_path, samples=20_000)
+
+
+def test_census_index_84_closes_jensen(tmp_path):
+    """A linear quaternion f whose sphere sits near 1e-87: its symmetrization is
+    rooted at unit root scale, so the divisor has the one sphere and the closure
+    holds, where a real root of odd multiplicity once refused it."""
+    assert _check(*CENSUS[84], tmp_path) == 0
