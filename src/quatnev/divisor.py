@@ -98,22 +98,31 @@ def _horner(rows: np.ndarray, z: np.ndarray):
 
 
 def _aberth_iterate(c: np.ndarray):
-    """Simultaneous root iteration (Aberth–Ehrlich) for a monic coefficient
-    array (lowest degree first, complex, c[0] ≠ 0).
+    """Simultaneous root iteration (Aberth–Ehrlich) for the monic coefficient
+    array of a real polynomial (lowest degree first, complex dtype, c[0] ≠ 0).
 
-    Starts on the circle |z| = |c₀|^{1/n}, the geometric mean of the root
-    moduli, and stops once every approximant meets the backward-error
-    test; _ABERTH_MAX_ITER is only a safety cap.  Returns the approximants
-    z and ρ = |p(z)| + 16ε·Σ|c_i||z|^i at them."""
+    Starts at the eigenvalues of the real companion matrix of c, which are
+    backward-stable approximations of the roots (Edelman & Murakami, Math.
+    Comp. 64, 1995), and stops once every approximant meets the
+    backward-error test; _ABERTH_MAX_ITER is only a safety cap.  Where
+    the eigenvalues are not all finite and pairwise distinct, as for the
+    exact double root of (q − ½)² or coefficients far beyond unit scale,
+    it starts on the circle |z| = |c₀|^{1/n}, the geometric mean of the
+    root moduli, instead.
+    Returns the approximants z and ρ = |p(z)| + 16ε·Σ|c_i||z|^i at them."""
     deg = c.shape[0] - 1
-    radius = abs(c[0]) ** (1.0 / deg)
-    k = np.arange(deg)
-    # start on a slightly spiralled circle; the angular offset breaks the
-    # conjugation symmetry that can stall simultaneous iterations on real
-    # coefficient input
-    z = radius * (1.0 + 0.01 * k / max(deg, 1)) * np.exp(
-        1j * (2.0 * np.pi * (k + 0.353) / deg + 0.007 * k)
-    )
+    z = c  # a non-finite c fails the test below as it stands
+    if np.isfinite(c).all():
+        z = np.linalg.eigvals(npoly.polycompanion(c.real)).astype(complex)
+    if not (np.isfinite(z).all() and np.unique(z).shape[0] == deg):
+        radius = abs(c[0]) ** (1.0 / deg)
+        k = np.arange(deg)
+        # a slightly spiralled circle; the angular offset breaks the
+        # conjugation symmetry that can stall simultaneous iterations on
+        # real coefficient input
+        z = radius * (1.0 + 0.01 * k / max(deg, 1)) * np.exp(
+            1j * (2.0 * np.pi * (k + 0.353) / deg + 0.007 * k)
+        )
     rows = _eval_rows(c, npoly.polyder(c))
     for _ in range(_ABERTH_MAX_ITER):
         pz, bound, dpz = _horner(rows, z)
@@ -190,9 +199,11 @@ def complex_roots(p) -> list[tuple[complex, int]]:
     from the binary exponents E₀ and E_n of c₀ and c_n, so the root scale
     |c₀/c_n|^{1/n} is within a factor of about 2 of 2^e; every rule below
     then reads unit root scale, and q → 2^k·q scales each root found by
-    exactly 2^−k.  Aberth–Ehrlich iteration starts on the circle of the
-    geometric mean of the root moduli and stops once every
-    approximant z_k has backward error |p(z_k)| ≤ 16ε·Σ|c_i||z_k|^i.
+    exactly 2^−k.  Aberth–Ehrlich iteration starts at the eigenvalues of
+    the companion matrix, or on the circle of the geometric mean of the
+    root moduli where those are not finite and pairwise distinct, and
+    stops once every approximant z_k has backward error
+    |p(z_k)| ≤ 16ε·Σ|c_i||z_k|^i.
     The approximants are then clustered once: each gets the inclusion disc
     of radius n·ρ_k/|c_n·∏_{j≠k}(z_k − z_j)|, with ρ_k = |p(z_k)| plus
     that evaluation bound, and a connected component of m discs is one

@@ -14,8 +14,8 @@ import warnings
 import numpy as np
 import pytest
 
-from quatnev import nevanlinna, quat_core, sph_integral, star_poly
-from quatnev.cli import _COMMANDS, main
+from quatnev import divisor, nevanlinna, quat_core, sph_integral, star_poly
+from quatnev.cli import _COMMANDS, _parse_function, _parse_target, main
 from quatnev.divisor import jensen_kernel, total_order_divisor
 from quatnev.quat_core import SliceComplex, gaussian_chunk, slice_units, slice_uv
 from quatnev.nevanlinna import NevanlinnaProfile, _radius_free as radius_free
@@ -759,6 +759,31 @@ def test_roots_where_the_polynomial_overflows_exit_2_with_a_named_error(command,
     err = capsys.readouterr().err
     assert code == 2
     assert "error: " in err and "overflows a float there" in err, err
+
+
+def test_roots_near_1e48_start_the_iteration_on_the_circle(monkeypatch):
+    """The monic coefficients of (f − a)^s reach 1e190 and four of their companion
+    eigenvalues are exact zeros, so the root iteration starts on the circle
+    |z| = |c₀|^{1/n} instead, and ends in the named error without a RuntimeWarning."""
+    starts = []
+    horner = divisor._horner
+
+    def recording_horner(rows, z):
+        starts.append((rows[0].copy(), z.copy()))
+        return horner(rows, z)
+
+    monkeypatch.setattr(divisor, "_horner", recording_horner)
+    f = _parse_function(ROOTS_NEAR_1E48["function"]) - _parse_target(ROOTS_NEAR_1E48["a"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError, match="overflows a float there"):
+            total_order_divisor(f)
+    c, z = starts[0]
+    deg = c.shape[0] - 1
+    eig = np.linalg.eigvals(np.polynomial.polynomial.polycompanion(c.real))
+    assert np.abs(c).max() > 1e190 and np.count_nonzero(eig == 0) == 4
+    k = np.arange(deg)
+    assert np.abs(z) == pytest.approx(abs(c[0]) ** (1.0 / deg) * (1.0 + 0.01 * k / deg))
 
 
 def test_nested_rational_literal_exits_2(tmp_path, capsys):

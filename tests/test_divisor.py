@@ -212,6 +212,8 @@ ROOT_EVAL_BUDGET = 150  # polynomial evaluations per complex_roots call
 REPEATED_SPHERE_SEED = 5
 REPEATED_SPHERE_CASES = 300
 OVER_MERGED_SEED = 596
+ABERTH_START_SEED = 31
+ABERTH_STEP_BUDGET = 3  # Horner passes per Aberth–Ehrlich call from the companion start
 EQUIVARIANCE_SEED = 30
 
 
@@ -334,6 +336,29 @@ def test_planted_symmetrizations_stay_within_the_evaluation_budget(eval_count):
             )
 
 
+def test_the_companion_start_meets_the_backward_error_test_within_three_steps(
+        eval_count, monkeypatch):
+    """Seeded planted symmetrizations of degree 4–24: from the companion
+    eigenvalues, each Aberth–Ehrlich call makes at most three Horner passes,
+    the last of which finds every approximant within its backward-error bound."""
+    steps = []
+    aberth = divisor._aberth_iterate
+
+    def counting_aberth(c):
+        before = eval_count[0]
+        out = aberth(c)
+        steps.append((c.shape[0] - 1, (eval_count[0] - before) // 3))  # 3 rows a pass
+        return out
+
+    monkeypatch.setattr(divisor, "_aberth_iterate", counting_aberth)
+    rng = np.random.default_rng(ABERTH_START_SEED)
+    for case in range(55):
+        p, _spheres = _planted_symmetrization(rng, 2 + case % 11)  # f-degree 2–12
+        complex_roots(p)
+    assert sorted({deg for deg, _n in steps}) == list(range(4, 25, 2))
+    assert max(n for _deg, n in steps) <= ABERTH_STEP_BUDGET, steps
+
+
 def test_polish_runs_once_per_distinct_cluster_size(monkeypatch):
     sizes = []
     polish = divisor._polish
@@ -421,26 +446,15 @@ def test_repeated_sphere_orders_are_recovered():
     assert not wrong, f"{len(wrong)} of {REPEATED_SPHERE_CASES} divisors wrong: {wrong[:3]}"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the inclusion discs of a double sphere and a nearby root can overlap, "
-    "and their component then comes back as one root of the summed order; this "
-    "hits about 1 input in 300 of f-degree 10–13",
-)
 def test_a_double_sphere_beside_a_real_root_at_degree_ten_stays_apart():
     f, planted = _planted_repeated_spheres(np.random.default_rng(OVER_MERGED_SEED), max_degree=13)
     assert f.degree >= 10
     assert _recovered_orders_match(f, planted), entries_of(f)[0]
 
 
-# Case 1758 of _planted_repeated_spheres(np.random.default_rng(2), max_degree=13):
-# spheres of order 2 at (0.862, 1.654), (1.172, 1.480), (1.773, 1.466),
-# (1.821, 0.999) and (1.906, 0.719), and one of order 1 at (0.703, 0.726).  The
-# inclusion discs of three double spheres, their conjugates and the conjugate of
-# a fourth merge into one component of 14 roots below the real axis, so that
-# component and the fourth sphere above it have no conjugate partner.
-UNPAIRED_CLUSTER_INPUT = [
+# Case 1758 of _planted_repeated_spheres(np.random.default_rng(2), max_degree=13)
+# and its planted orders.
+CLOSE_DOUBLE_SPHERES_INPUT = [
     [344.8914846433013, 608.3023346375942, -490.698162806103, -826.5412764429905],
     [-1637.1304543950673, -2503.127186107522, 2590.1265912142453, 3243.288646078808],
     [3052.4063837867475, 4931.496946627747, -6373.368990108413, -6543.190752347919],
@@ -454,15 +468,46 @@ UNPAIRED_CLUSTER_INPUT = [
     [-15.773538114774695, -2.484120941420783, -4.996355916195327, -0.8040820045728421],
     [1.0, 0.0, 0.0, 0.0],
 ]
+CLOSE_DOUBLE_SPHERES_ORDERS = {
+    (0.702979634447785, 0.7259196516091457): 1,
+    (0.8622255179730596, 1.6544436669885518): 2,
+    (1.1718013650368624, 1.4795004526716706): 2,
+    (1.7735867065553892, 1.4659932803628004): 2,
+    (1.8213183674812976, 0.9993855630831181): 2,
+    (1.9063472831168453, 0.7194962083703162): 2,
+}
 
 
-def test_an_unpaired_root_cluster_is_counted_once_and_the_divisor_refused():
-    f = LeftPoly(UNPAIRED_CLUSTER_INPUT)
-    roots = complex_roots(f.symmetrize())
-    assert sum(m for _z, m in roots) == 2 * f.degree, roots
-    unpaired = [(z, m) for z, m in roots if (z.conjugate(), m) not in roots]
-    assert sorted(m for _z, m in unpaired) == [2, 14], unpaired
-    with pytest.raises(UnbalancedDivisor, match="orders sum to 5 on a polynomial of degree 11"):
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the inclusion discs of the double spheres at (1.821, 0.999) and "
+    "(1.906, 0.719) overlap, and their component comes back as one sphere of "
+    "order 4 near (1.827, 0.822); the orders still sum to the degree, so the "
+    "wrong divisor is not refused",
+)
+def test_two_double_spheres_0_29_apart_stay_apart():
+    f = LeftPoly(CLOSE_DOUBLE_SPHERES_INPUT)
+    assert _recovered_orders_match(f, CLOSE_DOUBLE_SPHERES_ORDERS), entries_of(f)[0]
+
+
+def test_an_unpaired_root_cluster_is_counted_once_and_the_divisor_refused(monkeypatch):
+    """A nonreal cluster whose conjugate came back with another multiplicity
+    is emitted once, as found, and so is that conjugate; the divisor of a
+    degree-10 f whose symmetrization has these clusters is refused."""
+    clusters = [
+        (0.5 + 1.0j, 1), (0.5 + 1e-9 - 1.0j, 1),  # a pair, averaged onto exact conjugates
+        (2.0 + 1e-12j, 2),  # snapped onto the real axis
+        (1.8 + 0.9j, 2), (1.5 - 1.2j, 14),  # no partner of the same multiplicity
+    ]
+    found = divisor._canonicalize_conjugate_pairs(clusters)
+    assert found == [
+        (0.5 + 5e-10 + 1.0j, 1), (0.5 + 5e-10 - 1.0j, 1), (2.0 + 0j, 2),
+        (1.8 + 0.9j, 2), (1.5 - 1.2j, 14),
+    ]
+    monkeypatch.setattr(divisor, "complex_roots", lambda p: found)
+    f = LeftPoly([[1.0, 1.0, 0.0, 0.0]] + [[0.0] * 4] * 9 + [[1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(UnbalancedDivisor, match="orders sum to 4 on a polynomial of degree 10"):
         total_order_divisor(f)
 
 
