@@ -56,9 +56,10 @@ class BoundaryDivisor(ArithmeticError):
 class UnbalancedDivisor(ArithmeticError):
     """The orders found for g or h do not sum to its degree.
 
-    The root finder merged or lost roots: a cluster came back with no
-    conjugate partner, or a real root with odd multiplicity in a
-    symmetrization.  The divisor would be wrong, so none is returned.
+    The root finder merged or lost roots: the roots it found on and above
+    the real axis do not account for the degree, or a real root of a
+    symmetrization came back with odd multiplicity.  The divisor would be
+    wrong, so none is returned.
     """
 
 
@@ -192,9 +193,10 @@ def _polish(chain: list[np.ndarray], z: np.ndarray, mult: int) -> np.ndarray:
 def complex_roots(p) -> list[tuple[complex, int]]:
     """Roots of a real-coefficient polynomial with multiplicities.
 
-    Returns a list of (root, multiplicity) pairs whose multiplicities sum
-    to the degree; it is conjugate-closed unless a nonreal cluster has no
-    conjugate partner, which is kept once, as found.  After the origin is
+    Returns a conjugate-closed list of (root, multiplicity) pairs, read
+    off the closed upper half-plane; its multiplicities sum to the degree
+    unless the root clusters found below the axis differ from the mirror
+    images of those above it.  After the origin is
     divided out, the roots are found as y = z/2^e, e = ⌊(E₀ − E_n)/n + ½⌋
     from the binary exponents E₀ and E_n of c₀ and c_n, so the root scale
     |c₀/c_n|^{1/n} is within a factor of about 2 of 2^e; every rule below
@@ -210,9 +212,9 @@ def complex_roots(p) -> list[tuple[complex, int]]:
     m-fold root.  All components of one size m are Newton-polished
     together on p^{(m−1)} to the same backward-error test from the
     centroids of their members; a polished point that leaves its
-    component's discs falls back to the centroid.  Roots y within
-    1e-8·(1+|y|) of the real axis snap onto it, and nonreal roots with a
-    conjugate partner are emitted in exact conjugate pairs.
+    component's discs falls back to the centroid.  A root y within
+    1e-8·(1+|y|) of the real axis snaps onto it, one above the axis is
+    emitted with its exact conjugate, and one below it is not emitted.
 
     Raises ZeroPolynomial for the identically-zero input, and OverflowError
     where p overflows near its roots, so an approximant or its evaluation
@@ -261,53 +263,16 @@ def complex_roots(p) -> list[tuple[complex, int]]:
             member_of[None, :] == at[:, None]
         )
         best[at] = np.where(inside.any(axis=1), polished, centroids[at])
-    found = _canonicalize_conjugate_pairs(list(zip(best, sizes.tolist())))
+    found: list[tuple[complex, int]] = []
+    for z, m in zip(best.tolist(), sizes.tolist()):
+        if abs(z.imag) <= _REAL_SNAP * (1.0 + abs(z)):
+            found.append((complex(z.real, 0.0), m))
+        elif z.imag > 0.0:
+            found += [(z, m), (z.conjugate(), m)]
     found.sort(key=lambda rm: (round(abs(rm[0]), 10), rm[0].real, rm[0].imag))
     if e:
         found = [(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)), m) for z, m in found]
     return roots + found
-
-
-def _canonicalize_conjugate_pairs(clusters: list[tuple[complex, int]]):
-    """Snap near-real roots, average conjugate partners, emit closed pairs.
-
-    A nonreal cluster without a partner of the same multiplicity is emitted
-    once, unchanged: inventing its conjugate would count its m roots 2m
-    times.  total_order_divisor then finds the orders unbalanced.
-    """
-    snapped = []
-    for z, m in clusters:
-        if abs(z.imag) <= _REAL_SNAP * (1.0 + abs(z)):
-            snapped.append((complex(z.real, 0.0), m))
-        else:
-            snapped.append((z, m))
-    out: list[tuple[complex, int]] = []
-    used = [False] * len(snapped)
-    for i, (z, m) in enumerate(snapped):
-        if used[i]:
-            continue
-        if z.imag == 0.0:
-            out.append((z, m))
-            used[i] = True
-            continue
-        partner = None
-        for j in range(i + 1, len(snapped)):
-            if used[j]:
-                continue
-            zj, mj = snapped[j]
-            if zj.imag * z.imag < 0 and abs(zj - z.conjugate()) <= 1e-6 * (1.0 + abs(z)) and mj == m:
-                partner = j
-                break
-        if partner is None:
-            out.append((z, m))
-            used[i] = True
-            continue
-        zj = snapped[partner][0]
-        up = complex((z.real + zj.real) / 2.0, (abs(z.imag) + abs(zj.imag)) / 2.0)
-        out.append((up, m))
-        out.append((up.conjugate(), m))
-        used[i] = used[partner] = True
-    return out
 
 
 # ---------------------------------------------------------------------------

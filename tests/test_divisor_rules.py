@@ -1,8 +1,9 @@
 """Each divisor rule of the package is written in one place.
 
-Two rules decide what a divisor is, and each must have one copy: the
-1e-12·r test that raises BoundaryDivisor, and the merge of spheres that
-agree within _SPHERE_MERGE_TOL.  A third decides when |f(q)| counts as
+Three rules decide what a divisor is, and each must have one copy: the
+snap of a root within _REAL_SNAP of the real axis onto it, the 1e-12·r
+test that raises BoundaryDivisor, and the merge of spheres that agree
+within _SPHERE_MERGE_TOL.  A fourth decides when |f(q)| counts as
 zero, NEAR_ZERO: each function class answers it in its own pole_tol and
 near_zero_log, so the Monte-Carlo engine in sph_integral knows no
 function class and imports from quat_core alone.  Every kernel term of a
@@ -107,6 +108,14 @@ def test_the_sphere_merge_tolerance_is_read_by_build_alone():
                 and isinstance(node.ctx, ast.Load))
 
     assert _where(reads_tolerance) == ["divisor:SphereDivisor.build"]
+
+
+def test_the_real_axis_snap_is_read_by_complex_roots_alone():
+    def reads_snap(node):
+        return (isinstance(node, ast.Name) and node.id == "_REAL_SNAP"
+                and isinstance(node.ctx, ast.Load))
+
+    assert _where(reads_snap) == ["divisor:complex_roots"]
 
 
 def test_near_zero_is_read_by_the_guard_methods_alone():
