@@ -326,12 +326,11 @@ class SphereDivisor:
 
     def side(self, side: str):
         """(order at the origin, [(modulus, sphere, order>0)]) on the requested
-        side, the spheres sorted by modulus."""
+        side, the spheres in the (|ζ|, re, im) order that build gives the entries."""
         if side not in ("zero", "pole"):
             raise ValueError("side must be 'zero' or 'pole'")
         sign = 1 if side == "zero" else -1
         spheres = [(s.modulus(), s, sign * k) for s, k in self.entries if sign * k > 0]
-        spheres.sort(key=lambda row: (row[0], row[1].re, row[1].im))
         return max(sign * self.origin_order, 0), spheres
 
 

@@ -205,25 +205,16 @@ def _proximity_columns(g, finite: bool, r: float):
     SphericalMean(0.0, 0.0, samples, 0) and needs no draw.  Passes to ∞
     and passes of a rational g stay Monte-Carlo.
     """
-    if not finite:
-
-        def columns(pts):
-            se = g.stems(pts)
-            lam = np.maximum(se.log_abs(), 0.0)
-            return lam[:, None], se.ok
-
-        return columns
-
-    thr = g.near_zero_log(r)
-    if _exceeds(g, r, max(thr, 0.0)):
+    thr = g.near_zero_log(r) if finite else None
+    if finite and _exceeds(g, r, max(thr, 0.0)):
         return None
 
     def columns(pts):
         se = g.stems(pts)
         la = se.log_abs()
-        ok = se.ok & (la >= thr)
-        lam = np.maximum(-la, 0.0)
-        return lam[:, None], ok
+        if not finite:
+            return np.maximum(la, 0.0)[:, None], se.ok
+        return np.maximum(-la, 0.0)[:, None], se.ok & (la >= thr)
 
     return columns
 
@@ -706,7 +697,7 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3):
             }
         else:  # form 1
             (sym_a,), (envelope,) = own_means
-            t_a = counting + 0.5 * sym_a.value - remainder  # T(f, a, r), as at_a.at gives it
+            t_a = at_a.at(r, sym_a)[0]
             row = {
                 "r": r,
                 "T_a": t_a,

@@ -673,24 +673,33 @@ def spherical_derivative(f, q) -> Quaternion:
 def spherical_conjugate(f, q) -> Quaternion:
     """The point S_f(q) = f′_s(q)·f(q)^{-1}·q̄·f(q)·f′_s(q)^{-1}.
 
-    Degenerate branch (q real, or |f′_s(q)| below the scale-aware
-    tolerance 1e-10·(1+|q|)^{deg−1}): S_f(q) = q̄.  Raises
-    UndefinedAtZeroPole on the zero/pole set of f^s, where the map is not
-    defined.
+    The map is undefined on the zero and pole set of f^s: UndefinedAtZeroPole
+    is raised where f^s(q) raises EvalAtPole or log|f^s(q)| is below
+    f^s.near_zero_log(|q|).  S_f(q) = q̄ where q is real or where
+    log|f(q) − f(q̄)| = log(2|Im q|·|f′_s(q)|) is below f.near_zero_log(|q|).
+    Both guards scale with f, so c·f has the map of f.
     """
     q = _coerce(q)
-    fs = f.symmetrize()(q).norm()
-    if fs < 1e-12 * (1.0 + q.norm()) ** max(2 * _degree_sum(f), 1):
-        raise UndefinedAtZeroPole(f"S_f undefined at {q}: |f^s(q)| = {fs:.3e}")
+    fs = f.symmetrize()
+    try:
+        fs_abs = fs(q).norm()
+    except EvalAtPole:
+        raise UndefinedAtZeroPole(f"S_f undefined at {q}: a pole of f^s") from None
+    if _below_guard(fs_abs, fs.near_zero_log(q.norm())):
+        raise UndefinedAtZeroPole(f"S_f undefined at {q}: |f^s(q)| = {fs_abs:.3e}")
     if q.abs_im() == 0.0:
         return q
     fq = f(q)
     ds = spherical_derivative(f, q)
-    deg_f = _value_degree(f)
-    if ds.norm() < 1e-10 * (1.0 + q.norm()) ** max(deg_f - 1, 0):
+    if _below_guard(2.0 * q.abs_im() * ds.norm(), f.near_zero_log(q.norm())):
         return q.conj()
     x = ds * fq.inverse()
     return x * q.conj() * x.inverse()
+
+
+def _below_guard(x: float, log_guard: float) -> bool:
+    """x ≥ 0 is zero or has log x below log_guard."""
+    return x == 0.0 or math.log(x) < log_guard
 
 
 def corollary_decomposition_check(f, q) -> float:
@@ -705,19 +714,6 @@ def corollary_decomposition_check(f, q) -> float:
     fq = f(q)
     fs_abs = fq.norm() * f.conjugate()(fq.inverse() * q * fq).norm()
     return abs(math.log(fs_abs) - math.log(fq.norm()) - math.log(f(s).norm()))
-
-
-def _degree_sum(f) -> int:
-    """deg g + deg h for f = g * h^{-*}; deg f for a polynomial (0 for f ≡ 0)."""
-    if isinstance(f, SemiregularRational):
-        return max(f.num.degree, 0) + f.den.degree
-    return max(f.degree, 0)
-
-
-def _value_degree(f) -> int:
-    if isinstance(f, SemiregularRational):
-        return max(f.num.degree, f.den.degree, 1)
-    return max(f.degree, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ test that raises BoundaryDivisor, and the merge of spheres that agree
 within _SPHERE_MERGE_TOL.  A fourth decides when |f(q)| counts as
 zero, NEAR_ZERO: each function class answers it in its own pole_tol and
 near_zero_log, so the Monte-Carlo engine in sph_integral knows no
-function class and imports from quat_core alone.  Every kernel term of a
-sphere is read in the ratio r/|ζ| by one helper, _sphere_ratio, and the
-Jensen closure is formed in one function, _jensen_closure.  verify_fmt reads
-all three First Main Theorem forms off one _mean_rows batch.  A second copy of a rule
-could drift from the first when the rule changes, so these checks read
-the source with ``ast`` and name every function that holds one.
+function class and imports from quat_core alone, and spherical_conjugate
+decides through those guards too, holding no tolerance of its own.
+Every kernel term of a sphere is read in the ratio r/|ζ| by one helper,
+_sphere_ratio, and the Jensen closure is formed in one function,
+_jensen_closure.  verify_fmt reads all three First Main Theorem forms off
+one _mean_rows batch.  A second copy of a rule could drift from the
+first when the rule changes, so these checks read the source with
+``ast`` and name every function that holds one.
 """
 
 import ast
@@ -128,6 +130,17 @@ def test_near_zero_is_read_by_the_guard_methods_alone():
         "star_poly:SemiregularRational.near_zero_log",
         "star_poly:SemiregularRational.pole_tol",
     ]
+
+
+def test_star_poly_writes_its_small_tolerances_in_three_places():
+    """NEAR_ZERO, the symmetrization's 1e-9 residue test and the Dieudonné
+    test of GL2H hold every float literal of star_poly in (0, 1e-9]."""
+    def small_float(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0.0 < node.value <= 1e-9)
+
+    assert [w for w in _where(small_float) if w.startswith("star_poly:")] == [
+        "star_poly:", "star_poly:GL2H.require_invertible", "star_poly:LeftPoly.symmetrize"]
 
 
 def test_sph_integral_imports_from_quat_core_alone():

@@ -106,18 +106,29 @@ def _numbers(value):
         yield value
 
 
-def _check(command, config, tmp_path, samples=2000):
-    path = tmp_path / "config.json"
+def _run(command, config, directory, samples=2000):
+    """(exit code, stdout, stderr) of one config run in-process through main."""
+    path = directory / "config.json"
     path.write_text(json.dumps(config))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--config", str(path), "--samples", str(samples), "--format", "json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _error_line(err):
+    """The first error: or config error: line of stderr, or None."""
+    return next((line for line in err.splitlines()
+                 if line.startswith(("error:", "config error:"))), None)
+
+
+def _check(command, config, tmp_path, samples=2000):
+    code, out, err = _run(command, config, tmp_path, samples)
     if code == 2:
-        lines = err.getvalue().splitlines()
-        assert any(line.startswith(("error:", "config error:")) for line in lines), err.getvalue()
+        assert _error_line(err) is not None, err
         return code
     assert code in (0, 1), code
-    bad = [x for x in _numbers(json.loads(out.getvalue())) if not math.isfinite(x)]
+    bad = [x for x in _numbers(json.loads(out)) if not math.isfinite(x)]
     assert not bad, f"non-finite numbers in the artifact: {bad}"
     if command == "verify-jensen":
         assert code == 0, "the Jensen formula is exact, so its gate must hold"
@@ -151,3 +162,21 @@ def test_census_index_84_closes_jensen(tmp_path):
     rooted at unit root scale, so the divisor has the one sphere and the closure
     holds, where a real root of odd multiplicity once refused it."""
     assert _check(*CENSUS[84], tmp_path) == 0
+
+
+if __name__ == "__main__":
+    # One line per config: list, index, command, exit code, the first 12 hex
+    # digits of the stdout's sha256 and the first error line, so that two
+    # versions of the package compare with one diff.
+    import hashlib
+    import tempfile
+    from pathlib import Path
+
+    runs = [("CENSUS", i, *case, 2000) for i, case in enumerate(CENSUS)]
+    runs += [("SECOND_CENSUS", i, *case, 2000) for i, case in enumerate(SECOND_CENSUS)]
+    runs += [("TINY_SPHERE", 0, *TINY_SPHERE, 2000), ("SMALL_REAL_ZERO", 0, *SMALL_REAL_ZERO, 20_000)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, index, command, config, samples in runs:
+            code, out, err = _run(command, config, Path(tmp), samples)
+            digest = hashlib.sha256(out.encode()).hexdigest()[:12]
+            print(name, index, command, code, digest, _error_line(err) or "-")

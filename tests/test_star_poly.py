@@ -317,7 +317,8 @@ def test_twisted_value_matches_scalar_spherical_conjugate(f, shift):
     lat, ok_log = se.log_abs_twisted(shift)
     assert np.array_equal(ok, ok_log)
     g = _minus(f, shift)
-    deg = star_poly._value_degree(g)
+    g_rat = as_rational(g)
+    deg = max(g_rat.num.degree, g_rat.den.degree, 1)
     for i in np.nonzero(ok & se.ok & _well_conditioned(f, se))[0]:
         q = Quaternion.from_array(pts[i])
         scale = _coeff_scale(g) * (1.0 + abs(q)) ** deg
@@ -746,6 +747,49 @@ def test_spherical_conjugate_compensates():
         lhs = abs(f(q)) * abs(f(sq))
         rhs = abs(fs(q))
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + rhs), f"seed {seed}: {lhs} ≠ {rhs}"
+
+
+#: the quadratic and the rational of the selftest's decomposition row
+SELFTEST_QUADRATIC = LeftPoly([[0.3, 0.2, -0.1, 0.4], [1, 0.5, 0, -0.3], [1, 0, 0, 0]])
+SELFTEST_RATIONAL = SemiregularRational(LeftPoly([[1, 0.2, 0, 0], [1, 0, 0, 0]]),
+                                        LeftPoly([[0.25, 0, 0.1, 0.3], [1, 0, 0, 0]]))
+
+
+def _scaled(f, k):
+    """2^k·f, exactly: the numerator alone is scaled for a rational."""
+    if isinstance(f, SemiregularRational):
+        return SemiregularRational(LeftPoly(np.ldexp(f.num.coeffs, k)), f.den)
+    return LeftPoly(np.ldexp(f.coeffs, k))
+
+
+@pytest.mark.parametrize("k", [1, -1, 27, -27, 60, -60, 100, -100, 300, -300])
+@pytest.mark.parametrize("f", [SELFTEST_QUADRATIC, SELFTEST_RATIONAL], ids=["quadratic", "rational"])
+def test_spherical_conjugate_does_not_depend_on_scale(f, k):
+    """S_{2^k·f}(q) is S_f(q) bit for bit: both guards of the map scale with f."""
+    q = Quaternion(0.7, 0.4, -0.2, 0.5)
+    want = spherical_conjugate(f, q).to_array()
+    got = spherical_conjugate(_scaled(f, k), q).to_array()
+    assert got.tobytes() == want.tobytes(), f"{got} ≠ {want}"
+
+
+@pytest.mark.parametrize("k", [0, 60])
+def test_spherical_conjugate_is_undefined_on_a_zero_sphere_at_every_scale(k):
+    """f = (q − α)*(q + β) at q = Re α + |Im α|·(0.6j + 0.8k), on the zero sphere of α."""
+    alpha = Quaternion(0.3, 0.5, -0.4, 0.2)
+    f = (LeftPoly([(-alpha).to_array(), [1, 0, 0, 0]])
+         * LeftPoly([[0.7, 0.1, 0.2, -0.3], [1, 0, 0, 0]]))
+    v = alpha.abs_im()
+    q = Quaternion(0.3, 0.0, 0.6 * v, 0.8 * v)
+    with pytest.raises(UndefinedAtZeroPole):
+        spherical_conjugate(_scaled(f, k), q)
+    with pytest.raises(UndefinedAtZeroPole):
+        corollary_decomposition_check(_scaled(f, k), q)
+
+
+def test_spherical_conjugate_is_undefined_on_a_pole_sphere():
+    """The denominator's h^s = (q + 0.25)² + 0.1 vanishes at −0.25 + √0.1·i."""
+    with pytest.raises(UndefinedAtZeroPole):
+        spherical_conjugate(SELFTEST_RATIONAL, Quaternion(-0.25, math.sqrt(0.1), 0, 0))
 
 
 # ---------------------------------------------------------------------------
