@@ -23,7 +23,6 @@ from .quat_core import Quaternion, SliceComplex, _check_radius, _coerce, qmul
 from .star_poly import (
     LeftPoly,
     SemiregularRational,
-    _log_norm,
     as_rational,
     linear_fractional,
     star_power,
@@ -599,17 +598,12 @@ def _fmt_proximity_columns(f, g, a, r):
     g are read off those of f, so each chunk is evaluated once.
     """
     thr_g = g.near_zero_log(r)
-    a_row = a.to_array()
 
     def columns(pts):
         sef = f.stems(pts)
-        seg = sef.minus(a)
-        la_g, lat_g, ok_g = _log_pair(seg, None, thr_g)
+        la_g, lat_g, ok_g = _log_pair(sef.minus(a), None, thr_g)
         lat_f, ok_tf = sef.log_abs_twisted(None)
-        if sef.w is not None:
-            la_fsa = sef.log_abs()  # S_{f−a}(q) lies on S_q, where |f| is constant
-        else:
-            la_fsa = _log_norm(seg.twisted(None)[0] + a_row)
+        la_fsa, ok_ta = sef.log_abs_twisted(a)
         cols = np.stack(
             [
                 np.maximum(-la_g, 0.0),
@@ -619,7 +613,7 @@ def _fmt_proximity_columns(f, g, a, r):
             ],
             axis=1,
         )
-        return cols, ok_g & ok_tf
+        return cols, ok_g & ok_tf & ok_ta
 
     return columns
 

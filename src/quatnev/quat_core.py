@@ -17,8 +17,8 @@ every norm has the bits that einsum gives on a C-order (n, 4) array.
 Every point q = u + I v (u real, v = |Im q| >= 0, I a unit imaginary) lies on
 the 2-sphere S_{u+Iv}; :class:`SliceComplex` is the canonical (u, v) key of
 that sphere, and :func:`slice_uv` and :func:`slice_units` extract (u, v) and
-I for sample batches.  A :class:`SlicePoints` batch computes its (u, v) and
-u + iv on first read and keeps them for as long as the batch lives.
+I for sample batches.  A :class:`SlicePoints` batch computes its (u, v),
+u + iv and I on first read and keeps them for as long as the batch lives.
 """
 
 from __future__ import annotations
@@ -315,16 +315,18 @@ class SlicePoints(np.ndarray):
 
     The batch is the (n, 4) view of C-order (4, n) storage, so pts[:, i]
     and pts.T[i] are contiguous rows; slice_points makes that layout.
-    (u, v) and z = u + iv are each computed on first read, by slice_uv, and
-    kept read-only on the batch, so every stem evaluation of one batch
-    shares them and they die with it.  A batch made by ``conjugate_of``
-    reads them from its source, which it shares bit for bit: negating Im q
-    leaves Re q and |Im q| unchanged.  Arrays derived from a batch (slices,
-    arithmetic) start with nothing computed.
+    (u, v), z = u + iv and the unit imaginaries I are each computed on
+    first read, by slice_uv and slice_units, and kept read-only on the
+    batch, so every stem evaluation of one batch shares them and they die
+    with it.  A batch made by ``conjugate_of`` reads (u, v) and z from its
+    source, which it shares bit for bit: negating Im q leaves Re q and
+    |Im q| unchanged.  It forms its own I, which is −I off the real axis.
+    Arrays derived from a batch (slices, arithmetic) start with nothing
+    computed.
     """
 
     def __array_finalize__(self, obj):
-        self._uv = self._z = self._source = None
+        self._uv = self._z = self._I = self._source = None
 
     @property
     def uv(self):
@@ -346,6 +348,13 @@ class SlicePoints(np.ndarray):
                 u, v = self.uv
                 (self._z,) = _read_only(u + 1j * v)
         return self._z
+
+    @property
+    def I(self) -> np.ndarray:
+        """The unit imaginaries, an (n, 4) view of (4, n) storage, computed once."""
+        if self._I is None:
+            (self._I,) = _read_only(slice_units(self, self.uv[1]))
+        return self._I
 
     @staticmethod
     def conjugate_of(pts: "SlicePoints") -> "SlicePoints":

@@ -28,9 +28,10 @@ A request stops after the block that brings its accepted rows up to the
 number it needs, so column functions get at most BLOCK rows per call and
 must be pointwise.  Each block is a read-only SlicePoints batch with
 (4, n) storage behind its (n, 4) view, shared by every request at its
-radius, so its slice frame (u, v) and z = u + iv is computed once per
+radius, so its slice frame (u, v), z = u + iv and I is computed once per
 (block, radius) and dropped with its points; under antithetic_pair the
-conjugate block reuses the same (u, v, z).  A request sums each block
+conjugate block reuses the same (u, v, z) and forms its own I, which is
+−I off the real axis.  A request sums each block
 where it is evaluated: its columns as contiguous (k, n) rows, summed
 pairwise and merged into the running sums by one Chan–Golub–LeVeque
 update, so the bits do not depend on the layout column_fn returns.

@@ -36,7 +36,6 @@ from .quat_core import (
     qmul,
     qnorm,
     slice_points,
-    slice_units,
 )
 
 __all__ = [
@@ -114,46 +113,33 @@ def _complex_powers(u: np.ndarray, v: np.ndarray, degree: int):
 class StemEval:
     """Stem data of one function on one batch of points.
 
-    P, Q are (n, 4) quaternion arrays with f(u ± Iv) = P ± I·Q; u, v come
-    from ``pts`` (a SlicePoints batch) and I is formed on first read.  P, Q,
-    I, value() and the twisted values have (4, n) storage and an (n, 4)
-    view, like the points, so each component is a contiguous row.  ``ok``
-    masks points where f is defined (it excludes rational pole hits).  For
-    slice-preserving f, ``w`` is the complex array with f(u + Iv) = A + I·B
-    for w = A + iB, and P, Q are formed from views of it only when read.
+    P, Q are (n, 4) quaternion arrays with f(u ± Iv) = P ± I·Q, where u, v
+    and the unit imaginaries I are those of ``pts``, a SlicePoints batch
+    that forms each once for every evaluation on it.  P, Q, value() and the
+    twisted values have (4, n) storage and an (n, 4) view, like the points,
+    so each component is a contiguous row.  ``ok`` masks points where f is
+    defined (it excludes rational pole hits).  For slice-preserving f,
+    ``w`` is the complex array with f(u + Iv) = A + I·B for w = A + iB, and
+    P, Q are formed from views of it only when read.
 
-    Twists use the stem of g^s for g = f − a.  The stem of g at u + iv is
-    P_g + iQ in H⊗C with P_g = P − a, so that of g^s = g * g^c is the
-    complex (P_g + iQ)(P̄_g + iQ̄) = A + iB, A = |P_g|² − |Q|², B = 2⟨P_g, Q⟩,
-    and f(S_{f−a}(q)) = a + conj(g(q)⁻¹·g^s(q)) = a + (A − B·I)·g(q) / |g(q)|².
-    The value and log|f| are formed once and kept read-only, (g, A + iB)
-    once per shift; log-moduli do not depend on the scale of f (see
+    The twist reads the stems of f at a turned unit.  For g = f − a,
+    S_{f−a}(q) = u + J·v with J = −Q·T·Q⁻¹ and T = g(q)⁻¹·I·g(q), so
+    f(S_{f−a}(q)) = P + J·Q = P − Q·T.  T is a unit imaginary at every
+    scale of g, formed in its Rodrigues form (see twisted).  At a = 0 the
+    log-modulus reads the stem A + iB of f^s = f * f^c instead, with
+    A = |P|² − |Q|² and B = 2⟨P, Q⟩.  The value and log|f| are formed once
+    and kept read-only; log-moduli do not depend on the scale of f (see
     _rescaled).
     """
 
-    __slots__ = ("pts", "ok", "w", "_P", "_Q", "_I", "_value", "_log_abs", "_parts_at")
+    __slots__ = ("pts", "ok", "w", "_P", "_Q", "_value", "_log_abs")
 
     def __init__(self, pts, ok, P=None, Q=None, w=None):
         self.pts = pts
         self.ok = ok
         self.w = w  # complex f(u + iv) for slice-preserving f
         self._P, self._Q = P, Q
-        self._I = self._value = self._log_abs = None
-        self._parts_at = {}
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.pts.uv[0]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.pts.uv[1]
-
-    @property
-    def I(self) -> np.ndarray:
-        if self._I is None:
-            self._I = slice_units(self.pts, self.v)
-        return self._I
+        self._value = self._log_abs = None
 
     @property
     def P(self) -> np.ndarray:
@@ -168,7 +154,7 @@ class StemEval:
         return self._Q
 
     def minus(self, a: Quaternion) -> "StemEval":
-        """The stems of f − a for a constant a: P − a, the same Q and ok (w − a for real a)."""
+        """The stems of f − a for a constant a: P − a and the same Q, ok and points (w − a for real a)."""
         if self.w is not None and a.is_real():
             return StemEval(self.pts, self.ok, w=self.w - a.re)
         return StemEval(self.pts, self.ok, _shifted(self.P, a), self.Q)
@@ -176,14 +162,14 @@ class StemEval:
     def value(self) -> np.ndarray:
         """f(q) as a read-only (n, 4) array."""
         if self._value is None:
-            value = qmul(self.I, self.Q)
+            value = qmul(self.pts.I, self.Q)
             value += self.P  # P + I·Q: the same bits, IEEE addition commutes
             (self._value,) = _read_only(value)
         return self._value
 
     def value_conj_point(self) -> np.ndarray:
         """f(q̄) as an (n, 4) array (same stems, I → −I)."""
-        value = qmul(self.I, self.Q)
+        value = qmul(self.pts.I, self.Q)
         return np.subtract(self.P, value, out=value)
 
     def log_abs(self) -> np.ndarray:
@@ -209,69 +195,66 @@ class StemEval:
             return self.log_abs()
         return _log_norm(self.value_conj_point())
 
-    def _parts(self, shift):
-        """(g(q), A + iB, e, |g|², self.ok & (g(q) ≠ 0)) for g = f − a; e as in _rescaled."""
-        if shift not in self._parts_at:
-            P, Q, g = self.P, self.Q, self.value()
-            if shift is not None:
-                P, g = _shifted(P, shift), _shifted(g, shift)
-            pp, qq = qdot(P, P), qdot(Q, Q)
-            with np.errstate(over="ignore"):  # _rescaled handles an infinite norm
-                sq = pp + qq
-            (P, Q, g), e = _rescaled(sq, P, Q, g, hi=_TWIST_SQ_MAX)
-            if e is not None:
-                pp, qq = qdot(P, P), qdot(Q, Q)
-            gs = (pp - qq).astype(complex)
-            gs.imag = 2.0 * qdot(P, Q)
-            g2 = qdot(g, g)
-            (ok,) = _read_only(self.ok & (g2 > 0.0))
-            self._parts_at[shift] = (g, gs, e, g2, ok)
-        return self._parts_at[shift]
-
     def twisted(self, shift):
         """(f(S_{f−a}(q)), ok) for the constant a = shift (a Quaternion, or None for 0).
 
-        The value a + (A − B·I)·g / |g|² is continuous where q is real or the
-        spherical derivative vanishes, and equals f(q̄) there.  Rows where
-        g(q) = 0, on which S_{f−a} is undefined, hold a and are masked out.
+        The value is P − Q·T with T = g⁻¹·I·g for g = f − a = s + x (s real),
+        formed as ((s² − |x|²)·I + 2⟨x, I⟩·x − 2s·(x × I)) / |g|² on g scaled
+        as in _rescaled, so it neither cancels nor overflows at any scale of
+        f or a.  It is continuous where q is real or the spherical
+        derivative Q vanishes, and equals f(q̄) there.  Rows where g(q) = 0,
+        on which S_{f−a} is undefined, hold P and are masked out.
         """
-        g, gs, e, g2, ok = self._parts(shift)
-        c = self.I.T * -gs.imag
-        c[0] = gs.real
-        val = qmul(c.T, g).T
-        val /= np.where(g2 > 0.0, g2, 1.0)
+        g = self.value() if shift is None else _shifted(self.value(), shift)
+        g2 = qdot(g, g)
+        (g,), e = _rescaled(g2, g)
         if e is not None:
-            np.ldexp(val, e, out=val)
-        if shift is not None:
-            val += shift.to_array()[:, None]
-        return val.T, ok
+            g2 = qdot(g, g)
+        s, x, I = g.T[0], g.T[1:], self.pts.I.T[1:]
+        inv = 1.0 / np.where(g2 > 0.0, g2, 1.0)
+        a = (2.0 * s * s - g2) * inv  # (s² − |x|²) / |g|²
+        b = 2.0 * qdot(x.T, I.T) * inv
+        c = -2.0 * s * inv
+        turn = np.zeros(g.T.shape)
+        for k in range(3):
+            k1, k2 = (k + 1) % 3, (k + 2) % 3
+            turn[k + 1] = a * I[k] + b * x[k] + c * (x[k1] * I[k2] - x[k2] * I[k1])
+        val = qmul(self.Q, turn.T)
+        return np.subtract(self.P, val, out=val), self.ok & (g2 > 0.0)
 
     def log_abs_twisted(self, shift):
         """log|f(S_{f−a}(q))| and the mask of twisted().
 
         For slice-preserving f, |f| is constant on each sphere S_q and this
         is log_abs().  At a = 0 it is log|A + iB| − log|f(q)|, the complex
-        modulus of the g^s stem, with no quaternion product, and −inf where
+        modulus of the f^s stem, with no quaternion product, and −inf where
         f(q) = 0.
         """
         if self.w is not None:
             # twisted() masks out rows where g(q) = 0, which needs Re f(q) = Re a
             hit = np.any(self.w.real == (0.0 if shift is None else shift.re))
-            return self.log_abs(), self._parts(shift)[4] if hit else self.ok.copy()
+            return self.log_abs(), self.twisted(shift)[1] if hit else self.ok.copy()
         if shift is not None:
             val, ok = self.twisted(shift)
             return _log_norm(val), ok
-        _g, gs, e, g2, ok = self._parts(None)
-        log_s = _log_modulus(gs) if e is None else _log_modulus(gs) + (2.0 * _LN2) * e
-        out = np.full(g2.shape, -np.inf)
-        np.subtract(log_s, self.log_abs(), out=out, where=g2 > 0.0)
-        return out, ok
+        P, Q = self.P, self.Q
+        pp, qq = qdot(P, P), qdot(Q, Q)
+        with np.errstate(over="ignore"):  # _rescaled handles an infinite norm
+            sq = pp + qq
+        (P, Q), e = _rescaled(sq, P, Q)
+        if e is not None:
+            pp, qq = qdot(P, P), qdot(Q, Q)
+        fs = (pp - qq).astype(complex)
+        fs.imag = 2.0 * qdot(P, Q)
+        log_s = _log_modulus(fs) if e is None else _log_modulus(fs) + (2.0 * _LN2) * e
+        la = self.log_abs()
+        nonzero = la > -np.inf
+        out = np.full(la.shape, -np.inf)
+        np.subtract(log_s, la, out=out, where=nonzero)
+        return out, self.ok & nonzero
 
 
 _LN2 = math.log(2.0)
-# _parts rescales points whose |P|² + |Q|² reaches this: (A + iB)·g grows
-# like |g|³ and would overflow from about |g|² = 2^682
-_TWIST_SQ_MAX = 2.0**600
 
 
 def _shifted(x: np.ndarray, a: Quaternion) -> np.ndarray:
@@ -285,15 +268,14 @@ def _log_modulus(w: np.ndarray) -> np.ndarray:
         return np.log(np.abs(w))
 
 
-def _rescaled(sq: np.ndarray, *arrays, hi: float = np.inf):
+def _rescaled(sq: np.ndarray, *arrays):
     """The (n, 4) arrays with each point scaled by 2^{−e}, and e.
 
     e is the binary exponent of the point's largest entry where the squared
-    norm sq is zero, subnormal, at least hi (infinite by default) or NaN,
-    and 0 elsewhere.  When no row is, the arrays come back unchanged with
-    e = None.
+    norm sq is zero, subnormal, infinite or NaN, and 0 elsewhere.  When no
+    row is, the arrays come back unchanged with e = None.
     """
-    bad = ~((sq >= np.finfo(float).tiny) & (sq < hi))
+    bad = ~((sq >= np.finfo(float).tiny) & (sq < np.inf))
     if not bad.any():
         return arrays, None
     e = np.where(bad, np.frexp(np.max([np.abs(x.T).max(axis=0) for x in arrays], axis=0))[1], 0)
@@ -790,9 +772,7 @@ class SemiregularRational:
         return SemiregularRational(num, self.den_s * other.den_s)
 
     def __sub__(self, other):
-        if isinstance(other, _CONSTANTS):
-            return SemiregularRational(self.num - self.den.scale_left(other), self.den)
-        return self + (-as_rational(other))
+        return self + (-other)
 
     def __neg__(self):
         return SemiregularRational(-self.num, self.den)
@@ -822,17 +802,12 @@ class SemiregularRational:
         return math.log(NEAR_ZERO) + _log_abs_sum(self.num_eff, r) - _log_abs_sum(self.den_s, r)
 
     def __call__(self, q) -> Quaternion:
+        """den_s(q)⁻¹·num_eff(q); EvalAtPole where |den_s(q)| is at most pole_tol(|q|)."""
         q = _coerce(q)
-        u, vq = q.w, q.abs_im()
-        hs = complex(npoly.polyval(complex(u, vq), self.den_s.real_coeffs))
-        if abs(hs) <= self.pole_tol(q.norm()):
-            raise EvalAtPole(f"|den_s({q})| = {abs(hs):.3e} below pole tolerance")
-        if vq == 0.0:
-            hs_q = Quaternion(hs.real)
-        else:
-            I = q.im * (1.0 / vq)
-            hs_q = Quaternion(hs.real) + I * hs.imag
-        return hs_q.inverse() * self.num_eff(q)
+        hs = self.den_s(q)
+        if hs.norm() <= self.pole_tol(q.norm()):
+            raise EvalAtPole(f"|den_s({q})| = {hs.norm():.3e} below pole tolerance")
+        return hs.inverse() * self.num_eff(q)
 
     def stems(self, pts: np.ndarray) -> StemEval:
         """Stem evaluation of the quotient.
@@ -851,16 +826,14 @@ class SemiregularRational:
         tol = self.pole_tol(np.hypot(*pts.uv))
         ok = mod2 > tol * tol
         safe = np.where(ok, mod2, 1.0)
-        if self.is_real:
-            # in real arithmetic, as P and Q below: NumPy's complex product may fuse
-            An, Bn = base.w.real, base.w.imag
-            w = np.empty(hs.shape, dtype=complex)
-            w.real = (A * An + B * Bn) / safe
-            w.imag = (A * Bn - B * An) / safe
-            return StemEval(pts, ok, w=w)
-        Pn, Qn = base.P.T, base.Q.T
+        # in real arithmetic for both kinds: NumPy's complex product may fuse
+        Pn, Qn = (base.w.real, base.w.imag) if self.is_real else (base.P.T, base.Q.T)
         P = (A * Pn + B * Qn) / safe
         Q = (A * Qn - B * Pn) / safe
+        if self.is_real:
+            w = P.astype(complex)
+            w.imag = Q
+            return StemEval(pts, ok, w=w)
         return StemEval(pts, ok, P.T, Q.T)
 
     # -- series at the origin ---------------------------------------------------
@@ -914,9 +887,18 @@ class GL2H:
         return self.A.norm() * (self.D - self.C * self.A.inverse() * self.B).norm()
 
     def require_invertible(self) -> None:
-        scale = max(self.A.norm(), self.B.norm(), self.C.norm(), self.D.norm(), 1e-300)
-        if self.dieudonne() < 1e-12 * scale**2:
-            raise DegenerateTransform(f"Dieudonné determinant {self.dieudonne():.3e} ≈ 0")
+        """Raise DegenerateTransform on the zero matrix, and where the Dieudonné
+        determinant is below 1e-12·(largest entry norm)² once the entries are
+        scaled by the power of two that brings their largest component to [½, 1)."""
+        entries = [x.to_array() for x in (self.A, self.B, self.C, self.D)]
+        big = float(np.abs(entries).max())
+        if big == 0.0:
+            raise DegenerateTransform("the zero matrix is not invertible")
+        unit = GL2H(*(Quaternion.from_array(np.ldexp(x, -math.frexp(big)[1])) for x in entries))
+        scale = max(x.norm() for x in (unit.A, unit.B, unit.C, unit.D))
+        det = unit.dieudonne()
+        if det < 1e-12 * scale**2:
+            raise DegenerateTransform(f"Dieudonné determinant {det:.3e} ≈ 0 at unit scale")
 
 
 def linear_fractional(t: GL2H, f) -> SemiregularRational:

@@ -77,7 +77,7 @@ def test_hard_inputs_exit_zero(command, function, extra, tmp_path, capsys):
 
 
 def test_mpb_defects_of_a_huge_function_are_those_of_its_unit_copy(tmp_path):
-    """At scale 1e150 the twisted product (A + iB)·g is of order |g|³ and is rescaled, not rejected."""
+    """At scale 1e150 the turn g⁻¹·I·g is formed on g scaled to unit size, so no sample is rejected."""
     defects = []
     for scale in (1.0, 1e150):
         cfg = tmp_path / f"cfg-{scale}.json"
@@ -89,6 +89,31 @@ def test_mpb_defects_of_a_huge_function_are_those_of_its_unit_copy(tmp_path):
         assert main(["mpb-check", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
         defects.append([row["defect"] for row in json.loads(out.read_text())])
     assert defects[1] == pytest.approx(defects[0], rel=1e-11)
+
+
+def test_mpb_defects_of_a_tiny_function_do_not_depend_on_its_scale(tmp_path):
+    """Against a = 1 the defects of 2^k·h have reached their limit by k = −40:
+    the twisted value P − Q·(g⁻¹·I·g) adds no a that would cancel it."""
+    defects = {}
+    for k in (-40, -60, -80):
+        cfg = tmp_path / f"cfg{k}.json"
+        cfg.write_text(json.dumps({
+            "function": [[math.ldexp(c, k) for c in row] for row in LEFT],
+            "a": [1.0, 0, 0, 0], "radii": [0.5, 2.0, 6.0], "samples": 20_000,
+        }))
+        out = tmp_path / f"mpb{k}.json"
+        assert main(["mpb-check", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+        defects[k] = [row["defect"] for row in json.loads(out.read_text())]
+    assert defects[-60] == pytest.approx(defects[-40], abs=1e-9)
+    assert defects[-80] == pytest.approx(defects[-40], abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_algebra_suite_refuses_a_singular_transform_at_any_scale(scale, tmp_path, capsys):
+    entry = [scale, 0, 0, 0]
+    config = {"transform": {"A": entry, "B": entry, "C": entry, "D": entry}}
+    assert _main_on("algebra-suite", tmp_path, config) == 2
+    assert "error: Dieudonné determinant" in capsys.readouterr().err
 
 
 def test_selftest_prints_all_pass(capsys):
@@ -299,7 +324,7 @@ def frames(monkeypatch):
     monkeypatch.setattr(nevanlinna, "mean_batch", recording_mean_batch)
     monkeypatch.setattr(sph_integral, "mean_batch", recording_mean_batch)
     monkeypatch.setattr(quat_core, "slice_uv", recording_uv)
-    monkeypatch.setattr(star_poly, "slice_units", counting_units)
+    monkeypatch.setattr(quat_core, "slice_units", counting_units)
     return seen
 
 
@@ -309,6 +334,17 @@ def test_slice_coordinates_once_per_chunk_and_radius(command, tmp_path, frames):
     # at FAST every pass reads chunk 0 only, so each radius is one group
     assert len(frames["uv"]) == len(set(frames["uv"])) == len(frames["radii"])
     assert frames["units"] == 0, "slice-preserving stems formed unit imaginaries"
+
+
+def test_fmt_form2_forms_unit_imaginaries_once_per_block_and_radius(tmp_path, frames):
+    """f and f − a share their points, so I is formed once per (block, radius) group."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"function": LEFT, "a": [0.5, 0.1, 0.0, 0.0], "form": 2,
+                                "radii": [1.5, 4.0]}))
+    assert main(["fmt-check", "--config", str(path), "--samples", "20000",
+                 "--out", str(tmp_path / "a.csv")]) in (0, 1)
+    assert len(frames["uv"]) == len(set(frames["uv"])) > len(frames["radii"])
+    assert frames["units"] == len(frames["uv"])
 
 
 @pytest.mark.parametrize("function", [None, LEFT, RATIONAL],

@@ -164,6 +164,15 @@ def test_census_index_84_closes_jensen(tmp_path):
     assert _check(*CENSUS[84], tmp_path) == 0
 
 
+@pytest.mark.parametrize("census, index", [(CENSUS, 74), (SECOND_CENSUS, 46)],
+                         ids=["census-74", "second-census-46"])
+def test_mpb_check_of_a_function_far_below_its_target_accepts_its_samples(census, index, tmp_path):
+    """mpb-check where log|f| is near −515 and −387 on the sphere, far below
+    |a|: the twisted value P − Q·(g⁻¹·I·g) keeps the scale of f, so no
+    sample is rejected."""
+    assert _check(*census[index], tmp_path) == 0
+
+
 if __name__ == "__main__":
     # One line per config: list, index, command, exit code, the first 12 hex
     # digits of the stdout's sha256 and the first error line, so that two

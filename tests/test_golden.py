@@ -8,7 +8,9 @@ the defaults again at 70 000 samples, where every request crosses block
 and chunk boundaries, and a quaternion cubic and a rational with a
 quaternion denominator through profile, fmt-check and mpb-check.  A
 change that moves bits rewrites the ledger in the same change and says
-which entries moved and why:
+which entries moved and why.  This command names each entry whose exit
+code or hash differs from the ledger on disk, or says that none did, and
+then rewrites the ledger:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -21,7 +23,6 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,10 @@ if __name__ == "__main__":
         for name, (command, config, samples) in CONFIGS.items():
             code, digest = _run(Path(tmp), command, config, samples)
             configs[name] = {"exit": code, "sha256": digest}
+    # name each entry whose exit code or hash differs from the ledger on disk
+    old = json.loads(LEDGER.read_text())
+    moved = [name for name, digest in hashes.items() if old["sha256"].get(name) != digest]
+    moved += [name for name, entry in configs.items() if old["configs"].get(name) != entry]
+    print("\n".join(f"moved: {name}" for name in moved) or "no entry moved")
     LEDGER.write_text(json.dumps({"numpy": np.__version__, "sha256": hashes, "configs": configs},
                                  indent=2) + "\n")
-    sys.stdout.write(LEDGER.read_text())

@@ -478,7 +478,7 @@ def test_slice_frame_dies_with_its_points(scheme):
     def columns(pts):
         se = g.stems(pts)
         la = se.log_abs()
-        refs[:] = [weakref.ref(x) for x in (pts, se.v, se.I, pts.z, la)]
+        refs[:] = [weakref.ref(x) for x in (pts, se.pts.uv[1], se.pts.I, pts.z, la)]
         return la[:, None], se.ok
 
     def real_columns(pts):

@@ -14,7 +14,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from hypothesis import assume, example, given, settings, strategies as st
 
-from quatnev import star_poly
+from quatnev import quat_core, star_poly
 from quatnev.quat_core import (
     Quaternion,
     SphereSampler,
@@ -260,6 +260,8 @@ def test_star_power_matches_repeated_product():
 
 
 SHIFT = Quaternion(0.4, -0.3, 0.2, 0.5)
+# the quaternion quadratic of the selftest
+QUADRATIC = [[0.3, 0.2, -0.1, 0.4], [1.0, 0.5, 0.0, -0.3], [1.0, 0, 0, 0]]
 
 
 def _minus(f, a):
@@ -277,10 +279,11 @@ def _coeff_scale(f):
 def _well_conditioned(f, se):
     """Rows where a rational's |h^s| is well above its rounding scale; all rows of a polynomial."""
     if not isinstance(f, SemiregularRational):
-        return np.ones(se.u.shape[0], dtype=bool)
+        return np.ones(se.pts.uv[0].shape[0], dtype=bool)
+    u, v = se.pts.uv
     c = f.den_s.real_coeffs
-    hs = f.den_s.real_stems(se.u + 1j * se.v)
-    radius = np.hypot(se.u, se.v)
+    hs = f.den_s.real_stems(u + 1j * v)
+    radius = np.hypot(u, v)
     return np.abs(hs) > 1e-3 * (np.abs(c) @ radius[None, :] ** np.arange(c.size)[:, None])
 
 
@@ -304,6 +307,23 @@ def test_symmetrization_modulus_splits(f, shift):
     assert np.all(np.abs(lhs[mask] - vals_s[mask]) <= 1e-8 * scale), (
         "|g|·|g∘S_g| must equal |g^s| pointwise"
     )
+
+
+@pytest.mark.parametrize("k", [0, -30, -80, -600])
+@pytest.mark.parametrize("a", [Quaternion(1.0), Quaternion(0.5, 0.1, 0.0, 0.0)], ids=["1", "0.5+0.1i"])
+def test_twisted_value_lies_in_the_range_of_f_on_its_sphere(k, a):
+    """f(S_{f−a}(q)) = P + J·Q for a unit J, so ||P| − |Q|| ≤ |f(S_{f−a}(q))| ≤ |P| + |Q|
+    at every scale 2^k of f, also where |f| is far below |a|."""
+    f = LeftPoly(np.ldexp(np.array(QUADRATIC), k))
+    se = f.stems(SphereSampler(1.3, seed=5).sample(256))
+    lat, ok = se.log_abs_twisted(a)
+    p, q = (qnorm(np.ldexp(x, -k)) for x in (se.P, se.Q))  # |P|, |Q| at unit scale, exactly
+    with np.errstate(divide="ignore"):
+        lo = np.log(np.abs(p - q)) + k * math.log(2.0)
+    hi = np.log(p + q) + k * math.log(2.0)
+    assert ok.all()
+    outside = (lat < lo - 1e-9) | (lat > hi + 1e-9)
+    assert not outside.any(), f"{outside.mean():.0%} of the twisted values lie outside the range"
 
 
 @given(st.one_of(polys(5).filter(lambda f: f.degree >= 2), quat_den_rationals()),
@@ -416,7 +436,8 @@ def test_stem_values_match_horner(f):
     if isinstance(f, SemiregularRational):
         # keep |h^s| well above its rounding scale so the quotient is well conditioned
         c = f.den_s.real_coeffs
-        hs = f.den_s.real_stems(se.u + 1j * se.v)
+        u, v = se.pts.uv
+        hs = f.den_s.real_stems(u + 1j * v)
         assume(np.all(np.abs(hs) > 1e-3 * (np.abs(c) @ 1.7 ** np.arange(c.size))))
     vals = se.value()
     for i, p in enumerate(pts):
@@ -488,9 +509,11 @@ def test_lazy_stem_fields_equal_eager_construction_bitwise(f):
     for pts in (raw, shared, shared):  # a plain array, then a batch read twice
         se = f.stems(pts)
         want = _eager_stems(f, raw)
-        for name in ("u", "v", "I", "P", "Q", "ok"):
-            assert _same_bits(getattr(se, name), want[name]), f"field {name} differs"
-            assert getattr(se, name) is getattr(se, name), f"field {name} formed twice"
+        fields = {"u": lambda: se.pts.uv[0], "v": lambda: se.pts.uv[1], "I": lambda: se.pts.I,
+                  "P": lambda: se.P, "Q": lambda: se.Q, "ok": lambda: se.ok}
+        for name, field in fields.items():
+            assert _same_bits(field(), want[name]), f"field {name} differs"
+            assert field() is field(), f"field {name} formed twice"
         if want["w"] is None:
             assert se.w is None
         else:
@@ -515,7 +538,7 @@ def test_stem_quaternion_arrays_keep_contiguous_rows(f):
     for pts in (raw, slice_points(raw)):
         se = f.stems(pts)
         twisted = se.twisted(Quaternion(0.1, 0.2, 0.0, 0.0))[0]
-        for name, x in [("P", se.P), ("Q", se.Q), ("I", se.I), ("value", se.value()),
+        for name, x in [("P", se.P), ("Q", se.Q), ("I", se.pts.I), ("value", se.value()),
                         ("twisted", twisted), ("pts", se.pts)]:
             assert x.shape == (64, 4) and x.T.flags.c_contiguous, f"{name} lost its rows"
 
@@ -527,7 +550,7 @@ def test_real_stems_read_only_z(monkeypatch):
 
     pts = slice_points(SphereSampler(2.0, seed=4).sample(64))
     with monkeypatch.context() as m:
-        m.setattr(star_poly, "slice_units", unread)
+        m.setattr(quat_core, "slice_units", unread)
         m.setattr(star_poly, "_real_part_quat", unread)
         se = RealPoly([1.0, 0.0, 1.0]).stems(pts)
         la = se.log_abs()
@@ -876,6 +899,24 @@ def test_gl2h_dieudonne_and_compose():
     assert ident.dieudonne() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DegenerateTransform):
         GL2H(ONE, ONE, ONE, ONE).require_invertible()
+
+
+@pytest.mark.parametrize("s", [1e-160, 1.0, 1e160])
+def test_a_singular_transform_is_refused_at_every_scale(s):
+    e = Quaternion(s)
+    with pytest.raises(DegenerateTransform):
+        GL2H(e, e, e, e).require_invertible()
+
+
+@pytest.mark.parametrize("s", [1.0, 1e140, 1e-140, 1e160, 1e-160, 1e-170])
+def test_a_scalar_transform_is_invertible_at_every_scale(s):
+    GL2H(Quaternion(s), Quaternion(), Quaternion(), Quaternion(s)).require_invertible()
+
+
+def test_the_zero_transform_is_refused():
+    zero = Quaternion()
+    with pytest.raises(DegenerateTransform):
+        GL2H(zero, zero, zero, zero).require_invertible()
 
 
 def test_linear_fractional_with_zero_c_is_affine():
