@@ -388,7 +388,7 @@ def slice_points(pts) -> SlicePoints:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_chunk(seed: int, stream_index: int, chunk_index: int):
+def gaussian_chunk(seed: int, stream_index: int, chunk_index: int, out=None, scratch=None):
     """Philox Gaussians of one chunk and their row norms.
 
     Returns (g, n): g is a (CHUNK, 4) array of standard normals keyed by
@@ -397,17 +397,25 @@ def gaussian_chunk(seed: int, stream_index: int, chunk_index: int):
     stored transposed as (4, CHUNK) rows and handed out as the (CHUNK, 4)
     view.  The points of the chunk on ∂B_r are (g.T * (r / n)).T, in the
     same layout, for every radius r.
+
+    The draw is written into ``out``, a C-order (4, CHUNK) array, and read
+    BLOCK rows at a time through ``scratch``, a C-order (BLOCK, 4) array;
+    each is allocated afresh when not given.  A caller that draws many
+    chunks passes the same two arrays each time, so no chunk touches new
+    memory; g is then a view of ``out``, valid until the next draw into it.
     """
     key = np.array(
         [seed & _MASK64, ((stream_index << 32) ^ chunk_index) & _MASK64],
         dtype=np.uint64,
     )
     rng = np.random.Generator(np.random.Philox(key=key))
+    g = np.empty((4, CHUNK)) if out is None else out
+    block = np.empty((BLOCK, 4)) if scratch is None else scratch
     # the stream is sequential, so drawing (CHUNK, 4) in blocks of rows gives
     # the same bits, and each block is written transposed with no full copy
-    g = np.empty((4, CHUNK))
     for start in range(0, CHUNK, BLOCK):
-        g[:, start:start + BLOCK] = rng.standard_normal((BLOCK, 4)).T
+        rng.standard_normal(out=block)
+        g[:, start:start + BLOCK] = block.T
     g = g.T
     n = qnorm(g)
     # a 4-vector of exact zeros has probability 0; guard anyway

@@ -19,7 +19,8 @@ many (f, a, r) — passes them to mean_batch together.  Its walk goes
 chunk → radius → block: the Gaussians of chunk k are drawn once per call,
 and each block of quat_core.BLOCK of them is scaled to each radius that is
 still needed and fed to every unfinished request, which keeps its own
-rejection count and sums.  Only the current chunk and block are held, and
+rejection count and sums.  Only the current chunk and block are held,
+every chunk of a call is drawn into one buffer that lives for the call, and
 every mean equals the one mean_columns gives for its request alone.  A
 request (None, r) is a pass certified zero by its caller; it draws nothing
 and gets the mean the walk would give it.
@@ -174,23 +175,26 @@ class _Pass:
                 cols = 0.5 * (cols + cols2)
                 ok = ok & ok2
         ok = ok & np.isfinite(cols).all(axis=0)
-        accepted = np.flatnonzero(ok)
         remaining = self.needed - self.taken
-        if len(accepted) >= remaining:
-            # count rejections only along the stream prefix actually used
-            accepted = accepted[:remaining]
-            self.rejected += int(accepted[-1] + 1 - remaining)
+        if len(ok) <= remaining and ok.all():
+            take = cols  # every row accepted and still needed: no gather
         else:
-            self.rejected += len(ok) - len(accepted)
-        if self.rejected > self.max_rejected:
-            raise TooManyRejections(
-                f"{self.rejected} rejected samples exceed the 0.001·samples bound "
-                f"({self.max_rejected:.0f}) at r = {self.r}"
-            )
-        # take, not cols[:, accepted]: the (k, n) rows stay contiguous, and
-        # NumPy sums contiguous rows pairwise
-        take = cols.take(accepted, axis=1)
-        n_ok = len(accepted)
+            accepted = np.flatnonzero(ok)
+            if len(accepted) >= remaining:
+                # count rejections only along the stream prefix actually used
+                accepted = accepted[:remaining]
+                self.rejected += int(accepted[-1] + 1 - remaining)
+            else:
+                self.rejected += len(ok) - len(accepted)
+            if self.rejected > self.max_rejected:
+                raise TooManyRejections(
+                    f"{self.rejected} rejected samples exceed the 0.001·samples bound "
+                    f"({self.max_rejected:.0f}) at r = {self.r}"
+                )
+            # take, not cols[:, accepted]: the (k, n) rows stay contiguous, and
+            # NumPy sums contiguous rows pairwise
+            take = cols.take(accepted, axis=1)
+        n_ok = take.shape[1]
         if self.sums is None:
             self.sums = np.zeros(len(take))
             self.run_mean = np.zeros(len(take))
@@ -252,6 +256,9 @@ def mean_batch(requests, cfg: IntegratorConfig):
     antithetic = cfg.scheme == "antithetic_pair"
     # the rejection invariant (0.1%) trips long before this budget
     max_chunks = 2 * (cfg.samples // CHUNK + 2) + 8
+    # every chunk of the walk is drawn into these two arrays, so no chunk
+    # touches fresh pages; they live for this call only
+    chunk_rows, draw_rows = np.empty((4, CHUNK)), np.empty((BLOCK, 4))
     chunk_index = 0
     while live := [p for p in passes if p.taken < p.needed]:
         if chunk_index >= max_chunks:
@@ -259,7 +266,7 @@ def mean_batch(requests, cfg: IntegratorConfig):
                 f"stream exhausted after {chunk_index} chunks with "
                 f"{live[0].rejected} rejections"
             )
-        g, n = gaussian_chunk(cfg.seed, 0, chunk_index)
+        g, n = gaussian_chunk(cfg.seed, 0, chunk_index, out=chunk_rows, scratch=draw_rows)
         for r in dict.fromkeys(p.r for p in live):
             for start in range(0, CHUNK, BLOCK):
                 group = [p for p in passes if p.r == r and p.taken < p.needed]

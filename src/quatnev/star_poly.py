@@ -215,7 +215,8 @@ class StemEval:
         a = (2.0 * s * s - g2) * inv  # (s² − |x|²) / |g|²
         b = 2.0 * qdot(x.T, I.T) * inv
         c = -2.0 * s * inv
-        turn = np.zeros(g.T.shape)
+        turn = np.empty((4, len(s)))
+        turn[0] = 0.0
         for k in range(3):
             k1, k2 = (k + 1) % 3, (k + 2) % 3
             turn[k + 1] = a * I[k] + b * x[k] + c * (x[k1] * I[k2] - x[k2] * I[k1])
@@ -815,7 +816,11 @@ class SemiregularRational:
         With the denominator stem A + iB of den_s and numerator stems
         (P_n, Q_n): P = (A·P_n + B·Q_n)/(A²+B²), Q = (A·Q_n − B·P_n)/(A²+B²);
         for a slice-preserving quotient this is the complex w_n·(A − iB)/(A²+B²).
-        Points with |den_s| at most pole_tol(|q|), the rule __call__ raises
+        Where A·P_n overflows although the quotient fits a float, as for a
+        numerator near the float range, the quotient is formed again on the
+        numerator stems scaled by a power of two on those rows, as _rescaled
+        scales a norm, and by 2⁰ on the rest, whose bits it keeps.  Points
+        with |den_s| at most pole_tol(|q|), the rule __call__ raises
         EvalAtPole by, are masked out.
         """
         pts = slice_points(pts)
@@ -826,13 +831,25 @@ class SemiregularRational:
         tol = self.pole_tol(np.hypot(*pts.uv))
         ok = mod2 > tol * tol
         safe = np.where(ok, mod2, 1.0)
-        # in real arithmetic for both kinds: NumPy's complex product may fuse
-        Pn, Qn = (base.w.real, base.w.imag) if self.is_real else (base.P.T, base.Q.T)
-        P = (A * Pn + B * Qn) / safe
-        Q = (A * Qn - B * Pn) / safe
+        # in real arithmetic for both kinds: NumPy's complex product may fuse;
+        # as (k, n) rows, k = 1 for the slice-preserving stem w and 4 otherwise
+        parts = (base.w.real, base.w.imag) if self.is_real else (base.P.T, base.Q.T)
+        Pn, Qn = np.atleast_2d(*parts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = (A * Pn + B * Qn) / safe
+            Q = (A * Qn - B * Pn) / safe
+            bad = ~(np.isfinite(P).all(axis=0) & np.isfinite(Q).all(axis=0))
+            if bad.any():
+                # 2^−e with e the binary exponent of a bad row's largest stem,
+                # and e = 0, which keeps the bits, on every other row
+                top = np.maximum(np.abs(Pn), np.abs(Qn)).max(axis=0)
+                e = np.where(bad, np.frexp(top)[1], 0)
+                Pn, Qn = np.ldexp(Pn, -e), np.ldexp(Qn, -e)
+                P = np.ldexp((A * Pn + B * Qn) / safe, e)
+                Q = np.ldexp((A * Qn - B * Pn) / safe, e)
         if self.is_real:
-            w = P.astype(complex)
-            w.imag = Q
+            w = P[0].astype(complex)
+            w.imag = Q[0]
             return StemEval(pts, ok, w=w)
         return StemEval(pts, ok, P.T, Q.T)
 

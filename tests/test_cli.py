@@ -193,9 +193,9 @@ def counters(monkeypatch):
         counts["passes"] += len(requests)
         return mean_batch(requests, *args, **kwargs)
 
-    def recording_draw(seed, stream_index, chunk_index):
+    def recording_draw(seed, stream_index, chunk_index, **buffers):
         counts["draws"].append((seed, stream_index, chunk_index))
-        return gaussian_chunk(seed, stream_index, chunk_index)
+        return gaussian_chunk(seed, stream_index, chunk_index, **buffers)
 
     def counting_divisor(f):
         counts["divisors"] += 1

@@ -164,6 +164,14 @@ def test_census_index_84_closes_jensen(tmp_path):
     assert _check(*CENSUS[84], tmp_path) == 0
 
 
+def test_census_index_30_forms_its_rational_stems_near_the_float_range(tmp_path):
+    """mpb-check on a rational whose numerator coefficients reach 9e296: at
+    r = 49.4 the product of the den_s stem and the numerator stems overflows,
+    though the quotient fits a float, so those rows are formed on scaled
+    stems and the defects are finite."""
+    assert _check(*CENSUS[30], tmp_path) in (0, 1)
+
+
 @pytest.mark.parametrize("census, index", [(CENSUS, 74), (SECOND_CENSUS, 46)],
                          ids=["census-74", "second-census-46"])
 def test_mpb_check_of_a_function_far_below_its_target_accepts_its_samples(census, index, tmp_path):

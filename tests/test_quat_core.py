@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatnev.quat_core import (
+    BLOCK,
     CHUNK,
     DivisionByZero,
     Quaternion,
@@ -302,6 +303,16 @@ def test_gaussian_chunk_stores_the_philox_draw_transposed(seed, stream, chunk):
     g, n = gaussian_chunk(seed, stream, chunk)
     assert g.shape == (CHUNK, 4) and g.T.flags.c_contiguous
     assert _bits(g) == _bits(want) and _bits(n) == _bits(want_n)
+
+
+@pytest.mark.parametrize("seed, stream, chunk", [(2026, 0, 0), (7, 3, 11), (2**63 + 5, 1, 2)])
+def test_gaussian_chunk_into_supplied_buffers_has_the_bits_of_a_fresh_draw(seed, stream, chunk):
+    want_g, want_n = gaussian_chunk(seed, stream, chunk)
+    out, scratch = np.empty((4, CHUNK)), np.empty((BLOCK, 4))
+    gaussian_chunk(seed + 1, stream, chunk, out=out, scratch=scratch)  # a stale draw first
+    g, n = gaussian_chunk(seed, stream, chunk, out=out, scratch=scratch)
+    assert np.shares_memory(g, out) and g.shape == (CHUNK, 4)
+    assert _bits(g) == _bits(want_g) and _bits(n) == _bits(want_n)
 
 
 def test_batch_kernels_match_scalar_ops():

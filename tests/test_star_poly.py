@@ -854,6 +854,21 @@ def test_a_pole_at_the_origin_raises_in_call_and_is_masked_in_stems(den):
     assert f.stems(np.array([[0, 0, 0, 0], [0.5, 0, 0.5, 0]], dtype=float)).ok.tolist() == [False, True]
 
 
+@pytest.mark.parametrize("num, den, k", [
+    (RealPoly([0.3, -0.7, 1.0]), RealPoly([0.5, 0.2, 1.0]), 1010),
+    (LeftPoly([[0.5, 0.1, 0, 0], [1, 0.3, -0.2, 0.4], [0.2, 0, 0, 1]]),
+     LeftPoly([[0.3, 0, 0.4, 0], [1, 0, 0, 0]]), 1000),
+], ids=["slice-preserving", "quaternion"])
+def test_rational_stems_near_the_float_range_are_the_scaled_stems_bit_for_bit(num, den, k):
+    """Where the den_s stem times the numerator stems of 2^k·num overflows but
+    the quotient fits, the stems are those of num scaled by 2^k, as everywhere else."""
+    pts = np.concatenate([SphereSampler(r, seed=3).sample(256) for r in (0.5, 40.0)])
+    big = SemiregularRational(LeftPoly(np.ldexp(num.coeffs, k)), den).stems(pts)
+    unit = SemiregularRational(num, den).stems(pts)
+    assert unit.ok.all() and np.array_equal(big.ok, unit.ok)
+    assert _same_bits(big.P, np.ldexp(unit.P, k)) and _same_bits(big.Q, np.ldexp(unit.Q, k))
+
+
 def test_rational_shift_and_origin_order():
     f = as_rational(RealPoly([1.0, 0.0, 1.0]))
     g = f - Quaternion(1, 0, 0, 0)                         # q² + 1 − 1 = q²
