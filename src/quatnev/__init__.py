@@ -23,7 +23,6 @@ from .star_poly import (
     RealPoly,
     RealPointDegenerate,
     SemiregularRational,
-    SymmetrizationNotReal,
     UndefinedAtZeroPole,
     ZeroFunctionReciprocal,
     corollary_decomposition_check,

@@ -157,8 +157,8 @@ def _parse_radii(cfg_map) -> tuple:
         raise ConfigError("config needs 'r' or 'radii'")
     if not all(r > 0 for r in radii):
         raise ConfigError(f"radii must be positive, got {list(radii)!r}")
-    if list(radii) != sorted(radii):
-        raise ConfigError("radii must be sorted ascending")
+    if any(lo >= hi for lo, hi in zip(radii, radii[1:])):
+        raise ConfigError(f"radii must be sorted strictly ascending, got {list(radii)!r}")
     return radii
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "GL2H",
     "StemEval",
     "EvalAtPole",
-    "SymmetrizationNotReal",
     "RealPointDegenerate",
     "UndefinedAtZeroPole",
     "DegenerateTransform",
@@ -63,10 +62,6 @@ __all__ = [
 
 class EvalAtPole(ArithmeticError):
     """Evaluation point is numerically on a pole sphere (|den_s(q)| at most pole_tol)."""
-
-
-class SymmetrizationNotReal(ArithmeticError):
-    """f * f^c produced coefficients with non-negligible imaginary residue (arithmetic bug)."""
 
 
 class RealPointDegenerate(ValueError):
@@ -424,31 +419,33 @@ class LeftPoly:
         return LeftPoly(qconj(self.coeffs))
 
     def symmetrize(self) -> "RealPoly":
-        """f^s = f * f^c, projected to its (provably real) coefficients.
+        """f^s = f * f^c, whose coefficient n is the real Σ_{i+j=n} ⟨a_i, a_j⟩.
 
-        Raises OverflowError if a coefficient of f^s does not fit a float,
-        and SymmetrizationNotReal if the imaginary residue exceeds 1e-9
-        times the squared coefficient scale, which would indicate an
-        arithmetic bug rather than rounding noise.
+        Each dot ((w·w' + x·x') + y·y') + z·z' is the real row of a_i·ā_j
+        as qmul sums it, and the dots are shift-added over ascending i as
+        star_mul adds its rows, so f^s is real by construction and has the
+        bits of the product's real column.  Raises OverflowError if a
+        coefficient of f^s does not fit a float.
         """
         if self.is_zero:
             return RealPoly([])
         with np.errstate(over="ignore", invalid="ignore"):
-            prod = _star_coeffs(self, self.conjugate())
-        if not np.isfinite(prod).all():
+            if self.is_real:
+                out = np.convolve(self.real_coeffs, self.real_coeffs)
+            else:
+                a = self.coeffs
+                dots = np.multiply.outer(a[:, 0], a[:, 0])
+                for k in (1, 2, 3):
+                    dots += np.multiply.outer(a[:, k], a[:, k])
+                out = np.zeros(2 * a.shape[0] - 1)
+                for i, row in enumerate(dots):
+                    out[i : i + a.shape[0]] += row
+        if not np.isfinite(out).all():
             raise OverflowError(
                 f"f^s overflows: the coefficient scale {self.coeff_scale():.3e} "
                 "of f squared does not fit a float"
             )
-        if prod.ndim == 1:
-            return RealPoly(prod)
-        residue = float(np.abs(prod[:, 1:]).max())
-        scale = max(self.coeff_scale() ** 2, 1e-300)
-        if residue > 1e-9 * scale:
-            raise SymmetrizationNotReal(
-                f"imaginary residue {residue:.3e} exceeds 1e-9·scale ({scale:.3e})"
-            )
-        return RealPoly(prod[:, 0])
+        return RealPoly(out)
 
     def series_head(self):
         """(d0, d1, 2·d2) as Quaternions: value, first and second derivative at 0 of q^{−m₀}·f."""
@@ -602,22 +599,18 @@ def star_mul(f: LeftPoly, g: LeftPoly) -> LeftPoly:
     """
     if f.is_zero or g.is_zero:
         return RealPoly([])
+    if isinstance(f, RealPoly) and isinstance(g, RealPoly):
+        out = np.convolve(f.real_coeffs, g.real_coeffs)
+    else:
+        a, b = f.coeffs, g.coeffs
+        prods = qmul(a[None], b[:, None])  # prods[i, j] = a_i·b_j
+        out = np.zeros((a.shape[0] + b.shape[0] - 1, 4))
+        for i in range(a.shape[0]):
+            out[i : i + b.shape[0]] += prods[i]
     try:
-        return LeftPoly(_star_coeffs(f, g))
+        return LeftPoly(out)
     except ValueError:
         raise OverflowError("f*g overflows: a coefficient does not fit a float") from None
-
-
-def _star_coeffs(f: LeftPoly, g: LeftPoly) -> np.ndarray:
-    """Untrimmed coefficients of f*g for nonzero f, g: real for two RealPolys, else (n, 4) rows."""
-    if isinstance(f, RealPoly) and isinstance(g, RealPoly):
-        return np.convolve(f.real_coeffs, g.real_coeffs)
-    a, b = f.coeffs, g.coeffs
-    prods = qmul(a[None], b[:, None])  # prods[i, j] = a_i·b_j
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, 4))
-    for i in range(a.shape[0]):
-        out[i : i + b.shape[0]] += prods[i]
-    return out
 
 
 def star_power(f, n: int):

@@ -549,6 +549,16 @@ def test_unsorted_radii_exit_2(tmp_path, capsys):
     assert "sorted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["profile", "fmt-check", "mpb-check", "algebra-suite"])
+def test_repeated_radii_exit_2_before_sampling(command, tmp_path, capsys, counters):
+    """A repeated radius is a config error, not a slope fit over rows of spread 0."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radii": [2.0, 2.0]}))
+    assert main([command, "--config", str(cfg), *FAST]) == 2
+    assert "strictly ascending" in capsys.readouterr().err
+    assert counters["draws"] == []
+
+
 @pytest.mark.parametrize("command", ["verify-jensen", "arbiter"])
 def test_one_radius_commands_refuse_a_radius_list(command, tmp_path, capsys, counters):
     """verify-jensen and arbiter run at one radius; a longer list is an error, not a silent r = radii[0]."""

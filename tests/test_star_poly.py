@@ -221,6 +221,39 @@ def test_symmetrization_overflow_is_a_named_error(f):
             f.symmetrize()
 
 
+def _seeded_polys(seed: int, scale: float, count: int = 12):
+    """Seeded quaternion polys of degree 0–13 with injected ±0 components, at scale."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        a = rng.standard_normal((int(rng.integers(1, 15)), 4)) * scale
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.1] = -0.0
+        a[-1, 0] = scale  # keep the degree
+        yield LeftPoly(a)
+
+
+@pytest.mark.parametrize("k", [-500, 0, 500])
+@pytest.mark.parametrize("seed", range(4))
+def test_symmetrize_has_the_bits_of_the_real_column_of_f_star_fc(seed, k):
+    """f^s, summed from the real dots, is the real column of star_mul(f, f^c) bit for bit,
+    and that product's imaginary columns are rounding noise under 1e-9·scale²."""
+    for f in _seeded_polys(seed, 2.0**k):
+        prod = star_mul(f, f.conjugate())
+        want = RealPoly(prod.coeffs[:, 0]).real_coeffs
+        got = f.symmetrize().real_coeffs
+        assert got.tobytes() == want.tobytes(), f"f^s moved a bit for {f.coeffs!r}"
+        residue = float(np.abs(prod.coeffs[:, 1:]).max(initial=0.0))
+        assert residue <= 1e-9 * f.coeff_scale() ** 2
+
+
+def test_symmetrize_of_an_overflowing_leftpoly_raises_overflow():
+    for f in _seeded_polys(7, 2.0**520, count=4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError, match=r"f\^s overflows"):
+                f.symmetrize()
+
+
 @pytest.mark.parametrize("f", [
     LeftPoly([[0.3e160, 0.2e160, -0.1e160, 0.4e160], [1e160, 0, 0, 0]]),
     RealPoly([1.0, 3e160]),
