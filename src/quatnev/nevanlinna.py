@@ -793,7 +793,9 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
     powers = {n: star_power(f, n) for n in (2, 3)}
     fg = f * g
     fpg = f + g
-    mixed = f * g.conjugate() + g * f.conjugate()
+    # h^c = g * f^c for h = f * g^c, so h + h^c is real by construction: its imaginary rows cancel
+    h = f * g.conjugate()
+    mixed = h + h.conjugate()
     fc = f.conjugate()
     a_conj = None if aq is None else aq.conj()
     recip = as_rational(f).star_reciprocal()

@@ -806,14 +806,12 @@ class SemiregularRational:
     def stems(self, pts: np.ndarray) -> StemEval:
         """Stem evaluation of the quotient.
 
-        With the denominator stem A + iB of den_s and numerator stems
-        (P_n, Q_n): P = (A·P_n + B·Q_n)/(A²+B²), Q = (A·Q_n − B·P_n)/(A²+B²);
-        for a slice-preserving quotient this is the complex w_n·(A − iB)/(A²+B²).
-        Where A·P_n overflows although the quotient fits a float, as for a
-        numerator near the float range, the quotient is formed again on the
-        numerator stems scaled by a power of two on those rows, as _rescaled
-        scales a norm, and by 2⁰ on the rest, whose bits it keeps.  Points
-        with |den_s| at most pole_tol(|q|), the rule __call__ raises
+        The reciprocal of the denominator stem A + iB of den_s comes first, as
+        in __call__: ra + i·rb = (A − iB)/(A²+B²).  With the numerator stems
+        (P_n, Q_n), P = ra·P_n + rb·Q_n and Q = ra·Q_n − rb·P_n; for a
+        slice-preserving quotient this is the complex w_n·(ra + i·rb).  As
+        |ra| and |rb| are at most 1/|den_s|, no product exceeds the quotient.
+        Points with |den_s| at most pole_tol(|q|), the rule __call__ raises
         EvalAtPole by, are masked out.
         """
         pts = slice_points(pts)
@@ -829,17 +827,9 @@ class SemiregularRational:
         parts = (base.w.real, base.w.imag) if self.is_real else (base.P.T, base.Q.T)
         Pn, Qn = np.atleast_2d(*parts)
         with np.errstate(over="ignore", invalid="ignore"):
-            P = (A * Pn + B * Qn) / safe
-            Q = (A * Qn - B * Pn) / safe
-            bad = ~(np.isfinite(P).all(axis=0) & np.isfinite(Q).all(axis=0))
-            if bad.any():
-                # 2^−e with e the binary exponent of a bad row's largest stem,
-                # and e = 0, which keeps the bits, on every other row
-                top = np.maximum(np.abs(Pn), np.abs(Qn)).max(axis=0)
-                e = np.where(bad, np.frexp(top)[1], 0)
-                Pn, Qn = np.ldexp(Pn, -e), np.ldexp(Qn, -e)
-                P = np.ldexp((A * Pn + B * Qn) / safe, e)
-                Q = np.ldexp((A * Qn - B * Pn) / safe, e)
+            ra, rb = A / safe, B / safe
+            P = ra * Pn + rb * Qn
+            Q = ra * Qn - rb * Pn
         if self.is_real:
             w = P[0].astype(complex)
             w.imag = Q[0]

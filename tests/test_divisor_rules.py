@@ -151,3 +151,15 @@ def test_sph_integral_imports_from_quat_core_alone():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.startswith("quatnev"))
     assert imported == {"quat_core"}
+
+
+def test_the_per_row_rescale_is_written_in_one_place():
+    """_rescaled alone scales points by a power of two per row; a rational's
+    stems form the reciprocal of den_s first, so no product outgrows the
+    quotient and they need no second rescale."""
+    def np_frexp(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "frexp" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np")
+
+    assert _where(np_frexp) == ["star_poly:_rescaled"]

@@ -166,9 +166,9 @@ def test_census_index_84_closes_jensen(tmp_path):
 
 def test_census_index_30_forms_its_rational_stems_near_the_float_range(tmp_path):
     """mpb-check on a rational whose numerator coefficients reach 9e296: at
-    r = 49.4 the product of the den_s stem and the numerator stems overflows,
-    though the quotient fits a float, so those rows are formed on scaled
-    stems and the defects are finite."""
+    r = 49.4 the product of the den_s stem and the numerator stems would
+    overflow, though the quotient fits a float; the stems multiply the
+    numerator stems by the reciprocal of den_s, so the defects are finite."""
     assert _check(*CENSUS[30], tmp_path) in (0, 1)
 
 

@@ -1013,6 +1013,28 @@ def test_suite_reports_unbalanced_reciprocal_growth():
     )
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["polynomials", "rational"])
+def test_suite_proximity_passes_run_on_slice_preserving_functions(kind, seed, monkeypatch):
+    """Every proximity pass of the suite reads a real-coefficient function:
+    the mixed term h + h^c with h = f * g^c is real by construction, even
+    where f, g and the denominator of f have quaternion coefficients."""
+    rng = np.random.default_rng(seed)
+    f, g = (LeftPoly(rng.standard_normal((3, 4))) for _ in range(2))
+    if kind == "rational":
+        f = SemiregularRational(f, LeftPoly(rng.standard_normal((2, 4))))
+    seen = []
+
+    def recording(fn, finite, r):
+        seen.append(fn)
+        return None  # certified zero: nothing is drawn for it
+
+    monkeypatch.setattr(nevanlinna, "_proximity_columns", recording)
+    characteristic_algebra_suite(f, g, ZERO, ONE, None, (2.0, 5.0),
+                                 IntegratorConfig(samples=1_000, seed=seed))
+    assert seen and all(fn.is_real for fn in seen)
+
+
 # ---------------------------------------------------------------------------
 # Attainment bound and profiles
 # ---------------------------------------------------------------------------

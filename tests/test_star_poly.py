@@ -493,13 +493,14 @@ def _eager_stems(f, pts):
         tol = 1e-12 * (1.0 + np.hypot(u, v)) ** max(f.den_s.degree, 1)
         ok = mod2 >= tol * tol
         safe = np.where(ok, mod2, 1.0)
+        ra, rb = A / safe, B / safe
         if f.is_real:
             An, Bn = base["w"].real, base["w"].imag
             w = np.empty(u.shape, dtype=complex)
-            w.real, w.imag = (A * An + B * Bn) / safe, (A * Bn - B * An) / safe
+            w.real, w.imag = ra * An + rb * Bn, ra * Bn - rb * An
             return {**fields, **_embedded(w), "ok": ok, "w": w}
-        P = (A[:, None] * base["P"] + B[:, None] * base["Q"]) / safe[:, None]
-        Q = (A[:, None] * base["Q"] - B[:, None] * base["P"]) / safe[:, None]
+        P = ra[:, None] * base["P"] + rb[:, None] * base["Q"]
+        Q = ra[:, None] * base["Q"] - rb[:, None] * base["P"]
         return {**fields, "P": P, "Q": Q, "ok": ok}
     ok = np.ones(u.shape[0], dtype=bool)
     if isinstance(f, RealPoly):
@@ -893,8 +894,10 @@ def test_a_pole_at_the_origin_raises_in_call_and_is_masked_in_stems(den):
      LeftPoly([[0.3, 0, 0.4, 0], [1, 0, 0, 0]]), 1000),
 ], ids=["slice-preserving", "quaternion"])
 def test_rational_stems_near_the_float_range_are_the_scaled_stems_bit_for_bit(num, den, k):
-    """Where the den_s stem times the numerator stems of 2^k·num overflows but
-    the quotient fits, the stems are those of num scaled by 2^k, as everywhere else."""
+    """Where the den_s stem times the numerator stems of 2^k·num would overflow
+    but the quotient fits, the stems are those of num scaled by 2^k, as
+    everywhere else: the reciprocal of den_s is formed first, so no product
+    outgrows the quotient."""
     pts = np.concatenate([SphereSampler(r, seed=3).sample(256) for r in (0.5, 40.0)])
     big = SemiregularRational(LeftPoly(np.ldexp(num.coeffs, k)), den).stems(pts)
     unit = SemiregularRational(num, den).stems(pts)
