@@ -52,7 +52,6 @@ from .sph_integral import (
     SphericalMean,
     TooManyRejections,
     mean_columns,
-    mean_log_abs,
 )
 from .nevanlinna import (
     CenterIsZeroOrPole,

@@ -37,7 +37,7 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -172,8 +172,9 @@ _PARSERS = {
     "form": _parse_form,
 }
 
-# the keys every command reads: its integrator and its output
-_COMMON_KEYS = frozenset({"command", "seed", "samples", "scheme", "out", "format"})
+# the keys every command reads: its integrator's fields and its output
+_INTEGRATOR_KEYS = frozenset(field.name for field in fields(IntegratorConfig))
+_COMMON_KEYS = _INTEGRATOR_KEYS | {"command", "out", "format"}
 
 
 @dataclass
@@ -239,11 +240,7 @@ def build_spec(command: str, args) -> ExperimentSpec:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
     try:
-        integrator = IntegratorConfig(
-            samples=cfg_map.get("samples", 300000),
-            seed=cfg_map.get("seed", 2026),
-            scheme=cfg_map.get("scheme", "monte_carlo"),
-        )
+        integrator = IntegratorConfig(**{k: cfg_map[k] for k in _INTEGRATOR_KEYS if k in cfg_map})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad integrator settings: {exc}") from exc
 

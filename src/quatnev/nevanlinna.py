@@ -185,8 +185,8 @@ def proximity(f, a, r: float, cfg: IntegratorConfig) -> SphericalMean:
 
     λ_a is the canonical Weil weight: λ_a(q) = log⁺(1/|q − a|) for finite
     a and λ_∞(q) = log⁺|q|.  It is evaluated in log space on the stem data
-    of f − a, so near-singularity samples reject by the same rule as
-    mean_log_abs.  The estimate is ≥ 0 because the weight is pointwise ≥ 0.
+    of f − a, so near-singularity samples reject by the near-zero guard of
+    f − a.  The estimate is ≥ 0 because the weight is pointwise ≥ 0.
     """
     a = _target(a)
     g = f if a is None else f - a
@@ -546,11 +546,13 @@ def mpb_defect(f, a, radii, cfg: IntegratorConfig) -> list:
 
 
 def admissible_radii(f, r_lo: float, r_hi: float, count: int = 12) -> np.ndarray:
-    """Log-spaced radii in [r_lo, r_hi] nudged off divisor sphere moduli.
+    """Log-spaced radii from r_lo to r_hi, each nudged up off divisor sphere moduli.
 
     Any grid point within 1e-6·r of a zero/pole sphere modulus of f is
-    moved multiplicatively (factor 1 + 3e-6 per step) until clear, so
-    every returned radius is admissible for boundary integration.  No
+    moved up multiplicatively (factor 1 + 3e-6 per step) until clear, so
+    every returned radius is admissible for boundary integration.  The nudge
+    only moves up, so a radius can end above r_hi: for q² − 4, whose sphere
+    has modulus 2, the grid of count 4 on [0.5, 2] ends at 2.000006.  No
     command calls it; the benchmark's jensen-noncommutative workload draws
     its radius grids from it.
     """

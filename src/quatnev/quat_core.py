@@ -171,9 +171,6 @@ class Quaternion:
     def __abs__(self) -> float:
         return self.norm()
 
-    def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return (self - _coerce(other)).norm() <= tol
-
 
 def _coerce(v) -> Quaternion:
     if isinstance(v, Quaternion):

@@ -52,7 +52,6 @@ __all__ = [
     "TooManyRejections",
     "mean_batch",
     "mean_columns",
-    "mean_log_abs",
 ]
 
 
@@ -283,22 +282,3 @@ def mean_batch(requests, cfg: IntegratorConfig):
         chunk_index += 1
     return [p.means() for p in passes]
 
-
-def mean_log_abs(f, r: float, cfg: IntegratorConfig) -> SphericalMean:
-    """Surface mean of log|f| over ∂B_r.
-
-    Samples with log|f(w)| below f.near_zero_log(r) — or on a
-    numerical pole — are rejected and resampled from the same stream; the
-    count is reported and bounded by 0.001·samples.  No command calls it;
-    it stays because the tests check the Jensen mean-value statement
-    mean log|f| = log|f(0)| − H through it.
-    """
-    thr = f.near_zero_log(r)
-
-    def columns(pts):
-        se = f.stems(pts)
-        la = se.log_abs()
-        ok = se.ok & (la >= thr)
-        return la[:, None], ok
-
-    return mean_columns(columns, r, cfg)[0]

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from quatnev import divisor, nevanlinna, quat_core, sph_integral, star_poly
-from quatnev.cli import _COMMANDS, _parse_function, _parse_target, main
+from quatnev.cli import _COMMANDS, _build_parser, _parse_function, _parse_target, build_spec, main
 from quatnev.divisor import jensen_kernel, total_order_divisor
 from quatnev.quat_core import SliceComplex, gaussian_chunk, slice_units, slice_uv
 from quatnev.nevanlinna import NevanlinnaProfile, _radius_free as radius_free
-from quatnev.sph_integral import mean_batch
+from quatnev.sph_integral import IntegratorConfig, mean_batch
 
 FAST = ["--samples", "2000", "--seed", "2026"]
 # a non-slice-preserving left polynomial and a semiregular rational
@@ -472,6 +472,12 @@ def test_seed_changes_artifact(tmp_path):
     ra = json.loads(a.read_text())["corrected"]["residual"]
     rb = json.loads(b.read_text())["corrected"]["residual"]
     assert ra != rb, "different seeds must draw different streams"
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_no_config_and_no_flags_give_the_integrator_defaults(command):
+    args = _build_parser().parse_args([command])
+    assert build_spec(command, args).integrator == IntegratorConfig()
 
 
 def test_flag_overrides_config_key(tmp_path):

@@ -6,7 +6,8 @@ test that raises BoundaryDivisor, and the merge of spheres that agree
 within _SPHERE_MERGE_TOL.  A fourth decides when |f(q)| counts as
 zero, NEAR_ZERO: each function class answers it in its own pole_tol and
 near_zero_log, so the Monte-Carlo engine in sph_integral knows no
-function class and imports from quat_core alone, and spherical_conjugate
+function class, imports from quat_core alone and calls no method of a
+function, and spherical_conjugate
 decides through those guards too, holding no tolerance of its own.
 Every kernel term of a sphere is read in the ratio r/|ζ| by one helper,
 _sphere_ratio, and the Jensen closure is formed in one function,
@@ -151,6 +152,14 @@ def test_sph_integral_imports_from_quat_core_alone():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.startswith("quatnev"))
     assert imported == {"quat_core"}
+
+
+def test_sph_integral_calls_no_method_of_a_function():
+    """The engine gets column functions and points; it reads no guard or stem of f."""
+    methods = {"stems", "near_zero_log", "log_abs", "pole_tol", "symmetrize"}
+    read = {node.attr for node in ast.walk(TREES["sph_integral"])
+            if isinstance(node, ast.Attribute)} & methods
+    assert not read, f"sph_integral reads {sorted(read)} of a function"
 
 
 def test_the_per_row_rescale_is_written_in_one_place():

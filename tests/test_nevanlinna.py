@@ -746,6 +746,28 @@ def test_admissible_radii_avoid_divisor_moduli():
     assert np.abs(radii - 1.0).min() >= 1e-6, "grid points must clear the divisor sphere"
 
 
+@pytest.mark.parametrize("f", [
+    RealPoly([1.0, 0.0, 1.0]),                   # sphere modulus 1, inside the grid
+    RealPoly([-4.0, 0.0, 1.0]),                  # modulus 2 = r_hi
+    RealPoly([-0.25, 0.0, 1.0]),                 # modulus 0.5 = r_lo
+    LeftPoly([[-0.5, -0.7, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]),
+    SemiregularRational(RealPoly([1.0]), RealPoly([-1.0, 0.0, 1.0])),
+], ids=["inside", "at_r_hi", "at_r_lo", "quaternion", "real_pole"])
+def test_admissible_radii_start_at_r_lo_and_clear_every_modulus(f):
+    """The nudge only moves up: no radius falls below r_lo, and each clears
+    every sphere modulus by more than 1e-6·r, so the last may pass r_hi."""
+    moduli = [s.modulus() for s, _k in total_order_divisor(f).entries]
+    radii = admissible_radii(f, 0.5, 2.0, count=4)
+    assert np.all(radii >= 0.5)
+    for r in radii:
+        assert all(abs(r - m) > 1e-6 * r for m in moduli), f"r = {r!r} is on a sphere"
+
+
+def test_admissible_radii_can_end_above_r_hi():
+    radii = admissible_radii(RealPoly([-4.0, 0.0, 1.0]), 0.5, 2.0, count=4)
+    assert 2.0 < radii[-1] <= 2.0 * (1.0 + 3e-6)
+
+
 def test_o1_summary_recovers_slope():
     radii = np.geomspace(10.0, 1000.0, 12)
     values = 0.75 * np.log(radii) + 0.1

@@ -68,11 +68,11 @@ ONE = Quaternion(1, 0, 0, 0)
 )
 def test_hamilton_table(p, q, expected):
     got = mul(p, q)
-    assert got.isclose(expected, 0.0), f"{p} * {q} = {got}, expected {expected}"
+    assert (got - expected).norm() <= 0.0, f"{p} * {q} = {got}, expected {expected}"
 
 
 def test_product_is_noncommutative():
-    assert mul(I, J).isclose(-mul(J, I), 0.0)
+    assert (mul(I, J) + mul(J, I)).norm() <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -93,21 +93,21 @@ def test_norm_is_multiplicative(p, q):
 def test_conjugation_reverses_products(p, q):
     lhs = (p * q).conj()
     rhs = q.conj() * p.conj()
-    assert lhs.isclose(rhs, ATOL), f"conj(pq) = {lhs}, conj(q)conj(p) = {rhs}"
+    assert (lhs - rhs).norm() <= ATOL, f"conj(pq) = {lhs}, conj(q)conj(p) = {rhs}"
 
 
 @given(nonzero_quats())
 @settings(max_examples=200)
 def test_inverse_cancels(q):
     prod = q * q.inverse()
-    assert prod.isclose(ONE, 1e-9), f"q * q⁻¹ = {prod} for q = {q}"
+    assert (prod - ONE).norm() <= 1e-9, f"q * q⁻¹ = {prod} for q = {q}"
 
 
 @given(quats())
 @settings(max_examples=200)
 def test_real_imaginary_split(q):
     recomposed = Quaternion(q.re, 0, 0, 0) + q.im
-    assert recomposed.isclose(q, 0.0), f"re + im failed to recompose {q}"
+    assert (recomposed - q).norm() <= 0.0, f"re + im failed to recompose {q}"
     assert q.im.re == 0.0
 
 
@@ -116,7 +116,7 @@ def test_real_imaginary_split(q):
 def test_unit_imaginary_squares_to_minus_one(q):
     unit = q.im * (1.0 / q.abs_im())
     sq = unit * unit
-    assert sq.isclose(-ONE, 1e-9), f"I² = {sq} for I from {q}"
+    assert (sq + ONE).norm() <= 1e-9, f"I² = {sq} for I from {q}"
 
 
 @given(quats())
@@ -138,7 +138,7 @@ def test_norm_and_inverse_do_not_overflow_where_the_squares_do(s):
     q =Quaternion(0.6 * s, -0.8 * s, 0.0, 0.0)
     assert math.isclose(q.norm(), s, rel_tol=1e-15)
     assert math.isclose((q.inverse() * q).w, 1.0, rel_tol=1e-15)
-    assert q.inverse().isclose(Quaternion(0.6, 0.8, 0.0, 0.0) * (1.0 / s), 1e-15 / s)
+    assert (q.inverse() - Quaternion(0.6, 0.8, 0.0, 0.0) * (1.0 / s)).norm() <= 1e-15 / s
 
 
 def test_norm_and_inverse_keep_their_bits_where_the_squares_are_finite():
@@ -322,7 +322,7 @@ def test_batch_kernels_match_scalar_ops():
     prod = qmul(a, b)
     for i in range(len(a)):
         want = Quaternion.from_array(a[i]) * Quaternion.from_array(b[i])
-        assert Quaternion.from_array(prod[i]).isclose(want, ATOL), f"row {i} mismatch"
+        assert (Quaternion.from_array(prod[i]) - want).norm() <= ATOL, f"row {i} mismatch"
     assert np.allclose(qnorm(a), [abs(Quaternion.from_array(r)) for r in a], atol=ATOL)
     assert np.allclose(qconj(a)[:, 0], a[:, 0]) and np.allclose(qconj(a)[:, 1:], -a[:, 1:])
 

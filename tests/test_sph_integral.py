@@ -22,11 +22,26 @@ from quatnev.sph_integral import (
     TooManyRejections,
     mean_batch,
     mean_columns,
-    mean_log_abs,
 )
 from quatnev.nevanlinna import NevanlinnaProfile, proximity
 
 CFG = IntegratorConfig(samples=20_000, seed=2026)
+
+
+def mean_log_abs(f, r, cfg):
+    """Surface mean of log|f| over ∂B_r, as one mean_columns pass.
+
+    A point is rejected on a numerical pole of f or where log|f| is below
+    f.near_zero_log(r), the near-zero guard the package's passes read.
+    """
+    thr = f.near_zero_log(r)
+
+    def columns(pts):
+        se = f.stems(pts)
+        la = se.log_abs()
+        return la[:, None], se.ok & (la >= thr)
+
+    return mean_columns(columns, r, cfg)[0]
 
 
 def identity_columns(pts):
