@@ -120,7 +120,7 @@ def _parse_function(data, where: str = "function"):
                 _parse_function(data["num"], where + ".num"),
                 _parse_function(data["den"], where + ".den"),
             )
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     if isinstance(data, list):
         rows = [row if isinstance(row, (list, tuple)) else (row, 0, 0, 0) for row in data]

@@ -523,6 +523,9 @@ def mpb_defect(f, a, radii, cfg: IntegratorConfig) -> list:
     polynomial and _log_modulus_floor certifies |f| > e^thr for the
     near-zero guard thr at every sample, so that every sample is accepted,
     that radius is the certified-zero request (None, r) and draws nothing.
+    At a = ∞ (the CLI default) the twist is S_f, the one at a = 0: the
+    defect is log|f| − log|f∘S_f|, the map that fmt-check form 2 pairs with
+    ∞ (its m_fSf_inf column).
     """
     shift = _target(a)
 

@@ -37,7 +37,6 @@ __all__ = [
     "SphereSampler",
     "BLOCK",
     "CHUNK",
-    "gaussian_chunk",
     "mul",
     "qmul",
     "qconj",
@@ -385,80 +384,58 @@ def slice_points(pts) -> SlicePoints:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_chunk(seed: int, stream_index: int, chunk_index: int, out=None, scratch=None):
-    """Philox Gaussians of one chunk and their row norms.
-
-    Returns (g, n): g is a (CHUNK, 4) array of standard normals keyed by
-    (seed, stream_index, chunk_index) and n its row norms, with an exact
-    zero row's norm set to 1.  g is the Philox (CHUNK, 4) draw itself,
-    stored transposed as (4, CHUNK) rows and handed out as the (CHUNK, 4)
-    view.  The points of the chunk on ∂B_r are (g.T * (r / n)).T, in the
-    same layout, for every radius r.
-
-    The draw is written into ``out``, a C-order (4, CHUNK) array, and read
-    BLOCK rows at a time through ``scratch``, a C-order (BLOCK, 4) array;
-    each is allocated afresh when not given.  A caller that draws many
-    chunks passes the same two arrays each time, so no chunk touches new
-    memory; g is then a view of ``out``, valid until the next draw into it.
-    """
-    key = np.array(
-        [seed & _MASK64, ((stream_index << 32) ^ chunk_index) & _MASK64],
-        dtype=np.uint64,
-    )
-    rng = np.random.Generator(np.random.Philox(key=key))
-    g = np.empty((4, CHUNK)) if out is None else out
-    block = np.empty((BLOCK, 4)) if scratch is None else scratch
-    # the stream is sequential, so drawing (CHUNK, 4) in blocks of rows gives
-    # the same bits, and each block is written transposed with no full copy
-    for start in range(0, CHUNK, BLOCK):
-        rng.standard_normal(out=block)
-        g[:, start:start + BLOCK] = block.T
-    g = g.T
-    n = qnorm(g)
-    # a 4-vector of exact zeros has probability 0; guard anyway
-    n[n == 0.0] = 1.0
-    return g, n
-
-
 @dataclass(frozen=True)
 class SphereSampler:
-    """Deterministic uniform sampler on the 3-sphere of the given radius.
+    """Deterministic Gaussian stream for uniform sampling of 3-spheres.
 
-    Sampling draws 4 standard normals per point (counter-based Philox
-    streams) and scales the vector to the radius, which is uniform on S^3 by
-    rotational symmetry of the Gaussian.  The stream is a pure function of
-    (seed, stream_index, sample_index): sample(n) is a bitwise prefix of
-    sample(m) for n <= m, and disjoint stream_index values give independent
-    substreams for parallel consumers.
-
-    The Monte-Carlo passes draw through gaussian_chunk, not this class.
-    It stays while the benchmark's tracer (perfbench/tracer.py) wraps
-    SphereSampler.chunk and tests/test_bench_hooks.py pins that target,
-    and goes with the tracer's change (ROADMAP item 5a).
+    Each point draws 4 standard normals from a counter-based Philox stream
+    (Salmon et al., SC 2011); scaled to radius r the vector is uniform on
+    ∂B_r by rotational symmetry of the Gaussian.  The stream is a pure
+    function of (seed, stream_index, chunk_index), so any prefix of a run
+    is reproducible, and disjoint stream_index values give independent
+    substreams.
     """
 
-    radius: float
     seed: int
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        _check_radius(self.radius)
         if self.stream_index < 0:
             raise ValueError("stream_index must be >= 0")
 
-    def _chunk(self, chunk_index: int) -> np.ndarray:
-        g, n = gaussian_chunk(self.seed, self.stream_index, chunk_index)
-        return (g.T * (self.radius / n)).T
+    def chunk(self, chunk_index: int, out=None, scratch=None):
+        """Philox Gaussians of chunk number ``chunk_index`` and their row norms.
 
-    def sample(self, n: int) -> np.ndarray:
-        """First n points of the stream as an (n, 4) array."""
-        if n < 1:
-            raise ValueError("need n >= 1 samples")
-        chunks = [self._chunk(ci) for ci in range((n + CHUNK - 1) // CHUNK)]
-        return np.concatenate(chunks, axis=0)[:n]
+        Returns (g, n): g is a (CHUNK, 4) array of standard normals keyed by
+        (seed, stream_index, chunk_index) and n its row norms, with an exact
+        zero row's norm set to 1.  g is the Philox (CHUNK, 4) draw itself,
+        stored transposed as (4, CHUNK) rows and handed out as the (CHUNK, 4)
+        view.  The points of the chunk on ∂B_r are (g.T * (r / n)).T, in the
+        same layout, for every radius r.
 
-    def chunk(self, chunk_index: int) -> np.ndarray:
-        """Chunk number ``chunk_index`` of the stream ((CHUNK, 4) array)."""
+        The draw is written into ``out``, a C-order (4, CHUNK) array, and
+        read BLOCK rows at a time through ``scratch``, a C-order (BLOCK, 4)
+        array; each is allocated afresh when not given.  A caller that draws
+        many chunks passes the same two arrays each time, so no chunk
+        touches new memory; g is then a view of ``out``, valid until the
+        next draw into it.
+        """
         if chunk_index < 0:
             raise ValueError("chunk_index must be >= 0")
-        return self._chunk(chunk_index)
+        key = np.array(
+            [self.seed & _MASK64, ((self.stream_index << 32) ^ chunk_index) & _MASK64],
+            dtype=np.uint64,
+        )
+        rng = np.random.Generator(np.random.Philox(key=key))
+        g = np.empty((4, CHUNK)) if out is None else out
+        block = np.empty((BLOCK, 4)) if scratch is None else scratch
+        # the stream is sequential: (CHUNK, 4) drawn in blocks of rows has the
+        # same bits, and each block is written transposed with no full copy
+        for start in range(0, CHUNK, BLOCK):
+            rng.standard_normal(out=block)
+            g[:, start:start + BLOCK] = block.T
+        g = g.T
+        n = qnorm(g)
+        # a 4-vector of exact zeros has probability 0; guard anyway
+        n[n == 0.0] = 1.0
+        return g, n

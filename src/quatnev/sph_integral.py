@@ -1,12 +1,12 @@
 """Monte-Carlo surface means over ∂B_r with uncertainty and determinism.
 
 The estimation engine draws uniform points on the 3-sphere of radius r from
-a counter-based chunked stream (quat_core.gaussian_chunk), evaluates one or
-more integrand columns per point, rejects samples that land inside the
-singularity guard (continuing the same stream until the requested count of
-accepted samples is reached), and accumulates partial sums in block order —
-so results are bitwise-reproducible for a given configuration regardless of
-how the work would be scheduled.
+a counter-based chunked stream (quat_core.SphereSampler.chunk), evaluates
+one or more integrand columns per point, rejects samples that land inside
+the singularity guard (continuing the same stream until the requested count
+of accepted samples is reached), and accumulates partial sums in block
+order — so results are bitwise-reproducible for a given configuration
+regardless of how the work would be scheduled.
 
 Integrand columns are produced by a single callable per request; callers
 that need several quantities on the *same* stream (both Jensen boundary
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat_core import BLOCK, CHUNK, SlicePoints, _check_radius, gaussian_chunk
+from .quat_core import BLOCK, CHUNK, SlicePoints, SphereSampler, _check_radius
 
 __all__ = [
     "IntegratorConfig",
@@ -225,16 +225,17 @@ def mean_batch(requests, cfg: IntegratorConfig):
     """mean_columns for many (column_fn, r) requests from one walk of the stream.
 
     The walk goes chunk → radius → block: the Gaussians of chunk k are
-    drawn once, and each BLOCK rows of them are scaled to each radius still
-    needed, as one read-only point array (and its conjugate under
-    antithetic_pair) that every unfinished request at that radius reads and
-    that is dropped before the next block.  It carries the slice frame they
-    all read.  A request keeps its own rejection count and sums, so one
-    with rejections reads further blocks alone.  Each column_fn gets
-    blocks of at most BLOCK points and must be pointwise; a request stops
-    after the block that completes it.  Rejections count along the stream
-    prefix a request used, up to its last accepted row, also when a
-    block's accepted rows exactly equal the rows still needed.
+    drawn once, by SphereSampler(cfg.seed).chunk(k), and each BLOCK rows
+    of them are scaled to each radius still needed, as one read-only point
+    array (and its conjugate under antithetic_pair) that every unfinished
+    request at that radius reads and that is dropped before the next
+    block.  It carries the slice frame they all read.  A request keeps its
+    own rejection count and sums, so one with rejections reads further
+    blocks alone.  Each column_fn gets blocks of at most BLOCK points and
+    must be pointwise; a request stops after the block that completes it.
+    Rejections count along the stream prefix a request used, up to its
+    last accepted row, also when a block's accepted rows exactly equal the
+    rows still needed.
 
     A request (None, r) is certified zero: its one column is known to be
     +0.0 at every point of ∂B_r, with every sample accepted.  Its r is
@@ -258,6 +259,7 @@ def mean_batch(requests, cfg: IntegratorConfig):
     # every chunk of the walk is drawn into these two arrays, so no chunk
     # touches fresh pages; they live for this call only
     chunk_rows, draw_rows = np.empty((4, CHUNK)), np.empty((BLOCK, 4))
+    sampler = SphereSampler(cfg.seed)
     chunk_index = 0
     while live := [p for p in passes if p.taken < p.needed]:
         if chunk_index >= max_chunks:
@@ -265,7 +267,7 @@ def mean_batch(requests, cfg: IntegratorConfig):
                 f"stream exhausted after {chunk_index} chunks with "
                 f"{live[0].rejected} rejections"
             )
-        g, n = gaussian_chunk(cfg.seed, 0, chunk_index, out=chunk_rows, scratch=draw_rows)
+        g, n = sampler.chunk(chunk_index, out=chunk_rows, scratch=draw_rows)
         for r in dict.fromkeys(p.r for p in live):
             for start in range(0, CHUNK, BLOCK):
                 group = [p for p in passes if p.r == r and p.taken < p.needed]

@@ -2,13 +2,15 @@
 
 ``perfbench/tracer.py`` (stdlib only) wraps quatnev functions and methods
 by name.  A target that no longer resolves is reported missing at run time
-and its layer silently records nothing, so this test pins every target.
+and its layer silently records nothing, so this test pins every target,
+and checks that the sampler layer counts every chunk a run draws.
 """
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -50,3 +52,22 @@ def test_every_nevanlinna_function_the_cli_calls_is_traced():
               if module == "nevanlinna" and owner is None}
     assert imported, "the CLI imports no nevanlinna function"
     assert imported <= traced, f"untraced: {sorted(imported - traced)}"
+
+
+def test_the_tracer_sees_every_draw_of_a_run():
+    """verify-jensen at its defaults walks 300 000 samples, 5 chunks, each
+    drawn by SphereSampler.chunk under the mean_columns span."""
+    tracer = _tracer()
+    names = ("quat_core", "star_poly", "divisor", "sph_integral", "nevanlinna", "cli")
+    modules = [importlib.import_module("quatnev")] + [importlib.import_module(f"quatnev.{name}")
+                                                       for name in names]
+    lib = SimpleNamespace(**dict(zip(names, modules[1:])), modules=lambda: modules)
+    spans = tracer.Tracer()
+    with tracer.installed(lib, spans) as missing:
+        op = spans.begin(tracer.OP_SPAN)
+        assert lib.cli.main(["verify-jensen", "--format", "json"]) == 0
+        spans.end(op)
+    assert missing == []
+    metrics, _checks = tracer.layer_metrics(spans.spans)
+    assert (metrics["quat_core.sampler.calls"] == metrics["quat_core.sampler.distinct_keys"]
+            == metrics["sph_integral.chunks"] == 5)

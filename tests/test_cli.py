@@ -17,7 +17,7 @@ import pytest
 from quatnev import divisor, nevanlinna, quat_core, sph_integral, star_poly
 from quatnev.cli import _COMMANDS, _build_parser, _parse_function, _parse_target, build_spec, main
 from quatnev.divisor import jensen_kernel, total_order_divisor
-from quatnev.quat_core import SliceComplex, gaussian_chunk, slice_units, slice_uv
+from quatnev.quat_core import SliceComplex, SphereSampler, slice_units, slice_uv
 from quatnev.nevanlinna import NevanlinnaProfile, _radius_free as radius_free
 from quatnev.sph_integral import IntegratorConfig, mean_batch
 
@@ -193,9 +193,11 @@ def counters(monkeypatch):
         counts["passes"] += len(requests)
         return mean_batch(requests, *args, **kwargs)
 
-    def recording_draw(seed, stream_index, chunk_index, **buffers):
-        counts["draws"].append((seed, stream_index, chunk_index))
-        return gaussian_chunk(seed, stream_index, chunk_index, **buffers)
+    chunk = SphereSampler.chunk
+
+    def recording_draw(self, chunk_index, **buffers):
+        counts["draws"].append((self.seed, self.stream_index, chunk_index))
+        return chunk(self, chunk_index, **buffers)
 
     def counting_divisor(f):
         counts["divisors"] += 1
@@ -207,8 +209,7 @@ def counters(monkeypatch):
 
     monkeypatch.setattr(nevanlinna, "mean_batch", counting_mean_batch)
     monkeypatch.setattr(sph_integral, "mean_batch", counting_mean_batch)
-    monkeypatch.setattr(sph_integral, "gaussian_chunk", recording_draw)
-    monkeypatch.setattr(quat_core, "gaussian_chunk", recording_draw)
+    monkeypatch.setattr(SphereSampler, "chunk", recording_draw)
     monkeypatch.setattr(nevanlinna, "total_order_divisor", counting_divisor)
     monkeypatch.setattr(nevanlinna, "_radius_free", recording_radius_free)
     return counts
@@ -592,6 +593,16 @@ def test_bad_function_literal_exits_2(tmp_path, capsys):
     code = main(["verify-jensen", "--config", str(cfg)])
     assert code == 2
     assert "coefficient rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("verify-jensen", "function"), ("algebra-suite", "g")])
+def test_zero_denominator_is_a_config_error(command, key, tmp_path, capsys, counters):
+    """SemiregularRational's ZeroDivisionError is reported like every other bad input."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: {"num": [[1, 0, 0, 0]], "den": [[0, 0, 0, 0]]}}))
+    assert main([command, "--config", str(cfg), *FAST]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: denominator")
+    assert counters["draws"] == []
 
 
 @pytest.mark.parametrize("settings", [

@@ -12,9 +12,10 @@ decides through those guards too, holding no tolerance of its own.
 Every kernel term of a sphere is read in the ratio r/|ζ| by one helper,
 _sphere_ratio, and the Jensen closure is formed in one function,
 _jensen_closure.  verify_fmt reads all three First Main Theorem forms off
-one _mean_rows batch.  A second copy of a rule could drift from the
-first when the rule changes, so these checks read the source with
-``ast`` and name every function that holds one.
+one _mean_rows batch, and np.random.Philox is built by SphereSampler.chunk
+alone.  A second copy of a rule could drift from the first when the rule
+changes, so these checks read the source with ``ast`` and name every
+function that holds one.
 """
 
 import ast
@@ -160,6 +161,16 @@ def test_sph_integral_calls_no_method_of_a_function():
     read = {node.attr for node in ast.walk(TREES["sph_integral"])
             if isinstance(node, ast.Attribute)} & methods
     assert not read, f"sph_integral reads {sorted(read)} of a function"
+
+
+def test_philox_is_constructed_in_one_function():
+    """Every Monte-Carlo draw comes from SphereSampler.chunk, the call the
+    benchmark's tracer wraps."""
+    def philox(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "Philox")
+                or (isinstance(node, ast.Name) and node.id == "Philox"))
+
+    assert _where(philox) == ["quat_core:SphereSampler.chunk"]
 
 
 def test_the_per_row_rescale_is_written_in_one_place():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quatnev import nevanlinna, star_poly
-from quatnev.quat_core import Quaternion, SliceComplex, SphereSampler, qnorm
+from quatnev.quat_core import Quaternion, SliceComplex, qnorm
 from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational, star_mul, star_power
 from quatnev.divisor import jensen_kernel, total_order_divisor
 from quatnev.sph_integral import IntegratorConfig, SphericalMean, TooManyRejections, mean_batch
@@ -36,6 +36,8 @@ from quatnev.nevanlinna import (
     verify_fmt,
     verify_jensen,
 )
+from test_golden import CUBIC, RATIONAL
+from test_quat_core import sphere_points
 
 CFG = IntegratorConfig(samples=20_000, seed=2026)
 FAST = IntegratorConfig(samples=5_000, seed=2026)
@@ -594,6 +596,17 @@ def test_raw_real_coefficients_keep_the_bitwise_guarantee():
     assert m.value == 0.0 and m.std_error == 0.0
 
 
+def test_mpb_at_infinity_twists_by_s_f():
+    """At a = ∞ the defect is log|f| − log|f∘S_f|, the one at a = 0, within rounding."""
+    cfg = IntegratorConfig(samples=20_000, seed=7)
+    radii = (0.5, 2.0, 6.0)
+    rational = SemiregularRational(LeftPoly(RATIONAL["num"]), LeftPoly(RATIONAL["den"]))
+    for f in (LeftPoly(CUBIC), rational):
+        for at_inf, at_zero in zip(mpb_defect(f, "inf", radii, cfg), mpb_defect(f, ZERO, radii, cfg)):
+            assert abs(at_inf.value - at_zero.value) <= 1e-12
+            assert at_inf.rejected == at_zero.rejected
+
+
 def test_dominating_index_defect_decreases():
     f = LeftPoly([[0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])   # q² + q i
     cfg = IntegratorConfig(samples=50_000, seed=2026, scheme="antithetic_pair")
@@ -860,7 +873,7 @@ def test_fmt_form2_columns_match_two_evaluations(f, a, monkeypatch):
     """Form 2 reads the stems of f − a off those of f; the means match evaluating f − a."""
     radii = (1.5, 4.0)
     got = verify_fmt(f, a, radii, FAST, form=2)
-    pts = SphereSampler(radii[0], seed=3).sample(4096)
+    pts = sphere_points(radii[0], 3, 4096)
     g = f - a
     (_, ok), (_, ok_ref) = (
         build(f, g, a, radii[0])(pts)

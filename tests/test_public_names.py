@@ -9,11 +9,9 @@ a reader.  The benchmark counts as a reader too: a name that appears as a
 word in ``perfbench/*.py`` is read.  The benchmark's files are only read
 here.
 
-Today these names are read by the benchmark alone: ``SphereSampler``
-(with its ``chunk`` and ``sample``), ``StemEval.log_abs_conj_point``,
-``n_bound_check``, ``proximity``, ``characteristic`` and
-``admissible_radii``.  Once the benchmark's tracer stops naming them, this
-rule fails on them, and they can go.  Dataclass fields are out of scope:
+The names the benchmark alone reads are listed in ``BENCH_ONLY`` and
+asserted.  Once the benchmark's tracer stops naming one, the rule fails on
+it, and it can go.  Dataclass fields are out of scope:
 ``dataclasses.asdict`` reads them.  Functions nested in functions are
 locals, not names of a module.
 """
@@ -32,13 +30,13 @@ BENCH_WORDS = {word for path in sorted((ROOT / "perfbench").glob("*.py"))
                for word in re.findall(r"\w+", path.read_text())}
 
 
-def _definitions(body):
-    """Every def and class of a module body, and of its classes' bodies."""
+def _definitions(body, owner=""):
+    """(qualified name, node) of every def and class of a module body, and of its classes' bodies."""
     for stmt in body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield stmt
+            yield owner + stmt.name, stmt
         if isinstance(stmt, ast.ClassDef):
-            yield from _definitions(stmt.body)
+            yield from _definitions(stmt.body, f"{owner}{stmt.name}.")
 
 
 def _reads(node, skip):
@@ -55,12 +53,24 @@ def _reads(node, skip):
         yield from _reads(child, skip)
 
 
-# (module, name) → every definition of that name in the module
+# (module, name) → every definition of that name in the module, and their qualified names
 PUBLIC = {}
+QUALIFIED = {}
 for module, tree in TREES.items():
-    for stmt in _definitions(tree.body):
+    for qualified, stmt in _definitions(tree.body):
         if not stmt.name.startswith("_"):
             PUBLIC.setdefault((module, stmt.name), []).append(stmt)
+            QUALIFIED.setdefault((module, stmt.name), set()).add(qualified)
+
+# the public names that no package module reads: perfbench/*.py alone names them
+BENCH_ONLY = {"admissible_radii", "characteristic", "n_bound_check", "proximity",
+              "StemEval.log_abs_conj_point"}
+
+
+def _read_by_the_package(module, name):
+    own = PUBLIC[module, name]
+    return any(name in _reads(tree, own)
+               for other, tree in TREES.items() if other != "__init__.py")
 
 
 @pytest.mark.parametrize("module, name", sorted(PUBLIC),
@@ -68,7 +78,12 @@ for module, tree in TREES.items():
 def test_every_public_name_is_read_by_the_package_or_its_benchmark(module, name):
     if name in BENCH_WORDS:
         return
-    own = PUBLIC[module, name]
-    read = any(name in _reads(tree, own)
-               for other, tree in TREES.items() if other != "__init__.py")
-    assert read, f"{module} defines {name}, which neither the package nor perfbench reads"
+    assert _read_by_the_package(module, name), (
+        f"{module} defines {name}, which neither the package nor perfbench reads")
+
+
+def test_the_names_only_the_benchmark_reads_are_listed():
+    unread = {qualified for key in PUBLIC if not _read_by_the_package(*key)
+              for qualified in QUALIFIED[key]}
+    assert unread == BENCH_ONLY
+    assert {qualified.rsplit(".", 1)[-1] for qualified in BENCH_ONLY} <= BENCH_WORDS

@@ -19,7 +19,6 @@ from quatnev.quat_core import (
     SliceComplex,
     SlicePoints,
     SphereSampler,
-    gaussian_chunk,
     mul,
     qconj,
     qdot,
@@ -300,17 +299,17 @@ def test_gaussian_chunk_stores_the_philox_draw_transposed(seed, stream, chunk):
     key = np.array([seed & (2**64 - 1), ((stream << 32) ^ chunk) & (2**64 - 1)], dtype=np.uint64)
     want = np.random.Generator(np.random.Philox(key=key)).standard_normal((CHUNK, 4))
     want_n = np.sqrt(np.einsum("ij,ij->i", want, want))
-    g, n = gaussian_chunk(seed, stream, chunk)
+    g, n = SphereSampler(seed, stream).chunk(chunk)
     assert g.shape == (CHUNK, 4) and g.T.flags.c_contiguous
     assert _bits(g) == _bits(want) and _bits(n) == _bits(want_n)
 
 
 @pytest.mark.parametrize("seed, stream, chunk", [(2026, 0, 0), (7, 3, 11), (2**63 + 5, 1, 2)])
 def test_gaussian_chunk_into_supplied_buffers_has_the_bits_of_a_fresh_draw(seed, stream, chunk):
-    want_g, want_n = gaussian_chunk(seed, stream, chunk)
+    want_g, want_n = SphereSampler(seed, stream).chunk(chunk)
     out, scratch = np.empty((4, CHUNK)), np.empty((BLOCK, 4))
-    gaussian_chunk(seed + 1, stream, chunk, out=out, scratch=scratch)  # a stale draw first
-    g, n = gaussian_chunk(seed, stream, chunk, out=out, scratch=scratch)
+    SphereSampler(seed + 1, stream).chunk(chunk, out=out, scratch=scratch)  # a stale draw first
+    g, n = SphereSampler(seed, stream).chunk(chunk, out=out, scratch=scratch)
     assert np.shares_memory(g, out) and g.shape == (CHUNK, 4)
     assert _bits(g) == _bits(want_g) and _bits(n) == _bits(want_n)
 
@@ -332,25 +331,39 @@ def test_batch_kernels_match_scalar_ops():
 # ---------------------------------------------------------------------------
 
 
+def sphere_points(r, seed, n, stream_index=0):
+    """The first n points on ∂B_r of a (seed, stream_index) stream, as an (n, 4) array.
+
+    Chunk after chunk of SphereSampler draws, each scaled to r as
+    mean_batch scales its blocks.
+    """
+    sampler = SphereSampler(seed, stream_index)
+    chunks = [(g.T * (r / norms)).T for g, norms in map(sampler.chunk, range(-(-n // CHUNK)))]
+    return np.concatenate(chunks, axis=0)[:n]
+
+
 def test_sampler_points_lie_on_the_sphere():
-    pts = SphereSampler(2.0, seed=11).sample(4096)
+    pts = sphere_points(2.0, 11, 4096)
     assert np.abs(qnorm(pts) - 2.0).max() <= 1e-12 * 2.0
 
 
 def test_sampler_prefix_stability():
-    short = SphereSampler(1.5, seed=11).sample(10)
-    long = SphereSampler(1.5, seed=11).sample(CHUNK + 77)
+    """The stream past a chunk boundary is the next chunk, drawn alone by its key."""
+    short = sphere_points(1.5, 11, 10)
+    long = sphere_points(1.5, 11, CHUNK + 77)
     assert np.array_equal(short, long[:10]), "first draws must not depend on n"
+    g, n = SphereSampler(11).chunk(1)
+    assert np.array_equal(long[CHUNK:], (g[:77].T * (1.5 / n[:77])).T)
 
 
 def test_sampler_streams_are_distinct_and_deterministic():
-    a0 = SphereSampler(1.0, seed=5, stream_index=0).sample(256)
-    a1 = SphereSampler(1.0, seed=5, stream_index=1).sample(256)
-    b0 = SphereSampler(1.0, seed=5, stream_index=0).sample(256)
+    a0, _ = SphereSampler(5, stream_index=0).chunk(0)
+    a1, _ = SphereSampler(5, stream_index=1).chunk(0)
+    b0, _ = SphereSampler(5, stream_index=0).chunk(0)
     assert np.array_equal(a0, b0), "same seed/stream must be bitwise reproducible"
     assert not np.array_equal(a0, a1), "streams must decorrelate"
 
 
 def test_sampler_mean_is_near_zero():
-    pts = SphereSampler(1.0, seed=23).sample(200_000)
+    pts = sphere_points(1.0, 23, 200_000)
     assert np.abs(pts.mean(axis=0)).max() < 5e-3, "uniform sphere mean ≈ 0"

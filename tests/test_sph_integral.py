@@ -13,8 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from quatnev import sph_integral
-from quatnev.quat_core import BLOCK, CHUNK, Quaternion, SlicePoints, SphereSampler, gaussian_chunk
+from quatnev.quat_core import BLOCK, CHUNK, Quaternion, SlicePoints, SphereSampler
 from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational
 from quatnev.sph_integral import (
     IntegratorConfig,
@@ -24,6 +23,7 @@ from quatnev.sph_integral import (
     mean_columns,
 )
 from quatnev.nevanlinna import NevanlinnaProfile, proximity
+from test_quat_core import sphere_points
 
 CFG = IntegratorConfig(samples=20_000, seed=2026)
 
@@ -216,11 +216,22 @@ def test_mass_rejection_raises():
         mean_columns(broken, 1.0, CFG)
 
 
+def _record_draws(monkeypatch):
+    """The (seed, stream_index, chunk_index) of every SphereSampler.chunk draw, as a list."""
+    draws = []
+    chunk = SphereSampler.chunk
+
+    def recording(self, chunk_index, **buffers):
+        draws.append((self.seed, self.stream_index, chunk_index))
+        return chunk(self, chunk_index, **buffers)
+
+    monkeypatch.setattr(SphereSampler, "chunk", recording)
+    return draws
+
+
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
 def test_bad_radius_raises_before_any_draw(r, monkeypatch):
-    draws = []
-    monkeypatch.setattr(sph_integral, "gaussian_chunk",
-                        lambda *key, **buffers: draws.append(key) or gaussian_chunk(*key, **buffers))
+    draws = _record_draws(monkeypatch)
     with pytest.raises(ValueError, match="radius"):
         mean_columns(identity_columns, r, CFG)
     assert draws == []
@@ -373,7 +384,7 @@ def test_batch_walks_the_stream_in_chunk_order():
     cfg = IntegratorConfig(samples=150_000, seed=5)
     batch = mean_batch([(identity_columns, 0.8), (identity_columns, 2.5)], cfg)
     for r, means in zip((0.8, 2.5), batch):
-        want = SphereSampler(radius=r, seed=5).sample(cfg.samples).mean(axis=0)
+        want = sphere_points(r, 5, cfg.samples).mean(axis=0)
         assert [m.value for m in means] == pytest.approx(want, rel=0, abs=1e-12)
 
 
@@ -421,9 +432,7 @@ def _late_failure():
 
 def test_batch_raises_the_first_failing_request(monkeypatch):
     """The first failure the chunk → radius → block walk meets, not the first in request order."""
-    draws = []
-    monkeypatch.setattr(sph_integral, "gaussian_chunk",
-                        lambda *key, **buffers: draws.append(key) or gaussian_chunk(*key, **buffers))
+    draws = _record_draws(monkeypatch)
     early_rows = []
 
     def early(pts):
@@ -440,9 +449,7 @@ def test_batch_raises_the_first_failing_request(monkeypatch):
 
 @pytest.mark.parametrize("r", [0.0, math.nan])
 def test_a_bad_radius_anywhere_in_a_batch_raises_before_any_draw(r, monkeypatch):
-    draws = []
-    monkeypatch.setattr(sph_integral, "gaussian_chunk",
-                        lambda *key, **buffers: draws.append(key) or gaussian_chunk(*key, **buffers))
+    draws = _record_draws(monkeypatch)
     calls = []
 
     def counted(pts):
@@ -458,12 +465,14 @@ def _walk_draws(monkeypatch, samples):
     """The g of every chunk one mean_columns walk draws."""
     drawn = []
 
-    def recording(*key, **buffers):
-        g, n = gaussian_chunk(*key, **buffers)
+    chunk = SphereSampler.chunk
+
+    def recording(self, chunk_index, **buffers):
+        g, n = chunk(self, chunk_index, **buffers)
         drawn.append(g)
         return g, n
 
-    monkeypatch.setattr(sph_integral, "gaussian_chunk", recording)
+    monkeypatch.setattr(SphereSampler, "chunk", recording)
     mean_columns(identity_columns, 1.0, IntegratorConfig(samples=samples, seed=7))
     return drawn
 
@@ -533,7 +542,7 @@ def test_slice_frame_dies_with_its_points(scheme):
 
 
 def _block_walk_means(column_fn, r, cfg):
-    """mean_columns of one request, walked block by block from gaussian_chunk.
+    """mean_columns of one request, walked block by block from SphereSampler.chunk.
 
     Each BLOCK rows of a chunk are scaled to ∂B_r and evaluated; the
     block's accepted rows are gathered in stream order, cut at the rows
@@ -545,7 +554,7 @@ def _block_walk_means(column_fn, r, cfg):
     taken = rejected = chunk = 0
     sums = run_mean = run_m2 = 0.0
     while taken < cfg.samples:
-        g, n = gaussian_chunk(cfg.seed, 0, chunk)
+        g, n = SphereSampler(cfg.seed).chunk(chunk)
         chunk += 1
         for start in range(0, CHUNK, BLOCK):
             if taken == cfg.samples:

@@ -16,8 +16,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from quatnev import quat_core, star_poly
 from quatnev.quat_core import (
+    CHUNK,
     Quaternion,
-    SphereSampler,
     qmul,
     qnorm,
     slice_points,
@@ -44,6 +44,7 @@ from quatnev.star_poly import (
     star_power,
     _complex_powers,
 )
+from test_quat_core import sphere_points
 from test_sph_integral import mean_log_abs
 
 ATOL = 1e-9
@@ -327,7 +328,7 @@ def _well_conditioned(f, se):
 @settings(max_examples=100, deadline=None)
 def test_symmetrization_modulus_splits(f, shift):
     """|g^s| = |g|·|g∘S_g| pointwise for g = f − a, from the batch twisted value."""
-    pts = SphereSampler(1.3, seed=9).sample(32)
+    pts = sphere_points(1.3, 9, 32)
     se = f.stems(pts)
     gs = _minus(f, shift).symmetrize()
     mask = _well_conditioned(f, se)
@@ -349,7 +350,7 @@ def test_twisted_value_lies_in_the_range_of_f_on_its_sphere(k, a):
     """f(S_{f−a}(q)) = P + J·Q for a unit J, so ||P| − |Q|| ≤ |f(S_{f−a}(q))| ≤ |P| + |Q|
     at every scale 2^k of f, also where |f| is far below |a|."""
     f = LeftPoly(np.ldexp(np.array(QUADRATIC), k))
-    se = f.stems(SphereSampler(1.3, seed=5).sample(256))
+    se = f.stems(sphere_points(1.3, 5, 256))
     lat, ok = se.log_abs_twisted(a)
     p, q = (qnorm(np.ldexp(x, -k)) for x in (se.P, se.Q))  # |P|, |Q| at unit scale, exactly
     with np.errstate(divide="ignore"):
@@ -365,7 +366,7 @@ def test_twisted_value_lies_in_the_range_of_f_on_its_sphere(k, a):
 @settings(max_examples=100, deadline=None)
 def test_twisted_value_matches_scalar_spherical_conjugate(f, shift):
     """Batch f(S_{f−a}(q)) against the scalar f(spherical_conjugate(f − a, q))."""
-    pts = SphereSampler(1.3, seed=9).sample(32)
+    pts = sphere_points(1.3, 9, 32)
     se = f.stems(pts)
     val, ok = se.twisted(shift)
     lat, ok_log = se.log_abs_twisted(shift)
@@ -405,7 +406,7 @@ def test_log_moduli_do_not_depend_on_scale(kind, s):
             return LeftPoly(num * scale)
         return SemiregularRational(LeftPoly(num * scale), LeftPoly(den))
 
-    pts = slice_points(SphereSampler(1.6, seed=7).sample(4096))
+    pts = slice_points(sphere_points(1.6, 7, 4096))
     se, ses = build(1.0).stems(pts), build(s).stems(pts)
     norms = qnorm(se.value())
     assert _same_bits(se.log_abs(), np.log(norms))
@@ -436,7 +437,7 @@ def test_twisted_log_modulus_where_only_the_summed_stem_norm_overflows():
     P, Q = rng.normal(size=(2, 64, 4))
     P /= np.linalg.norm(P, axis=1)[:, None]
     Q /= np.linalg.norm(Q, axis=1)[:, None]
-    pts, ok = slice_points(SphereSampler(1.7, seed=21).sample(64)), np.ones(64, dtype=bool)
+    pts, ok = slice_points(sphere_points(1.7, 21, 64)), np.ones(64, dtype=bool)
     s = 1e154
     la, _ = StemEval(pts, ok, P, Q).log_abs_twisted(None)
     la_s, ok_s = StemEval(pts, ok, P * s, Q * s).log_abs_twisted(None)
@@ -450,7 +451,7 @@ def se_norm(arr):
 
 def test_real_polynomial_is_sphere_symmetric_bitwise():
     f = RealPoly([1.0, 0.0, 1.0])
-    pts = SphereSampler(2.0, seed=4).sample(512)
+    pts = sphere_points(2.0, 4, 512)
     se = f.stems(pts)
     la = se.log_abs()
     lat, ok = se.log_abs_twisted(None)
@@ -465,7 +466,7 @@ def test_real_polynomial_is_sphere_symmetric_bitwise():
 @given(st.one_of(polys(), real_polys(), real_den_rationals()))
 @settings(max_examples=100)
 def test_stem_values_match_horner(f):
-    pts = SphereSampler(1.7, seed=21).sample(16)
+    pts = sphere_points(1.7, 21, 16)
     se = f.stems(pts)
     if isinstance(f, SemiregularRational):
         # keep |h^s| well above its rounding scale so the quotient is well conditioned
@@ -538,7 +539,7 @@ def _same_bits(a, b) -> bool:
                  real_rationals()))
 @settings(max_examples=100, deadline=None)
 def test_lazy_stem_fields_equal_eager_construction_bitwise(f):
-    raw = SphereSampler(1.7, seed=21).sample(16)
+    raw = sphere_points(1.7, 21, 16)
     raw[3, 1:] = 0.0  # a real point takes the fallback I
     shared = slice_points(raw)
     for pts in (raw, shared, shared):  # a plain array, then a batch read twice
@@ -569,7 +570,7 @@ def test_lazy_stem_fields_equal_eager_construction_bitwise(f):
 ], ids=["leftpoly", "quaternion-rational", "realpoly"])
 def test_stem_quaternion_arrays_keep_contiguous_rows(f):
     """P, Q, I, value() and the twisted values are (n, 4) views of C-order (4, n) rows."""
-    raw = SphereSampler(1.7, seed=21).sample(64)
+    raw = sphere_points(1.7, 21, 64)
     for pts in (raw, slice_points(raw)):
         se = f.stems(pts)
         twisted = se.twisted(Quaternion(0.1, 0.2, 0.0, 0.0))[0]
@@ -583,7 +584,7 @@ def test_real_stems_read_only_z(monkeypatch):
     def unread(*args):
         raise AssertionError("formed a field that nothing read")
 
-    pts = slice_points(SphereSampler(2.0, seed=4).sample(64))
+    pts = slice_points(sphere_points(2.0, 4, 64))
     with monkeypatch.context() as m:
         m.setattr(quat_core, "slice_units", unread)
         m.setattr(star_poly, "_real_part_quat", unread)
@@ -596,7 +597,7 @@ def test_real_stems_read_only_z(monkeypatch):
 def test_conj_point_log_modulus_differs_for_generic_coefficients():
     """log|f(q̄)| read off the stems is that of pointwise evaluation, and not log|f(q)|."""
     f = LeftPoly([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 0, 0]])
-    raw = SphereSampler(1.5, seed=4).sample(64)
+    raw = sphere_points(1.5, 4, 64)
     se = f.stems(slice_points(raw))
     lac = se.log_abs_conj_point()
     assert not np.array_equal(lac, se.log_abs())
@@ -606,7 +607,7 @@ def test_conj_point_log_modulus_differs_for_generic_coefficients():
 
 def test_in_place_horner_keeps_polyval_bits():
     """RealPoly stems run polyval's ufunc sequence in place, so they keep its bits."""
-    pts = slice_points(SphereSampler(1.7, seed=3).chunk(0))
+    pts = slice_points(sphere_points(1.7, 3, CHUNK))
     z = pts.z
     rng = np.random.default_rng(11)
     cases = [[0.0], [2.5], [0.0, 0.0, 0.0, 1.0]]
@@ -625,7 +626,7 @@ def test_complex_modulus_is_scale_free(kind, c):
         num = RealPoly([scale, 0.0, scale])
         return num if kind == "poly" else SemiregularRational(num, RealPoly([0.3, -0.2, 1.0]))
 
-    pts = slice_points(SphereSampler(1.6, seed=7).sample(4096))
+    pts = slice_points(sphere_points(1.6, 7, 4096))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         se, ses = build(1.0).stems(pts), build(c).stems(pts)
@@ -650,7 +651,7 @@ def test_complex_modulus_is_scale_free(kind, c):
 ])
 def test_shifted_stems_match_stems_of_the_shifted_function(f, a):
     """StemEval.minus(a) gives the stems of f − a: the same Q and ok, P − a to rounding."""
-    pts = slice_points(SphereSampler(1.6, seed=7).sample(4096))
+    pts = slice_points(sphere_points(1.6, 7, 4096))
     se = f.stems(pts)
     got = se.minus(a)
     want = _minus(f, a).stems(pts)
@@ -724,7 +725,7 @@ def test_scaled_denominator_divides_the_value(den, s):
     q = Quaternion(0.4, 0.3, -0.2, 0.1)
     want = f(q)
     assert abs(f_s(q) * s - want) <= 1e-12 * abs(want)
-    pts = SphereSampler(1.3, seed=3).sample(64)
+    pts = sphere_points(1.3, 3, 64)
     se, se_s = f.stems(pts), f_s.stems(pts)
     assert se.ok.all() and se_s.ok.all()
     assert np.all(se_norm(se_s.value() * s - se.value()) <= 1e-12 * se_norm(se.value()))
@@ -799,7 +800,7 @@ def test_spherical_conjugate_compensates():
     f = LeftPoly([[0.2, 0.5, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0.4]])
     fs = f.symmetrize()
     for seed in range(4):
-        q = Quaternion.from_array(SphereSampler(1.4, seed=seed).sample(1)[0])
+        q = Quaternion.from_array(sphere_points(1.4, seed, 1)[0])
         sq = spherical_conjugate(f, q)
         lhs = abs(f(q)) * abs(f(sq))
         rhs = abs(fs(q))
@@ -898,7 +899,7 @@ def test_rational_stems_near_the_float_range_are_the_scaled_stems_bit_for_bit(nu
     but the quotient fits, the stems are those of num scaled by 2^k, as
     everywhere else: the reciprocal of den_s is formed first, so no product
     outgrows the quotient."""
-    pts = np.concatenate([SphereSampler(r, seed=3).sample(256) for r in (0.5, 40.0)])
+    pts = np.concatenate([sphere_points(r, 3, 256) for r in (0.5, 40.0)])
     big = SemiregularRational(LeftPoly(np.ldexp(num.coeffs, k)), den).stems(pts)
     unit = SemiregularRational(num, den).stems(pts)
     assert unit.ok.all() and np.array_equal(big.ok, unit.ok)
