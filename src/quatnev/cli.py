@@ -12,7 +12,9 @@ fmt-check       Per-radius residuals of one First Main Theorem form plus
 mpb-check       Mean-proximity-balance defect over a radius grid.
 arbiter         Decide whether a single zero sphere has total order 1 or 2
                 by Jensen closure.
-algebra-suite   Battery of characteristic-function identities.
+algebra-suite   Battery of characteristic-function identities; its
+                transform A, B, C, D is required (default Φ(q) =
+                (q + 1)*(q − 1)^{-*}) and feeds the fractional-linear row.
 selftest        Monte-Carlo-free exact identity suite (gate 1e-9).
 
 All experiment inputs come from a JSON config file (--config); the
@@ -24,7 +26,8 @@ coefficient lists [[w,x,y,z], ...] (degree-ascending); rationals are
 {"num": [...], "den": [...]}.  Every run is fully seeded — identical
 config and seed produce bitwise-identical artifacts.  With --out the
 artifact goes to that file and the human report to stdout; without it the
-artifact is alone on stdout and the report goes to stderr.
+artifact is alone on stdout and the report goes to stderr, for every
+command, selftest included.
 
 Exit status: 0 all asserted gates pass; 1 a gate failed; 2 config error.
 """
@@ -246,7 +249,7 @@ def build_spec(command: str, args) -> ExperimentSpec:
 
     inputs = {key: parse(cfg_map[key]) for key, parse in _PARSERS.items() if key in cfg_map}
     radii = _parse_radii(cfg_map) if "radii" in entry.keys else ()
-    if command in ("verify-jensen", "arbiter") and len(radii) > 1:
+    if "r" in entry.defaults and len(radii) > 1:
         raise ConfigError(f"{command} runs at one radius, got {len(radii)} radii")
     return ExperimentSpec(
         command=command,
@@ -301,7 +304,7 @@ def _csv_rows(header: str, rows) -> str:
 # ---------------------------------------------------------------------------
 #
 # Each runner prints its human report and returns (exit status, artifact),
-# where the artifact is a (csv_text, json_obj) pair or None.
+# where the artifact is a (csv_text, json_obj) pair.
 
 
 def _run_verify_jensen(spec: ExperimentSpec) -> tuple:
@@ -343,7 +346,7 @@ def _run_verify_jensen(spec: ExperimentSpec) -> tuple:
         corrected.three_sigma,
     )
     return 0 if gate_ok else 1, (
-        _csv_rows(_COMMANDS["verify-jensen"].columns, [row]),
+        _csv_rows(_COMMANDS[spec.command].columns, [row]),
         {"corrected": corrected.to_json(), "factor2": factor2.to_json()},
     )
 
@@ -357,7 +360,7 @@ def _run_profile(spec: ExperimentSpec) -> tuple:
     print(f"  {'r':>10s} {'N':>14s} {'m':>14s} {'H':>14s} {'T':>14s} {'A':>14s}")
     for r, N, m, _me, H, T, A in profile.rows():
         print(f"  {r:10.4f} {N:14.8f} {m:14.8f} {H:14.8f} {T:14.8f} {A:14.8f}")
-    return 0, (_csv_rows(_COMMANDS["profile"].columns, profile.rows()), profile.to_json())
+    return 0, (_csv_rows(_COMMANDS[spec.command].columns, profile.rows()), profile.to_json())
 
 
 def _run_fmt_check(spec: ExperimentSpec) -> tuple:
@@ -400,7 +403,7 @@ def _run_mpb_check(spec: ExperimentSpec) -> tuple:
         rows.append((r, d.value, d.std_error, d.three_sigma))
         print(f"  r = {r:10.4f}   defect = {d.value:+.6e} ± {d.std_error:.2e}")
     return 0, (
-        _csv_rows(_COMMANDS["mpb-check"].columns, rows),
+        _csv_rows(_COMMANDS[spec.command].columns, rows),
         [
             {"r": r, "defect": v, "std_error": s, "three_sigma": t}
             for r, v, s, t in rows
@@ -422,7 +425,7 @@ def _run_arbiter(spec: ExperimentSpec) -> tuple:
     print(f"  {PASS if gate_ok else FAIL}: best order c = {report.best_order} "
           f"closes the formula within 3σ = {report.three_sigma:.2e}")
     return 0 if gate_ok else 1, (
-        _csv_rows(_COMMANDS["arbiter"].columns, list(report.residuals)),
+        _csv_rows(_COMMANDS[spec.command].columns, list(report.residuals)),
         report.to_json(),
     )
 
@@ -456,7 +459,7 @@ def _run_algebra_suite(spec: ExperimentSpec) -> tuple:
             csv_rows.append((row["identity"], row["kind"], row["value"],
                              row["gate"], ok, "", ""))
     return 0 if all_ok else 1, (
-        _csv_rows(_COMMANDS["algebra-suite"].columns, csv_rows), rows
+        _csv_rows(_COMMANDS[spec.command].columns, csv_rows), rows
     )
 
 
@@ -582,10 +585,8 @@ def _run_selftest(spec: ExperimentSpec) -> tuple:
         rows.append((name, residual, gate, ok))
         print(f"  {name:40s} residual = {residual:.3e}  gate = {gate:.0e}  "
               f"{PASS if ok else FAIL}")
-    if spec.out is None:
-        return 0 if all_ok else 1, None
     return 0 if all_ok else 1, (
-        _csv_rows(_COMMANDS["selftest"].columns, rows),
+        _csv_rows(_COMMANDS[spec.command].columns, rows),
         [
             {"check": n, "residual": v, "gate": g, "passed": ok}
             for n, v, g, ok in rows
@@ -695,12 +696,10 @@ def main(argv=None) -> int:
     try:
         spec = build_spec(args.command, args)
         # with no --out the artifact is alone on stdout, so the human report
-        # goes to stderr (selftest writes no artifact without --out)
-        to_stdout = spec.out is None and spec.command != "selftest"
-        with contextlib.redirect_stdout(sys.stderr if to_stdout else sys.stdout):
+        # goes to stderr
+        with contextlib.redirect_stdout(sys.stderr if spec.out is None else sys.stdout):
             code, artifact = _COMMANDS[spec.command].runner(spec)
-        if artifact is not None:
-            _emit(spec, *artifact)
+        _emit(spec, *artifact)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -487,7 +487,7 @@ def counting_arbiter(f, r: float, cfg: IntegratorConfig) -> ArbiterReport:
     _jensen_closure by (ord − c)·J(ζ, r); the report carries both
     residuals and the minimizer.
     """
-    if not getattr(f, "is_real", False):
+    if not f.is_real:
         raise ValueError("the arbiter needs a slice-preserving function")
     d = total_order_divisor(f)
     if d.origin_order != 0:
@@ -782,8 +782,8 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
     identities, 3σ for Monte-Carlo ones); inequality rows carry the
     minimum slack with a −3σ gate; bounded-gap rows report the grid
     spread and log-r slope without asserting (boundedness is not
-    numerically decidable).  ``t`` is an invertible 2×2 quaternion
-    transform exercising the fractional-linear row.
+    numerically decidable).  ``t``, an invertible 2×2 quaternion
+    transform (a GL2H), is required: it feeds the fractional-linear row.
 
     Returns a list of row dicts keyed by "identity".
     """
@@ -804,7 +804,7 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
     fc = f.conjugate()
     a_conj = None if aq is None else aq.conj()
     recip = as_rational(f).star_reciprocal()
-    phi = None if t is None else linear_fractional(t, f)
+    phi = linear_fractional(t, f)
 
     # ---- phase 1: every Monte-Carlo pass the rows read ------------------------
     # T(fn, target, r) recurs across rows: each distinct (function,
@@ -818,9 +818,7 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
 
     t_pairs = [(f, None), (g, None), *((fn, None) for fn in powers.values()),
                (fg, None), (fpg, None), (fc, aq), (f, a_conj), (fs, None),
-               (f, aq), (f, bq), (recip, aq)]
-    if phi is not None:
-        t_pairs.append((phi, aq))
+               (f, aq), (f, bq), (recip, aq), (phi, aq)]
     distinct = {t_key(fn, target): (fn, target) for fn, target in t_pairs}
     parts = {key: _radius_free(*pair) for key, pair in distinct.items()}
     requests = {(key, r): part.request(r) for key, part in parts.items() for r in radii}
@@ -883,14 +881,12 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
     gaps = {
         "target_shift": [T(f, aq, r)[0] - T(f, bq, r)[0] for r in radii],
         "star_reciprocal": [T(recip, aq, r)[0] - T(f, aq, r)[0] for r in radii],
-        "fractional_linear": None if phi is None
-        else [T(phi, aq, r)[0] - T(f, aq, r)[0] for r in radii],
+        "fractional_linear": [T(phi, aq, r)[0] - T(f, aq, r)[0] for r in radii],
         "finite_target_gap": [T(f, aq, r)[0] - tf[0] for r, tf in zip(radii, t_f)],
     }
     for name, values in gaps.items():
-        if values is not None:
-            rows.append({"identity": name, "kind": "o1", **_o1_fields(radii, values),
-                         "per_radius": values})
+        rows.append({"identity": name, "kind": "o1", **_o1_fields(radii, values),
+                     "per_radius": values})
     return rows
 
 

@@ -72,7 +72,9 @@ class IntegratorConfig:
 
     samples counts accepted sample units (points for monte_carlo, (w, w̄)
     pairs for antithetic_pair); the stream continues past rejected draws,
-    and their number is reported on the result.
+    and their number is reported on the result.  seed keys the Philox
+    stream, whose key is 64 bits wide, so it must lie in [0, 2**64): two
+    seeds 2**64 apart would draw the same stream.
     """
 
     samples: int = 300000
@@ -86,6 +88,8 @@ class IntegratorConfig:
                 raise TypeError(f"{name} must be an int, got {value!r}")
         if self.samples < 1000:
             raise ValueError("samples must be at least 1000")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), the Philox key range, got {self.seed}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
 
@@ -153,10 +157,8 @@ class _Pass:
         """column_fn at one block, as contiguous (k, n) rows and a bool mask."""
         vals, ok = self.column_fn(pts)
         vals = np.asarray(vals, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.shape[0] != pts.shape[0]:
-            raise ValueError("column_fn must return one row per point")
+        if vals.ndim != 2 or vals.shape[0] != pts.shape[0]:
+            raise ValueError("column_fn must return an (n, k) array, one row per point")
         return np.ascontiguousarray(vals.T), np.asarray(ok, dtype=bool)
 
     def feed(self, pts, conj_pts):
@@ -254,19 +256,12 @@ def mean_batch(requests, cfg: IntegratorConfig):
     """
     passes = [_Pass(column_fn, r, cfg) for column_fn, r in requests]
     antithetic = cfg.scheme == "antithetic_pair"
-    # the rejection invariant (0.1%) trips long before this budget
-    max_chunks = 2 * (cfg.samples // CHUNK + 2) + 8
     # every chunk of the walk is drawn into these two arrays, so no chunk
     # touches fresh pages; they live for this call only
     chunk_rows, draw_rows = np.empty((4, CHUNK)), np.empty((BLOCK, 4))
     sampler = SphereSampler(cfg.seed)
     chunk_index = 0
     while live := [p for p in passes if p.taken < p.needed]:
-        if chunk_index >= max_chunks:
-            raise TooManyRejections(
-                f"stream exhausted after {chunk_index} chunks with "
-                f"{live[0].rejected} rejections"
-            )
         g, n = sampler.chunk(chunk_index, out=chunk_rows, scratch=draw_rows)
         for r in dict.fromkeys(p.r for p in live):
             for start in range(0, CHUNK, BLOCK):

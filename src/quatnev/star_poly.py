@@ -718,12 +718,17 @@ class SemiregularRational:
         self.den = _as_poly(den)
         if self.den.is_zero:
             raise ZeroDivisionError("denominator polynomial must be nonzero")
-        e = math.frexp(np.abs(self.den.coeffs).max())[1] - 1
-        g, h = (LeftPoly(np.ldexp(p.coeffs, -e)) for p in (self.num, self.den))
+        g, h = self._unit_scaled()
         if isinstance(h, RealPoly):
             self.num_eff, self.den_s = g, h
         else:
             self.num_eff, self.den_s = star_mul(g, h.conjugate()), h.symmetrize()
+
+    def _unit_scaled(self):
+        """g and h times the power of two that brings the largest coefficient
+        component of h into [1, 2)."""
+        e = math.frexp(np.abs(self.den.coeffs).max())[1] - 1
+        return tuple(LeftPoly(np.ldexp(p.coeffs, -e)) for p in (self.num, self.den))
 
     # -- structure ---------------------------------------------------------
 
@@ -748,8 +753,10 @@ class SemiregularRational:
         return SemiregularRational(self.num_eff.conjugate(), self.den_s)
 
     def symmetrize(self) -> "SemiregularRational":
-        """f^s = g^s * (h^s)^{-*} as a ratio of real polynomials."""
-        return SemiregularRational(self.num.symmetrize(), self.den.symmetrize())
+        """f^s = g^s * (h^s)^{-*} as a ratio of real polynomials, squared from
+        the g and h that the constructor scaled, so a scale of f cancels first."""
+        g, h = self._unit_scaled()
+        return SemiregularRational(g.symmetrize(), h.symmetrize())
 
     def star_reciprocal(self) -> "SemiregularRational":
         """f^{-*} = h * g^{-*}: swap numerator and denominator."""

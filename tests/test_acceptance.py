@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from quatnev.quat_core import Quaternion, SliceComplex
-from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational, as_rational, star_mul
+from quatnev.star_poly import GL2H, LeftPoly, RealPoly, SemiregularRational, as_rational, star_mul
 from quatnev.divisor import (
     N_integrated,
     N_via_unintegrated,
@@ -39,6 +39,8 @@ FAIL = "✗ FAIL"
 
 ZERO = Quaternion(0, 0, 0, 0)
 ONE = Quaternion(1, 0, 0, 0)
+# the algebra suite's transform at the CLI defaults: Φ(q) = (q + 1)*(q − 1)^{-*}
+MOBIUS = GL2H(ONE, ONE, ONE, -ONE)
 
 CFG = IntegratorConfig(samples=20_000, seed=2026)
 
@@ -256,7 +258,7 @@ def test_criterion_5_characteristic_algebra():
     rows = {
         r["identity"]: r
         for r in characteristic_algebra_suite(
-            f, g, ZERO, ONE, None, (2.0, 5.0, 12.0, 31.0), CFG
+            f, g, ZERO, ONE, MOBIUS, (2.0, 5.0, 12.0, 31.0), CFG
         )
     }
     checks = {

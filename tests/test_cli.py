@@ -108,6 +108,27 @@ def test_mpb_defects_of_a_tiny_function_do_not_depend_on_its_scale(tmp_path):
     assert defects[-80] == pytest.approx(defects[-40], abs=1e-9)
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("profile", {"a": "inf"}), ("profile", {"a": [0.3, 0, 0, 0]}),
+    ("fmt-check", {"form": 3}), ("algebra-suite", {}),
+], ids=["profile-inf", "profile-finite", "fmt-check-3", "algebra-suite"])
+def test_a_rational_times_a_power_of_two_gives_the_same_artifact(command, extra, tmp_path):
+    """f = 2^k·(q² + 1 + 0.2i) / 2^k·(q² + 2 + 0.3j) is one function for every k:
+    f^s is squared from the g and h the constructor scaled, so 2^k cancels
+    before a square could overflow (k = 520) or underflow (k = −540)."""
+    num = [[1, 0.2, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]
+    den = [[2, 0, 0.3, 0], [0, 0, 0, 0], [1, 0, 0, 0]]
+    runs = {}
+    for k in (0, 520, -540):
+        function = {part: [[math.ldexp(c, k) for c in row] for row in rows]
+                    for part, rows in (("num", num), ("den", den))}
+        code = _main_on(command, tmp_path, {"function": function, **extra})
+        assert code in (0, 1), f"{command} exited {code} at k = {k}"
+        runs[k] = code, (tmp_path / "a.csv").read_bytes()
+    assert runs[520] == runs[0]
+    assert runs[-540] == runs[0]
+
+
 @pytest.mark.parametrize("scale", [1e-160, 1e160])
 def test_algebra_suite_refuses_a_singular_transform_at_any_scale(scale, tmp_path, capsys):
     entry = [scale, 0, 0, 0]
@@ -117,11 +138,15 @@ def test_algebra_suite_refuses_a_singular_transform_at_any_scale(scale, tmp_path
 
 
 def test_selftest_prints_all_pass(capsys):
+    """With no --out the check table goes to stderr and the CSV artifact alone to stdout."""
     code = main(["selftest"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
-    assert out.count("✓ PASS") >= 10, f"expected the full check table:\n{out}"
-    assert "✗" not in out
+    assert captured.err.count("✓ PASS") >= 10, f"expected the full check table:\n{captured.err}"
+    assert "✗" not in captured.err
+    lines = captured.out.splitlines()
+    assert lines[0] == _COMMANDS["selftest"].columns
+    assert len(lines) >= 11 and all(line.endswith(",true") for line in lines[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +633,8 @@ def test_zero_denominator_is_a_config_error(command, key, tmp_path, capsys, coun
 @pytest.mark.parametrize("settings", [
     {"samples": 999}, {"samples": "2500"}, {"scheme": "simpson"},
     {"samples": 2500.5}, {"samples": True}, {"seed": 1.5}, {"seed": True},
+    # Philox keys on 64 bits, so seeds 2**64 apart would draw one stream
+    {"seed": -1}, {"seed": 2**64}, {"seed": 2**65},
 ])
 def test_unusable_integrator_settings_exit_2_before_sampling(settings, tmp_path,
                                                              capsys, counters):
@@ -619,7 +646,39 @@ def test_unusable_integrator_settings_exit_2_before_sampling(settings, tmp_path,
     assert counters["draws"] == []
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_the_ends_of_the_seed_range_run(seed, tmp_path, counters):
+    """Philox keys on 64 bits: seeds outside [0, 2**64) would alias one in it,
+    so they are refused with the unusable settings above, and both ends run."""
+    args = ["verify-jensen", "--samples", "2000", "--seed", str(seed),
+            "--out", str(tmp_path / "a.csv")]
+    assert main(args) == 0
+    assert counters["draws"] == [(seed, 0, 0)]
+
+
 TRANSFORM = {"A": [1, 0, 0, 0], "B": [1, 0, 0, 0], "C": [1, 0, 0, 0], "D": [-1, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("profile", {"a": "north"}, "a must be [w,x,y,z]"),
+    ("algebra-suite", {"transform": {**TRANSFORM, "A": "inf"}}, "transform.A must be finite"),
+    ("verify-jensen", {"function": {"num": [[1, 0, 0, 0]]}}, "function: rational needs 'num' and 'den'"),
+    ("verify-jensen", {"function": 3}, "function must be a coefficient list"),
+    ("algebra-suite", {"transform": {k: v for k, v in TRANSFORM.items() if k != "D"}},
+     "transform needs quaternion entries"),
+    ("fmt-check", {"form": 4}, "form must be 1, 2, or 3"),
+    ("profile", {"radii": []}, "radii must be a nonempty list"),
+    ("verify-jensen", {"r": None}, "config needs 'r' or 'radii'"),
+    ("profile", {"radii": [-1, 2]}, "radii must be positive"),
+    ("verify-jensen", [2.0], "config must be a JSON object"),
+    ("verify-jensen", {"format": "xml"}, "format must be 'csv' or 'json'"),
+], ids=["a-north", "transform-inf", "rational-without-den", "function-3", "transform-without-D",
+        "form-4", "no-radii", "r-null", "negative-radius", "config-list", "format-xml"])
+def test_bad_config_values_exit_2_before_sampling(command, config, message, tmp_path,
+                                                  capsys, counters):
+    assert _main_on(command, tmp_path, config) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert counters["draws"] == []
 
 
 @pytest.mark.parametrize("command, settings, named", [

@@ -34,6 +34,8 @@ from quatnev.divisor import (
     BoundaryDivisor,
     SphereDivisor,
     UnbalancedDivisor,
+    ZeroCenter,
+    ZeroPolynomial,
     N_integrated,
     N_via_unintegrated,
     analytic_characterization_check,
@@ -757,6 +759,35 @@ def test_integrated_counting_equals_kernel_sum():
     d2 = SphereDivisor.build([(SliceComplex(0.5, 0.7), 1)], 2)
     want = jensen_kernel(SliceComplex(0.5, 0.7), 2.0) + 2 * math.log(2.0)
     assert abs(N_integrated(d2, "zero", 2.0) - want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Refusals: each bad input raises its named error
+# ---------------------------------------------------------------------------
+
+
+_SPHERE = SliceComplex(0.5, 0.7)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: complex_roots(LeftPoly([[0, -1, 0, 0], [1, 0, 0, 0]])), ValueError,
+     "real-coefficient"),
+    (lambda: complex_roots(RealPoly([])), ZeroPolynomial, "zero polynomial"),
+    (lambda: SphereDivisor(((_SPHERE, 0),)), ValueError, "nonzero order"),
+    (lambda: SphereDivisor(((_SPHERE, 1), (SliceComplex(0.5, 0.7), -2))), ValueError,
+     "duplicate sphere"),
+    (lambda: SphereDivisor(((SliceComplex(0.0, 0.0), 1),)), ValueError, "origin_order"),
+    (lambda: SphereDivisor.build([(_SPHERE, 1)]).side("both"), ValueError, "'zero' or 'pole'"),
+    (lambda: total_order_divisor(RealPoly([])), ZeroPolynomial, "zero function"),
+    (lambda: jensen_kernel(SliceComplex(0.0, 0.0), 2.0), ZeroCenter, "origin sphere"),
+    (lambda: signed_kernel_sum(SphereDivisor.build([(_SPHERE, 1)]), 2.0, "halved"),
+     ValueError, "'corrected' or 'doubled'"),
+], ids=["roots-of-leftpoly", "roots-of-zero", "order-0-entry", "duplicate-sphere",
+        "origin-entry", "side-both", "divisor-of-zero", "kernel-at-origin",
+        "halved-convention"])
+def test_bad_divisor_inputs_raise_their_named_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 if __name__ == "__main__":

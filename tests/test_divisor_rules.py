@@ -12,8 +12,10 @@ decides through those guards too, holding no tolerance of its own.
 Every kernel term of a sphere is read in the ratio r/|ζ| by one helper,
 _sphere_ratio, and the Jensen closure is formed in one function,
 _jensen_closure.  verify_fmt reads all three First Main Theorem forms off
-one _mean_rows batch, and np.random.Philox is built by SphereSampler.chunk
-alone.  A second copy of a rule could drift from the first when the rule
+one _mean_rows batch, np.random.Philox is built by SphereSampler.chunk
+alone, and TooManyRejections is raised by _Pass.feed alone.  The CLI
+names a command in its _COMMANDS table alone and reads each command's
+rule off its entry.  A second copy of a rule could drift from the first when the rule
 changes, so these checks read the source with ``ast`` and name every
 function that holds one.
 """
@@ -54,6 +56,13 @@ def _raises(name):
 
 def test_boundary_divisor_is_raised_in_one_function():
     assert _where(_raises("BoundaryDivisor")) == ["divisor:_refuse_boundary"]
+
+
+def test_too_many_rejections_is_raised_in_one_function():
+    """_Pass.feed counts every rejection against 0.001·samples, so a pass
+    reads at most 1.001·samples + BLOCK rows and the walk needs no chunk
+    budget of its own."""
+    assert _where(_raises("TooManyRejections")) == ["sph_integral:_Pass.feed"]
 
 
 def _calls(name):
@@ -183,3 +192,21 @@ def test_the_per_row_rescale_is_written_in_one_place():
                 and node.func.value.id == "np")
 
     assert _where(np_frexp) == ["star_poly:_rescaled"]
+
+
+def test_command_names_are_written_in_the_command_table_alone():
+    """A command's rule is read off its _COMMANDS entry, never off its name:
+    no string constant of the package outside the keys of cli._COMMANDS
+    equals a command name."""
+    table = next(node.value for node in TREES["cli"].body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_COMMANDS"])
+    keys = {id(key) for key in table.keys}
+    names = {key.value for key in table.keys}
+
+    def names_a_command(node):
+        return (isinstance(node, ast.Constant) and node.value in names
+                and id(node) not in keys)
+
+    assert len(names) == 7
+    assert _where(names_a_command) == []

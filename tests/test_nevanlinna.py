@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from quatnev import nevanlinna, star_poly
 from quatnev.quat_core import Quaternion, SliceComplex, qnorm
-from quatnev.star_poly import LeftPoly, RealPoly, SemiregularRational, star_mul, star_power
+from quatnev.star_poly import GL2H, LeftPoly, RealPoly, SemiregularRational, star_mul, star_power
 from quatnev.divisor import jensen_kernel, total_order_divisor
 from quatnev.sph_integral import IntegratorConfig, SphericalMean, TooManyRejections, mean_batch
 from quatnev.nevanlinna import (
@@ -44,6 +44,8 @@ FAST = IntegratorConfig(samples=5_000, seed=2026)
 
 ZERO = Quaternion(0, 0, 0, 0)
 ONE = Quaternion(1, 0, 0, 0)
+# the algebra suite's transform at the CLI defaults: Φ(q) = (q + 1)*(q − 1)^{-*}
+MOBIUS = GL2H(ONE, ONE, ONE, -ONE)
 
 H_GOLDEN = 0.438276113952          # H(q, 0.5 + 0.7i, 2) = (r²/4)·0.24/0.5476
 LHS_GOLDEN = -0.150552546392       # log|0.5 + 0.7i|
@@ -576,6 +578,20 @@ def test_arbiter_rejects_unusable_inputs():
         counting_arbiter(RealPoly([0.25, 0.0, 1.25, 0.0, 1.0]), 2.0, FAST)  # two spheres
 
 
+def test_arbiter_refuses_a_zero_at_the_origin_and_a_pole():
+    with pytest.raises(ValueError, match="0 must not be a zero"):
+        counting_arbiter(RealPoly([0.0, 1.0, 0.0, 1.0]), 2.0, FAST)   # q(q² + 1)
+    with pytest.raises(ValueError, match="pole-free"):
+        counting_arbiter(SemiregularRational(RealPoly([1.0]), RealPoly([1.0, 0.0, 1.0])),
+                         2.0, FAST)
+
+
+def test_an_arbiter_report_has_no_residual_for_an_order_it_did_not_examine():
+    rep = counting_arbiter(RealPoly([1.0, 0.0, 1.0]), 2.0, FAST)
+    with pytest.raises(KeyError, match="order 3"):
+        rep.residual(3)
+
+
 # ---------------------------------------------------------------------------
 # Mean-proximity-balance diagnostics
 # ---------------------------------------------------------------------------
@@ -964,7 +980,7 @@ def suite_rows():
     f = star_mul(linear(Quaternion(0, 1, 0, 0)), linear(Quaternion(0, 0, 1, 0)))
     g = RealPoly([0.74, -1.0, 1.0])
     radii = (2.0, 5.0, 12.0, 31.0)
-    return characteristic_algebra_suite(f, g, ZERO, ONE, None, radii, CFG)
+    return characteristic_algebra_suite(f, g, ZERO, ONE, MOBIUS, radii, CFG)
 
 
 def row(rows, name):
@@ -978,7 +994,7 @@ def test_suite_memo_matches_direct_characteristic():
     f = star_mul(linear(Quaternion(0, 1, 0, 0)), linear(Quaternion(0, 0, 1, 0)))
     g = RealPoly([0.74, -1.0, 1.0])
     radii = (2.0, 5.0)
-    rows = characteristic_algebra_suite(f, g, ZERO, ONE, None, radii, FAST)
+    rows = characteristic_algebra_suite(f, g, ZERO, ONE, MOBIUS, radii, FAST)
 
     def T(fn, a, r):
         return characteristic(fn, a, r, FAST)
@@ -1026,7 +1042,7 @@ def test_suite_reports_bounded_gap_for_balanced_reciprocal():
     f = RealPoly([2.0, -2.0, 1.0])               # zeros through 1 + i: ξ² = η²
     g = RealPoly([0.5, -1.0, 1.0])
     radii = tuple(np.geomspace(10.0, 1000.0, 8))
-    rows = characteristic_algebra_suite(f, g, ZERO, ONE, None, radii,
+    rows = characteristic_algebra_suite(f, g, ZERO, ONE, MOBIUS, radii,
                                         IntegratorConfig(samples=4_000, seed=7))
     r = row(rows, "star_reciprocal")
     assert r["kind"] == "o1"
@@ -1038,7 +1054,7 @@ def test_suite_reports_unbalanced_reciprocal_growth():
     f = RealPoly([1.0, 0.0, 1.0])
     g = RealPoly([0.74, -1.0, 1.0])
     radii = (2.0, 31.0)
-    rows = characteristic_algebra_suite(f, g, ZERO, ONE, None, radii,
+    rows = characteristic_algebra_suite(f, g, ZERO, ONE, MOBIUS, radii,
                                         IntegratorConfig(samples=4_000, seed=7))
     r = row(rows, "star_reciprocal")
     growth = r["per_radius"][-1] - r["per_radius"][0]
@@ -1065,7 +1081,7 @@ def test_suite_proximity_passes_run_on_slice_preserving_functions(kind, seed, mo
         return None  # certified zero: nothing is drawn for it
 
     monkeypatch.setattr(nevanlinna, "_proximity_columns", recording)
-    characteristic_algebra_suite(f, g, ZERO, ONE, None, (2.0, 5.0),
+    characteristic_algebra_suite(f, g, ZERO, ONE, MOBIUS, (2.0, 5.0),
                                  IntegratorConfig(samples=1_000, seed=seed))
     assert seen and all(fn.is_real for fn in seen)
 
@@ -1097,3 +1113,16 @@ def test_profile_of_origin_double_zero():
     assert [row[0] for row in rows] == list(radii)
     blob = prof.to_json()
     assert blob["config"]["seed"] == FAST.seed
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: admissible_radii(RealPoly([1.0, 0.0, 1.0]), 3.0, 2.0), "r_lo <= r_hi"),
+    (lambda: admissible_radii(RealPoly([1.0, 0.0, 1.0]), 2.0, 3.0, count=0), "count"),
+    (lambda: verify_fmt(RealPoly([1.0, 0.0, 1.0]), ONE, (2.0, 5.0), FAST, form=4),
+     "form must be"),
+    (lambda: NevanlinnaProfile("f", "inf", (2.0, 5.0), *[(0.0, 0.0)] * 5, (0.0,), FAST),
+     "column A length"),
+], ids=["reversed-radius-range", "no-radii", "form-4", "short-column"])
+def test_bad_nevanlinna_inputs_raise_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

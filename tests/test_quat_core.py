@@ -367,3 +367,10 @@ def test_sampler_streams_are_distinct_and_deterministic():
 def test_sampler_mean_is_near_zero():
     pts = sphere_points(1.0, 23, 200_000)
     assert np.abs(pts.mean(axis=0)).max() < 5e-3, "uniform sphere mean ≈ 0"
+
+
+def test_the_sampler_refuses_negative_indices():
+    with pytest.raises(ValueError, match="stream_index"):
+        SphereSampler(1, -1)
+    with pytest.raises(ValueError, match="chunk_index"):
+        SphereSampler(1).chunk(-1)

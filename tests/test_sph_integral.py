@@ -670,6 +670,16 @@ def test_a_small_request_reads_one_block_per_radius():
     assert seen[0][0] is seen[2][0] and seen[0][0] is not seen[1][0]
 
 
+@pytest.mark.parametrize("shape", [lambda n: (n - 1, 1), lambda n: (n,)],
+                         ids=["short-of-a-row", "one-dimensional"])
+def test_a_column_function_off_the_n_by_k_shape_is_refused(shape):
+    def columns(pts):
+        return np.zeros(shape(len(pts))), np.ones(len(pts), dtype=bool)
+
+    with pytest.raises(ValueError, match=r"\(n, k\) array, one row per point"):
+        mean_columns(columns, 1.0, IntegratorConfig(samples=1000, seed=1))
+
+
 if __name__ == "__main__":
     # Minor page faults and wall time of one mean_batch walk at the default
     # 300 000 samples, per kind of column: (log|f|, log|f∘S_{f−a}|) of a

@@ -30,10 +30,12 @@ from quatnev.star_poly import (
     EvalAtPole,
     GL2H,
     LeftPoly,
+    RealPointDegenerate,
     RealPoly,
     SemiregularRational,
     StemEval,
     UndefinedAtZeroPole,
+    ZeroFunctionReciprocal,
     as_rational,
     corollary_decomposition_check,
     linear_fractional,
@@ -988,3 +990,20 @@ def test_json_roundtrips():
     blob = r.to_json()
     rt = SemiregularRational(LeftPoly(blob["num"]), LeftPoly(blob["den"]))
     assert rt.num.equals(r.num, 0.0) and rt.den.equals(r.den, 0.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: LeftPoly([[1, 2, 3]]), ValueError, "quadruples"),
+    (lambda: spherical_derivative(RealPoly([0.0, 1.0]), Quaternion(0.5, 0, 0, 0)),
+     RealPointDegenerate, "nonreal point"),
+    (lambda: as_rational(RealPoly([])).star_reciprocal(), ZeroFunctionReciprocal,
+     "zero function"),
+    # c ↦ (1·c + 0)*(1·c − c)^{-*}: the transform is invertible, its image of c is not
+    (lambda: linear_fractional(GL2H(ONE, Quaternion(), ONE, -Quaternion(0.5, 0.2, 0, 0)),
+                               LeftPoly([[0.5, 0.2, 0, 0]])),
+     DegenerateTransform, "collapsed"),
+], ids=["three-component-row", "derivative-at-real-point", "reciprocal-of-zero",
+        "collapsed-denominator"])
+def test_bad_star_poly_inputs_raise_their_named_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
