@@ -190,7 +190,7 @@ def proximity(f, a, r: float, cfg: IntegratorConfig) -> SphericalMean:
     """
     a = _target(a)
     g = f if a is None else f - a
-    return mean_batch([(_proximity_columns(g, a is not None, r), r)], cfg)[0][0]
+    return mean_batch([(_proximity_columns(g, a is not None, r), r, g.is_real)], cfg)[0][0]
 
 
 def _proximity_columns(g, finite: bool, r: float):
@@ -202,7 +202,9 @@ def _proximity_columns(g, finite: bool, r: float):
     near-zero guard thr of g at every sample of ∂B_r.  Then λ_a is +0.0 at
     every sample and every sample is accepted, so the pass is
     SphericalMean(0.0, 0.0, samples, 0) and needs no draw.  Passes to ∞
-    and passes of a rational g stay Monte-Carlo.
+    and passes of a rational g stay Monte-Carlo.  The column reads g alone,
+    so it reads only the slice coordinates where g.is_real: each request
+    of it says so with g.is_real (see mean_batch).
     """
     thr = g.near_zero_log(r) if finite else None
     if finite and _exceeds(g, r, max(thr, 0.0)):
@@ -312,12 +314,15 @@ class _RadiusFree:
         return 0.0 if self.head is None else _lambda_of_head(self.head, r)
 
     def request(self, r: float):
-        """The (column_fn, r) request of the ½·m pass of T at r."""
-        return _proximity_columns(self.sym, self.head is not None, r), r
+        """The (column_fn, r, on_slice) request of the ½·m pass of T at r.
+
+        sym is real, so this pass reads only the slice coordinates.
+        """
+        return _proximity_columns(self.sym, self.head is not None, r), r, self.sym.is_real
 
     def proximity_request(self, r: float):
-        """The (column_fn, r) request of the pass of m(f, a, r)."""
-        return _proximity_columns(self.g, self.head is not None, r), r
+        """The (column_fn, r, on_slice) request of the pass of m(f, a, r)."""
+        return _proximity_columns(self.g, self.head is not None, r), r, self.g.is_real
 
     def at(self, r: float, sym_mean: SphericalMean):
         """(T, Monte-Carlo standard error of T) at r from the mean of request(r)."""
@@ -429,7 +434,8 @@ def _jensen_closure(f, d: SphereDivisor, r: float, cfg: IntegratorConfig):
         la, lat, ok = _log_pair(f.stems(pts), None, thr)
         return np.stack([la, lat, 0.5 * (la + lat)], axis=1), ok
 
-    boundary_f, boundary_fSf, combined = mean_columns(columns, r, cfg)
+    # log|f| and log|f∘S_f| of a slice-preserving f read only u + iv
+    boundary_f, boundary_fSf, combined = mean_columns(columns, r, cfg, f.is_real)
     # D leaves the mean before lhs, as H − kernel sum did: a D far below an
     # ulp of the mean rounds away there, not into the residual
     residual = combined.value - closure - lhs
@@ -538,7 +544,7 @@ def mpb_defect(f, a, radii, cfg: IntegratorConfig) -> list:
             la, lat, ok = _log_pair(f.stems(pts), shift, thr)
             return (la - lat)[:, None], ok
 
-        return columns, r
+        return columns, r, f.is_real
 
     return [means[0] for means in mean_batch([request(r) for r in radii], cfg)]
 
@@ -652,7 +658,9 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3):
     if form == 3:
         own = [(at_a.proximity_request(r),) for r in radii]
     elif form == 2:
-        own = [((_fmt_proximity_columns(f, at_a.g, aq, r), r),) for r in radii]
+        # the twist of a slice-preserving f by a real a stays on S_q
+        on_slice = f.is_real and aq.is_real()
+        own = [((_fmt_proximity_columns(f, at_a.g, aq, r), r, on_slice),) for r in radii]
     else:  # form 1
         conj_f = f.conjugate()
 
@@ -662,7 +670,7 @@ def verify_fmt(f, a, radii, cfg: IntegratorConfig, form: int = 3):
             lam = np.maximum(sef.log_abs() + sec.log_abs(), 0.0)
             return lam[:, None], sef.ok & sec.ok
 
-        own = [(at_a.request(r), (envelope_columns, r)) for r in radii]
+        own = [(at_a.request(r), (envelope_columns, r, f.is_real)) for r in radii]
     rows = []
     means = _mean_rows([(at_inf.request(r), *req) for r, req in zip(radii, own)], cfg)
     for r, ((sym_inf,), *own_means) in zip(radii, means):
@@ -823,8 +831,9 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
     parts = {key: _radius_free(*pair) for key, pair in distinct.items()}
     requests = {(key, r): part.request(r) for key, part in parts.items() for r in radii}
     for r in radii:
-        requests["mixed", r] = _proximity_columns(mixed, False, r), r
-        requests["sandwich", r] = _sandwich_columns(f, fs), r
+        requests["mixed", r] = _proximity_columns(mixed, False, r), r, mixed.is_real
+        # fs is real, so the sandwich reads I through f alone
+        requests["sandwich", r] = _sandwich_columns(f, fs), r, f.is_real
 
     # ---- phase 2: one walk of the stream serves every pass --------------------
     means = dict(zip(requests, mean_batch(list(requests.values()), cfg)))
@@ -865,11 +874,13 @@ def characteristic_algebra_suite(f, g, a, b, t, radii, cfg: IntegratorConfig):
         # conjugation sends the target to its conjugate (rounding-exact)
         _equality_row("conjugate_invariance",
                       [abs(ca[0] - T(f, a_conj, r)[0]) for r, ca in zip(radii, t_ca)]),
-        # T(f^c, a, r) vs ½T(f^s, ∞, r) (exact when a = 0 and |f(0)| = 1)
+        # T(f^c, a, r) vs ½T(f^s, ∞, r) (exact when a = 0 and |f(0)| = 1); the
+        # two passes share one stream and are correlated, so the gate adds
+        # their σ, the bound on σ of the difference under any correlation
         _equality_row(
             "half_symmetrization_chain",
             [abs(ca[0] - 0.5 * s[0]) for ca, s in zip(t_ca, t_s)],
-            [3.0 * math.sqrt(ca[1]**2 + (0.5 * s[1]) ** 2) for ca, s in zip(t_ca, t_s)],
+            [3.0 * (ca[1] + 0.5 * s[1]) for ca, s in zip(t_ca, t_s)],
         ),
         # proximity sandwich around the symmetrization
         _inequality_row("sandwich_lower", [m.value for m in lows]),

@@ -18,7 +18,13 @@ Every point q = u + I v (u real, v = |Im q| >= 0, I a unit imaginary) lies on
 the 2-sphere S_{u+Iv}; :class:`SliceComplex` is the canonical (u, v) key of
 that sphere, and :func:`slice_uv` and :func:`slice_units` extract (u, v) and
 I for sample batches.  A :class:`SlicePoints` batch computes its (u, v),
-u + iv and I on first read and keeps them for as long as the batch lives.
+u + iv and I on first read and keeps them for as long as the batch lives;
+a batch of points u + v·i made by ``SlicePoints.from_uv`` starts with its
+(u, v) and u + iv set.
+
+:class:`SphereSampler` draws two laws from one Philox site: stream 0 is
+uniform on S³, and stream 1 is the law of Re q/|q| for such q, from which
+a column that reads only u + iv gets points u + v·i of the same law.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ __all__ = [
     "SphereSampler",
     "BLOCK",
     "CHUNK",
+    "S3_STREAM",
+    "SLICE_STREAM",
     "mul",
     "qmul",
     "qconj",
@@ -51,11 +59,12 @@ __all__ = [
 #: (seed, stream_index, chunk_index) so any prefix of a run is reproducible.
 CHUNK = 65536
 
+#: the stream index of each law SphereSampler draws
+S3_STREAM, SLICE_STREAM = 0, 1
+
 #: rows of a block: Gaussians are drawn, and Monte-Carlo columns evaluated,
 #: BLOCK rows at a time; divides CHUNK.
 BLOCK = 8192
-
-_MASK64 = (1 << 64) - 1
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -353,6 +362,21 @@ class SlicePoints(np.ndarray):
         return self._I
 
     @staticmethod
+    def from_uv(u: np.ndarray, v: np.ndarray) -> "SlicePoints":
+        """The read-only batch of points u + v·i on the complex slice.
+
+        Its (u, v) are u and v themselves and its z is u + iv, set here and
+        never recomputed from the points; v must be >= 0.
+        """
+        rows = np.zeros((4, len(u)))
+        rows[0], rows[1] = u, v
+        pts = rows.T.view(SlicePoints)
+        pts.setflags(write=False)
+        pts._uv = _read_only(rows[0], rows[1])
+        (pts._z,) = _read_only(u + 1j * v)
+        return pts
+
+    @staticmethod
     def conjugate_of(pts: "SlicePoints") -> "SlicePoints":
         """The read-only batch of conjugate points, sharing (u, v) and z with pts."""
         out = qconj(pts).view(SlicePoints)
@@ -386,47 +410,70 @@ def slice_points(pts) -> SlicePoints:
 
 @dataclass(frozen=True)
 class SphereSampler:
-    """Deterministic Gaussian stream for uniform sampling of 3-spheres.
+    """Deterministic Philox streams for uniform sampling of 3-spheres.
 
-    Each point draws 4 standard normals from a counter-based Philox stream
-    (Salmon et al., SC 2011); scaled to radius r the vector is uniform on
-    ∂B_r by rotational symmetry of the Gaussian.  The stream is a pure
-    function of (seed, stream_index, chunk_index), so any prefix of a run
-    is reproducible, and disjoint stream_index values give independent
-    substreams.
+    Stream 0 (S3_STREAM) draws 4 standard normals per point from a
+    counter-based Philox stream (Salmon et al., SC 2011); scaled to radius
+    r the vector is uniform on ∂B_r by rotational symmetry of the
+    Gaussian.  Stream 1 (SLICE_STREAM) draws x = Re q/|q| of such a point
+    alone: its law is the semicircle density (2/π)·√(1 − x²), so r·x +
+    r·√(1 − x²)·i has the law of u + iv for q = u + I·v uniform on ∂B_r,
+    and a column that reads only u + iv has the same law on either
+    stream.  A stream is a pure function of (seed, stream_index,
+    chunk_index), so any prefix of a run is reproducible, and the two
+    streams are independent.  seed keys Philox, whose key is 64 bits
+    wide, so it must lie in [0, 2**64): seeds 2**64 apart would draw one
+    stream.
     """
 
     seed: int
-    stream_index: int = 0
+    stream_index: int = S3_STREAM
 
     def __post_init__(self) -> None:
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), the Philox key range, got {self.seed}")
+        if self.stream_index not in (S3_STREAM, SLICE_STREAM):
+            raise ValueError(f"stream_index must be {S3_STREAM} or {SLICE_STREAM}")
 
     def chunk(self, chunk_index: int, out=None, scratch=None):
-        """Philox Gaussians of chunk number ``chunk_index`` and their row norms.
+        """The draws of chunk number ``chunk_index``, keyed by (seed, stream_index, chunk_index).
 
-        Returns (g, n): g is a (CHUNK, 4) array of standard normals keyed by
-        (seed, stream_index, chunk_index) and n its row norms, with an exact
-        zero row's norm set to 1.  g is the Philox (CHUNK, 4) draw itself,
-        stored transposed as (4, CHUNK) rows and handed out as the (CHUNK, 4)
-        view.  The points of the chunk on ∂B_r are (g.T * (r / n)).T, in the
-        same layout, for every radius r.
+        Stream 0 returns (g, n): g is a (CHUNK, 4) array of standard
+        normals and n its row norms, with an exact zero row's norm set to
+        1.  g is the Philox (CHUNK, 4) draw itself, stored transposed as
+        (4, CHUNK) rows and handed out as the (CHUNK, 4) view.  The points
+        of the chunk on ∂B_r are (g.T * (r / n)).T, in the same layout, for
+        every radius r.  The draw is written into ``out``, a C-order
+        (4, CHUNK) array, and read BLOCK rows at a time through
+        ``scratch``, a C-order (BLOCK, 4) array.
 
-        The draw is written into ``out``, a C-order (4, CHUNK) array, and
-        read BLOCK rows at a time through ``scratch``, a C-order (BLOCK, 4)
-        array; each is allocated afresh when not given.  A caller that draws
-        many chunks passes the same two arrays each time, so no chunk
-        touches new memory; g is then a view of ``out``, valid until the
+        Stream 1 returns (x, y), two (CHUNK,) arrays: from CHUNK Philox
+        uniforms U₁ and the CHUNK after them U₂, x = √U₁·cos 2πU₂, the
+        first coordinate of a point uniform in the unit disc, and
+        y = √((1 − x)(1 + x)).  The points of the chunk on the slice of
+        ∂B_r are r·x + r·y·i.  They are written into ``out``, a C-order
+        (2, CHUNK) array, and x and y are its rows; ``scratch`` is not read.
+
+        Each array is allocated afresh when not given.  A caller that draws
+        many chunks passes the same arrays each time, so no chunk touches
+        new memory; the draws are then views of ``out``, valid until the
         next draw into it.
         """
         if chunk_index < 0:
             raise ValueError("chunk_index must be >= 0")
-        key = np.array(
-            [self.seed & _MASK64, ((self.stream_index << 32) ^ chunk_index) & _MASK64],
-            dtype=np.uint64,
-        )
+        key = np.array([self.seed, (self.stream_index << 32) ^ chunk_index], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
+        if self.stream_index == SLICE_STREAM:
+            xy = np.empty((2, CHUNK)) if out is None else out
+            rng.random(out=xy)
+            x, y = xy
+            np.sqrt(x, out=x)
+            y *= 2.0 * math.pi
+            np.cos(y, out=y)
+            x *= y
+            np.multiply(1.0 - x, 1.0 + x, out=y)
+            np.sqrt(y, out=y)
+            return x, y
         g = np.empty((4, CHUNK)) if out is None else out
         block = np.empty((BLOCK, 4)) if scratch is None else scratch
         # the stream is sequential: (CHUNK, 4) drawn in blocks of rows has the

@@ -16,23 +16,35 @@ sample by sample.
 
 A caller that needs many means on one stream — a radius profile, or T at
 many (f, a, r) — passes them to mean_batch together.  Its walk goes
-chunk → radius → block: the Gaussians of chunk k are drawn once per call,
+chunk → radius → block: the draws of chunk k are made once per call,
 and each block of quat_core.BLOCK of them is scaled to each radius that is
 still needed and fed to every unfinished request, which keeps its own
 rejection count and sums.  Only the current chunk and block are held,
-every chunk of a call is drawn into one buffer that lives for the call, and
-every mean equals the one mean_columns gives for its request alone.  A
-request (None, r) is a pass certified zero by its caller; it draws nothing
-and gets the mean the walk would give it.
+every chunk of a call is drawn into one buffer per law that lives for the
+call, and every mean equals the one mean_columns gives for its request
+alone.  A request (None, r) is a pass certified zero by its caller; it
+draws nothing and gets the mean the walk would give it.
+
+A request whose column reads only the slice coordinates — its value at
+u + I·v is the same for every unit imaginary I, as for every column of a
+slice-preserving function and every ½·m pass of T — says so with a third
+element True, (column_fn, r, True).  It is fed points u + v·i of the
+slice law, stream 1 of quat_core.SphereSampler, which draws one angle per
+point where the S³ law draws four Gaussians.  Its column takes the law of
+u + iv for q uniform on ∂B_r either way, so its mean keeps its law and
+its σ; only its bits differ from an S³ pass.  A column that reads I must
+not say so: it would be integrated over one slice.
 
 A request stops after the block that brings its accepted rows up to the
 number it needs, so column functions get at most BLOCK rows per call and
 must be pointwise.  Each block is a read-only SlicePoints batch with
-(4, n) storage behind its (n, 4) view, shared by every request at its
-radius, so its slice frame (u, v), z = u + iv and I is computed once per
-(block, radius) and dropped with its points; under antithetic_pair the
-conjugate block reuses the same (u, v, z) and forms its own I, which is
-−I off the real axis.  A request sums each block
+(4, n) storage behind its (n, 4) view, shared by every request of its law
+at its radius, so its slice frame (u, v), z = u + iv and I is computed
+once per (block, radius) and dropped with its points; a slice-law block
+comes with (u, v) and z set.  Under antithetic_pair the conjugate S³
+block reuses the same (u, v, z) and forms its own I, which is −I off the
+real axis; a slice-law request, whose column is the same at w and w̄,
+evaluates each unit once.  A request sums each block
 where it is evaluated: its columns as contiguous (k, n) rows, summed
 pairwise and merged into the running sums by one Chan–Golub–LeVeque
 update, so the bits do not depend on the layout column_fn returns.
@@ -44,7 +56,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat_core import BLOCK, CHUNK, SlicePoints, SphereSampler, _check_radius
+from .quat_core import (
+    BLOCK,
+    CHUNK,
+    S3_STREAM,
+    SLICE_STREAM,
+    SlicePoints,
+    SphereSampler,
+    _check_radius,
+)
 
 __all__ = [
     "IntegratorConfig",
@@ -112,7 +132,7 @@ class SphericalMean:
         return 3.0 * self.std_error
 
 
-def mean_columns(column_fn, r: float, cfg: IntegratorConfig):
+def mean_columns(column_fn, r: float, cfg: IntegratorConfig, on_slice: bool = False):
     """Estimate the surface means of k integrand columns on one stream.
 
     column_fn(pts: (n, 4) array of points on ∂B_r) must return
@@ -125,11 +145,14 @@ def mean_columns(column_fn, r: float, cfg: IntegratorConfig):
     average ½(v(w) + v(w̄)) with both points required to be acceptable.
     The point arrays are read-only.
 
+    With on_slice True the column reads only the slice coordinates and is
+    fed points u + v·i of the slice law (see mean_batch).
+
     Returns a list of k SphericalMean sharing the accepted mask, so column
     differences are exact sample-by-sample statements.  This is the
     one-request case of mean_batch.
     """
-    return mean_batch([(column_fn, r)], cfg)[0]
+    return mean_batch([(column_fn, r, on_slice)], cfg)[0]
 
 
 class _Pass:
@@ -137,13 +160,14 @@ class _Pass:
 
     A request with column_fn None is certified zero: it starts complete,
     with the one zero column that a walk accumulates when every sample is
-    accepted and +0.0.
+    accepted and +0.0.  stream is the SphereSampler stream it reads.
     """
 
-    def __init__(self, column_fn, r, cfg: IntegratorConfig):
+    def __init__(self, cfg: IntegratorConfig, column_fn, r, on_slice=False):
         _check_radius(r)
         self.column_fn = column_fn
         self.r = r
+        self.stream = SLICE_STREAM if on_slice else S3_STREAM
         self.needed = cfg.samples
         self.max_rejected = 0.001 * cfg.samples
         self.sums = self.run_mean = self.run_m2 = None
@@ -224,17 +248,21 @@ class _Pass:
 
 
 def mean_batch(requests, cfg: IntegratorConfig):
-    """mean_columns for many (column_fn, r) requests from one walk of the stream.
+    """mean_columns for many requests from one walk of the stream.
 
-    The walk goes chunk → radius → block: the Gaussians of chunk k are
-    drawn once, by SphereSampler(cfg.seed).chunk(k), and each BLOCK rows
-    of them are scaled to each radius still needed, as one read-only point
-    array (and its conjugate under antithetic_pair) that every unfinished
-    request at that radius reads and that is dropped before the next
-    block.  It carries the slice frame they all read.  A request keeps its
-    own rejection count and sums, so one with rejections reads further
-    blocks alone.  Each column_fn gets blocks of at most BLOCK points and
-    must be pointwise; a request stops after the block that completes it.
+    A request is (column_fn, r), or (column_fn, r, on_slice) with on_slice
+    True for a column that reads only the slice coordinates.  The walk goes
+    chunk → radius → block → law.  Chunk k of each law a live request reads
+    is drawn once, by SphereSampler(cfg.seed, stream).chunk(k): stream 0
+    gives the S³ law, stream 1 the slice law.  Each BLOCK rows of a draw
+    are scaled to each radius still needed, as one read-only point array
+    that every unfinished request of that law at that radius reads and
+    that is dropped before the next block: points on ∂B_r (and their
+    conjugates under antithetic_pair), or points r·x + r·y·i on its slice.
+    It carries the slice frame they all read.  A request keeps its own
+    rejection count and sums, so one with rejections reads further blocks
+    alone.  Each column_fn gets blocks of at most BLOCK points and must be
+    pointwise; a request stops after the block that completes it.
     Rejections count along the stream prefix a request used, up to its
     last accepted row, also when a block's accepted rows exactly equal the
     rows still needed.
@@ -249,33 +277,44 @@ def mean_batch(requests, cfg: IntegratorConfig):
     Every request's radius is checked before the first draw, so a bad one
     anywhere in the batch raises before any block is drawn.  Returns one
     list of SphericalMean per request, each bitwise equal to
-    mean_columns(column_fn, r, cfg).  The first failure the chunk → radius
-    → block walk meets is raised at once, and no block is drawn after it;
-    when several requests would fail, that is the one met first on the
-    walk, not necessarily the first in request order.
+    mean_columns(column_fn, r, cfg, on_slice).  The first failure the walk
+    meets is raised at once, and no block is drawn after it; when several
+    requests would fail, that is the one met first on the walk, not
+    necessarily the first in request order.
     """
-    passes = [_Pass(column_fn, r, cfg) for column_fn, r in requests]
+    passes = [_Pass(cfg, *request) for request in requests]
     antithetic = cfg.scheme == "antithetic_pair"
-    # every chunk of the walk is drawn into these two arrays, so no chunk
-    # touches fresh pages; they live for this call only
-    chunk_rows, draw_rows = np.empty((4, CHUNK)), np.empty((BLOCK, 4))
-    sampler = SphereSampler(cfg.seed)
+    # every chunk of a law is drawn into its own arrays, so no chunk touches
+    # fresh pages; they live for this call only
+    buffers = {S3_STREAM: {"out": np.empty((4, CHUNK)), "scratch": np.empty((BLOCK, 4))},
+               SLICE_STREAM: {"out": np.empty((2, CHUNK))}}
     chunk_index = 0
     while live := [p for p in passes if p.taken < p.needed]:
-        g, n = sampler.chunk(chunk_index, out=chunk_rows, scratch=draw_rows)
+        draws = {stream: SphereSampler(cfg.seed, stream).chunk(chunk_index, **buffers[stream])
+                 for stream in sorted({p.stream for p in live})}
         for r in dict.fromkeys(p.r for p in live):
             for start in range(0, CHUNK, BLOCK):
                 group = [p for p in passes if p.r == r and p.taken < p.needed]
                 if not group:
                     break
                 rows = slice(start, start + BLOCK)
-                pts = (g[rows].T * (r / n[rows])).T.view(SlicePoints)
-                pts.setflags(write=False)
-                conj_pts = SlicePoints.conjugate_of(pts) if antithetic else None
-                for p in group:
-                    p.feed(pts, conj_pts)
-                del pts, conj_pts
-        del g, n
+                for stream, draw in draws.items():
+                    members = [p for p in group if p.stream == stream]
+                    if not members:
+                        continue
+                    conj_pts = None
+                    if stream == SLICE_STREAM:
+                        x, y = draw
+                        pts = SlicePoints.from_uv(r * x[rows], r * y[rows])
+                    else:
+                        g, n = draw
+                        pts = (g[rows].T * (r / n[rows])).T.view(SlicePoints)
+                        pts.setflags(write=False)
+                        if antithetic:
+                            conj_pts = SlicePoints.conjugate_of(pts)
+                    for p in members:
+                        p.feed(pts, conj_pts)
+                    del pts, conj_pts
+        del draws
         chunk_index += 1
     return [p.means() for p in passes]
-

@@ -826,7 +826,7 @@ class SemiregularRational:
         hs = self.den_s.real_stems(pts.z)
         A, B = hs.real, hs.imag
         mod2 = A * A + B * B
-        tol = self.pole_tol(np.hypot(*pts.uv))
+        tol = self.pole_tol(np.abs(pts.z))
         ok = mod2 > tol * tol
         safe = np.where(ok, mod2, 1.0)
         # in real arithmetic for both kinds: NumPy's complex product may fuse;

@@ -279,6 +279,12 @@ def _main_on(command, tmp_path, config=None):
     return main(args)
 
 
+# the SphereSampler streams each command's passes read at those configs: the
+# S³ law (0) for a quaternion-coefficient f, the slice law (1) for q² + 1
+DRAWN_STREAMS = {"verify-jensen": [0], "profile": [1], "fmt-check": [1], "mpb-check": [0],
+                 "algebra-suite": [1]}
+
+
 @pytest.mark.parametrize("command, passes", [
     ("verify-jensen", 1), ("profile", 24), ("fmt-check", 24), ("mpb-check", 10),
     ("algebra-suite", 48),
@@ -286,8 +292,17 @@ def _main_on(command, tmp_path, config=None):
 def test_each_command_draws_each_chunk_once(command, passes, tmp_path, counters):
     assert _main_on(command, tmp_path, MONTE_CARLO_CONFIGS.get(command)) == 0
     assert counters["passes"] == passes
-    # at FAST every pass reads chunk 0 only, and all passes read it together
-    assert counters["draws"] == [(2026, 0, 0)]
+    # at FAST every pass reads chunk 0 of its law only, and all passes of a
+    # law read it together
+    assert counters["draws"] == [(2026, stream, 0) for stream in DRAWN_STREAMS[command]]
+
+
+def test_a_walk_draws_chunk_0_of_each_law_once(tmp_path, counters):
+    """profile on a quaternion-coefficient f: its proximity passes read the
+    S³ law and its T passes, of the real f^s, the slice law, in one walk."""
+    assert _main_on("profile", tmp_path, {"function": LEFT, "radii": [0.5, 2.0]}) == 0
+    assert counters["passes"] == 4
+    assert counters["draws"] == [(2026, 0, 0), (2026, 1, 0)]
 
 
 @pytest.mark.parametrize("command, passes", [("profile", 24), ("mpb-check", 10)])
@@ -330,18 +345,27 @@ def test_each_command_forms_each_shift_once(command, config, code, pairs, tmp_pa
 
 @pytest.fixture
 def frames(monkeypatch):
-    """Record the radii of every Monte-Carlo request and the points of
-    every (u, v) and I computation."""
-    seen = {"radii": set(), "uv": [], "units": 0}
+    """Record the radii and (radius, law) groups of every Monte-Carlo
+    request, the points of every (u, v) computed on S³ points and of every
+    slice-law batch, and the count of I computations."""
+    seen = {"radii": set(), "groups": set(), "uv": [], "slice": [], "units": 0}
 
     def recording_mean_batch(requests, *args, **kwargs):
         requests = list(requests)
-        seen["radii"].update(r for _fn, r in requests)
+        seen["radii"].update(r for _fn, r, *_law in requests)
+        seen["groups"].update((r, bool(law and law[0])) for _fn, r, *law in requests)
         return mean_batch(requests, *args, **kwargs)
 
     def recording_uv(pts):
         seen["uv"].append(hashlib.sha1(np.asarray(pts).tobytes()).hexdigest())
         return slice_uv(pts)
+
+    from_uv = quat_core.SlicePoints.from_uv
+
+    def recording_from_uv(u, v):
+        pts = from_uv(u, v)
+        seen["slice"].append(hashlib.sha1(np.asarray(pts).tobytes()).hexdigest())
+        return pts
 
     def counting_units(*args):
         seen["units"] += 1
@@ -351,14 +375,18 @@ def frames(monkeypatch):
     monkeypatch.setattr(sph_integral, "mean_batch", recording_mean_batch)
     monkeypatch.setattr(quat_core, "slice_uv", recording_uv)
     monkeypatch.setattr(quat_core, "slice_units", counting_units)
+    monkeypatch.setattr(quat_core.SlicePoints, "from_uv", staticmethod(recording_from_uv))
     return seen
 
 
 @pytest.mark.parametrize("command", ["profile", "algebra-suite"])
 def test_slice_coordinates_once_per_chunk_and_radius(command, tmp_path, frames):
     assert _main_on(command, tmp_path, MONTE_CARLO_CONFIGS.get(command)) == 0
-    # at FAST every pass reads chunk 0 only, so each radius is one group
-    assert len(frames["uv"]) == len(set(frames["uv"])) == len(frames["radii"])
+    # at FAST every pass reads chunk 0 only, so each (radius, law) is one
+    # group; a slice-law batch comes with its frame, and q² + 1 reads only it
+    formed = frames["uv"] + frames["slice"]
+    assert len(formed) == len(set(formed)) == len(frames["groups"]) == len(frames["radii"])
+    assert frames["uv"] == []
     assert frames["units"] == 0, "slice-preserving stems formed unit imaginaries"
 
 

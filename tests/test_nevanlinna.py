@@ -18,10 +18,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quatnev import nevanlinna, star_poly
-from quatnev.quat_core import Quaternion, SliceComplex, qnorm
+from quatnev.quat_core import Quaternion, SliceComplex, SlicePoints, qnorm, slice_points, slice_uv
 from quatnev.star_poly import GL2H, LeftPoly, RealPoly, SemiregularRational, star_mul, star_power
 from quatnev.divisor import jensen_kernel, total_order_divisor
-from quatnev.sph_integral import IntegratorConfig, SphericalMean, TooManyRejections, mean_batch
+from quatnev.sph_integral import (
+    IntegratorConfig,
+    SphericalMean,
+    TooManyRejections,
+    mean_batch,
+    mean_columns,
+)
 from quatnev.nevanlinna import (
     CenterIsZeroOrPole,
     NevanlinnaProfile,
@@ -38,6 +44,7 @@ from quatnev.nevanlinna import (
 )
 from test_golden import CUBIC, RATIONAL
 from test_quat_core import sphere_points
+from test_sph_integral import recorded_requests
 
 CFG = IntegratorConfig(samples=20_000, seed=2026)
 FAST = IntegratorConfig(samples=5_000, seed=2026)
@@ -241,7 +248,7 @@ def test_the_jensen_closure_summed_by_sphere_is_the_kernel_sum_less_h(seed, monk
     g = f - a
     d = total_order_divisor(g)
     monkeypatch.setattr(nevanlinna, "mean_columns",
-                        lambda columns, r, cfg: [SphericalMean(0.0, 0.0, cfg.samples, 0)] * 3)
+                        lambda columns, r, cfg, on_slice: [SphericalMean(0.0, 0.0, cfg.samples, 0)] * 3)
     corrected, factor2, _ = nevanlinna._jensen_closure(g, d, R, FAST)
     got = -corrected.residual - corrected.lhs
     want = corrected.divisor_sum - corrected.harmonic
@@ -683,7 +690,7 @@ def _certified_battery(monkeypatch, certify):
 
     def recording_mean_batch(requests, cfg):
         requests = list(requests)
-        certified.extend(fn is None for fn, _r in requests)
+        certified.extend(fn is None for fn, *_ in requests)
         return mean_batch(requests, cfg)
 
     monkeypatch.setattr(nevanlinna, "mean_batch", recording_mean_batch)
@@ -1064,6 +1071,40 @@ def test_suite_reports_unbalanced_reciprocal_growth():
     )
 
 
+def test_the_chain_gate_covers_the_sigma_of_its_difference(monkeypatch):
+    """half_symmetrization_chain compares T(f^c, a, r) with ½T(f^s, ∞, r) read
+    off one stream, so the two means are correlated: on
+    f = (q² + 0.3)/(q² − 0.2q + 0.3) at a = 0 they are anti-correlated, and
+    3·hypot(σ_ca, ½σ_s) was about 2.4 standard errors of their difference.
+    The gate 3·(σ_ca + ½σ_s) is at least 3 standard errors of the
+    per-point difference column at every radius, whatever the correlation."""
+    f = SemiregularRational(RealPoly([0.3, 0.0, 1.0]), RealPoly([0.3, -0.2, 1.0]))
+    radii = (2.0, 5.0, 12.0, 31.0)
+    cfg = IntegratorConfig(samples=20_000, seed=2026)
+    gates = {}
+    row = nevanlinna._equality_row
+
+    def recording(name, diffs, row_gates=None):
+        gates[name] = row_gates
+        return row(name, diffs, row_gates)
+
+    monkeypatch.setattr(nevanlinna, "_equality_row", recording)
+    characteristic_algebra_suite(f, RealPoly([0.74, -1.0, 1.0]), ZERO, ONE, MOBIUS, radii, cfg)
+    conj_part = nevanlinna._radius_free(f.conjugate(), ZERO)
+    sym_part = nevanlinna._radius_free(f.symmetrize(), None)
+    for r, gate in zip(radii, gates["half_symmetrization_chain"]):
+        (conj_columns, _r, conj_slice), (sym_columns, _r, sym_slice) = (
+            conj_part.request(r), sym_part.request(r))
+
+        def difference(pts):
+            (vc, okc), (vs, oks) = conj_columns(pts), sym_columns(pts)
+            return 0.5 * vc - 0.25 * vs, okc & oks   # T = N + ½·mean − H
+
+        assert conj_slice and sym_slice
+        (d,) = mean_columns(difference, r, cfg, on_slice=True)
+        assert gate >= 3.0 * d.std_error, (r, gate, d.std_error)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["polynomials", "rational"])
 def test_suite_proximity_passes_run_on_slice_preserving_functions(kind, seed, monkeypatch):
@@ -1126,3 +1167,93 @@ def test_profile_of_origin_double_zero():
 def test_bad_nevanlinna_inputs_raise_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# ---------------------------------------------------------------------------
+# The slice-law declaration: a request says its column reads only u + iv
+# ---------------------------------------------------------------------------
+
+
+def _column_sites():
+    """Qualified names of the column functions nevanlinna defines: the nested
+    defs whose first argument is pts."""
+    import ast
+    import inspect
+
+    sites = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                inner = (*scope, child.name)
+                if scope and child.args.args and child.args.args[0].arg == "pts":
+                    sites.add(".<locals>.".join(inner))
+                walk(child, inner)
+            else:
+                walk(child, scope)
+
+    walk(ast.parse(inspect.getsource(nevanlinna)), ())
+    return sites
+
+
+def _declaration_inputs(seed):
+    """(f, g) pairs: seeded slice-preserving polynomials and rationals, the
+    CLI defaults, and quaternion-coefficient ones."""
+    rng = np.random.default_rng(seed)
+
+    def real(degree):
+        return RealPoly(rng.uniform(0.5, 1.5, size=degree + 1) * rng.choice([-1.0, 1.0], degree + 1))
+
+    quadratic = RealPoly([1.0, 0.0, 1.0])
+    return [
+        (quadratic, RealPoly([0.74, -1.0, 1.0])),                   # the defaults
+        (real(3), real(2)),
+        (SemiregularRational(real(2), real(2)), real(1)),
+        (LeftPoly(rng.standard_normal((3, 4))), real(2)),
+        (SemiregularRational(LeftPoly(rng.standard_normal((3, 4))),
+                             LeftPoly(rng.standard_normal((2, 4)))), real(1)),
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_slice_law_column_reads_only_u_plus_iv(seed, monkeypatch):
+    """Each request that declares the slice law gives, at seeded S³ points
+    and at their slice images u + v·i, the same values (to 1e-12 relative)
+    and the same mask; every column site of nevanlinna declares it on some
+    input, and a column declared S³ does read I."""
+    seen = recorded_requests(monkeypatch)
+    cfg = IntegratorConfig(samples=1_000, seed=seed)
+    real_a, quat_a = Quaternion(0.37, 0, 0, 0), Quaternion(0.37, 0.2, 0, 0)
+    radii = (1.3, 4.0)
+    verify_jensen(linear(Quaternion(0.5, 0.7, 0, 0)), 2.0, cfg)     # verify-jensen's default
+    counting_arbiter(RealPoly([1.0, 0.0, 1.0]), 2.0, cfg)           # the arbiter's
+    for f, g in _declaration_inputs(seed):
+        if not isinstance(f, SemiregularRational):
+            verify_jensen(f, 1.7, cfg)
+        for a in (None, real_a, quat_a):
+            mpb_defect(f, a, radii, cfg)
+            verify_fmt(f, a, radii, cfg, form=3)
+            NevanlinnaProfile.compute(f, a, radii, cfg)
+        for form in (1, 2):
+            for a in (real_a, quat_a):
+                verify_fmt(f, a, radii, cfg, form=form)
+        characteristic_algebra_suite(f, g, real_a, ONE, MOBIUS, radii, cfg)
+    declared, reads_i = set(), False
+    points = {}
+    for (column_fn, r, *law), _means in seen:
+        if column_fn is None:
+            continue
+        if r not in points:
+            pts = slice_points(sphere_points(r, seed, 2048))
+            points[r] = pts, SlicePoints.from_uv(*slice_uv(pts))
+        pts, images = points[r]
+        (vals, ok), (image_vals, image_ok) = column_fn(pts), column_fn(images)
+        if law == [True]:
+            declared.add(column_fn.__qualname__)
+            assert np.array_equal(ok, image_ok), column_fn.__qualname__
+            np.testing.assert_allclose(image_vals[ok], vals[ok], rtol=1e-12, atol=0.0,
+                                       err_msg=column_fn.__qualname__)
+        else:
+            reads_i = reads_i or not np.allclose(image_vals[ok & image_ok], vals[ok & image_ok])
+    assert declared == _column_sites()
+    assert reads_i, "no S³ column read I: the check above could not tell the laws apart"

@@ -16,6 +16,8 @@ from quatnev.quat_core import (
     CHUNK,
     DivisionByZero,
     Quaternion,
+    SLICE_STREAM,
+    S3_STREAM,
     SliceComplex,
     SlicePoints,
     SphereSampler,
@@ -294,7 +296,7 @@ def test_slice_units_have_the_bits_of_the_column_formula():
     assert _bits(slice_units(a, v)[3]) == _bits(np.array([0.0, 1.0, 0.0, 0.0]))
 
 
-@pytest.mark.parametrize("seed, stream, chunk", [(2026, 0, 0), (7, 3, 11), (2**63 + 5, 1, 2)])
+@pytest.mark.parametrize("seed, stream, chunk", [(2026, 0, 0), (7, 0, 11), (2**63 + 5, 0, 2)])
 def test_gaussian_chunk_stores_the_philox_draw_transposed(seed, stream, chunk):
     key = np.array([seed & (2**64 - 1), ((stream << 32) ^ chunk) & (2**64 - 1)], dtype=np.uint64)
     want = np.random.Generator(np.random.Philox(key=key)).standard_normal((CHUNK, 4))
@@ -304,7 +306,7 @@ def test_gaussian_chunk_stores_the_philox_draw_transposed(seed, stream, chunk):
     assert _bits(g) == _bits(want) and _bits(n) == _bits(want_n)
 
 
-@pytest.mark.parametrize("seed, stream, chunk", [(2026, 0, 0), (7, 3, 11), (2**63 + 5, 1, 2)])
+@pytest.mark.parametrize("seed, stream, chunk", [(2026, 0, 0), (7, 0, 11), (2**63 + 5, 0, 2)])
 def test_gaussian_chunk_into_supplied_buffers_has_the_bits_of_a_fresh_draw(seed, stream, chunk):
     want_g, want_n = SphereSampler(seed, stream).chunk(chunk)
     out, scratch = np.empty((4, CHUNK)), np.empty((BLOCK, 4))
@@ -312,6 +314,36 @@ def test_gaussian_chunk_into_supplied_buffers_has_the_bits_of_a_fresh_draw(seed,
     g, n = SphereSampler(seed, stream).chunk(chunk, out=out, scratch=scratch)
     assert np.shares_memory(g, out) and g.shape == (CHUNK, 4)
     assert _bits(g) == _bits(want_g) and _bits(n) == _bits(want_n)
+
+
+@pytest.mark.parametrize("seed, chunk", [(2026, 0), (7, 11), (2**63 + 5, 2)])
+def test_slice_chunk_is_the_disc_abscissa_of_philox_uniforms(seed, chunk):
+    """Stream 1 keys Philox by [seed, (1 << 32) ^ chunk] and draws x = √U₁·cos 2πU₂."""
+    key = np.array([seed, (1 << 32) ^ chunk], dtype=np.uint64)
+    u1, u2 = np.random.Generator(np.random.Philox(key=key)).random((2, CHUNK))
+    want_x = np.sqrt(u1) * np.cos(u2 * (2.0 * math.pi))
+    want_y = np.sqrt((1.0 - want_x) * (1.0 + want_x))
+    x, y = SphereSampler(seed, SLICE_STREAM).chunk(chunk)
+    assert _bits(x) == _bits(want_x) and _bits(y) == _bits(want_y)
+    out = np.empty((2, CHUNK))
+    SphereSampler(seed + 1, SLICE_STREAM).chunk(chunk, out=out)  # a stale draw first
+    x, y = SphereSampler(seed, SLICE_STREAM).chunk(chunk, out=out)
+    assert np.shares_memory(x, out) and np.shares_memory(y, out)
+    assert _bits(x) == _bits(want_x) and _bits(y) == _bits(want_y)
+
+
+def test_slice_points_carry_the_frame_they_were_made_from():
+    x, y = SphereSampler(3, SLICE_STREAM).chunk(0)
+    u, v = 2.5 * x[:BLOCK], 2.5 * y[:BLOCK]
+    pts = SlicePoints.from_uv(u, v)
+    assert pts.shape == (BLOCK, 4) and pts.T.flags.c_contiguous and not pts.flags.writeable
+    assert _bits(pts.uv[0]) == _bits(u) and _bits(pts.uv[1]) == _bits(v)
+    assert _bits(pts.z) == _bits(u + 1j * v)
+    assert not any(a.flags.writeable for a in (*pts.uv, pts.z))
+    assert np.array_equal(pts[:, 2:], np.zeros((BLOCK, 2)))
+    # the frame slice_uv would form from the points is the one set
+    assert np.array_equal(slice_uv(pts)[0], u) and np.array_equal(slice_uv(pts)[1], v)
+    assert np.array_equal(pts.I, np.tile([0.0, 1.0, 0.0, 0.0], (BLOCK, 1)))
 
 
 def test_batch_kernels_match_scalar_ops():
@@ -374,3 +406,48 @@ def test_the_sampler_refuses_negative_indices():
         SphereSampler(1, -1)
     with pytest.raises(ValueError, match="chunk_index"):
         SphereSampler(1).chunk(-1)
+
+
+def test_the_sampler_draws_two_laws_alone():
+    with pytest.raises(ValueError, match="stream_index"):
+        SphereSampler(1, 2)
+
+
+@pytest.mark.parametrize("seed", [2**64, -1, 2**65])
+def test_the_sampler_refuses_a_seed_outside_the_philox_key_range(seed):
+    """Seeds 2**64 apart would key one stream; the sampler refuses them, not aliases them."""
+    with pytest.raises(ValueError, match="seed"):
+        SphereSampler(seed)
+
+
+def test_the_ends_of_the_seed_range_draw():
+    for seed in (0, 2**64 - 1):
+        for stream in (S3_STREAM, SLICE_STREAM):
+            assert np.isfinite(SphereSampler(seed, stream).chunk(0)[0]).all()
+
+
+# N = 20 chunks of slice draws; the KS bound is the 5% critical value 1.36/√N
+SEMICIRCLE_DRAWS = 20 * CHUNK
+
+
+def _semicircle_cdf(x):
+    return 0.5 + (x * np.sqrt((1.0 - x) * (1.0 + x)) + np.arcsin(x)) / math.pi
+
+
+def test_slice_draws_follow_the_semicircle_law():
+    """x = Re q/|q| of q uniform on S³ has density (2/π)·√(1 − x²):
+    E[x²] = 1/4 and E[x⁴] = 1/8, each within 3σ of the sample mean, and the
+    Kolmogorov–Smirnov distance is under 1.36/√N; y = √(1 − x²) ≥ 0."""
+    sampler = SphereSampler(2026, SLICE_STREAM)
+    draws = [sampler.chunk(k) for k in range(SEMICIRCLE_DRAWS // CHUNK)]
+    x = np.concatenate([x for x, _y in draws])
+    y = np.concatenate([y for _x, y in draws])
+    assert (np.abs(x) <= 1.0).all() and (y >= 0.0).all()
+    assert np.abs(x * x + y * y - 1.0).max() <= 4e-16
+    n = len(x)
+    for power, moment, variance in ((2, 1 / 4, 1 / 8 - 1 / 16), (4, 1 / 8, 14 / 256 - 1 / 64)):
+        assert abs(np.mean(x**power) - moment) <= 3.0 * math.sqrt(variance / n), power
+    xs = np.sort(x)
+    cdf = _semicircle_cdf(xs)
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert ks <= 1.36 / math.sqrt(n), ks

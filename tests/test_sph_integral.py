@@ -3,12 +3,20 @@
 The estimator contract under test: bitwise determinism for a fixed
 (seed, stream), prefix stability in the sample count, exact antithetic
 cancellation of odd columns, honest standard errors, and hard failure
-when the rejection budget is exhausted.
+when the rejection budget is exhausted.  theta_rule is a deterministic
+oracle for the means of columns that read only u + iv; the slice-law
+means of the defaults are checked against it, and
+
+    PYTHONPATH=src python tests/test_sph_integral.py zscores [seeds]
+
+prints the z-scores of every 3σ-gated row against it over many seeds.
 """
 
 import math
+import sys
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +30,8 @@ from quatnev.sph_integral import (
     mean_batch,
     mean_columns,
 )
+from quatnev import nevanlinna, sph_integral
+from quatnev.cli import _COMMANDS, main
 from quatnev.nevanlinna import NevanlinnaProfile, proximity
 from test_quat_core import sphere_points
 
@@ -680,7 +690,180 @@ def test_a_column_function_off_the_n_by_k_shape_is_refused(shape):
         mean_columns(columns, 1.0, IntegratorConfig(samples=1000, seed=1))
 
 
-if __name__ == "__main__":
+# ---------------------------------------------------------------------------
+# The θ-rule: a deterministic oracle for columns that read only u + iv
+# ---------------------------------------------------------------------------
+
+# nodes of the θ-rule the oracle checks against; the rule at twice as many
+# gives its error
+RULE_NODES = 4096
+
+
+def _theta_sum(column_fn, r, n):
+    """Σ_k w_k·c(r·e^{iθ_k}) with θ_k = kπ/(n+1) and w_k = (2/(n+1))·sin²θ_k.
+
+    The surface measure of ∂B_r, pushed to θ = arg(u + iv), is
+    (2/π)·sin²θ dθ, and this is Gauss–Chebyshev of the second kind for
+    it.  The nodes go to column_fn BLOCK at a time as slice-law batches.
+    A node the column rejects (ok False or a non-finite value) has no
+    rule value: the rule refuses it with ValueError.
+    """
+    theta = np.arange(1, n + 1) * (math.pi / (n + 1))
+    weights = (2.0 / (n + 1)) * np.sin(theta) ** 2
+    total = 0.0
+    for start in range(0, n, BLOCK):
+        th = theta[start:start + BLOCK]
+        vals, ok = column_fn(SlicePoints.from_uv(r * np.cos(th), r * np.sin(th)))
+        vals = np.asarray(vals, dtype=float)
+        if not (np.all(ok) and np.isfinite(vals).all()):
+            raise ValueError(f"the θ-rule reached a rejected node at r = {r}")
+        total = total + weights[start:start + BLOCK] @ vals
+    return total
+
+
+def theta_rule(column_fn, r, n=RULE_NODES):
+    """(means, errors) over ∂B_r of the columns of a column function that reads only u + iv.
+
+    means is Q_n, the θ-rule with n nodes, and errors is |Q_n − Q_2n|,
+    each a (k,) array.
+    """
+    q_n, q_2n = _theta_sum(column_fn, r, n), _theta_sum(column_fn, r, 2 * n)
+    return q_n, np.abs(q_n - q_2n)
+
+
+def rule_of_request(request):
+    """theta_rule of a slice-law request (column_fn, r, True); a certified-zero
+    request (None, r, …) has the exact mean 0."""
+    column_fn, r, *_law = request
+    if column_fn is None:
+        return np.zeros(1), np.zeros(1)
+    return theta_rule(column_fn, r)
+
+
+def recorded_requests(monkeypatch):
+    """A list that collects (request, means) of every mean_batch and
+    mean_columns call of the package while the patch lasts."""
+    seen = []
+    original = sph_integral.mean_batch
+
+    def recording(requests, cfg):
+        requests = list(requests)
+        results = original(requests, cfg)
+        seen.extend(zip(requests, results))
+        return results
+
+    monkeypatch.setattr(sph_integral, "mean_batch", recording)
+    monkeypatch.setattr(nevanlinna, "mean_batch", recording)
+    return seen
+
+
+# a mean that rounding alone separates from its rule (an identically-zero
+# column, such as the sandwich's lower slack of a real f) is within this
+ROUNDING = 1e-12
+
+
+@pytest.mark.parametrize("command", ["arbiter", "fmt-check", "algebra-suite"])
+def test_slice_law_means_of_the_defaults_meet_the_theta_rule(command, monkeypatch, tmp_path):
+    """Every slice-law mean of arbiter, fmt-check form 3 and algebra-suite's
+    rows (T, mixed, sandwich) at their defaults lies within 3σ plus the
+    rule error of the θ-rule."""
+    seen = recorded_requests(monkeypatch)
+    assert main([command, "--out", str(tmp_path / "a.csv")]) == 0
+    slice_requests = [(req, means) for req, means in seen if req[2:] == (True,)]
+    assert slice_requests and len(slice_requests) == len(seen)
+    for request, means in slice_requests:
+        rule, error = rule_of_request(request)
+        for m, want, err in zip(means, rule, error):
+            gate = 3.0 * m.std_error + err + ROUNDING * (1.0 + abs(want))
+            assert abs(m.value - want) <= gate, (request[1], m, want, err)
+
+
+def _gated_rows(spec, batch):
+    """{row name: [(value, gate) per radius]} of the 3σ-gated rows of one run
+    of spec's command, its Monte-Carlo means taken from ``batch`` in place
+    of mean_batch: the arbiter's best residual, fmt-check's form-3
+    residuals against their reported three_sigma, and the algebra suite's
+    rows whose gate is Monte-Carlo.  An equality row's value is |difference|."""
+    rows = {}
+
+    def recording(make_row):
+        def row(name, values, gates=None):
+            if gates is not None:
+                rows[name] = list(zip(values, gates))
+            return make_row(name, values, gates)
+        return row
+
+    with mock.patch.object(sph_integral, "mean_batch", batch), \
+            mock.patch.object(nevanlinna, "mean_batch", batch), \
+            mock.patch.object(nevanlinna, "_equality_row", recording(nevanlinna._equality_row)), \
+            mock.patch.object(nevanlinna, "_inequality_row", recording(nevanlinna._inequality_row)):
+        if spec.command == "arbiter":
+            rep = nevanlinna.counting_arbiter(spec.function, spec.r, spec.integrator)
+            rows["best_residual"] = [(rep.residual(rep.best_order), rep.three_sigma)]
+        elif spec.command == "fmt-check":
+            rep = nevanlinna.verify_fmt(spec.function, spec.a, spec.radii, spec.integrator, 3)
+            rows["form3_residual"] = [(row["residual"], row["three_sigma"]) for row in rep["rows"]]
+        else:
+            _COMMANDS[spec.command].runner(spec)
+    return rows
+
+
+def _rule_batch(requests, cfg):
+    """mean_batch with each mean replaced by its θ-rule value and σ = 0."""
+    out = []
+    for request in requests:
+        assert request[0] is None or request[2:] == (True,), "the rule needs a slice-law column"
+        out.append([SphericalMean(float(v), 0.0, cfg.samples, 0) for v in rule_of_request(request)[0]])
+    return out
+
+
+if __name__ == "__main__" and sys.argv[1:2] == ["zscores"]:
+    # z-scores of every 3σ-gated row against the θ-rule, over many seeds:
+    #
+    #     PYTHONPATH=src python tests/test_sph_integral.py zscores [seeds]
+    #
+    # For the defaults of arbiter, fmt-check (form 3) and algebra-suite, and
+    # algebra-suite on the real rational (q² + 0.3)/(q² − 0.2q + 0.3), at
+    # --samples 2000 and seeds 1 to 200 (or the number given), each row's
+    # per-radius z = (value − rule value)/(gate/3) is pooled; a calibrated
+    # gate misses |value − rule value| ≤ gate on about 0.27% of them.  An
+    # equality row's value is |difference| and its rule value about 0, so its
+    # z is a half-normal (mean 0.80, sd 0.60).  A row whose gate is at the
+    # rounding of its value (sandwich_upper of a real f, which is log 2 at
+    # every point) has no meaningful z and is named as such.  About 30 s on
+    # one core.
+    import contextlib
+    import io
+    import types
+    from dataclasses import replace
+
+    from quatnev.cli import build_spec
+
+    seeds = int(sys.argv[2]) if len(sys.argv) > 2 else 200
+    hard = SemiregularRational(RealPoly([0.3, 0.0, 1.0]), RealPoly([0.3, -0.2, 1.0]))
+    cases = []
+    for command in ("arbiter", "fmt-check", "algebra-suite"):
+        args = types.SimpleNamespace(config=None, seed=None, samples=2000, out=None, format=None)
+        cases.append((command, build_spec(command, args)))
+    cases.append(("algebra-suite/real-rational",
+                  replace(cases[-1][1], inputs={**cases[-1][1].inputs, "function": hard})))
+    print(f"{'case':28s} {'row':26s} {'n':>5s} {'z mean':>7s} {'z sd':>6s} {'miss':>7s}")
+    for label, spec in cases:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exact = _gated_rows(spec, _rule_batch)
+            runs = [_gated_rows(replace(spec, integrator=IntegratorConfig(samples=2000, seed=seed)),
+                                mean_batch)
+                    for seed in range(1, seeds + 1)]
+        for name, want in exact.items():
+            pairs = [(value - rule, gate)
+                     for run in runs for (value, gate), (rule, _g) in zip(run[name], want)]
+            if max(gate for _d, gate in pairs) <= ROUNDING * max(1.0, *(abs(r) for r, _g in want)):
+                print(f"{label:28s} {name:26s} {len(pairs):5d}   gate at the rounding of the value")
+                continue
+            z = np.array([d / (gate / 3.0) for d, gate in pairs])
+            print(f"{label:28s} {name:26s} {len(z):5d} {z.mean():+7.2f} {z.std():6.2f} "
+                  f"{np.mean(np.abs(z) > 3.0):7.2%}")
+elif __name__ == "__main__":
     # Minor page faults and wall time of one mean_batch walk at the default
     # 300 000 samples, per kind of column: (log|f|, log|f∘S_{f−a}|) of a
     # LeftPoly and of a quaternion-denominator rational, and log|f| of a
